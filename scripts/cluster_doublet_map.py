@@ -53,7 +53,7 @@ def main() -> None:
         subdir = outdir / name
         subdir.mkdir(parents=True, exist_ok=True)
         (subdir / "config.json").write_text(json.dumps(doc, indent=2))
-        for path in run_map(parse_config(doc), subdir, threads=4):
+        for path in run_map(parse_config(doc), subdir):
             print(path)
 
     # secular estimates at a representative field, for the dip report

@@ -58,7 +58,7 @@ def main() -> None:
         subdir.mkdir(parents=True, exist_ok=True)
         cfg_doc = map_config(ratio)
         (subdir / "config.json").write_text(json.dumps(cfg_doc, indent=2))
-        for path in run_map(parse_config(cfg_doc), subdir, threads=4):
+        for path in run_map(parse_config(cfg_doc), subdir):
             print(path)
 
         pair = PairTarget(delta_a=DELTA_A, c12=DELTA_A / ratio)

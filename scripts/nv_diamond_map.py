@@ -35,7 +35,7 @@ def main() -> None:
     outdir = Path(sys.argv[1]) if len(sys.argv) > 1 else Path("out/nv_diamond")
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "config.json").write_text(json.dumps(config, indent=2))
-    files = run_map(parse_config(config), outdir, threads=4)
+    files = run_map(parse_config(config), outdir)
     for path in files:
         print(path)
 

@@ -51,7 +51,6 @@ from .clusters import (
     independent_pairs_coherence,
     joint_full_model,
     secular_quasienergies,
-    thermal_coherence,
 )
 from .sensors import (
     DonorModel,

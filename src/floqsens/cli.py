@@ -1,13 +1,14 @@
 """Command-line front end: trace / map / spectrum / dips.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical-consistency
-error, 4 capacity error.
+Exit codes: 0 success, 2 configuration or file error (including an
+output directory that cannot be created or written), 3
+numerical-consistency error, 4 capacity error.  Each failure is reported
+as one line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -35,7 +36,7 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--quantity", choices=("coherence", "envelope"),
                          help="override plotted quantity (maps only)")
         cmd.add_argument("--threads", type=int, default=1,
-                         help="worker threads for map rows (0 = auto)")
+                         help="accepted for compatibility; has no effect")
     return parser
 
 
@@ -50,11 +51,10 @@ def main(argv: list[str] | None = None) -> int:
             cfg = replace(cfg, output=output)
         outdir = Path(args.output)
         outdir.mkdir(parents=True, exist_ok=True)
-        threads = args.threads if args.threads > 0 else (os.cpu_count() or 1)
         if args.command == "trace":
             files = run_trace(cfg, outdir)
         elif args.command == "map":
-            files = run_map(cfg, outdir, threads=threads)
+            files = run_map(cfg, outdir)
         elif args.command == "spectrum":
             files = run_spectrum(cfg, outdir)
         else:
@@ -68,6 +68,9 @@ def main(argv: list[str] | None = None) -> int:
     except NumericalConsistencyError as exc:
         print(f"numerical-consistency error: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:
+        print(f"file error: {exc}", file=sys.stderr)
+        return 2
     for path in files:
         print(path)
     return 0

@@ -169,11 +169,6 @@ def independent_pairs_coherence(ps: PairSet, p_u: float, p_d: float,
     return total
 
 
-def thermal_coherence(ch: ConditionalHamiltonians, seq: PulseSequence) -> float:
-    """Uniform (infinite-temperature) average of Re <B_u|B_d> over basis states."""
-    return thermal_coherence_numeric(ch, seq)
-
-
 def basis_state_coherences(ch: ConditionalHamiltonians, seq: PulseSequence) -> np.ndarray:
     """Complex coherence of each computational basis state individually."""
     t_u2, t_d2 = unit_cell(ch, seq)

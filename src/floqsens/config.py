@@ -18,6 +18,7 @@ from typing import Any
 import numpy as np
 
 from .clusters import PairSet, SpinCluster
+from .engine import QUANTITIES
 from .errors import ConfigError
 from .pseudospin import PseudoField, TwoStateModel
 from .sensors import DonorModel, NVModel, PairTarget, si_bi
@@ -27,7 +28,6 @@ TWO_PI = 2.0 * math.pi
 SYSTEM_KINDS = ("pseudospin", "nv", "donor_pair", "cluster3",
                 "independent_pairs", "joint_full")
 FIELD_AXES = {"b0_tesla", "omega_x_hz", "row_index"}
-QUANTITIES = ("coherence", "envelope")
 FORMATS = ("csv", "pgm", "both")
 
 

@@ -2,16 +2,23 @@
 
 Every map row is produced by the same ``compute_trace`` call the ``trace``
 command uses, so a map row at fixed field and the corresponding trace are
-bitwise identical.  CSV output is UTF-8 with ``\\n`` line endings and full
-``%.17g`` precision; maps can also be emitted as binary 8-bit PGM (P5)
-with the documented value mapping round(255 (L + 1) / 2).
+bitwise identical.  Two-state systems take the closed-form pseudospin
+path; every other system goes through the engine's stacked row kernel
+``floquet_row``, which diagonalizes H_u and H_d once per field and builds
+the cells of the tau axis in blocks.  A map asks the kernel only for the
+quantity it emits and a trace asks for both; each value is the same
+either way.  Kernel values differ from those of the earlier per-tau
+Schur path by a few 1e-14 at most, so dense-system files are not
+bitwise equal to files written before the kernel.  CSV output is UTF-8
+with ``\n`` line endings and full ``%.17g`` precision; maps can also be
+emitted as binary 8-bit PGM (P5) with the documented value mapping
+round(255 (L + 1) / 2).
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -21,12 +28,11 @@ from . import __version__
 from .clusters import conditional_cluster_hamiltonians, doublet_dip_estimates, \
     joint_full_model
 from .config import ScanConfig
-from .engine import ConditionalHamiltonians, PulseSequence, envelope_general, \
-    floquet_pair, spectrum_scan, thermal_coherence_numeric, unit_cell
+from .engine import QUANTITIES, ConditionalHamiltonians, floquet_row, spectrum_scan
 from .errors import ConfigError, NumericalConsistencyError, ValidationError
-from .pseudospin import PseudoField, TwoStateModel, avg_hamiltonian_dip, \
+from .pseudospin import TwoStateModel, avg_hamiltonian_dip, \
     coherence_analytic, diamond_boundaries, dip_positions, envelope, floquet_phase
-from .sensors import NVModel, donor_pair_polarizations, nv_two_state
+from .sensors import NVModel, donor_pair_polarizations, donor_pair_two_state, nv_two_state
 
 TWO_PI = 2.0 * math.pi
 
@@ -41,11 +47,11 @@ def _fmt(x: float) -> str:
 
 @dataclass(frozen=True)
 class TraceData:
-    """One computed coherence trace over the tau grid."""
+    """One computed trace over the tau grid; a quantity not computed is None."""
 
     taus: np.ndarray
-    coherence: np.ndarray
-    envelope: np.ndarray
+    coherence: np.ndarray | None
+    envelope: np.ndarray | None
 
 
 def _two_state_model(cfg: ScanConfig, field_value: float | None) -> TwoStateModel | None:
@@ -61,11 +67,7 @@ def _two_state_model(cfg: ScanConfig, field_value: float | None) -> TwoStateMode
             nv = NVModel(omega_x=TWO_PI * field_value, omega_z=nv.omega_z, a_par=nv.a_par)
         return nv_two_state(nv)
     if kind == "donor_pair":
-        b0 = _field_b0(cfg, field_value)
-        p_u, p_d = donor_pair_polarizations(cfg.donor, b0)
-        pair = cfg.system
-        return TwoStateModel(h_u=PseudoField(pair.c12 / 2.0, pair.delta_a * p_u / 2.0),
-                             h_d=PseudoField(pair.c12 / 2.0, pair.delta_a * p_d / 2.0))
+        return donor_pair_two_state(cfg.donor, cfg.system, _field_b0(cfg, field_value))
     return None
 
 
@@ -100,12 +102,14 @@ def _conditional(cfg: ScanConfig, field_value: float | None) -> ConditionalHamil
     return model.conditional()
 
 
-def compute_trace(cfg: ScanConfig, field_value: float | None = None) -> TraceData:
+def compute_trace(cfg: ScanConfig, field_value: float | None = None,
+                  quantities: tuple[str, ...] = QUANTITIES) -> TraceData:
     """Coherence and envelope over the tau axis at one field point.
 
-    A finite pulse duration delta shifts the effective interval of the
-    analytic two-state path to tau + delta, matching the engine's cell
-    construction.
+    The closed-form two-state path always computes both; other systems
+    compute only ``quantities``.  A finite pulse duration delta shifts the
+    effective interval of the analytic two-state path to tau + delta,
+    matching the engine's cell construction.
     """
     taus = cfg.tau_axis.values()
     n_p = cfg.sequence.n_p
@@ -116,19 +120,10 @@ def compute_trace(cfg: ScanConfig, field_value: float | None = None) -> TraceDat
         coh = np.asarray(coherence_analytic(model, tau_eff, n_p))
         env = np.asarray(envelope(model, tau_eff))
         return TraceData(taus=taus, coherence=coh, envelope=env)
-    ch = _conditional(cfg, field_value)
-    coh = np.empty(taus.size)
-    env = np.empty(taus.size)
-    for i, tau in enumerate(taus):
-        try:
-            seq = PulseSequence(tau=float(tau), n_p=n_p, pulse_duration=delta)
-            coh[i] = thermal_coherence_numeric(ch, seq)
-            pair = floquet_pair(*unit_cell(ch, seq))
-            env[i] = envelope_general(pair).floor
-        except (ValidationError, NumericalConsistencyError) as exc:
-            exc.args = (f"tau[{i}] = {tau:g}: {exc}",)
-            raise
-    return TraceData(taus=taus, coherence=coh, envelope=env)
+    row = floquet_row(_conditional(cfg, field_value), taus, n_p, quantities,
+                      pulse_duration=delta)
+    return TraceData(taus=taus, coherence=row.get("coherence"),
+                     envelope=row.get("envelope"))
 
 
 def _check_range(values: np.ndarray, what: str):
@@ -216,28 +211,25 @@ def _overlay_rows(cfg: ScanConfig, field_values: np.ndarray):
 
 
 def run_map(cfg: ScanConfig, outdir: Path, threads: int = 1) -> list[Path]:
-    """Emit the long-form map CSV, plus PGM and overlay curves if requested."""
+    """Emit the long-form map CSV, plus PGM and overlay curves if requested.
+
+    Rows are computed in order.  ``threads`` is accepted for compatibility
+    and has no effect: a thread pool over rows showed no reliable gain.
+    """
     outdir.mkdir(parents=True, exist_ok=True)
     if cfg.field_axis is None:
         raise ConfigError("map needs a field axis in addition to tau_s")
     field_values = cfg.field_axis.values()
     quantity = cfg.output.quantity
 
-    def row(index: int) -> TraceData:
+    grid_rows = []
+    for index, field in enumerate(field_values):
         try:
-            return compute_trace(cfg, float(field_values[index]))
+            grid_rows.append(getattr(compute_trace(cfg, float(field), (quantity,)), quantity))
         except (ValidationError, NumericalConsistencyError) as exc:
-            exc.args = (f"row {index} (field {field_values[index]:g}): {exc}",)
+            exc.args = (f"row {index} (field {field:g}): {exc}",)
             raise
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            traces = list(pool.map(row, range(field_values.size)))
-    else:
-        traces = [row(i) for i in range(field_values.size)]
-
-    grid = np.stack([t.coherence if quantity == "coherence" else t.envelope
-                     for t in traces])
+    grid = np.stack(grid_rows)
     _check_range(grid, quantity)
     files = []
     out_csv = outdir / "map.csv"

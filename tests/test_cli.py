@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from floqsens.cli import main
 
 
@@ -49,6 +51,21 @@ class TestExitCodes:
         }
         cfg = write_cfg(tmp_path / "c.json", doc)
         assert main(["trace", "--config", cfg, "--output", str(tmp_path)]) == 4
+
+    @pytest.mark.parametrize("blocked", ["directory", "file"])
+    def test_unwritable_output(self, tmp_path, capsys, blocked):
+        doc = pseudospin_doc()
+        doc["axes"]["row_index"] = {"start": 0, "stop": 1, "count": 2}
+        cfg = write_cfg(tmp_path / "c.json", doc)
+        if blocked == "directory":
+            (tmp_path / "plain").write_text("")
+            outdir = tmp_path / "plain" / "out"
+        else:
+            outdir = tmp_path / "out"
+            (outdir / "map.csv").mkdir(parents=True)
+        assert main(["map", "--config", cfg, "--output", str(outdir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("file error: ") and err.count("\n") == 1
 
     def test_numerical_consistency_error(self, tmp_path, monkeypatch):
         from floqsens import NumericalConsistencyError

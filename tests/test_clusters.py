@@ -20,7 +20,7 @@ from floqsens import (
     joint_full_model,
     secular_quasienergies,
     si_bi,
-    thermal_coherence,
+    thermal_coherence_numeric,
     unit_cell,
 )
 from floqsens.sensors import donor_pair_polarizations
@@ -51,7 +51,7 @@ class TestConditionalHamiltonians:
         ch = conditional_cluster_hamiltonians(cl, 0.6, -0.3)
         assert np.abs(ch.h_u - np.diag(np.diag(ch.h_u))).max() == 0.0
         for tau in (1e-5, 7e-5):
-            val = thermal_coherence(ch, PulseSequence(tau=tau, n_p=25))
+            val = thermal_coherence_numeric(ch, PulseSequence(tau=tau, n_p=25))
             assert val == pytest.approx(1.0, abs=1e-12)
 
     def test_two_spin_block_reduces_to_pseudospin(self):
@@ -78,7 +78,7 @@ class TestConditionalHamiltonians:
                               h_d=PseudoField(c12 / 2, delta_a * p_d / 2))
         for tau in np.linspace(2e-6, 6e-5, 23):
             seq = PulseSequence(tau=float(tau), n_p=12)
-            got = thermal_coherence(ch, seq)
+            got = thermal_coherence_numeric(ch, seq)
             # the two frozen aligned basis states contribute unity each
             want = 0.5 * (1.0 + float(coherence_analytic(model, float(tau), 12)))
             assert got == pytest.approx(want, abs=1e-8)
@@ -113,8 +113,8 @@ class TestConditionalHamiltonians:
             ch_shift = conditional_cluster_hamiltonians(shifted, p_u, p_d)
             for tau in (1.2e-5, 3.4e-5):
                 seq = PulseSequence(tau=tau, n_p=30)
-                assert thermal_coherence(ch, seq) == pytest.approx(
-                    thermal_coherence(ch_shift, seq), abs=1e-9)
+                assert thermal_coherence_numeric(ch, seq) == pytest.approx(
+                    thermal_coherence_numeric(ch_shift, seq), abs=1e-9)
 
     def test_validation(self):
         with pytest.raises(ValidationError):
@@ -132,7 +132,7 @@ class TestThermalCoherence:
         for tau in (8e-6, 2.4e-5):
             seq = PulseSequence(tau=tau, n_p=14)
             pair = floquet_pair(*unit_cell(ch, seq))
-            assert thermal_coherence(ch, seq) == pytest.approx(
+            assert thermal_coherence_numeric(ch, seq) == pytest.approx(
                 coherence_floquet(pair, 14), abs=1e-9)
 
     def test_stretched_states_stay_coherent(self):
@@ -210,7 +210,7 @@ class TestThermalCoherence:
         first = min(r.tau for r in doublet_dip_estimates(cl, p_u, p_d))
         for tau in np.linspace(5e-6, 0.9 * first, 18):
             seq = PulseSequence(tau=float(tau), n_p=20)
-            assert thermal_coherence(ch, seq) == pytest.approx(
+            assert thermal_coherence_numeric(ch, seq) == pytest.approx(
                 independent_pairs_coherence(ps, p_u, p_d, seq), abs=5e-3)
 
 
@@ -306,7 +306,7 @@ class TestIndependentPairs:
         p_u, p_d = 0.45, -0.3
         seq = PulseSequence(tau=3.1e-5, n_p=20)
         product = independent_pairs_coherence(ps, p_u, p_d, seq)
-        joint = thermal_coherence(ps.conditional(p_u, p_d), seq)
+        joint = thermal_coherence_numeric(ps.conditional(p_u, p_d), seq)
         assert product == pytest.approx(joint, abs=1e-9)
 
     def test_no_doublets_in_pair_decomposition(self):
@@ -336,7 +336,7 @@ class TestJointModel:
         diff = ch.h_u - ch.h_d
         off = diff - np.eye(8) * diff[0, 0]
         assert np.abs(off).max() < 1e-6
-        val = thermal_coherence(ch, PulseSequence(tau=2e-5, n_p=40))
+        val = thermal_coherence_numeric(ch, PulseSequence(tau=2e-5, n_p=40))
         assert val == pytest.approx(1.0, abs=1e-10)
 
     def test_high_field_reduces_to_imposed_polarizations(self):
@@ -361,8 +361,8 @@ class TestJointModel:
         p_u, p_d = donor_pair_polarizations(d, b0)
         ch_cond = conditional_cluster_hamiltonians(cl, p_u, p_d)
         seq = PulseSequence(tau=5.4e-5, n_p=100)
-        assert thermal_coherence(ch_joint, seq) == pytest.approx(
-            thermal_coherence(ch_cond, seq), abs=1e-6)
+        assert thermal_coherence_numeric(ch_joint, seq) == pytest.approx(
+            thermal_coherence_numeric(ch_cond, seq), abs=1e-6)
 
     def test_capacity(self):
         n = 7

@@ -1,0 +1,170 @@
+"""The stacked row kernel ``floquet_row`` against the per-tau engine path."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import floqsens.engine as engine
+from conftest import random_hermitian
+from floqsens import (
+    ConditionalHamiltonians,
+    PulseSequence,
+    SymmetryViolationError,
+    ValidationError,
+    envelope_general,
+    floquet_pair,
+    thermal_coherence_numeric,
+    unit_cell,
+)
+from floqsens.config import parse_config
+from floqsens.engine import STACK_BLOCK_BYTES, CellStack, floquet_row
+from floqsens.scans import run_map, run_trace
+
+ATOL = 1e-10
+
+
+def per_tau(ch, taus, n_p, pulse_duration):
+    """Both quantities at each tau, one PulseSequence at a time."""
+    coh, env = [], []
+    for tau in taus:
+        seq = PulseSequence(tau=float(tau), n_p=n_p, pulse_duration=pulse_duration)
+        coh.append(thermal_coherence_numeric(ch, seq))
+        env.append(envelope_general(floquet_pair(*unit_cell(ch, seq))).floor)
+    return {"coherence": np.array(coh), "envelope": np.array(env)}
+
+
+def count_calls(monkeypatch, name):
+    """Count the engine's calls of one of its module-level functions."""
+    calls = []
+    original = getattr(engine, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(engine, name, counted)
+    return calls
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=st.sampled_from([2, 3, 4, 8, 16]),
+       seed=st.integers(0, 2 ** 32 - 1),
+       taus=st.lists(st.floats(0.01, 3.0), min_size=1, max_size=8, unique=True),
+       n_p=st.integers(1, 200),
+       pulse_duration=st.floats(1e-3, 0.5),
+       quantities=st.sampled_from([("coherence",), ("envelope",),
+                                   ("coherence", "envelope")]))
+def test_row_kernel_matches_per_tau_path(dim, seed, taus, n_p, pulse_duration, quantities):
+    rng = np.random.default_rng(seed)
+    ch = ConditionalHamiltonians(random_hermitian(dim, rng), random_hermitian(dim, rng))
+    taus = np.sort(taus)
+    got = floquet_row(ch, taus, n_p, quantities, pulse_duration=pulse_duration)
+    want = per_tau(ch, taus, n_p, pulse_duration)
+    assert set(got) == set(quantities)
+    for quantity in quantities:
+        np.testing.assert_allclose(got[quantity], want[quantity], rtol=0, atol=ATOL)
+
+
+def test_quantity_values_do_not_depend_on_the_request(rng):
+    ch = ConditionalHamiltonians(random_hermitian(8, rng), random_hermitian(8, rng))
+    taus = np.linspace(0.05, 2.0, 40)
+    both = floquet_row(ch, taus, 30)
+    for quantity in ("coherence", "envelope"):
+        alone = floquet_row(ch, taus, 30, (quantity,))
+        assert alone[quantity].tobytes() == both[quantity].tobytes()
+
+
+def test_degenerate_phases_take_the_schur_path(rng, monkeypatch):
+    # Two copies of one block give every cell eigenphase twice.
+    a_u, a_d = random_hermitian(3, rng), random_hermitian(3, rng)
+    zero = np.zeros((3, 3))
+    ch = ConditionalHamiltonians(np.block([[a_u, zero], [zero, a_u]]),
+                                 np.block([[a_d, zero], [zero, a_d]]))
+    taus = np.array([0.1, 0.7, 1.3])
+    want = per_tau(ch, taus, 12, 0.05)["envelope"]
+    calls = count_calls(monkeypatch, "floquet_pair")
+    got = floquet_row(ch, taus, 12, ("envelope",), pulse_duration=0.05)["envelope"]
+    assert len(calls) == taus.size
+    assert got.tobytes() == want.tobytes()
+
+
+def test_power_drift_takes_the_per_tau_path(rng, monkeypatch):
+    ch = ConditionalHamiltonians(random_hermitian(4, rng), random_hermitian(4, rng))
+    taus = np.array([0.2, 0.9])
+    monkeypatch.setattr(engine, "POWER_DRIFT_TOL", 0.0)
+    want = per_tau(ch, taus, 50, 0.0)["coherence"]
+    calls = count_calls(monkeypatch, "thermal_coherence_numeric")
+    got = floquet_row(ch, taus, 50, ("coherence",))["coherence"]
+    assert len(calls) == taus.size
+    assert got.tobytes() == want.tobytes()
+
+
+def test_long_rows_are_built_in_blocks(rng):
+    dim = 16
+    ch = ConditionalHamiltonians(random_hermitian(dim, rng), random_hermitian(dim, rng))
+    stack = CellStack(ch)
+    blocks = stack.blocks(150)
+    assert len(blocks) > 1
+    assert max(b.stop - b.start for b in blocks) * 16 * dim ** 2 <= STACK_BLOCK_BYTES
+    assert [i for b in blocks for i in range(150)[b]] == list(range(150))
+    taus = np.linspace(0.05, 2.0, 150)
+    want = per_tau(ch, taus[::37], 20, 0.0)
+    got = floquet_row(ch, taus, 20)
+    for quantity in want:
+        np.testing.assert_allclose(got[quantity][::37], want[quantity], rtol=0, atol=ATOL)
+
+
+def test_cells_match_unit_cell_with_intra_pulse_hamiltonian(rng):
+    ch = ConditionalHamiltonians(random_hermitian(4, rng), random_hermitian(4, rng))
+    h_pulse = random_hermitian(4, rng)
+    taus = np.array([0.3, 1.1])
+    t_u2, t_d2 = CellStack(ch, 0.02, h_pulse).cells(taus)
+    for k, tau in enumerate(taus):
+        seq = PulseSequence(tau=tau, n_p=1, pulse_duration=0.02,
+                            intra_pulse_hamiltonian=h_pulse)
+        ref_u, ref_d = unit_cell(ch, seq)
+        np.testing.assert_allclose(t_u2[k], ref_u, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(t_d2[k], ref_d, rtol=0, atol=1e-13)
+
+
+def test_errors_name_the_tau_point(rng, monkeypatch):
+    ch = ConditionalHamiltonians(random_hermitian(4, rng), random_hermitian(4, rng))
+    with pytest.raises(ValidationError, match=r"^tau\[2\] = -1: "):
+        floquet_row(ch, [0.1, 0.2, -1.0], 5)
+    with pytest.raises(ValidationError, match="n_p must be"):
+        floquet_row(ch, [0.1], -1)
+    with pytest.raises(ValidationError, match="unknown quantities"):
+        floquet_row(ch, [0.1], 5, ("phase",))
+    monkeypatch.setattr(engine, "PHASE_MATCH_TOL", -1.0)
+    with pytest.raises(SymmetryViolationError, match=r"^tau\[0\] = 0\.1: u/d eigenphase"):
+        floquet_row(ch, [0.1, 0.2], 5, ("envelope",))
+
+
+def cluster3_doc(**system):
+    return {
+        "system": {"kind": "cluster3", "donor": "si_bi",
+                   "cluster": {"a_rad_s": [180e3, 0.0, 100e3],
+                               "c_rad_s": [[0.0, 1.05e3, 2.2e3], [1.05e3, 0.0, 1.05e3],
+                                           [2.2e3, 1.05e3, 0.0]]},
+                   **system},
+        "sequence": {"n_p": 100},
+        "axes": {"tau_s": {"start": 2e-5, "stop": 3.2e-4, "count": 30}},
+    }
+
+
+@pytest.mark.parametrize("quantity", ["coherence", "envelope"])
+def test_cluster3_map_row_equals_trace(tmp_path, quantity):
+    doc = cluster3_doc()
+    doc["axes"]["b0_tesla"] = {"start": 0.10, "stop": 0.26, "count": 5}
+    doc["output"] = {"quantity": quantity}
+    run_map(parse_config(doc), tmp_path / "m")
+    rows = [line.split(",") for line in
+            (tmp_path / "m" / "map.csv").read_text().splitlines()[1:]]
+    pick = rows[2 * 30][0]
+    map_col = [(r[1], r[2]) for r in rows if r[0] == pick]
+
+    run_trace(parse_config(cluster3_doc(b0_tesla=float(pick))), tmp_path / "t")
+    lines = (tmp_path / "t" / "trace.csv").read_text().splitlines()
+    column = lines[0].split(",").index(quantity)
+    assert [(r.split(",")[0], r.split(",")[column]) for r in lines[1:]] == map_col
