@@ -135,13 +135,13 @@ def floquet_phase(model: TwoStateModel, s) -> np.ndarray | float:
 
 
 def _envelope_factor(model: TwoStateModel, tau: np.ndarray):
-    """(F, cos^2(E/2), analytic-ok mask) on an array of pulse intervals."""
-    q = 0.5 * (1.0 + np.asarray(cos_floquet_phase(model, tau)))
-    q = np.maximum(q, 0.0)
+    """(F, cos E(tau), analytic-ok mask) on an array of pulse intervals."""
+    cos_e = np.asarray(cos_floquet_phase(model, tau))
+    q = np.maximum(0.5 * (1.0 + cos_e), 0.0)
     p = np.asarray(cos_floquet_phase(model, tau / 2.0)) ** 2
     ok = np.sqrt(q) >= ANALYTIC_GUARD
     f = np.where(ok, 1.0 - p / np.where(ok, q, 1.0), np.nan)
-    return f, q, ok
+    return f, cos_e, ok
 
 
 def _numeric_coherence(model: TwoStateModel, tau: float, n_p: int) -> float:
@@ -171,8 +171,8 @@ def coherence_analytic(model: TwoStateModel, tau, n_p: int,
         vals = np.ones_like(tau_arr)
         ok = np.ones(tau_arr.shape, dtype=bool)
     else:
-        f, _, ok = _envelope_factor(model, tau_arr)
-        e_tau = np.arccos(np.clip(np.asarray(cos_floquet_phase(model, tau_arr)), -1.0, 1.0))
+        f, cos_e, ok = _envelope_factor(model, tau_arr)
+        e_tau = np.arccos(np.clip(cos_e, -1.0, 1.0))
         osc = np.sin(n_p * e_tau) ** 2
         vals = 1.0 - 2.0 * f * osc
         for i in np.nonzero(~ok)[0]:

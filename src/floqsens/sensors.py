@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -87,6 +88,24 @@ class DonorModel:
     def dim(self) -> int:
         return 2 * (round(2 * self.nuclear_spin) + 1)
 
+    @cached_property
+    def _operators(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(S_z - delta_gamma I_z, A S.I, S_z) on the 2(2I+1) space, read-only.
+
+        None depends on B0, so a model builds them once and every field
+        reuses them.
+        """
+        sx, sy, sz = spin_operators(0.5)
+        ix, iy, iz = spin_operators(self.nuclear_spin)
+        eye_e = np.eye(2, dtype=complex)
+        eye_n = np.eye(ix.shape[0], dtype=complex)
+        electron_sz = kron(sz, eye_n)
+        zeeman = electron_sz - self.delta_gamma * kron(eye_e, iz)
+        hyperfine = self.hyperfine_a * (kron(sx, ix) + kron(sy, iy) + kron(sz, iz))
+        for op in (zeeman, hyperfine, electron_sz):
+            op.flags.writeable = False
+        return zeeman, hyperfine, electron_sz
+
 
 def si_bi(level_u: int = 12, level_d: int = 9) -> DonorModel:
     """Si:Bi donor; the default 12 -> 9 ESR transition has its OWP near 0.188 T."""
@@ -96,23 +115,16 @@ def si_bi(level_u: int = 12, level_d: int = 9) -> DonorModel:
 
 
 def donor_electron_sz(d: DonorModel) -> np.ndarray:
-    """S_z of the donor electron on the full electron x nucleus space."""
-    _, _, sz = spin_operators(0.5)
-    nuc_dim = round(2 * d.nuclear_spin) + 1
-    return kron(sz, np.eye(nuc_dim, dtype=complex))
+    """S_z of the donor electron on the full electron x nucleus space (read-only)."""
+    return d._operators[2]
 
 
 def donor_hamiltonian(d: DonorModel, b0: float) -> np.ndarray:
     """H = gamma_e B0 (S_z - delta_gamma I_z) + A S.I on the 2(2I+1) space."""
     if not np.isfinite(b0) or b0 < 0:
         raise ValidationError(f"magnetic field must be finite and >= 0, got {b0}")
-    sx, sy, sz = spin_operators(0.5)
-    ix, iy, iz = spin_operators(d.nuclear_spin)
-    eye_e = np.eye(2, dtype=complex)
-    eye_n = np.eye(ix.shape[0], dtype=complex)
-    zeeman = d.gamma_e * b0 * (kron(sz, eye_n) - d.delta_gamma * kron(eye_e, iz))
-    hyperfine = d.hyperfine_a * (kron(sx, ix) + kron(sy, iy) + kron(sz, iz))
-    return require_hermitian(zeeman + hyperfine, name="donor Hamiltonian")
+    zeeman, hyperfine, _ = d._operators
+    return require_hermitian(d.gamma_e * b0 * zeeman + hyperfine, name="donor Hamiltonian")
 
 
 def donor_eigensystem(d: DonorModel, b0: float) -> tuple[np.ndarray, np.ndarray]:

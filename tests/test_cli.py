@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import floqsens
 from floqsens.cli import main
 
 
@@ -67,6 +70,18 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("file error: ") and err.count("\n") == 1
 
+    def test_unrepresentable_phase(self, tmp_path, capsys):
+        doc = pseudospin_doc()
+        doc["system"]["h_u"]["x_rad_s"] = 1e300
+        cfg = write_cfg(tmp_path / "c.json", doc)
+        outdir = tmp_path / "out"
+        assert main(["trace", "--config", cfg, "--output", str(outdir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: largest accumulated phase")
+        assert err.count("\n") == 1
+        assert not (outdir / "trace.csv").exists()
+        assert not (outdir / "trace_manifest.json").exists()
+
     def test_numerical_consistency_error(self, tmp_path, monkeypatch):
         from floqsens import NumericalConsistencyError
         import floqsens.cli as cli
@@ -104,9 +119,13 @@ class TestFlags:
 
 def test_console_entry_point(tmp_path):
     cfg = write_cfg(tmp_path / "c.json", pseudospin_doc())
+    # The child imports the same floqsens as this process, installed or not.
+    src = str(Path(floqsens.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "floqsens.cli", "trace", "--config", cfg,
          "--output", str(tmp_path)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "trace.csv" in proc.stdout

@@ -1,11 +1,16 @@
+import errno
 import json
+import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from floqsens import PulseSequence, thermal_coherence_numeric
+from floqsens import PulseSequence, ValidationError, thermal_coherence_numeric
 from floqsens.config import parse_config
-from floqsens.scans import compute_trace, run_dips, run_map, run_spectrum, run_trace, write_pgm
+from floqsens.scans import compute_trace, run_dips, run_map, run_spectrum, run_trace, \
+    write_csv, write_pgm
 
 
 def pseudospin_cfg(**over):
@@ -71,6 +76,178 @@ class TestTrace:
         data = compute_trace(cfg)
         tau_min = data.taus[int(np.argmin(data.envelope))]
         assert abs(tau_min - tau_bar) / tau_bar < 0.01
+
+
+class TestRequestedQuantities:
+    @pytest.mark.parametrize("system", [
+        {"kind": "pseudospin", "h_u": {"x_rad_s": 1.4e4, "z_rad_s": 4.2e4},
+         "h_d": {"x_rad_s": 1.4e4, "z_rad_s": -2.2e4}},
+        {"kind": "donor_pair", "donor": "si_bi", "b0_tesla": 0.15,
+         "pair": {"delta_a_rad_s": 180e3, "c12_rad_s": 1.8e3}}])
+    def test_two_state_computes_only_what_is_asked(self, system):
+        cfg = pseudospin_cfg(system=system, sequence={"n_p": 20, "pulse_duration_s": 1e-7})
+        both = compute_trace(cfg)
+        for quantity in ("coherence", "envelope"):
+            other = "envelope" if quantity == "coherence" else "coherence"
+            one = compute_trace(cfg, None, (quantity,))
+            assert getattr(one, other) is None
+            assert getattr(one, quantity).tobytes() == getattr(both, quantity).tobytes()
+            assert one.model == both.model == compute_trace(cfg, None, ()).model
+
+
+class TestPhaseLimit:
+    def test_two_state_trace_rejected(self):
+        cfg = pseudospin_cfg(system={"kind": "pseudospin",
+                                     "h_u": {"x_rad_s": 1e300, "z_rad_s": 0.0},
+                                     "h_d": {"x_rad_s": 0.0, "z_rad_s": 1.0}})
+        with pytest.raises(ValidationError, match="accumulated phase"):
+            compute_trace(cfg)
+
+    def test_limit_is_two_w_max_times_longest_interval(self):
+        # 2 max(w_u, w_d) (tau_stop + delta) = |h_u| (tau_stop + delta)
+        tau_stop, delta = 2.4e-4, 1e-7
+        for scale, ok in ((0.999, True), (1.001, False)):
+            h_x = scale * 1e12 / (tau_stop + delta)
+            cfg = pseudospin_cfg(
+                system={"kind": "pseudospin", "h_u": {"x_rad_s": h_x, "z_rad_s": 0.0},
+                        "h_d": {"x_rad_s": 1.0, "z_rad_s": 0.0}},
+                sequence={"n_p": 1, "pulse_duration_s": delta},
+                axes={"tau_s": {"start": 1e-6, "stop": tau_stop, "count": 3}})
+            if ok:
+                compute_trace(cfg, None, ("envelope",))
+            else:
+                with pytest.raises(ValidationError, match="accumulated phase"):
+                    compute_trace(cfg, None, ("envelope",))
+
+    def test_dense_limit_uses_spectral_radius_and_cell_length(self, tmp_path):
+        # Cell length 4 (tau + delta); H_u = (p_u / 2) A_1 Iz_1 has spectral radius A_1 / 4.
+        tau_stop = 1e-4
+        for scale, ok in ((0.999, True), (1.001, False)):
+            z = scale * 1e12 / (0.25 * 4 * tau_stop)
+            cfg = parse_config({
+                "system": {"kind": "cluster3",
+                           "cluster": {"a_rad_s": [z, 0.0, 0.0],
+                                       "c_rad_s": [[0.0] * 3 for _ in range(3)]},
+                           "p_u": 1.0, "p_d": -1.0},
+                "sequence": {"n_p": 1},
+                "axes": {"tau_s": {"start": 1e-6, "stop": tau_stop, "count": 3}}})
+            if ok:
+                compute_trace(cfg, None, ())
+            else:
+                with pytest.raises(ValidationError, match="accumulated phase"):
+                    compute_trace(cfg, None, ())
+                with pytest.raises(ValidationError, match="accumulated phase"):
+                    run_spectrum(cfg, tmp_path)
+                assert not (tmp_path / "spectrum.csv").exists()
+
+    def test_map_error_names_the_row(self, tmp_path):
+        cfg = parse_config({
+            "system": {"kind": "nv", "omega_z_hz": 0.0, "a_par_hz": 50e3},
+            "axes": {"tau_s": {"start": 5e-7, "stop": 3.0e-5, "count": 4},
+                     "omega_x_hz": {"start": 1e4, "stop": 1e17, "count": 3}}})
+        with pytest.raises(ValidationError, match=r"^row 1 \(field 5e\+16\): "):
+            run_map(cfg, tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
+
+def reference_csv(header, rows):
+    """The per-value writer that write_csv replaced, kept as its reference."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join("%.17g" % v if isinstance(v, float) else str(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, -2.2250738585072014e-308, 1e300, -1e-300,
+               1.0, -1.0, 0.1, float("inf"), float("-inf"), float("nan")]
+FLOATS = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=True))
+CELLS = {
+    "float": FLOATS,
+    "numpy": FLOATS.map(np.float64),
+    "int": st.integers(-10 ** 20, 10 ** 20),
+    "str": st.sampled_from(["floquet_condition", "avg_hamiltonian", "secular_estimate",
+                            "100%", "%s", "%.17g", ""]),
+}
+
+
+@st.composite
+def csv_tables(draw, n_kinds):
+    kinds = draw(st.lists(st.sampled_from(sorted(CELLS)), min_size=n_kinds, max_size=n_kinds))
+    row = st.tuples(*[CELLS[k] for k in kinds])
+    return kinds, draw(st.lists(row, max_size=12))
+
+
+class TestWriteCsv:
+    @settings(max_examples=150, deadline=None)
+    @given(table=st.integers(1, 6).flatmap(csv_tables))
+    def test_matches_per_value_reference(self, tmp_path_factory, table):
+        kinds, rows = table
+        header = [f"c{k}" for k in range(len(kinds))]
+        path = tmp_path_factory.mktemp("csv") / "out.csv"
+        write_csv(path, header, rows)
+        assert path.read_bytes() == reference_csv(header, rows).encode("utf-8")
+
+    @settings(max_examples=100, deadline=None)
+    @given(keys=st.integers(1, 3).flatmap(csv_tables), body=st.integers(1, 4).flatmap(csv_tables),
+           data=st.data())
+    def test_keyed_blocks_match_flat_rows(self, tmp_path_factory, keys, body, data):
+        (_, key_rows), (_, rows) = keys, body
+        blocks = [data.draw(st.lists(st.sampled_from(rows), max_size=5)) if rows else []
+                  for _ in key_rows]
+        header = ["k"] * len(keys[0]) + ["v"] * len(body[0])
+        path = tmp_path_factory.mktemp("csv") / "out.csv"
+        write_csv(path, header, [iter(b) for b in blocks], keys=key_rows)
+        flat = [key + row for key, block in zip(key_rows, blocks) for row in block]
+        assert path.read_bytes() == reference_csv(header, flat).encode("utf-8")
+
+    def test_map_layout(self, tmp_path):
+        # run_map passes each tau preformatted and each field as a key.
+        taus = np.array([1e-6, 2.5e-6, 1e300])
+        grid = np.array([[-0.0, 5e-324, 1.0], [np.nan, -1.0, 0.1]])
+        fields = np.array([0.05, 0.30000000000000004])
+        rows = [(float(f), float(t), float(grid[i, j]))
+                for i, f in enumerate(fields) for j, t in enumerate(taus)]
+        write_csv(tmp_path / "a.csv", ["f", "t", "v"],
+                  [zip(["%.17g" % t for t in taus.tolist()], row) for row in grid.tolist()],
+                  keys=[(f,) for f in fields.tolist()])
+        assert (tmp_path / "a.csv").read_text() == reference_csv(["f", "t", "v"], rows)
+
+
+class TestAtomicOutput:
+    def test_writer_failing_partway_leaves_no_map(self, tmp_path, monkeypatch):
+        written = []
+        real_write = pathlib.Path.write_bytes
+
+        def disk_full(self, data):
+            if self.name.startswith(".map.csv"):
+                real_write(self, data[:len(data) // 2])
+                written.append(self.stat().st_size)
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return real_write(self, data)
+
+        monkeypatch.setattr(pathlib.Path, "write_bytes", disk_full)
+        cfg = parse_config({
+            "system": {"kind": "nv", "omega_z_hz": 0.0, "a_par_hz": 50e3},
+            "axes": {"tau_s": {"start": 5e-7, "stop": 3.0e-5, "count": 40},
+                     "omega_x_hz": {"start": 1e4, "stop": 6e4, "count": 6}},
+            "output": {"format": "both"}})
+        with pytest.raises(OSError):
+            run_map(cfg, tmp_path)
+        assert written and written[0] > 0
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_rewrite_keeps_previous_file(self, tmp_path, monkeypatch):
+        cfg = pseudospin_cfg()
+        run_trace(cfg, tmp_path)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+        def failing_replace(src, dst):
+            raise OSError(errno.EIO, "Input/output error")
+
+        monkeypatch.setattr("floqsens.scans.os.replace", failing_replace)
+        with pytest.raises(OSError):
+            run_trace(pseudospin_cfg(sequence={"n_p": 3}), tmp_path)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 class TestMap:

@@ -113,6 +113,32 @@ class TestDonorHamiltonian:
     def test_dimension(self):
         assert donor_hamiltonian(si_bi(), 0.1).shape == (20, 20)
 
+    @pytest.mark.parametrize("donor", [
+        si_bi(),
+        sensors.DonorModel(hyperfine_a=TWO_PI * 117.5e6, nuclear_spin=1.5,
+                           gamma_e=TWO_PI * 27.97e9, delta_gamma=4.1e-4,
+                           level_u=5, level_d=3)])
+    def test_cached_operators_match_direct_kron(self, donor, rng):
+        from floqsens.linalg import kron, spin_operators
+        sx, sy, sz = spin_operators(0.5)
+        ix, iy, iz = spin_operators(donor.nuclear_spin)
+        eye_e = np.eye(2, dtype=complex)
+        eye_n = np.eye(ix.shape[0], dtype=complex)
+        for b0 in np.concatenate([[0.0], rng.uniform(0.0, 2.0, 20)]):
+            zeeman = donor.gamma_e * b0 * (kron(sz, eye_n) - donor.delta_gamma * kron(eye_e, iz))
+            hyperfine = donor.hyperfine_a * (kron(sx, ix) + kron(sy, iy) + kron(sz, iz))
+            assert np.array_equal(donor_hamiltonian(donor, b0), zeeman + hyperfine)
+        assert np.array_equal(sensors.donor_electron_sz(donor), kron(sz, eye_n))
+
+    def test_cached_operators_are_read_only(self):
+        donor = si_bi()
+        for op in (*donor._operators, sensors.donor_electron_sz(donor)):
+            with pytest.raises(ValueError):
+                op[0, 0] = 1.0
+        h = donor_hamiltonian(donor, 0.1)
+        h[0, 0] = 1.0  # a fresh array per field
+        assert donor_hamiltonian(donor, 0.1)[0, 0] != 1.0
+
 
 class TestPolarization:
     def test_high_field_limits(self):
