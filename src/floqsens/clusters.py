@@ -30,7 +30,7 @@ import numpy as np
 from .engine import ConditionalHamiltonians, PulseSequence, thermal_coherence_numeric, unit_cell, unitary_power
 from .errors import CapacityError, ValidationError
 from .linalg import MAX_DIM, kron
-from .pseudospin import TwoStateModel, PseudoField, coherence_analytic
+from .pseudospin import TwoStateModel, coherence_analytic
 from .sensors import DonorModel, PairTarget, donor_eigensystem, donor_electron_sz
 
 MAX_BATH_SPINS = 6
@@ -133,9 +133,7 @@ class PairSet:
         ))
 
     def two_state_models(self, p_u: float, p_d: float) -> list[TwoStateModel]:
-        return [TwoStateModel(h_u=PseudoField(t.c12 / 2.0, t.delta_a * p_u / 2.0),
-                              h_d=PseudoField(t.c12 / 2.0, t.delta_a * p_d / 2.0))
-                for t in self.pairs]
+        return [t.two_state(p_u, p_d) for t in self.pairs]
 
     def conditional(self, p_u: float, p_d: float) -> ConditionalHamiltonians:
         """Joint tensor-product conditional Hamiltonians of all pairs."""

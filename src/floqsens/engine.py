@@ -23,9 +23,8 @@ tau values as (n_tau, D, D) arrays, each block at most
 ``STACK_BLOCK_BYTES`` per stacked array.  Only the requested quantities
 are computed:
 
-* coherence from stacked binary powers of T_u2 and T_d2; a tau point
-  whose squared base drifts from unitarity by more than
-  ``POWER_DRIFT_TOL`` is recomputed by ``thermal_coherence_numeric``;
+* coherence from ``unitary_power`` of the stacked T_u2 and T_d2, the
+  binary power that ``thermal_coherence_numeric`` applies to one cell;
 * the envelope floor from batched ``numpy.linalg.eig`` of both cells with
   modes paired by nearest phase; a tau point whose smallest eigenphase
   gap is below ``MIN_BATCH_GAP`` is recomputed by ``floquet_pair`` and
@@ -255,20 +254,28 @@ def half_period_check(ch: ConditionalHamiltonians, seq: PulseSequence,
 
 
 def unitary_power(u: np.ndarray, n: int) -> np.ndarray:
-    """U^n by binary exponentiation, re-unitarized when roundoff accumulates."""
+    """U^n by binary exponentiation, of one matrix or of each matrix of a (..., D, D) stack.
+
+    A squared base whose unitarity defect exceeds POWER_DRIFT_TOL is
+    replaced by its polar factor.  Only the drifted matrices of a stack are
+    touched, so every matrix gets the same bits as a call on it alone.
+    """
     if n < 0:
         raise ValidationError("negative powers are not used here")
-    result = np.eye(u.shape[0], dtype=complex)
-    base = u
+    base = u.reshape(-1, *u.shape[-2:])
+    result = None
     while n:
         if n & 1:
-            result = result @ base
+            result = base if result is None else result @ base
         n >>= 1
         if n:
             base = base @ base
-            if unitarity_defect(base) > POWER_DRIFT_TOL:
-                base = polar_unitary(base)
-    return result
+            drifted = unitarity_defect(base) > POWER_DRIFT_TOL
+            if drifted.any():
+                base[drifted] = polar_unitary(base[drifted])
+    if result is None:
+        result = np.broadcast_to(np.eye(u.shape[-1], dtype=complex), base.shape).copy()
+    return result.reshape(u.shape)
 
 
 def coherence_numeric(ch: ConditionalHamiltonians, seq: PulseSequence,
@@ -307,7 +314,7 @@ def coherence_floquet(pair: FloquetPair, n_p: int,
     so the consistency check is opt-in: pass ``imag_tol`` to enforce it.
     """
     phase_factors = np.exp(1j * n_p * pair.spectrum_u.phases)
-    weights = np.abs(pair.overlaps) ** 2
+    weights = np.abs(pair.overlaps[pair.pairing]) ** 2
     val = complex(phase_factors.conj() @ (weights @ phase_factors)) / pair.dim
     if imag_tol is not None and abs(val.imag) > imag_tol:
         raise NumericalConsistencyError(
@@ -341,7 +348,7 @@ class EnvelopeTerms:
 def envelope_general(pair: FloquetPair) -> EnvelopeTerms:
     """Pulse-number-independent envelope terms of a Floquet pair."""
     d = pair.dim
-    weights = np.abs(pair.overlaps) ** 2
+    weights = np.abs(pair.overlaps[pair.pairing]) ** 2
     idx_l, idx_lp = np.triu_indices(d, k=1)
     coeff = (weights[idx_lp, idx_l] + weights[idx_l, idx_lp]) * (2.0 / d)
     gaps = pair.spectrum_u.phases[idx_l] - pair.spectrum_u.phases[idx_lp]
@@ -364,12 +371,6 @@ def _require_taus(taus) -> np.ndarray:
     if bad.size:
         raise _at_tau(ValidationError("pulse interval tau must be > 0"), bad[0], taus)
     return taus
-
-
-def _stacked_defect(u: np.ndarray) -> np.ndarray:
-    """unitarity_defect of each matrix of an (n, D, D) stack."""
-    gram = u @ u.conj().swapaxes(-1, -2)
-    return np.abs(gram - np.eye(u.shape[-1])).max(axis=(-2, -1))
 
 
 def _propagators(energies: np.ndarray, vectors: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -420,36 +421,6 @@ class CellStack:
         return w_u @ w_d, w_d @ w_u
 
 
-def _stacked_power(cells: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """cells^n by binary powers, as unitary_power without its re-unitarization.
-
-    Also returns, per matrix, whether a squared base drifted from unitarity
-    by more than POWER_DRIFT_TOL (where unitary_power would re-unitarize).
-    """
-    result = None
-    drifted = np.zeros(len(cells), dtype=bool)
-    base = cells
-    while n:
-        if n & 1:
-            result = base if result is None else result @ base
-        n >>= 1
-        if n:
-            base = base @ base
-            drifted |= _stacked_defect(base) > POWER_DRIFT_TOL
-    if result is None:
-        result = np.broadcast_to(np.eye(cells.shape[-1], dtype=complex), cells.shape)
-    return result, drifted
-
-
-def _stacked_coherence(t_u2: np.ndarray, t_d2: np.ndarray,
-                       n_p: int) -> tuple[np.ndarray, np.ndarray]:
-    """(1/D) Re tr[(T_u2^n_p)^dag T_d2^n_p] per tau, and which taus drifted."""
-    p_u, drift_u = _stacked_power(t_u2, n_p)
-    p_d, drift_d = _stacked_power(t_d2, n_p)
-    values = np.einsum("nij,nij->n", p_u.conj(), p_d).real / t_u2.shape[-1]
-    return values, drift_u | drift_d
-
-
 def _stacked_floor(t_u2: np.ndarray,
                    t_d2: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Envelope floor per tau from batched eig, modes paired by nearest phase.
@@ -473,11 +444,6 @@ def _stacked_floor(t_u2: np.ndarray,
     return floor, gaps.min(axis=(1, 2)), mismatch
 
 
-def _floor_per_tau(ch: ConditionalHamiltonians, seq: PulseSequence) -> float:
-    """Envelope floor of one cell by the Schur path."""
-    return envelope_general(floquet_pair(*unit_cell(ch, seq))).floor
-
-
 def floquet_row(ch: ConditionalHamiltonians, taus: np.ndarray, n_p: int,
                 quantities: tuple[str, ...] = QUANTITIES,
                 pulse_duration: float = 0.0) -> dict[str, np.ndarray]:
@@ -486,8 +452,8 @@ def floquet_row(ch: ConditionalHamiltonians, taus: np.ndarray, n_p: int,
     'coherence' is thermal_coherence_numeric and 'envelope' the floor of
     envelope_general(floquet_pair(...)) at each tau; returns one array per
     requested quantity, and a quantity's values do not depend on which
-    others are requested.  Tau points that fail the drift or gap test of
-    the stacked path are recomputed by those per-tau functions.  Errors
+    others are requested.  Tau points that fail the gap test of the
+    batched envelope are recomputed by the per-tau Schur path.  Errors
     name the failing grid point as 'tau[i] = ...:'.
     """
     taus = _require_taus(taus)
@@ -498,19 +464,20 @@ def floquet_row(ch: ConditionalHamiltonians, taus: np.ndarray, n_p: int,
         raise ValidationError(f"unknown quantities {sorted(unknown)}; expected {QUANTITIES}")
     stack = CellStack(ch, pulse_duration)
     out = {q: np.empty(taus.size) for q in quantities}
-    redo = {q: [] for q in quantities}
+    redo = []
     for block in stack.blocks(taus.size):
         t_u2, t_d2 = stack.cells(taus[block])
         for cells in (t_u2, t_d2):
-            defect = _stacked_defect(cells)
+            defect = unitarity_defect(cells)
             bad = np.flatnonzero(defect > UNITARITY_TOL)
             if bad.size:
                 raise _at_tau(ValidationError(
                     f"matrix is not unitary: defect {defect[bad[0]]:.3e} > "
                     f"{UNITARITY_TOL:.1e}"), block.start + bad[0], taus)
         if "coherence" in out:
-            out["coherence"][block], drifted = _stacked_coherence(t_u2, t_d2, int(n_p))
-            redo["coherence"].extend(block.start + np.flatnonzero(drifted))
+            p_u = unitary_power(t_u2, int(n_p))
+            p_d = unitary_power(t_d2, int(n_p))
+            out["coherence"][block] = np.einsum("nij,nij->n", p_u.conj(), p_d).real / stack.dim
         if "envelope" in out:
             out["envelope"][block], min_gap, mismatch = _stacked_floor(t_u2, t_d2)
             close = min_gap < MIN_BATCH_GAP
@@ -519,15 +486,13 @@ def floquet_row(ch: ConditionalHamiltonians, taus: np.ndarray, n_p: int,
                 raise _at_tau(SymmetryViolationError(
                     f"u/d eigenphase multisets differ by {mismatch[bad[0]]:.3e} > "
                     f"{PHASE_MATCH_TOL:.1e}"), block.start + bad[0], taus)
-            redo["envelope"].extend(block.start + np.flatnonzero(close))
-    per_tau = {"coherence": thermal_coherence_numeric, "envelope": _floor_per_tau}
-    for quantity, points in redo.items():
-        for i in points:
-            seq = PulseSequence(tau=float(taus[i]), n_p=n_p, pulse_duration=pulse_duration)
-            try:
-                out[quantity][i] = per_tau[quantity](ch, seq)
-            except (ValidationError, NumericalConsistencyError) as exc:
-                raise _at_tau(exc, i, taus)
+            redo.extend(block.start + np.flatnonzero(close))
+    for i in redo:
+        seq = PulseSequence(tau=float(taus[i]), n_p=n_p, pulse_duration=pulse_duration)
+        try:
+            out["envelope"][i] = envelope_general(floquet_pair(*unit_cell(ch, seq))).floor
+        except (ValidationError, NumericalConsistencyError) as exc:
+            raise _at_tau(exc, i, taus)
     return out
 
 

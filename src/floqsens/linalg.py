@@ -31,9 +31,10 @@ def hermiticity_defect(m: np.ndarray) -> float:
     return float(np.abs(m - m.conj().T).max())
 
 
-def unitarity_defect(u: np.ndarray) -> float:
-    """Max elementwise magnitude of U U^dagger - 1."""
-    return float(np.abs(u @ u.conj().T - np.eye(u.shape[0])).max())
+def unitarity_defect(u: np.ndarray) -> float | np.ndarray:
+    """Max elementwise magnitude of U U^dagger - 1, per matrix of a (..., D, D) stack."""
+    gram = u @ u.conj().swapaxes(-1, -2)
+    return np.abs(gram - np.eye(u.shape[-1])).max(axis=(-2, -1))
 
 
 def require_square(m: np.ndarray, name: str = "matrix") -> np.ndarray:
@@ -115,7 +116,7 @@ def eig_unitary(u: np.ndarray, tol: float = UNITARITY_TOL) -> EigenSystem:
 
 
 def polar_unitary(u: np.ndarray) -> np.ndarray:
-    """Nearest unitary (polar factor) of an almost-unitary matrix."""
+    """Nearest unitary (polar factor) of an almost-unitary matrix, per matrix of a stack."""
     w, _, vh = np.linalg.svd(u)
     return w @ vh
 

@@ -64,13 +64,15 @@ class TraceData:
     """One computed trace over the tau grid; a quantity not computed is None.
 
     ``model`` is the closed-form two-state model the trace came from, or
-    None for systems on the Floquet engine path.
+    None for systems on the Floquet engine path; ``polarizations`` holds
+    the sensor's (P_u, P_d) of a cluster3 or independent_pairs trace.
     """
 
     taus: np.ndarray
     coherence: np.ndarray | None
     envelope: np.ndarray | None
     model: TwoStateModel | None = None
+    polarizations: tuple[float, float] | None = None
 
 
 def _two_state_model(cfg: ScanConfig, field_value: float | None) -> TwoStateModel | None:
@@ -107,18 +109,19 @@ def _cluster_polarizations(cfg: ScanConfig, field_value: float | None) -> tuple[
     return donor_pair_polarizations(cfg.donor, b0)
 
 
-def _conditional(cfg: ScanConfig, field_value: float | None) -> ConditionalHamiltonians:
+def _conditional(cfg: ScanConfig, field_value: float | None
+                 ) -> tuple[ConditionalHamiltonians, tuple[float, float] | None]:
+    """The conditional Hamiltonians at this field, and (P_u, P_d) if they took polarizations."""
     kind = cfg.system_kind
     if kind == "cluster3":
-        p_u, p_d = _cluster_polarizations(cfg, field_value)
-        return conditional_cluster_hamiltonians(cfg.system, p_u, p_d)
+        pols = _cluster_polarizations(cfg, field_value)
+        return conditional_cluster_hamiltonians(cfg.system, *pols), pols
     if kind == "independent_pairs":
-        p_u, p_d = _cluster_polarizations(cfg, field_value)
-        return cfg.system.conditional(p_u, p_d)
+        pols = _cluster_polarizations(cfg, field_value)
+        return cfg.system.conditional(*pols), pols
     if kind == "joint_full":
-        return joint_full_model(cfg.donor, cfg.system, _field_b0(cfg, field_value))
-    model = _two_state_model(cfg, field_value)
-    return model.conditional()
+        return joint_full_model(cfg.donor, cfg.system, _field_b0(cfg, field_value)), None
+    return _two_state_model(cfg, field_value).conditional(), None
 
 
 def _require_phase(phase: float) -> None:
@@ -158,11 +161,11 @@ def compute_trace(cfg: ScanConfig, field_value: float | None = None,
                if "coherence" in quantities else None)
         env = np.asarray(envelope(model, tau_eff)) if "envelope" in quantities else None
         return TraceData(taus=taus, coherence=coh, envelope=env, model=model)
-    ch = _conditional(cfg, field_value)
+    ch, pols = _conditional(cfg, field_value)
     _require_cell_phase(ch, taus, delta)
     row = floquet_row(ch, taus, n_p, quantities, pulse_duration=delta)
     return TraceData(taus=taus, coherence=row.get("coherence"),
-                     envelope=row.get("envelope"))
+                     envelope=row.get("envelope"), polarizations=pols)
 
 
 def _check_range(values: np.ndarray, what: str):
@@ -254,30 +257,30 @@ def run_trace(cfg: ScanConfig, outdir: Path) -> list[Path]:
     return [out, manifest]
 
 
-def _overlay_rows(cfg: ScanConfig, field_values: np.ndarray, models: list):
+def _overlay_rows(cfg: ScanConfig, field_values: np.ndarray, traces: list[TraceData]):
     """Analytic overlay curves for map output, when the system has them.
 
-    ``models`` holds the two-state model of each row, as computed for the map.
+    ``traces`` holds the computed map rows; the overlay reuses their
+    two-state models and sensor polarizations.
     """
     kind = cfg.system_kind
     if kind == "nv" and cfg.field_axis.name == "omega_x_hz":
         header = ["omega_x_hz", "tau_plus_s", "tau_minus_s"]
         rows = []
-        for f, model in zip(field_values, models):
-            tau_plus, tau_minus = diamond_boundaries(model)
+        for f, trace in zip(field_values, traces):
+            tau_plus, tau_minus = diamond_boundaries(trace.model)
             rows.append((float(f), tau_plus, tau_minus if tau_minus is not None else math.inf))
         return header, rows
     if kind == "donor_pair" and cfg.field_axis.name == "b0_tesla":
         header = ["b0_tesla", "tau_avg_s"]
-        rows = [(float(f), avg_hamiltonian_dip(model))
-                for f, model in zip(field_values, models)]
+        rows = [(float(f), avg_hamiltonian_dip(trace.model))
+                for f, trace in zip(field_values, traces)]
         return header, rows
     if kind == "cluster3" and cfg.donor is not None and cfg.field_axis.name == "b0_tesla":
         labels = None
         rows = []
-        for f in field_values:
-            p_u, p_d = _cluster_polarizations(cfg, float(f))
-            est = doublet_dip_estimates(cfg.system, p_u, p_d)
+        for f, trace in zip(field_values, traces):
+            est = doublet_dip_estimates(cfg.system, *trace.polarizations)
             est = sorted(est, key=lambda r: r.label)
             if labels is None:
                 labels = [r.label for r in est]
@@ -289,11 +292,10 @@ def _overlay_rows(cfg: ScanConfig, field_values: np.ndarray, models: list):
     return None, None
 
 
-def run_map(cfg: ScanConfig, outdir: Path, threads: int = 1) -> list[Path]:
+def run_map(cfg: ScanConfig, outdir: Path) -> list[Path]:
     """Emit the long-form map CSV, plus PGM and overlay curves if requested.
 
-    Rows are computed in order.  ``threads`` is accepted for compatibility
-    and has no effect: a thread pool over rows showed no reliable gain.
+    Rows are computed in order, one ``compute_trace`` call per field.
     """
     outdir.mkdir(parents=True, exist_ok=True)
     if cfg.field_axis is None:
@@ -301,16 +303,14 @@ def run_map(cfg: ScanConfig, outdir: Path, threads: int = 1) -> list[Path]:
     field_values = cfg.field_axis.values()
     quantity = cfg.output.quantity
 
-    grid_rows, models = [], []
+    traces = []
     for index, field in enumerate(field_values):
         try:
-            data = compute_trace(cfg, float(field), (quantity,))
+            traces.append(compute_trace(cfg, float(field), (quantity,)))
         except (ValidationError, NumericalConsistencyError) as exc:
             exc.args = (f"row {index} (field {field:g}): {exc}",)
             raise
-        grid_rows.append(getattr(data, quantity))
-        models.append(data.model)
-    grid = np.stack(grid_rows)
+    grid = np.stack([getattr(trace, quantity) for trace in traces])
     _check_range(grid, quantity)
     files = []
     out_csv = outdir / "map.csv"
@@ -320,7 +320,7 @@ def run_map(cfg: ScanConfig, outdir: Path, threads: int = 1) -> list[Path]:
                   [zip(taus, row) for row in grid.tolist()],
                   keys=[(f,) for f in field_values.tolist()])
         files.append(out_csv)
-        header, overlay = _overlay_rows(cfg, field_values, models)
+        header, overlay = _overlay_rows(cfg, field_values, traces)
         if overlay is not None:
             out_overlay = outdir / "map_overlay.csv"
             write_csv(out_overlay, header, overlay)
@@ -339,7 +339,7 @@ def run_spectrum(cfg: ScanConfig, outdir: Path) -> list[Path]:
     outdir.mkdir(parents=True, exist_ok=True)
     if cfg.field_axis is not None:
         raise ConfigError("spectrum takes a single tau axis; drop the field axis")
-    ch = _conditional(cfg, None)
+    ch, _ = _conditional(cfg, None)
     _require_cell_phase(ch, cfg.tau_axis.values(), cfg.sequence.pulse_duration)
     scan = spectrum_scan(ch, cfg.tau_axis.values(),
                          pulse_duration=cfg.sequence.pulse_duration,
@@ -363,7 +363,9 @@ def run_dips(cfg: ScanConfig, outdir: Path) -> list[Path]:
     axis stop (skipping zero-contrast true crossings) plus the averaged-
     Hamiltonian estimate; 3-clusters report the secular doublet estimates,
     with the harmonic column carrying the quasienergy pair as a two-digit
-    code (12, 13, 23).
+    code (12, 13, 23).  A two-state phase 2 max(w_u, w_d) tau_stop above
+    MAX_PHASE_RAD raises ValidationError, a root search grid above
+    ``pseudospin.MAX_DIP_GRID`` points CapacityError.
     """
     outdir.mkdir(parents=True, exist_ok=True)
     if cfg.field_axis is not None:
@@ -372,6 +374,7 @@ def run_dips(cfg: ScanConfig, outdir: Path) -> list[Path]:
     rows = []
     model = _two_state_model(cfg, None)
     if model is not None:
+        _require_phase(2.0 * max(model.omega_u, model.omega_d) * cfg.tau_axis.stop)
         for rec in dip_positions(model, cfg.tau_axis.stop, n_p=n_p):
             if rec.delta < MIN_REPORTED_DELTA:
                 continue

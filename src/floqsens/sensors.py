@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
+from scipy.optimize import brentq, linear_sum_assignment
 
 from .errors import TrackingError, ValidationError
 from .linalg import kron, require_hermitian, spin_operators
@@ -133,14 +133,17 @@ def donor_eigensystem(d: DonorModel, b0: float) -> tuple[np.ndarray, np.ndarray]
     return w, v
 
 
+def _polarization(state: np.ndarray, sz: np.ndarray) -> float:
+    """P = 2 Re <state|S_z|state> of a normalized donor state."""
+    return 2.0 * float(np.real(np.vdot(state, sz @ state)))
+
+
 def donor_polarization(d: DonorModel, b0: float, level: int) -> float:
     """Polarization P = 2 <level|S_z|level> of the 1-based energy-sorted level."""
     if not (1 <= level <= d.dim):
         raise ValidationError(f"level {level} outside 1..{d.dim}")
     _, v = donor_eigensystem(d, b0)
-    state = v[:, level - 1]
-    sz = donor_electron_sz(d)
-    return 2.0 * float(np.real(np.vdot(state, sz @ state)))
+    return _polarization(v[:, level - 1], donor_electron_sz(d))
 
 
 def polarization_sweep(d: DonorModel, b0_grid: np.ndarray,
@@ -162,8 +165,7 @@ def polarization_sweep(d: DonorModel, b0_grid: np.ndarray,
     out = np.empty((len(levels), grid.size))
     _, v = donor_eigensystem(d, grid[0])
     tracked = v[:, [lv - 1 for lv in levels]]
-    out[:, 0] = [2.0 * float(np.real(np.vdot(tracked[:, k], sz @ tracked[:, k])))
-                 for k in range(len(levels))]
+    out[:, 0] = [_polarization(tracked[:, k], sz) for k in range(len(levels))]
     for i in range(1, grid.size):
         _, v = donor_eigensystem(d, grid[i])
         affinity = np.abs(tracked.conj().T @ v)
@@ -175,7 +177,7 @@ def polarization_sweep(d: DonorModel, b0_grid: np.ndarray,
                     f"B0 = {grid[i]:.6g} T (best overlap^2 = {affinity[k, j]**2:.3f})",
                     field_value=float(grid[i]))
             tracked[:, k] = v[:, j]
-            out[k, i] = 2.0 * float(np.real(np.vdot(v[:, j], sz @ v[:, j])))
+            out[k, i] = _polarization(v[:, j], sz)
     return out
 
 
@@ -197,29 +199,29 @@ class PairTarget:
         """Coupling ratio R = delta_a / c12."""
         return self.delta_a / self.c12
 
+    def two_state(self, p_u: float, p_d: float) -> TwoStateModel:
+        """Two-state target at sensor polarizations P_u, P_d: h_i = (c12, 0, delta_a P_i) / 2."""
+        return TwoStateModel(h_u=PseudoField(self.c12 / 2.0, self.delta_a * p_u / 2.0),
+                             h_d=PseudoField(self.c12 / 2.0, self.delta_a * p_d / 2.0))
+
 
 def donor_pair_polarizations(d: DonorModel, b0: float) -> tuple[float, float]:
     """(P_u, P_d) of the donor transition levels at b0 (single diagonalization)."""
     _, v = donor_eigensystem(d, b0)
     sz = donor_electron_sz(d)
-    p = []
-    for level in (d.level_u, d.level_d):
-        state = v[:, level - 1]
-        p.append(2.0 * float(np.real(np.vdot(state, sz @ state))))
-    return p[0], p[1]
+    return _polarization(v[:, d.level_u - 1], sz), _polarization(v[:, d.level_d - 1], sz)
 
 
 def donor_pair_two_state(d: DonorModel, pair: PairTarget, b0: float) -> TwoStateModel:
-    """Two-state target of a nuclear pair: h_i = (c12, 0, delta_a P_i) / 2."""
-    p_u, p_d = donor_pair_polarizations(d, b0)
-    return TwoStateModel(h_u=PseudoField(pair.c12 / 2.0, pair.delta_a * p_u / 2.0),
-                         h_d=PseudoField(pair.c12 / 2.0, pair.delta_a * p_d / 2.0))
+    """Two-state target of a nuclear pair at the donor's polarizations at b0."""
+    return pair.two_state(*donor_pair_polarizations(d, b0))
 
 
 def owp_locate(d: DonorModel, b0_min: float, b0_max: float,
                scan_points: int = 64, xtol: float = 1e-6) -> float | None:
-    """Field where P_u(B0) = P_d(B0), by sign-change scan plus bisection.
+    """Field where P_u(B0) = P_d(B0), by sign-change scan plus Brent's method.
 
+    The first bracketing pair of scan points is refined to ``xtol`` tesla.
     Returns None when the polarization difference has no sign change in the
     range; raises ValidationError when the transition is degenerate (the
     difference vanishes identically).
@@ -241,15 +243,4 @@ def owp_locate(d: DonorModel, b0_min: float, b0_max: float,
     if idx.size == 0:
         roots = np.nonzero(signs == 0)[0]
         return float(grid[roots[0]]) if roots.size else None
-    lo, hi = float(grid[idx[0]]), float(grid[idx[0] + 1])
-    flo = dp(lo)
-    while hi - lo > xtol:
-        mid = 0.5 * (lo + hi)
-        fm = dp(mid)
-        if fm == 0.0:
-            return mid
-        if (flo < 0) == (fm < 0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return brentq(dp, float(grid[idx[0]]), float(grid[idx[0] + 1]), xtol=xtol)

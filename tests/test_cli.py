@@ -82,6 +82,23 @@ class TestExitCodes:
         assert not (outdir / "trace.csv").exists()
         assert not (outdir / "trace_manifest.json").exists()
 
+    @pytest.mark.parametrize("x_rad_s, stop, code, message", [
+        (1e300, 1.2e-4, 2, "config error: largest accumulated phase"),
+        (1e11, 1e-2, 4, "capacity error: dip search"),
+    ])
+    def test_dips_beyond_reach(self, tmp_path, capsys, x_rad_s, stop, code, message):
+        doc = pseudospin_doc()
+        doc["system"]["h_u"]["x_rad_s"] = x_rad_s
+        doc["axes"]["tau_s"]["stop"] = stop
+        cfg = write_cfg(tmp_path / "c.json", doc)
+        outdir = tmp_path / "out"
+        assert main(["dips", "--config", cfg, "--output", str(outdir)]) == code
+        err = capsys.readouterr().err
+        assert err.startswith(message)
+        assert err.count("\n") == 1
+        assert not (outdir / "dips.csv").exists()
+        assert not (outdir / "dips_manifest.json").exists()
+
     def test_numerical_consistency_error(self, tmp_path, monkeypatch):
         from floqsens import NumericalConsistencyError
         import floqsens.cli as cli

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from floqsens import (
     ConditionalHamiltonians,
@@ -21,7 +23,7 @@ from floqsens import (
     thermal_coherence_numeric,
     unit_cell,
 )
-from floqsens.engine import unitary_power
+from floqsens.engine import _stacked_floor, unitary_power
 
 from conftest import random_hermitian
 
@@ -280,6 +282,29 @@ class TestEnvelope:
         terms = envelope_general(pair)
         vals = [terms.reconstruct(n) for n in range(1, 120)]
         assert terms.floor <= min(vals) + 1e-12
+
+    def test_modes_paired_across_the_pi_cut(self):
+        # Both cells share their modes; one shared phase sits just below +pi
+        # in T_u2 and just above -pi in T_d2, so the phase-sorted orders differ.
+        t_u2 = np.diag(np.exp(-1j * np.array([np.pi - 1e-10, 2.4])))
+        t_d2 = np.diag(np.exp(-1j * np.array([-np.pi + 1e-10, 2.4])))
+        pair = floquet_pair(t_u2, t_d2)
+        assert pair.pairing.tolist() == [1, 0]
+        assert envelope_general(pair).floor == pytest.approx(1.0, abs=1e-12)
+        assert coherence_floquet(pair, 3) == pytest.approx(1.0, abs=1e-12)
+        assert _stacked_floor(t_u2[None], t_d2[None])[0][0] == pytest.approx(1.0, abs=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(dim=st.sampled_from([4, 8, 16]), seed=st.integers(0, 2 ** 32 - 1),
+       tau=st.floats(0.01, 3.0), n_p=st.integers(0, 200))
+def test_coherence_floquet_matches_thermal_numeric(dim, seed, tau, n_p):
+    rng = np.random.default_rng(seed)
+    ch = ConditionalHamiltonians(random_hermitian(dim, rng), random_hermitian(dim, rng))
+    seq = PulseSequence(tau=tau, n_p=n_p)
+    pair = floquet_pair(*unit_cell(ch, seq))
+    assert coherence_floquet(pair, n_p) == pytest.approx(
+        thermal_coherence_numeric(ch, seq), abs=1e-10)
 
 
 class TestShortTimeAndBounds:

@@ -89,15 +89,32 @@ def test_degenerate_phases_take_the_schur_path(rng, monkeypatch):
     assert got.tobytes() == want.tobytes()
 
 
-def test_power_drift_takes_the_per_tau_path(rng, monkeypatch):
-    ch = ConditionalHamiltonians(random_hermitian(4, rng), random_hermitian(4, rng))
-    taus = np.array([0.2, 0.9])
+@pytest.mark.parametrize("dim", [2, 8, 16])
+@pytest.mark.parametrize("n", [0, 1, 50, 257])
+def test_forced_power_drift_is_corrected_matrix_by_matrix(rng, monkeypatch, dim, n):
+    # With POWER_DRIFT_TOL = 0 every squared base counts as drifted.
+    ch = ConditionalHamiltonians(random_hermitian(dim, rng), random_hermitian(dim, rng))
+    taus = np.array([0.2, 0.9, 1.7])
+    t_u2, _ = CellStack(ch).cells(taus)
     monkeypatch.setattr(engine, "POWER_DRIFT_TOL", 0.0)
-    want = per_tau(ch, taus, 50, 0.0)["coherence"]
-    calls = count_calls(monkeypatch, "thermal_coherence_numeric")
-    got = floquet_row(ch, taus, 50, ("coherence",))["coherence"]
-    assert len(calls) == taus.size
-    assert got.tobytes() == want.tobytes()
+    calls = count_calls(monkeypatch, "polar_unitary")
+    stacked = engine.unitary_power(t_u2, n)
+    assert len(calls) == max(n.bit_length() - 1, 0)
+    per_matrix = np.stack([engine.unitary_power(cell, n) for cell in t_u2])
+    assert stacked.tobytes() == per_matrix.tobytes()
+    got = floquet_row(ch, taus, n, ("coherence",))["coherence"]
+    np.testing.assert_allclose(got, per_tau(ch, taus, n, 0.0)["coherence"], rtol=0, atol=ATOL)
+
+
+def test_power_drift_re_unitarizes_only_the_drifted_matrices(rng, monkeypatch):
+    ch = ConditionalHamiltonians(random_hermitian(4, rng), random_hermitian(4, rng))
+    cells, _ = CellStack(ch).cells(np.array([0.3, 1.1]))
+    cells[1] *= 1.0 + 1e-9
+    calls = count_calls(monkeypatch, "polar_unitary")
+    stacked = engine.unitary_power(cells, 40)
+    assert calls and all(len(args[0]) == 1 for args in calls)
+    per_matrix = np.stack([engine.unitary_power(cell, 40) for cell in cells])
+    assert stacked.tobytes() == per_matrix.tobytes()
 
 
 def test_long_rows_are_built_in_blocks(rng):

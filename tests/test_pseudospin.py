@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from floqsens import (
+    CapacityError,
     PseudoField,
     PulseSequence,
     Regime,
@@ -18,6 +19,7 @@ from floqsens import (
     dip_depth,
     dip_positions,
     envelope,
+    envelope_general,
     floquet_pair,
     floquet_phase,
     omega_average,
@@ -26,6 +28,7 @@ from floqsens import (
     unit_cell,
 )
 
+from floqsens.pseudospin import MAX_DIP_GRID
 from conftest import random_two_state
 
 
@@ -223,6 +226,16 @@ class TestDips:
             assert rec.tau_dip == pytest.approx(want, rel=1e-9)
             assert rec.harmonic_index == expected.index(want) + 1
 
+    def test_high_harmonics_meet_the_dip_condition(self):
+        model = TwoStateModel.from_components(1.4e4, 4.2e4, 1.4e4, -2.2e4)
+        step = math.pi / (20.0 * (model.omega_u + model.omega_d))
+        records = dip_positions(model, 0.99 * MAX_DIP_GRID * step)
+        assert len(records) > 10 ** 4
+        residual = np.abs(cos_floquet_phase(model, np.array([r.tau_dip for r in records]) / 2))
+        assert residual.max() <= 1e-9
+        with pytest.raises(CapacityError):
+            dip_positions(model, 1.01 * MAX_DIP_GRID * step)
+
     def test_roots_match_envelope_minimizer(self, rng):
         checked = 0
         while checked < 12:
@@ -373,3 +386,29 @@ def test_analytic_equals_numeric_property(tau):
     seq = PulseSequence(tau=tau, n_p=7)
     ref = thermal_coherence_numeric(model.conditional(), seq)
     assert abs(coherence_analytic(model, tau, 7) - ref) < 1e-9
+
+
+# Relative offsets from a true level crossing, on both sides of it; the
+# closest points fall below ANALYTIC_GUARD, the farthest lie well above it.
+CROSSING_OFFSETS = np.concatenate([-np.geomspace(1e-6, 1e-1, 11), np.geomspace(1e-6, 1e-1, 11)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(m_u=st.integers(1, 4), m_d=st.integers(0, 3), theta_u=st.floats(-3.0, 3.0),
+       theta_d=st.floats(-3.0, 3.0), scale=st.floats(0.3, 3.0), n_p=st.integers(1, 60))
+def test_analytic_matches_numeric_across_the_guard(m_u, m_d, theta_u, theta_d, scale, n_p):
+    # 2 w_u s = m_u pi and 2 w_d s = m_d pi with m_u + m_d odd put E(s) = pi
+    # exactly at s = pi / (2 scale): a true crossing, where F is 0/0.
+    if (m_u + m_d) % 2 == 0:
+        m_d += 1
+    model = TwoStateModel.from_angles(m_u * scale, theta_u, m_d * scale, theta_d)
+    taus = math.pi / (2.0 * scale) * (1.0 + CROSSING_OFFSETS)
+    coh, coh_flags = coherence_analytic(model, taus, n_p, return_flag=True)
+    env, env_flags = envelope(model, taus, return_flag=True)
+    assert coh_flags.any() and not coh_flags.all()
+    assert np.array_equal(coh_flags, env_flags)
+    for tau, c, e in zip(taus, coh, env):
+        seq = PulseSequence(tau=float(tau), n_p=n_p)
+        assert c == pytest.approx(thermal_coherence_numeric(model.conditional(), seq), abs=1e-9)
+        pair = floquet_pair(*unit_cell(model.conditional(), seq))
+        assert e == pytest.approx(envelope_general(pair).floor, abs=1e-9)

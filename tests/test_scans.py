@@ -322,18 +322,6 @@ class TestMap:
         expected = np.rint(255 * (values.ravel() + 1) / 2).astype(np.uint8)
         assert np.array_equal(pixels, expected)
 
-    def test_threads_do_not_change_bytes(self, tmp_path):
-        raw = {
-            "system": {"kind": "nv", "omega_z_hz": 0.0, "a_par_hz": 50e3},
-            "axes": {"tau_s": {"start": 5e-7, "stop": 3.0e-5, "count": 30},
-                     "omega_x_hz": {"start": 1e4, "stop": 6e4, "count": 8}},
-        }
-        cfg = parse_config(raw)
-        run_map(cfg, tmp_path / "a", threads=1)
-        run_map(cfg, tmp_path / "b", threads=8)
-        assert (tmp_path / "a" / "map.csv").read_bytes() == \
-            (tmp_path / "b" / "map.csv").read_bytes()
-
 
 class TestSpectrum:
     def test_collinear_straight_lines(self, tmp_path):
