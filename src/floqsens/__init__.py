@@ -21,7 +21,6 @@ from .errors import (
     ConfigError,
     NumericalConsistencyError,
     SymmetryViolationError,
-    TrackingError,
     ValidationError,
 )
 from .linalg import EigenSystem, eig_unitary, expm_hermitian, kron, spin_operators
@@ -61,7 +60,6 @@ from .sensors import (
     donor_polarization,
     nv_two_state,
     owp_locate,
-    polarization_sweep,
     si_bi,
 )
 

@@ -25,15 +25,18 @@ are computed:
 
 * coherence from ``unitary_power`` of the stacked T_u2 and T_d2, the
   binary power that ``thermal_coherence_numeric`` applies to one cell;
-* the envelope floor from batched ``numpy.linalg.eig`` of both cells with
-  modes paired by nearest phase; a tau point whose smallest eigenphase
-  gap is below ``MIN_BATCH_GAP`` is recomputed by ``floquet_pair`` and
-  ``envelope_general``, whose overlap-aware pairing handles
-  near-degenerate modes.
+* the envelope floor from one batched ``numpy.linalg.eig`` of T_u2 per
+  block: the d-partner of each u-mode Phi is its half-period image
+  W_d Phi, so floor = (2/D) sum_l |Phi_l^dag W_d Phi_l|^2 - 1 needs no
+  mode pairing; a tau point whose smallest eigenphase gap is below
+  ``MIN_BATCH_GAP``, where eig modes need not be orthonormal, is
+  recomputed by ``floquet_pair`` and ``envelope_general``.
 
-Every stacked cell passes the ``UNITARITY_TOL`` check and the u/d
-phase-multiset check of the per-tau path.  The two paths agree to a few
-1e-14, not bit for bit.
+Every stacked cell passes the ``UNITARITY_TOL`` check of the per-tau
+path.  The envelope also checks the half-period identity at every tau:
+the residual ||T_d2 W_d Phi - lambda W_d Phi|| must stay below
+``PHASE_MATCH_TOL``.  The two paths agree to a few 1e-14, not bit for
+bit.
 """
 
 from __future__ import annotations
@@ -64,7 +67,7 @@ POWER_DRIFT_TOL = 1e-12
 # blocks measured no faster on D = 8 and 16.
 STACK_BLOCK_BYTES = 64 * 1024
 # Cells with an eigenphase gap below this (rad) leave the batched eig path
-# for the Schur path, where nearest-phase mode pairing is ambiguous.
+# for the Schur path: eig need not return orthonormal modes in a cluster.
 MIN_BATCH_GAP = 1e-6
 QUANTITIES = ("coherence", "envelope")
 
@@ -101,20 +104,6 @@ class PulseSequence:
     @property
     def total_time(self) -> float:
         return 4.0 * self.n_p * (self.tau + self.pulse_duration)
-
-    def cell_segments(self, start: str = "u") -> list[tuple[str, float]]:
-        """Ordered (label, duration) segments of one cell, first segment first.
-
-        Labels are 'u'/'d' for conditional free evolution and 'pulse' for an
-        explicit intra-pulse window.  Other periodic sequences can be added
-        by generalizing this list without touching the propagator builders.
-        """
-        a, b = ("u", "d") if start == "u" else ("d", "u")
-        if self.intra_pulse_hamiltonian is None:
-            t_eff = self.tau + self.pulse_duration
-            return [(a, t_eff), (b, 2 * t_eff), (a, t_eff)]
-        w = 2 * self.pulse_duration
-        return [(a, self.tau), ("pulse", w), (b, 2 * self.tau), ("pulse", w), (a, self.tau)]
 
 
 @dataclass(frozen=True)
@@ -409,39 +398,42 @@ class CellStack:
         size = max(1, STACK_BLOCK_BYTES // (16 * self.dim ** 2))
         return [slice(i, min(i + size, n_tau)) for i in range(0, n_tau, size)]
 
-    def cells(self, taus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(T_u2, T_d2) as (n_tau, D, D) arrays for pulse intervals ``taus`` > 0."""
+    def half_periods(self, taus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(W_u, W_d) as (n_tau, D, D) arrays for pulse intervals ``taus`` > 0."""
         t = taus if self.pulse is not None else taus + self.pulse_duration
         a_u = _propagators(*self._eig_u, t)
         a_d = _propagators(*self._eig_d, t)
         if self.pulse is None:
-            w_u, w_d = a_u @ a_d, a_d @ a_u
-        else:
-            w_u, w_d = a_u @ self.pulse @ a_d, a_d @ self.pulse @ a_u
+            return a_u @ a_d, a_d @ a_u
+        return a_u @ self.pulse @ a_d, a_d @ self.pulse @ a_u
+
+    def cells(self, taus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(T_u2, T_d2) = (W_u W_d, W_d W_u) as (n_tau, D, D) arrays."""
+        w_u, w_d = self.half_periods(taus)
         return w_u @ w_d, w_d @ w_u
 
 
-def _stacked_floor(t_u2: np.ndarray,
-                   t_d2: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Envelope floor per tau from batched eig, modes paired by nearest phase.
+def _stacked_floor(t_u2: np.ndarray, t_d2: np.ndarray,
+                   w_d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Envelope floor per tau from one batched eig of T_u2 = W_u W_d.
 
-    Returns (floor, smallest u-phase gap, largest u/d phase mismatch); the
-    floor equals envelope_general(floquet_pair(...)).floor wherever the
-    smallest gap is large enough for nearest-phase pairing to be unique.
+    T_d2 = W_d W_u maps the half-period image W_d Phi of a u-mode Phi onto
+    lambda W_d Phi, so W_d Phi is the d-partner of Phi and
+    floor = (2/D) sum_l |Phi_l^dag W_d Phi_l|^2 - 1.  Returns (floor,
+    smallest u-phase gap, largest residual ||T_d2 W_d Phi - lambda W_d Phi||);
+    the floor equals envelope_general(floquet_pair(...)).floor wherever the
+    smallest gap leaves the eig modes orthonormal.
     """
     d = t_u2.shape[-1]
-    lam_u, modes_u = np.linalg.eig(t_u2)
-    lam_d, modes_d = np.linalg.eig(t_d2)
-    phases_u, phases_d = -np.angle(lam_u), -np.angle(lam_d)
-    gaps = _circular_gap(phases_u, phases_u)
+    lam, modes = np.linalg.eig(t_u2)
+    phases = -np.angle(lam)
+    gaps = _circular_gap(phases, phases)
     gaps[:, np.arange(d), np.arange(d)] = np.inf
-    cross = _circular_gap(phases_u, phases_d)
-    partner = cross.argmin(axis=2)
-    mismatch = np.take_along_axis(cross, partner[..., None], axis=2).max(axis=(1, 2))
-    weights = np.abs(modes_d.conj().swapaxes(1, 2) @ modes_u) ** 2
-    np.put_along_axis(weights, partner[:, None, :], 0.0, axis=1)
-    floor = 1.0 - weights.sum(axis=(1, 2)) * (2.0 / d)
-    return floor, gaps.min(axis=(1, 2)), mismatch
+    images = w_d @ modes
+    residual = np.linalg.norm(t_d2 @ images - lam[:, None, :] * images, axis=1).max(axis=1)
+    overlaps = np.einsum("nil,nil->nl", modes.conj(), images)
+    floor = (np.abs(overlaps) ** 2).sum(axis=1) * (2.0 / d) - 1.0
+    return floor, gaps.min(axis=(1, 2)), residual
 
 
 def floquet_row(ch: ConditionalHamiltonians, taus: np.ndarray, n_p: int,
@@ -452,9 +444,12 @@ def floquet_row(ch: ConditionalHamiltonians, taus: np.ndarray, n_p: int,
     'coherence' is thermal_coherence_numeric and 'envelope' the floor of
     envelope_general(floquet_pair(...)) at each tau; returns one array per
     requested quantity, and a quantity's values do not depend on which
-    others are requested.  Tau points that fail the gap test of the
-    batched envelope are recomputed by the per-tau Schur path.  Errors
-    name the failing grid point as 'tau[i] = ...:'.
+    others are requested.  The envelope comes from the half-period images
+    of the T_u2 modes (``_stacked_floor``); a tau point whose half-period
+    residual exceeds PHASE_MATCH_TOL raises SymmetryViolationError, and one
+    whose eigenphase gap is below MIN_BATCH_GAP is recomputed by the
+    per-tau Schur path.  Errors name the failing grid point as
+    'tau[i] = ...:'.
     """
     taus = _require_taus(taus)
     if int(n_p) != n_p or n_p < 0:
@@ -466,7 +461,8 @@ def floquet_row(ch: ConditionalHamiltonians, taus: np.ndarray, n_p: int,
     out = {q: np.empty(taus.size) for q in quantities}
     redo = []
     for block in stack.blocks(taus.size):
-        t_u2, t_d2 = stack.cells(taus[block])
+        w_u, w_d = stack.half_periods(taus[block])
+        t_u2, t_d2 = w_u @ w_d, w_d @ w_u
         for cells in (t_u2, t_d2):
             defect = unitarity_defect(cells)
             bad = np.flatnonzero(defect > UNITARITY_TOL)
@@ -479,13 +475,13 @@ def floquet_row(ch: ConditionalHamiltonians, taus: np.ndarray, n_p: int,
             p_d = unitary_power(t_d2, int(n_p))
             out["coherence"][block] = np.einsum("nij,nij->n", p_u.conj(), p_d).real / stack.dim
         if "envelope" in out:
-            out["envelope"][block], min_gap, mismatch = _stacked_floor(t_u2, t_d2)
-            close = min_gap < MIN_BATCH_GAP
-            bad = np.flatnonzero(~close & (mismatch > PHASE_MATCH_TOL))
+            out["envelope"][block], min_gap, residual = _stacked_floor(t_u2, t_d2, w_d)
+            bad = np.flatnonzero(residual > PHASE_MATCH_TOL)
             if bad.size:
                 raise _at_tau(SymmetryViolationError(
-                    f"u/d eigenphase multisets differ by {mismatch[bad[0]]:.3e} > "
+                    f"u/d eigenphase residual {residual[bad[0]]:.3e} > "
                     f"{PHASE_MATCH_TOL:.1e}"), block.start + bad[0], taus)
+            close = min_gap < MIN_BATCH_GAP
             redo.extend(block.start + np.flatnonzero(close))
     for i in redo:
         seq = PulseSequence(tau=float(taus[i]), n_p=n_p, pulse_duration=pulse_duration)

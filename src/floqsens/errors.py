@@ -24,10 +24,3 @@ class NumericalConsistencyError(RuntimeError):
 class SymmetryViolationError(NumericalConsistencyError):
     """The eigenphase symmetry between conditional propagators failed."""
 
-
-class TrackingError(RuntimeError):
-    """Adiabatic level tracking across a field sweep became ambiguous."""
-
-    def __init__(self, message: str, field_value: float | None = None):
-        super().__init__(message)
-        self.field_value = field_value

@@ -21,9 +21,7 @@ UNITARITY_TOL = 1e-10
 DEGENERACY_TOL = 1e-9
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-IDENTITY_2 = np.eye(2, dtype=complex)
 
 
 def hermiticity_defect(m: np.ndarray) -> float:

@@ -12,9 +12,12 @@ each row.  Kernel values differ from those of the earlier per-tau Schur
 path by a few 1e-14 at most, so dense-system files are not bitwise equal
 to files written before the kernel.
 
-A row whose largest accumulated phase exceeds ``MAX_PHASE_RAD`` is
+A run whose largest accumulated phase exceeds ``MAX_PHASE_RAD`` is
 rejected with ValidationError (CLI exit 2) before anything is written;
-past that phase cos and sin lose their significant digits.
+past that phase cos and sin lose their significant digits.  The phase is
+the spectral radius of H_u, H_d times ``cells`` cells of length
+4 max(tau + delta): n_p cells where coherence or dip depths are
+computed, one for envelope-only rows and spectra.
 
 CSV output is UTF-8 with ``\n`` line endings and full ``%.17g``
 precision; ``write_csv`` formats each cell once, so a map formats each
@@ -124,18 +127,23 @@ def _conditional(cfg: ScanConfig, field_value: float | None
     return _two_state_model(cfg, field_value).conditional(), None
 
 
-def _require_phase(phase: float) -> None:
-    """Reject a row whose largest accumulated phase exceeds MAX_PHASE_RAD."""
+def _spectral_radius(ch: ConditionalHamiltonians) -> float:
+    """Largest |eigenvalue| of H_u and H_d."""
+    return max(float(np.abs(np.linalg.eigvalsh(h)).max()) for h in (ch.h_u, ch.h_d))
+
+
+def _require_phase(radius: float, tau_max: float, delta: float, cells: int) -> None:
+    """Reject a run whose largest accumulated phase exceeds MAX_PHASE_RAD.
+
+    The phase is radius 4 cells (tau_max + delta): the spectral radius of
+    the conditional Hamiltonians times ``cells`` cells of length
+    4 (tau + delta).
+    """
+    phase = radius * 4.0 * cells * (tau_max + delta)
     if not phase <= MAX_PHASE_RAD:
         raise ValidationError(
             f"largest accumulated phase {phase:.3e} rad exceeds {MAX_PHASE_RAD:.0e} rad, "
             f"beyond which double precision cannot represent it")
-
-
-def _require_cell_phase(ch: ConditionalHamiltonians, taus: np.ndarray, delta: float) -> None:
-    """_require_phase of the spectral radius of H_u, H_d times the cell length 4 (tau + delta)."""
-    radius = max(float(np.abs(np.linalg.eigvalsh(h)).max()) for h in (ch.h_u, ch.h_d))
-    _require_phase(radius * 4.0 * (float(taus.max()) + delta))
 
 
 def compute_trace(cfg: ScanConfig, field_value: float | None = None,
@@ -146,23 +154,25 @@ def compute_trace(cfg: ScanConfig, field_value: float | None = None,
     whichever others are requested.  A finite pulse duration delta shifts
     the effective interval of the analytic two-state path to tau + delta,
     matching the engine's cell construction.  Rows whose largest
-    accumulated phase exceeds MAX_PHASE_RAD raise ValidationError: 2
-    max(w_u, w_d) max(tau + delta) for two-state systems, the spectral
-    radius of H_u, H_d times the longest cell for the others.
+    accumulated phase exceeds MAX_PHASE_RAD raise ValidationError: the
+    spectral radius (max(w_u, w_d) for two-state systems) times n_p cells
+    of length 4 max(tau + delta) when coherence is asked for, one cell
+    otherwise.
     """
     taus = cfg.tau_axis.values()
     n_p = cfg.sequence.n_p
     delta = cfg.sequence.pulse_duration
+    cells = n_p if "coherence" in quantities else 1
     model = _two_state_model(cfg, field_value)
     if model is not None:
+        _require_phase(max(model.omega_u, model.omega_d), float(taus.max()), delta, cells)
         tau_eff = taus + delta
-        _require_phase(2.0 * max(model.omega_u, model.omega_d) * float(tau_eff.max()))
         coh = (np.asarray(coherence_analytic(model, tau_eff, n_p))
                if "coherence" in quantities else None)
         env = np.asarray(envelope(model, tau_eff)) if "envelope" in quantities else None
         return TraceData(taus=taus, coherence=coh, envelope=env, model=model)
     ch, pols = _conditional(cfg, field_value)
-    _require_cell_phase(ch, taus, delta)
+    _require_phase(_spectral_radius(ch), float(taus.max()), delta, cells)
     row = floquet_row(ch, taus, n_p, quantities, pulse_duration=delta)
     return TraceData(taus=taus, coherence=row.get("coherence"),
                      envelope=row.get("envelope"), polarizations=pols)
@@ -340,7 +350,7 @@ def run_spectrum(cfg: ScanConfig, outdir: Path) -> list[Path]:
     if cfg.field_axis is not None:
         raise ConfigError("spectrum takes a single tau axis; drop the field axis")
     ch, _ = _conditional(cfg, None)
-    _require_cell_phase(ch, cfg.tau_axis.values(), cfg.sequence.pulse_duration)
+    _require_phase(_spectral_radius(ch), cfg.tau_axis.stop, cfg.sequence.pulse_duration, 1)
     scan = spectrum_scan(ch, cfg.tau_axis.values(),
                          pulse_duration=cfg.sequence.pulse_duration,
                          gap_threshold=cfg.output.crossing_gap)
@@ -363,9 +373,10 @@ def run_dips(cfg: ScanConfig, outdir: Path) -> list[Path]:
     axis stop (skipping zero-contrast true crossings) plus the averaged-
     Hamiltonian estimate; 3-clusters report the secular doublet estimates,
     with the harmonic column carrying the quasienergy pair as a two-digit
-    code (12, 13, 23).  A two-state phase 2 max(w_u, w_d) tau_stop above
-    MAX_PHASE_RAD raises ValidationError, a root search grid above
-    ``pseudospin.MAX_DIP_GRID`` points CapacityError.
+    code (12, 13, 23).  A two-state phase max(w_u, w_d) n_p 4 (tau_stop +
+    pulse duration) above MAX_PHASE_RAD raises ValidationError: the dip
+    depth needs the phase of all n_p cells.  A root search grid above
+    ``pseudospin.MAX_DIP_GRID`` points raises CapacityError.
     """
     outdir.mkdir(parents=True, exist_ok=True)
     if cfg.field_axis is not None:
@@ -374,7 +385,8 @@ def run_dips(cfg: ScanConfig, outdir: Path) -> list[Path]:
     rows = []
     model = _two_state_model(cfg, None)
     if model is not None:
-        _require_phase(2.0 * max(model.omega_u, model.omega_d) * cfg.tau_axis.stop)
+        _require_phase(max(model.omega_u, model.omega_d), cfg.tau_axis.stop,
+                       cfg.sequence.pulse_duration, n_p)
         for rec in dip_positions(model, cfg.tau_axis.stop, n_p=n_p):
             if rec.delta < MIN_REPORTED_DELTA:
                 continue

@@ -20,9 +20,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import brentq, linear_sum_assignment
+from scipy.optimize import brentq
 
-from .errors import TrackingError, ValidationError
+from .errors import ValidationError
 from .linalg import kron, require_hermitian, spin_operators
 from .pseudospin import PseudoField, TwoStateModel
 
@@ -144,41 +144,6 @@ def donor_polarization(d: DonorModel, b0: float, level: int) -> float:
         raise ValidationError(f"level {level} outside 1..{d.dim}")
     _, v = donor_eigensystem(d, b0)
     return _polarization(v[:, level - 1], donor_electron_sz(d))
-
-
-def polarization_sweep(d: DonorModel, b0_grid: np.ndarray,
-                       levels: tuple[int, ...]) -> np.ndarray:
-    """Adiabatically tracked P_i(B0) for the given levels along a field sweep.
-
-    Levels are fixed by ascending energy at the first grid point, then each
-    is followed by maximal overlap with the previous field step; an
-    ambiguous continuation raises TrackingError with the offending field.
-    Returns an array of shape (len(levels), len(b0_grid)).
-    """
-    grid = np.asarray(b0_grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 1 or np.any(np.diff(grid) <= 0):
-        raise ValidationError("field grid must be one-dimensional and ascending")
-    for level in levels:
-        if not (1 <= level <= d.dim):
-            raise ValidationError(f"level {level} outside 1..{d.dim}")
-    sz = donor_electron_sz(d)
-    out = np.empty((len(levels), grid.size))
-    _, v = donor_eigensystem(d, grid[0])
-    tracked = v[:, [lv - 1 for lv in levels]]
-    out[:, 0] = [_polarization(tracked[:, k], sz) for k in range(len(levels))]
-    for i in range(1, grid.size):
-        _, v = donor_eigensystem(d, grid[i])
-        affinity = np.abs(tracked.conj().T @ v)
-        rows, cols = linear_sum_assignment(-affinity)
-        for k, j in zip(rows, cols):
-            if affinity[k, j] ** 2 < 0.5:
-                raise TrackingError(
-                    f"adiabatic tracking of level {levels[k]} ambiguous at "
-                    f"B0 = {grid[i]:.6g} T (best overlap^2 = {affinity[k, j]**2:.3f})",
-                    field_value=float(grid[i]))
-            tracked[:, k] = v[:, j]
-            out[k, i] = _polarization(v[:, j], sz)
-    return out
 
 
 @dataclass(frozen=True)

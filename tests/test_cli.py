@@ -99,6 +99,36 @@ class TestExitCodes:
         assert not (outdir / "dips.csv").exists()
         assert not (outdir / "dips_manifest.json").exists()
 
+    def test_phase_of_all_pulses_beyond_reach(self, tmp_path, capsys):
+        # 10^17 cells accumulate a coherence phase near 1e16 rad.
+        doc = pseudospin_doc()
+        doc["sequence"]["n_p"] = 10 ** 17
+        cfg = write_cfg(tmp_path / "c.json", doc)
+        outdir = tmp_path / "out"
+        assert main(["trace", "--config", cfg, "--output", str(outdir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: largest accumulated phase")
+        assert err.count("\n") == 1
+        assert list(outdir.iterdir()) == []
+
+    @pytest.mark.parametrize("command, axis, count", [
+        ("trace", "tau_s", 10 ** 12),
+        ("map", "omega_x_hz", 10 ** 20),
+    ])
+    def test_grid_beyond_capacity(self, tmp_path, capsys, command, axis, count):
+        doc = {"system": {"kind": "nv", "omega_z_hz": 0.0, "a_par_hz": 50e3},
+               "axes": {"tau_s": {"start": 5e-7, "stop": 3e-5, "count": 4}}}
+        if command == "map":
+            doc["axes"]["omega_x_hz"] = {"start": 1e3, "stop": 8e4, "count": 2}
+        doc["axes"][axis]["count"] = count
+        cfg = write_cfg(tmp_path / "c.json", doc)
+        outdir = tmp_path / "out"
+        assert main([command, "--config", cfg, "--output", str(outdir)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("capacity error: scan grid of")
+        assert err.count("\n") == 1
+        assert not outdir.exists()
+
     def test_numerical_consistency_error(self, tmp_path, monkeypatch):
         from floqsens import NumericalConsistencyError
         import floqsens.cli as cli

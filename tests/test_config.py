@@ -3,8 +3,8 @@ import math
 
 import pytest
 
-from floqsens import ConfigError
-from floqsens.config import load_config, parse_config
+from floqsens import CapacityError, ConfigError
+from floqsens.config import MAX_GRID_POINTS, load_config, parse_config
 
 
 def minimal_pseudospin():
@@ -73,6 +73,15 @@ class TestValidation:
         raw = minimal_pseudospin()
         raw["axes"]["tau_s"]["count"] = 1
         with pytest.raises(ConfigError, match="count"):
+            parse_config(raw)
+
+    def test_grid_limit_counts_tau_times_field_points(self):
+        raw = minimal_pseudospin()
+        raw["axes"]["tau_s"]["count"] = 1000
+        raw["axes"]["row_index"] = {"start": 0, "stop": 1, "count": 1000}
+        assert parse_config(raw).field_axis.count * 1000 == MAX_GRID_POINTS
+        raw["axes"]["row_index"]["count"] = 1001
+        with pytest.raises(CapacityError, match="1001000 tau x field points"):
             parse_config(raw)
 
     def test_two_field_axes_rejected(self):

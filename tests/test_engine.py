@@ -38,17 +38,6 @@ class TestPulseSequence:
         seq = PulseSequence(tau=2e-6, n_p=5, pulse_duration=1e-7)
         assert seq.total_time == pytest.approx(4 * 5 * 2.1e-6)
 
-    def test_cell_segments_ideal(self):
-        seq = PulseSequence(tau=1.0, n_p=1, pulse_duration=0.25)
-        assert seq.cell_segments() == [("u", 1.25), ("d", 2.5), ("u", 1.25)]
-        assert seq.cell_segments(start="d") == [("d", 1.25), ("u", 2.5), ("d", 1.25)]
-
-    def test_cell_segments_with_pulse_hamiltonian(self):
-        seq = PulseSequence(tau=1.0, n_p=1, pulse_duration=0.25,
-                            intra_pulse_hamiltonian=np.zeros((2, 2)))
-        assert seq.cell_segments() == [
-            ("u", 1.0), ("pulse", 0.5), ("d", 2.0), ("pulse", 0.5), ("u", 1.0)]
-
     def test_rejects_bad_tau(self):
         with pytest.raises(ValidationError):
             PulseSequence(tau=0.0, n_p=1)
@@ -286,13 +275,17 @@ class TestEnvelope:
     def test_modes_paired_across_the_pi_cut(self):
         # Both cells share their modes; one shared phase sits just below +pi
         # in T_u2 and just above -pi in T_d2, so the phase-sorted orders differ.
+        # The phases of W_d straddle the cut the same way.
         t_u2 = np.diag(np.exp(-1j * np.array([np.pi - 1e-10, 2.4])))
         t_d2 = np.diag(np.exp(-1j * np.array([-np.pi + 1e-10, 2.4])))
+        w_d = np.diag(np.exp(-1j * np.array([np.pi - 1e-10, -np.pi + 1e-10])))
         pair = floquet_pair(t_u2, t_d2)
         assert pair.pairing.tolist() == [1, 0]
         assert envelope_general(pair).floor == pytest.approx(1.0, abs=1e-12)
         assert coherence_floquet(pair, 3) == pytest.approx(1.0, abs=1e-12)
-        assert _stacked_floor(t_u2[None], t_d2[None])[0][0] == pytest.approx(1.0, abs=1e-12)
+        floor, _, residual = _stacked_floor(t_u2[None], t_d2[None], w_d[None])
+        assert floor[0] == pytest.approx(1.0, abs=1e-12)
+        assert residual[0] < 1e-9
 
 
 @settings(max_examples=40, deadline=None)

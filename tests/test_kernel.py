@@ -13,6 +13,7 @@ from floqsens import (
     SymmetryViolationError,
     ValidationError,
     envelope_general,
+    expm_hermitian,
     floquet_pair,
     thermal_coherence_numeric,
     unit_cell,
@@ -156,6 +157,22 @@ def test_errors_name_the_tau_point(rng, monkeypatch):
     monkeypatch.setattr(engine, "PHASE_MATCH_TOL", -1.0)
     with pytest.raises(SymmetryViolationError, match=r"^tau\[0\] = 0\.1: u/d eigenphase"):
         floquet_row(ch, [0.1, 0.2], 5, ("envelope",))
+
+
+def test_corrupted_half_period_names_the_tau_point(rng, monkeypatch):
+    # A W_d rotated at one tau no longer satisfies T_d2 = W_d W_u there.
+    ch = ConditionalHamiltonians(random_hermitian(4, rng), random_hermitian(4, rng))
+    kick = expm_hermitian(random_hermitian(4, rng), 1e-3)
+    original = engine._stacked_floor
+
+    def corrupted(t_u2, t_d2, w_d):
+        w_d = w_d.copy()
+        w_d[1] = w_d[1] @ kick
+        return original(t_u2, t_d2, w_d)
+
+    monkeypatch.setattr(engine, "_stacked_floor", corrupted)
+    with pytest.raises(SymmetryViolationError, match=r"^tau\[1\] = 0\.7: u/d eigenphase"):
+        floquet_row(ch, [0.1, 0.7, 1.3], 5, ("envelope",))
 
 
 def cluster3_doc(**system):

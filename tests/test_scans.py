@@ -104,20 +104,23 @@ class TestPhaseLimit:
             compute_trace(cfg)
 
     def test_limit_is_two_w_max_times_longest_interval(self):
-        # 2 max(w_u, w_d) (tau_stop + delta) = |h_u| (tau_stop + delta)
+        # max(w_u, w_d) 4 cells (tau_stop + delta) = 2 |h_u| cells (tau_stop + delta),
+        # with n_p = 7 cells when coherence is computed and one cell otherwise.
         tau_stop, delta = 2.4e-4, 1e-7
-        for scale, ok in ((0.999, True), (1.001, False)):
-            h_x = scale * 1e12 / (tau_stop + delta)
-            cfg = pseudospin_cfg(
-                system={"kind": "pseudospin", "h_u": {"x_rad_s": h_x, "z_rad_s": 0.0},
-                        "h_d": {"x_rad_s": 1.0, "z_rad_s": 0.0}},
-                sequence={"n_p": 1, "pulse_duration_s": delta},
-                axes={"tau_s": {"start": 1e-6, "stop": tau_stop, "count": 3}})
-            if ok:
-                compute_trace(cfg, None, ("envelope",))
-            else:
-                with pytest.raises(ValidationError, match="accumulated phase"):
-                    compute_trace(cfg, None, ("envelope",))
+        for quantities, cells in ((("envelope",), 1), (("coherence",), 7),
+                                  (("coherence", "envelope"), 7)):
+            for scale, ok in ((0.999, True), (1.001, False)):
+                h_x = scale * 1e12 / (2 * cells * (tau_stop + delta))
+                cfg = pseudospin_cfg(
+                    system={"kind": "pseudospin", "h_u": {"x_rad_s": h_x, "z_rad_s": 0.0},
+                            "h_d": {"x_rad_s": 1.0, "z_rad_s": 0.0}},
+                    sequence={"n_p": 7, "pulse_duration_s": delta},
+                    axes={"tau_s": {"start": 1e-6, "stop": tau_stop, "count": 3}})
+                if ok:
+                    compute_trace(cfg, None, quantities)
+                else:
+                    with pytest.raises(ValidationError, match="accumulated phase"):
+                        compute_trace(cfg, None, quantities)
 
     def test_dense_limit_uses_spectral_radius_and_cell_length(self, tmp_path):
         # Cell length 4 (tau + delta); H_u = (p_u / 2) A_1 Iz_1 has spectral radius A_1 / 4.

@@ -8,7 +8,6 @@ from floqsens import (
     NVModel,
     PairTarget,
     Regime,
-    TrackingError,
     ValidationError,
     avg_hamiltonian_dip,
     dip_positions,
@@ -18,7 +17,6 @@ from floqsens import (
     envelope,
     nv_two_state,
     owp_locate,
-    polarization_sweep,
     regime_classify,
     si_bi,
 )
@@ -139,6 +137,12 @@ class TestDonorHamiltonian:
         h[0, 0] = 1.0  # a fresh array per field
         assert donor_hamiltonian(donor, 0.1)[0, 0] != 1.0
 
+    def test_model_validation(self):
+        with pytest.raises(ValidationError):
+            si_bi(level_u=9, level_d=9)
+        with pytest.raises(ValidationError):
+            si_bi(level_u=0)
+
 
 class TestPolarization:
     def test_high_field_limits(self):
@@ -161,7 +165,7 @@ class TestPolarization:
     def test_sweep_is_continuous_and_bounded(self):
         d = si_bi()
         grid = np.linspace(0.05, 0.35, 61)
-        p = polarization_sweep(d, grid, (d.level_u, d.level_d))
+        p = np.array([donor_pair_polarizations(d, float(b0)) for b0 in grid]).T
         assert np.abs(p).max() <= 1.0 + 1e-12
         assert np.abs(np.diff(p, axis=1)).max() < 0.08
         dp = np.abs(p[0] - p[1])
@@ -170,11 +174,10 @@ class TestPolarization:
 
     def test_sweep_matches_sorted_levels(self):
         d = si_bi()
-        grid = np.linspace(0.05, 0.35, 31)
-        p = polarization_sweep(d, grid, (12, 9))
-        for k, b0 in ((0, 0.05), (15, 0.2), (30, 0.35)):
-            assert p[0, k] == pytest.approx(donor_polarization(d, b0, 12), abs=1e-9)
-            assert p[1, k] == pytest.approx(donor_polarization(d, b0, 9), abs=1e-9)
+        for b0 in (0.05, 0.2, 0.35):
+            p_u, p_d = donor_pair_polarizations(d, b0)
+            assert p_u == pytest.approx(donor_polarization(d, b0, 12), abs=1e-9)
+            assert p_d == pytest.approx(donor_polarization(d, b0, 9), abs=1e-9)
 
     def test_invalid_level(self):
         with pytest.raises(ValidationError):
@@ -236,35 +239,3 @@ class TestOwp:
                             lambda model, b0: (0.37, 0.37))
         with pytest.raises(ValidationError, match="every field"):
             owp_locate(d, 0.05, 0.35)
-
-
-class TestTracking:
-    def test_tracking_follows_branches_through_a_crossing(self):
-        # exaggerated opposing nuclear Zeeman makes the falling m = -1
-        # product state cross the m = 0 singlet branch near 0.034 T; the
-        # energy-sorted labels swap there while tracked ones stay smooth
-        from floqsens.sensors import DonorModel
-        d = DonorModel(hyperfine_a=1.0e9, nuclear_spin=0.5, gamma_e=2.0e10,
-                       delta_gamma=-2.0, level_u=2, level_d=3)
-        grid = np.linspace(0.01, 0.2, 120)
-        tracked = polarization_sweep(d, grid, (1, 2))
-        sorted_p = np.array([[donor_polarization(d, float(b), lv) for b in grid]
-                             for lv in (1, 2)])
-        assert np.abs(np.diff(tracked, axis=1)).max() < 0.05
-        assert np.abs(np.diff(sorted_p, axis=1)).max() > 0.5
-        assert np.abs(tracked[0, 0] - sorted_p[0, 0]) < 1e-9
-        assert np.abs(tracked[0, -1] - sorted_p[0, -1]) > 0.3
-
-    def test_ambiguity_raises_tracking_error(self):
-        d = si_bi()
-        # a grid jumping across the strong mixing region in one step cannot
-        # identify the continued levels reliably
-        grid = np.array([0.0, 3.0])
-        with pytest.raises(TrackingError):
-            polarization_sweep(d, grid, (10, 11))
-
-    def test_model_validation(self):
-        with pytest.raises(ValidationError):
-            si_bi(level_u=9, level_d=9)
-        with pytest.raises(ValidationError):
-            si_bi(level_u=0)
