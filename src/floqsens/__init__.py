@@ -47,7 +47,6 @@ from .clusters import (
     basis_state_coherences,
     conditional_cluster_hamiltonians,
     doublet_dip_estimates,
-    independent_pairs_coherence,
     joint_full_model,
     secular_quasienergies,
 )

@@ -17,6 +17,9 @@ secular (diagonal) quasienergy estimate predicts well.  The quasienergies
 returned here are normalized as twice the diagonal of H_u + H_d so that a
 dip sits at tau = 2 pi / |eps_l - eps_m|; with that normalization the
 first doublet lands at tau = 2 pi / |Delta_12 (P_u + P_d) +- 2 (C31 - C23)|.
+
+Independent pairs are two-state targets (``PairSet.two_state_models``);
+their joint 2^k space (``PairSet.conditional``) serves only spectra.
 """
 
 from __future__ import annotations
@@ -27,10 +30,10 @@ from itertools import combinations
 
 import numpy as np
 
-from .engine import ConditionalHamiltonians, PulseSequence, thermal_coherence_numeric, unit_cell, unitary_power
+from .engine import ConditionalHamiltonians, PulseSequence, unit_cell, unitary_power
 from .errors import CapacityError, ValidationError
 from .linalg import MAX_DIM, kron
-from .pseudospin import TwoStateModel, coherence_analytic
+from .pseudospin import TwoStateModel
 from .sensors import DonorModel, PairTarget, donor_eigensystem, donor_electron_sz
 
 MAX_BATH_SPINS = 6
@@ -150,21 +153,6 @@ class PairSet:
             h_u += kron(kron(left, mu), right)
             h_d += kron(kron(left, md), right)
         return ConditionalHamiltonians(h_u=h_u, h_d=h_d)
-
-
-def independent_pairs_coherence(ps: PairSet, p_u: float, p_d: float,
-                                seq: PulseSequence) -> float:
-    """Product of the thermally averaged per-pair coherences."""
-    total = 1.0
-    for model in ps.two_state_models(p_u, p_d):
-        if model.h_u == model.h_d:
-            continue
-        if seq.intra_pulse_hamiltonian is None:
-            tau_eff = seq.tau + seq.pulse_duration
-            total *= float(coherence_analytic(model, tau_eff, seq.n_p))
-        else:
-            total *= thermal_coherence_numeric(model.conditional(), seq)
-    return total
 
 
 def basis_state_coherences(ch: ConditionalHamiltonians, seq: PulseSequence) -> np.ndarray:

@@ -194,6 +194,19 @@ def _parse_cluster(obj: dict, where: str) -> SpinCluster:
     return SpinCluster(a=a, c=c)
 
 
+def _parse_sensor(sys_obj: dict, where: str) -> tuple[DonorModel | None, float | None,
+                                                     tuple[float, float] | None]:
+    """(donor, fixed b0_tesla, (p_u, p_d)) of a bath system's sensor; a donor wins."""
+    if "donor" in sys_obj:
+        donor = _parse_donor(sys_obj["donor"], where + ".donor")
+        fixed_field = _number(sys_obj, "b0_tesla", where) if "b0_tesla" in sys_obj else None
+        return donor, fixed_field, None
+    if "p_u" in sys_obj and "p_d" in sys_obj:
+        return None, None, (_number(sys_obj, "p_u", where), _number(sys_obj, "p_d", where))
+    raise ConfigError(f"{where} needs either a donor (field-dependent "
+                      f"polarizations) or fixed p_u/p_d")
+
+
 def _parse_system(cfg: dict) -> tuple[str, Any, DonorModel | None,
                                       float | None, tuple[float, float] | None]:
     sys_obj = cfg.get("system")
@@ -229,15 +242,7 @@ def _parse_system(cfg: dict) -> tuple[str, Any, DonorModel | None,
         allowed = {"kind", "cluster", "donor", "b0_tesla", "p_u", "p_d"}
         _require_keys(sys_obj, allowed, {"cluster"}, where)
         system = _parse_cluster(sys_obj["cluster"], where + ".cluster")
-        if "donor" in sys_obj:
-            donor = _parse_donor(sys_obj["donor"], where + ".donor")
-            if "b0_tesla" in sys_obj:
-                fixed_field = _number(sys_obj, "b0_tesla", where)
-        elif "p_u" in sys_obj and "p_d" in sys_obj:
-            polarizations = (_number(sys_obj, "p_u", where), _number(sys_obj, "p_d", where))
-        else:
-            raise ConfigError(f"{where} needs either a donor (field-dependent "
-                              f"polarizations) or fixed p_u/p_d")
+        donor, fixed_field, polarizations = _parse_sensor(sys_obj, where)
     elif kind == "independent_pairs":
         allowed = {"kind", "pairs", "donor", "b0_tesla", "p_u", "p_d"}
         _require_keys(sys_obj, allowed, {"pairs"}, where)
@@ -246,14 +251,7 @@ def _parse_system(cfg: dict) -> tuple[str, Any, DonorModel | None,
             raise ConfigError(f"{where}.pairs must be a non-empty list")
         system = PairSet(pairs=tuple(
             _parse_pair(p, f"{where}.pairs[{i}]") for i, p in enumerate(pairs_obj)))
-        if "donor" in sys_obj:
-            donor = _parse_donor(sys_obj["donor"], where + ".donor")
-            if "b0_tesla" in sys_obj:
-                fixed_field = _number(sys_obj, "b0_tesla", where)
-        elif "p_u" in sys_obj and "p_d" in sys_obj:
-            polarizations = (_number(sys_obj, "p_u", where), _number(sys_obj, "p_d", where))
-        else:
-            raise ConfigError(f"{where} needs either a donor or fixed p_u/p_d")
+        donor, fixed_field, polarizations = _parse_sensor(sys_obj, where)
     else:  # joint_full
         _require_keys(sys_obj, {"kind", "donor", "cluster", "b0_tesla"},
                       {"donor", "cluster"}, where)

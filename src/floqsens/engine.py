@@ -321,7 +321,6 @@ class EnvelopeTerms:
     the pulse-number-independent lower bound of the coherence.
     """
 
-    index_pairs: np.ndarray
     coefficients: np.ndarray
     phase_gaps: np.ndarray
 
@@ -341,8 +340,7 @@ def envelope_general(pair: FloquetPair) -> EnvelopeTerms:
     idx_l, idx_lp = np.triu_indices(d, k=1)
     coeff = (weights[idx_lp, idx_l] + weights[idx_l, idx_lp]) * (2.0 / d)
     gaps = pair.spectrum_u.phases[idx_l] - pair.spectrum_u.phases[idx_lp]
-    return EnvelopeTerms(index_pairs=np.stack([idx_l, idx_lp], axis=1),
-                         coefficients=coeff, phase_gaps=gaps)
+    return EnvelopeTerms(coefficients=coeff, phase_gaps=gaps)
 
 
 def _at_tau(exc: Exception, i: int, taus: np.ndarray) -> Exception:

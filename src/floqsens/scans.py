@@ -2,15 +2,17 @@
 
 Every map row is produced by the same ``compute_trace`` call the ``trace``
 command uses, so a map row at fixed field and the corresponding trace are
-bitwise identical.  Two-state systems take the closed-form pseudospin
-path; every other system goes through the engine's stacked row kernel
-``floquet_row``, which diagonalizes H_u and H_d once per field and builds
-the cells of the tau axis in blocks.  On both paths a map asks only for
-the quantity it emits and a trace asks for both; each value is the same
-either way.  The overlay curves of a two-state map reuse the model of
-each row.  Kernel values differ from those of the earlier per-tau Schur
-path by a few 1e-14 at most, so dense-system files are not bitwise equal
-to files written before the kernel.
+bitwise identical.  Products of independent two-state targets (the
+two-state systems and ``independent_pairs``) take the closed-form
+pseudospin path with no joint 2^k space; every other system goes through
+the engine's stacked row kernel ``floquet_row``, which diagonalizes H_u
+and H_d once per field and builds the cells of the tau axis in blocks.
+On both paths a map asks only for the quantity it emits and a trace asks
+for both; each value is the same either way.  The overlay curves of a
+two-state map reuse the model of each row.  Kernel values differ from
+those of the earlier per-tau Schur path by a few 1e-14 at most, so
+dense-system files are not bitwise equal to files written before the
+kernel.
 
 A run whose largest accumulated phase exceeds ``MAX_PHASE_RAD`` is
 rejected with ValidationError (CLI exit 2) before anything is written;
@@ -35,6 +37,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -66,32 +69,36 @@ FLOAT_FORMAT = "%.17g"
 class TraceData:
     """One computed trace over the tau grid; a quantity not computed is None.
 
-    ``model`` is the closed-form two-state model the trace came from, or
-    None for systems on the Floquet engine path; ``polarizations`` holds
-    the sensor's (P_u, P_d) of a cluster3 or independent_pairs trace.
+    ``models`` are the closed-form two-state targets the trace is the
+    product of (one for a single two-state system, one per pair for
+    independent_pairs), or None for systems on the Floquet engine path;
+    ``polarizations`` holds the sensor's (P_u, P_d) of a cluster3 trace.
     """
 
     taus: np.ndarray
     coherence: np.ndarray | None
     envelope: np.ndarray | None
-    model: TwoStateModel | None = None
+    models: list[TwoStateModel] | None = None
     polarizations: tuple[float, float] | None = None
 
 
-def _two_state_model(cfg: ScanConfig, field_value: float | None) -> TwoStateModel | None:
-    """The D = 2 model at this field, or None for higher-dimensional systems."""
+def _two_state_models(cfg: ScanConfig, field_value: float | None
+                      ) -> list[TwoStateModel] | None:
+    """The independent two-state targets at this field, or None for other systems."""
     kind = cfg.system_kind
     if kind == "pseudospin":
-        return cfg.system
+        return [cfg.system]
     if kind == "nv":
         nv = cfg.system
         if cfg.field_axis is not None and cfg.field_axis.name == "omega_x_hz":
             if field_value is None:
                 raise ConfigError("nv sweep needs a field value")
             nv = NVModel(omega_x=TWO_PI * field_value, omega_z=nv.omega_z, a_par=nv.a_par)
-        return nv_two_state(nv)
+        return [nv_two_state(nv)]
     if kind == "donor_pair":
-        return donor_pair_two_state(cfg.donor, cfg.system, _field_b0(cfg, field_value))
+        return [donor_pair_two_state(cfg.donor, cfg.system, _field_b0(cfg, field_value))]
+    if kind == "independent_pairs":
+        return cfg.system.two_state_models(*_cluster_polarizations(cfg, field_value))
     return None
 
 
@@ -114,17 +121,16 @@ def _cluster_polarizations(cfg: ScanConfig, field_value: float | None) -> tuple[
 
 def _conditional(cfg: ScanConfig, field_value: float | None
                  ) -> tuple[ConditionalHamiltonians, tuple[float, float] | None]:
-    """The conditional Hamiltonians at this field, and (P_u, P_d) if they took polarizations."""
+    """The conditional Hamiltonians at this field, and the (P_u, P_d) of a cluster3 sensor."""
     kind = cfg.system_kind
     if kind == "cluster3":
         pols = _cluster_polarizations(cfg, field_value)
         return conditional_cluster_hamiltonians(cfg.system, *pols), pols
     if kind == "independent_pairs":
-        pols = _cluster_polarizations(cfg, field_value)
-        return cfg.system.conditional(*pols), pols
+        return cfg.system.conditional(*_cluster_polarizations(cfg, field_value)), None
     if kind == "joint_full":
         return joint_full_model(cfg.donor, cfg.system, _field_b0(cfg, field_value)), None
-    return _two_state_model(cfg, field_value).conditional(), None
+    return _two_state_models(cfg, field_value)[0].conditional(), None
 
 
 def _spectral_radius(ch: ConditionalHamiltonians) -> float:
@@ -153,24 +159,28 @@ def compute_trace(cfg: ScanConfig, field_value: float | None = None,
     Only ``quantities`` are computed, on every path; each value is the same
     whichever others are requested.  A finite pulse duration delta shifts
     the effective interval of the analytic two-state path to tau + delta,
-    matching the engine's cell construction.  Rows whose largest
-    accumulated phase exceeds MAX_PHASE_RAD raise ValidationError: the
-    spectral radius (max(w_u, w_d) for two-state systems) times n_p cells
-    of length 4 max(tau + delta) when coherence is asked for, one cell
-    otherwise.
+    matching the engine's cell construction.  Two-state targets k combine
+    into coherence prod_k L_k and envelope 2 prod_k (1 + f_k) / 2 - 1.
+    Rows whose largest accumulated phase exceeds MAX_PHASE_RAD raise
+    ValidationError: the spectral radius (max(sum_k w_u,k, sum_k w_d,k)
+    for two-state targets) times n_p cells of length 4 max(tau + delta)
+    when coherence is asked for, one cell otherwise.
     """
     taus = cfg.tau_axis.values()
     n_p = cfg.sequence.n_p
     delta = cfg.sequence.pulse_duration
     cells = n_p if "coherence" in quantities else 1
-    model = _two_state_model(cfg, field_value)
-    if model is not None:
-        _require_phase(max(model.omega_u, model.omega_d), float(taus.max()), delta, cells)
+    models = _two_state_models(cfg, field_value)
+    if models is not None:
+        radius = max(sum(m.omega_u for m in models), sum(m.omega_d for m in models))
+        _require_phase(radius, float(taus.max()), delta, cells)
         tau_eff = taus + delta
-        coh = (np.asarray(coherence_analytic(model, tau_eff, n_p))
+        coh = (reduce(np.multiply, [coherence_analytic(m, tau_eff, n_p) for m in models])
                if "coherence" in quantities else None)
-        env = np.asarray(envelope(model, tau_eff)) if "envelope" in quantities else None
-        return TraceData(taus=taus, coherence=coh, envelope=env, model=model)
+        env = (reduce(lambda e, f: (1.0 + e) * (1.0 + f) / 2.0 - 1.0,
+                      [envelope(m, tau_eff) for m in models])
+               if "envelope" in quantities else None)
+        return TraceData(taus=taus, coherence=coh, envelope=env, models=models)
     ch, pols = _conditional(cfg, field_value)
     _require_phase(_spectral_radius(ch), float(taus.max()), delta, cells)
     row = floquet_row(ch, taus, n_p, quantities, pulse_duration=delta)
@@ -278,12 +288,12 @@ def _overlay_rows(cfg: ScanConfig, field_values: np.ndarray, traces: list[TraceD
         header = ["omega_x_hz", "tau_plus_s", "tau_minus_s"]
         rows = []
         for f, trace in zip(field_values, traces):
-            tau_plus, tau_minus = diamond_boundaries(trace.model)
+            tau_plus, tau_minus = diamond_boundaries(trace.models[0])
             rows.append((float(f), tau_plus, tau_minus if tau_minus is not None else math.inf))
         return header, rows
     if kind == "donor_pair" and cfg.field_axis.name == "b0_tesla":
         header = ["b0_tesla", "tau_avg_s"]
-        rows = [(float(f), avg_hamiltonian_dip(trace.model))
+        rows = [(float(f), avg_hamiltonian_dip(trace.models[0]))
                 for f, trace in zip(field_values, traces)]
         return header, rows
     if kind == "cluster3" and cfg.donor is not None and cfg.field_axis.name == "b0_tesla":
@@ -373,21 +383,24 @@ def run_dips(cfg: ScanConfig, outdir: Path) -> list[Path]:
     axis stop (skipping zero-contrast true crossings) plus the averaged-
     Hamiltonian estimate; 3-clusters report the secular doublet estimates,
     with the harmonic column carrying the quasienergy pair as a two-digit
-    code (12, 13, 23).  A two-state phase max(w_u, w_d) n_p 4 (tau_stop +
-    pulse duration) above MAX_PHASE_RAD raises ValidationError: the dip
-    depth needs the phase of all n_p cells.  A root search grid above
+    code (12, 13, 23).  Dips sit at cell intervals s = tau + delta (delta
+    the pulse duration, as in ``compute_trace``) and are reported at
+    tau = s - delta > 0.  A two-state phase max(w_u, w_d) n_p 4 (tau_stop +
+    delta) above MAX_PHASE_RAD raises ValidationError: the dip depth needs
+    the phase of all n_p cells.  A root search grid above
     ``pseudospin.MAX_DIP_GRID`` points raises CapacityError.
     """
     outdir.mkdir(parents=True, exist_ok=True)
     if cfg.field_axis is not None:
         raise ConfigError("dips takes a single tau axis; drop the field axis")
     n_p = cfg.sequence.n_p
+    pulse = cfg.sequence.pulse_duration
+    s_stop = cfg.tau_axis.stop + pulse
     rows = []
-    model = _two_state_model(cfg, None)
-    if model is not None:
-        _require_phase(max(model.omega_u, model.omega_d), cfg.tau_axis.stop,
-                       cfg.sequence.pulse_duration, n_p)
-        for rec in dip_positions(model, cfg.tau_axis.stop, n_p=n_p):
+    if cfg.system_kind in ("pseudospin", "nv", "donor_pair"):
+        model, = _two_state_models(cfg, None)
+        _require_phase(max(model.omega_u, model.omega_d), cfg.tau_axis.stop, pulse, n_p)
+        for rec in dip_positions(model, s_stop, n_p=n_p):
             if rec.delta < MIN_REPORTED_DELTA:
                 continue
             rows.append((rec.tau_dip, "floquet_condition", rec.delta, rec.depth,
@@ -396,7 +409,7 @@ def run_dips(cfg: ScanConfig, outdir: Path) -> list[Path]:
             tau_bar = avg_hamiltonian_dip(model)
         except ValidationError:
             tau_bar = None
-        if tau_bar is not None and tau_bar <= cfg.tau_axis.stop:
+        if tau_bar is not None and tau_bar <= s_stop:
             e_tau = float(floquet_phase(model, tau_bar))
             delta = abs(math.pi - e_tau)
             depth = 1.0 - 2.0 * math.sin(n_p * delta) ** 2
@@ -404,12 +417,13 @@ def run_dips(cfg: ScanConfig, outdir: Path) -> list[Path]:
     elif cfg.system_kind == "cluster3":
         p_u, p_d = _cluster_polarizations(cfg, None)
         for rec in doublet_dip_estimates(cfg.system, p_u, p_d):
-            if rec.tau <= cfg.tau_axis.stop:
+            if rec.tau <= s_stop:
                 rows.append((rec.tau, "secular_estimate", math.nan, math.nan,
                              rec.pair[0] * 10 + rec.pair[1]))
     else:
         raise ConfigError(f"system '{cfg.system_kind}' has no analytic or secular "
                           f"dip estimates")
+    rows = [(s - pulse, *rest) for s, *rest in rows if s - pulse > 0]
     rows.sort(key=lambda r: r[0])
     out = outdir / "dips.csv"
     write_csv(out, ["tau_dip_s", "method", "delta_rad", "depth", "harmonic"], rows)

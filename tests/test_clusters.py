@@ -16,13 +16,14 @@ from floqsens import (
     doublet_dip_estimates,
     envelope_general,
     floquet_pair,
-    independent_pairs_coherence,
     joint_full_model,
     secular_quasienergies,
     si_bi,
     thermal_coherence_numeric,
     unit_cell,
 )
+from floqsens.config import parse_config
+from floqsens.scans import compute_trace
 from floqsens.sensors import donor_pair_polarizations
 
 
@@ -31,6 +32,17 @@ def paper_like_cluster():
                        c=np.array([[0.0, 1.05e3, 2.2e3],
                                    [1.05e3, 0.0, 1.05e3],
                                    [2.2e3, 1.05e3, 0.0]]))
+
+
+def pairs_trace(ps, p_u, p_d, taus, n_p):
+    """The coherence trace of ``ps`` from compute_trace on the grid linspace(*taus)."""
+    cfg = parse_config({
+        "system": {"kind": "independent_pairs", "p_u": p_u, "p_d": p_d,
+                   "pairs": [{"delta_a_rad_s": t.delta_a, "c12_rad_s": t.c12}
+                             for t in ps.pairs]},
+        "sequence": {"n_p": n_p},
+        "axes": {"tau_s": dict(zip(("start", "stop", "count"), taus))}})
+    return compute_trace(cfg, None, ("coherence",))
 
 
 def total_iz(n):
@@ -208,10 +220,10 @@ class TestThermalCoherence:
         ch = conditional_cluster_hamiltonians(cl, p_u, p_d)
         ps = PairSet.from_cluster(cl)
         first = min(r.tau for r in doublet_dip_estimates(cl, p_u, p_d))
-        for tau in np.linspace(5e-6, 0.9 * first, 18):
+        product = pairs_trace(ps, p_u, p_d, (5e-6, 0.9 * first, 18), 20)
+        for tau, coh in zip(product.taus, product.coherence):
             seq = PulseSequence(tau=float(tau), n_p=20)
-            assert thermal_coherence_numeric(ch, seq) == pytest.approx(
-                independent_pairs_coherence(ps, p_u, p_d, seq), abs=5e-3)
+            assert thermal_coherence_numeric(ch, seq) == pytest.approx(coh, abs=5e-3)
 
 
 class TestSecularEstimates:
@@ -289,23 +301,22 @@ class TestIndependentPairs:
             delta_a=1.6e5, c12=2.4e3),))
         p_u, p_d = 0.5, -0.2
         model = ps.two_state_models(p_u, p_d)[0]
-        seq = PulseSequence(tau=2.7e-5, n_p=16)
-        assert independent_pairs_coherence(ps, p_u, p_d, seq) == pytest.approx(
+        assert pairs_trace(ps, p_u, p_d, (2.7e-5, 5e-5, 2), 16).coherence[0] == pytest.approx(
             float(coherence_analytic(model, 2.7e-5, 16)), abs=1e-12)
 
     def test_silent_pair_is_unit_factor(self):
         from floqsens import PairTarget
         base = (PairTarget(delta_a=1.6e5, c12=2.4e3),)
         with_silent = base + (PairTarget(delta_a=0.0, c12=1e3),)
-        seq = PulseSequence(tau=1.9e-5, n_p=12)
-        assert independent_pairs_coherence(PairSet(base), 0.4, -0.1, seq) == \
-            independent_pairs_coherence(PairSet(with_silent), 0.4, -0.1, seq)
+        grid = (1.9e-5, 5e-5, 2)
+        assert pairs_trace(PairSet(base), 0.4, -0.1, grid, 12).coherence[0] == \
+            pairs_trace(PairSet(with_silent), 0.4, -0.1, grid, 12).coherence[0]
 
     def test_product_equals_joint_tensor_model(self):
         ps = PairSet.from_cluster(paper_like_cluster())
         p_u, p_d = 0.45, -0.3
         seq = PulseSequence(tau=3.1e-5, n_p=20)
-        product = independent_pairs_coherence(ps, p_u, p_d, seq)
+        product = pairs_trace(ps, p_u, p_d, (3.1e-5, 5e-5, 2), 20).coherence[0]
         joint = thermal_coherence_numeric(ps.conditional(p_u, p_d), seq)
         assert product == pytest.approx(joint, abs=1e-9)
 

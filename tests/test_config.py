@@ -128,6 +128,12 @@ class TestValidation:
         }
         with pytest.raises(ConfigError, match="donor"):
             parse_config(raw)
+        # independent_pairs shares the sensor block and its message
+        raw["system"] = {"kind": "independent_pairs", "p_u": 0.5,
+                         "pairs": [{"delta_a_rad_s": 1e5, "c12_rad_s": 1e3}]}
+        with pytest.raises(ConfigError, match=r"^system \(independent_pairs\) needs either "
+                           r"a donor \(field-dependent polarizations\) or fixed p_u/p_d$"):
+            parse_config(raw)
 
     def test_unknown_donor_preset(self):
         raw = {

@@ -187,9 +187,24 @@ def cluster3_doc(**system):
     }
 
 
-@pytest.mark.parametrize("quantity", ["coherence", "envelope"])
-def test_cluster3_map_row_equals_trace(tmp_path, quantity):
+def pairs_doc(**system):
+    """The pair decomposition of the cluster3_doc cluster."""
     doc = cluster3_doc()
+    doc["system"] = {"kind": "independent_pairs", "donor": "si_bi",
+                     "pairs": [{"delta_a_rad_s": da, "c12_rad_s": c}
+                               for da, c in ((180e3, 1.05e3), (-100e3, 1.05e3),
+                                             (-80e3, 2.2e3))],
+                     **system}
+    return doc
+
+
+@pytest.mark.parametrize("make_doc, quantity", [
+    pytest.param(cluster3_doc, "coherence", id="coherence"),
+    pytest.param(cluster3_doc, "envelope", id="envelope"),
+    pytest.param(pairs_doc, "coherence", id="pairs-coherence"),
+    pytest.param(pairs_doc, "envelope", id="pairs-envelope")])
+def test_cluster3_map_row_equals_trace(tmp_path, make_doc, quantity):
+    doc = make_doc()
     doc["axes"]["b0_tesla"] = {"start": 0.10, "stop": 0.26, "count": 5}
     doc["output"] = {"quantity": quantity}
     run_map(parse_config(doc), tmp_path / "m")
@@ -198,7 +213,7 @@ def test_cluster3_map_row_equals_trace(tmp_path, quantity):
     pick = rows[2 * 30][0]
     map_col = [(r[1], r[2]) for r in rows if r[0] == pick]
 
-    run_trace(parse_config(cluster3_doc(b0_tesla=float(pick))), tmp_path / "t")
+    run_trace(parse_config(make_doc(b0_tesla=float(pick))), tmp_path / "t")
     lines = (tmp_path / "t" / "trace.csv").read_text().splitlines()
     column = lines[0].split(",").index(quantity)
     assert [(r.split(",")[0], r.split(",")[column]) for r in lines[1:]] == map_col

@@ -1,14 +1,18 @@
 import errno
+import itertools
 import json
+import math
 import pathlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from floqsens import PulseSequence, ValidationError, thermal_coherence_numeric
+from floqsens import CapacityError, PairSet, PulseSequence, ValidationError, \
+    coherence_analytic, floquet_phase, thermal_coherence_numeric
 from floqsens.config import parse_config
+from floqsens.engine import floquet_row
 from floqsens.scans import compute_trace, run_dips, run_map, run_spectrum, run_trace, \
     write_csv, write_pgm
 
@@ -83,7 +87,10 @@ class TestRequestedQuantities:
         {"kind": "pseudospin", "h_u": {"x_rad_s": 1.4e4, "z_rad_s": 4.2e4},
          "h_d": {"x_rad_s": 1.4e4, "z_rad_s": -2.2e4}},
         {"kind": "donor_pair", "donor": "si_bi", "b0_tesla": 0.15,
-         "pair": {"delta_a_rad_s": 180e3, "c12_rad_s": 1.8e3}}])
+         "pair": {"delta_a_rad_s": 180e3, "c12_rad_s": 1.8e3}},
+        {"kind": "independent_pairs", "donor": "si_bi", "b0_tesla": 0.15,
+         "pairs": [{"delta_a_rad_s": 180e3, "c12_rad_s": 1.05e3},
+                   {"delta_a_rad_s": -100e3, "c12_rad_s": 2.2e3}]}])
     def test_two_state_computes_only_what_is_asked(self, system):
         cfg = pseudospin_cfg(system=system, sequence={"n_p": 20, "pulse_duration_s": 1e-7})
         both = compute_trace(cfg)
@@ -92,7 +99,99 @@ class TestRequestedQuantities:
             one = compute_trace(cfg, None, (quantity,))
             assert getattr(one, other) is None
             assert getattr(one, quantity).tobytes() == getattr(both, quantity).tobytes()
-            assert one.model == both.model == compute_trace(cfg, None, ()).model
+            assert one.models == both.models == compute_trace(cfg, None, ()).models
+
+
+@st.composite
+def pair_sets_across_a_crossing(draw):
+    """(pair docs, p_u, p_d, tau axis, index of the crossing pair).
+
+    One pair has w_u = m_u scale and w_d = m_d scale with m_u + m_d odd,
+    a true crossing E(s0) = pi at s0 = pi / (2 scale) (the construction of
+    the analytic-vs-numeric test in test_pseudospin).  The tau axis runs
+    from a relative offset of 1e-5..4e-5 next to s0, inside ANALYTIC_GUARD
+    (pi - E <= 2 (w_u + w_d) s0 4e-5 <= 1.4e-3), to 5-30 % away from it,
+    outside.  Closer to s0 the joint eigenvectors of the near-degenerate
+    levels lose more than 1e-9 to rounding.
+    """
+    m_small = draw(st.integers(1, 4))
+    m_big = m_small + draw(st.sampled_from([1, 3]))
+    p_big = draw(st.floats(0.1, 1.0)) * draw(st.sampled_from([-1, 1]))
+    # |p_small / p_big| < m_small / m_big keeps c12^2 below positive
+    p_small = (p_big * draw(st.floats(0.05, 0.95)) * m_small / m_big
+               * draw(st.sampled_from([-1, 1])))
+    scale = draw(st.floats(0.3, 3.0))
+    # w_i = |(c12, delta_a p_i)| / 4 = m_i scale
+    span = p_big ** 2 - p_small ** 2
+    delta_a = 4 * scale * math.sqrt((m_big ** 2 - m_small ** 2) / span)
+    c12 = 4 * scale * math.sqrt((m_small ** 2 * p_big ** 2 - m_big ** 2 * p_small ** 2) / span)
+    p_u, p_d = (p_small, p_big) if draw(st.booleans()) else (p_big, p_small)
+    crossing = {"delta_a_rad_s": delta_a * draw(st.sampled_from([-1, 1])),
+                "c12_rad_s": c12 * draw(st.sampled_from([-1, 1]))}
+    others = draw(st.lists(st.fixed_dictionaries({
+        "delta_a_rad_s": st.floats(-6.0, 6.0).map(lambda v: v * scale),
+        "c12_rad_s": st.floats(0.2, 3.0).map(lambda v: v * scale)}), max_size=3))
+    index = draw(st.integers(0, len(others)))
+    pairs = others[:index] + [crossing] + others[index:]
+    s0 = math.pi / (2.0 * scale)
+    side = draw(st.sampled_from([-1, 1]))
+    near = s0 * (1.0 + side * draw(st.floats(1e-5, 4e-5)))
+    far = s0 * (1.0 - side * draw(st.floats(0.05, 0.3)))
+    axis = {"start": min(near, far), "stop": max(near, far), "count": draw(st.integers(2, 12))}
+    return pairs, p_u, p_d, axis, index
+
+
+def joint_spectrum_is_simple(models, taus, crossing, tol=1e-3):
+    """Whether no signed sum sum_k m_k E_k, m_k in {-1, 0, 1}, is within tol of
+    a multiple of pi, except those of the crossing pair alone.
+
+    The joint cell eigenphases are the sums +-E_1 +- E_2 ...; such a sum
+    makes two of them coincide, and the joint envelope floor of a
+    degenerate spectrum depends on the eigenbasis the engine picks.
+    """
+    phases = np.array([floquet_phase(m, taus) for m in models])
+    for signs in itertools.product((-1, 0, 1), repeat=len(models)):
+        if not any(m for k, m in enumerate(signs) if k != crossing):
+            continue
+        total = np.asarray(signs) @ phases
+        if (np.abs(np.remainder(total + math.pi / 2, math.pi) - math.pi / 2) < tol).any():
+            return False
+    return True
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=pair_sets_across_a_crossing(), n_p=st.integers(1, 60))
+def test_pair_product_matches_joint_kernel(case, n_p):
+    pairs, p_u, p_d, axis, index = case
+    cfg = parse_config({
+        "system": {"kind": "independent_pairs", "pairs": pairs, "p_u": p_u, "p_d": p_d},
+        "sequence": {"n_p": n_p}, "axes": {"tau_s": axis}})
+    data = compute_trace(cfg)
+    assume(joint_spectrum_is_simple(data.models, data.taus, index))
+    _, flags = coherence_analytic(data.models[index], data.taus, n_p, return_flag=True)
+    assert flags.any() and not flags.all()
+    joint = floquet_row(cfg.system.conditional(p_u, p_d), data.taus, n_p)
+    assert np.abs(data.coherence - joint["coherence"]).max() <= 1e-9
+    assert np.abs(data.envelope - joint["envelope"]).max() <= 1e-9
+
+
+def test_pair_traces_and_maps_never_build_the_joint_space(tmp_path, monkeypatch):
+    def no_joint_space(self, p_u, p_d):
+        raise CapacityError("joint pair space built")
+
+    monkeypatch.setattr(PairSet, "conditional", no_joint_space)
+    doc = {"system": {"kind": "independent_pairs", "donor": "si_bi", "b0_tesla": 0.15,
+                      "pairs": [{"delta_a_rad_s": 180e3, "c12_rad_s": 1.05e3},
+                                {"delta_a_rad_s": -100e3, "c12_rad_s": 2.2e3}]},
+           "axes": {"tau_s": {"start": 2e-5, "stop": 3.2e-4, "count": 20}}}
+    run_trace(parse_config(doc), tmp_path / "t")
+    with pytest.raises(CapacityError, match="joint pair space built"):
+        run_spectrum(parse_config(doc), tmp_path / "s")
+    del doc["system"]["b0_tesla"]
+    doc["axes"]["b0_tesla"] = {"start": 0.10, "stop": 0.26, "count": 3}
+    for quantity in ("coherence", "envelope"):
+        doc["output"] = {"quantity": quantity}
+        run_map(parse_config(doc), tmp_path / quantity)
 
 
 class TestPhaseLimit:
@@ -106,21 +205,29 @@ class TestPhaseLimit:
     def test_limit_is_two_w_max_times_longest_interval(self):
         # max(w_u, w_d) 4 cells (tau_stop + delta) = 2 |h_u| cells (tau_stop + delta),
         # with n_p = 7 cells when coherence is computed and one cell otherwise.
+        # Independent pairs have w = |(c12, delta_a P)| / 4 each and the joint
+        # spectral radius max(sum_k w_u,k, sum_k w_d,k): here 0.3 + 0.7 of the
+        # limit, which neither pair reaches alone.
         tau_stop, delta = 2.4e-4, 1e-7
         for quantities, cells in ((("envelope",), 1), (("coherence",), 7),
                                   (("coherence", "envelope"), 7)):
             for scale, ok in ((0.999, True), (1.001, False)):
                 h_x = scale * 1e12 / (2 * cells * (tau_stop + delta))
-                cfg = pseudospin_cfg(
-                    system={"kind": "pseudospin", "h_u": {"x_rad_s": h_x, "z_rad_s": 0.0},
-                            "h_d": {"x_rad_s": 1.0, "z_rad_s": 0.0}},
-                    sequence={"n_p": 7, "pulse_duration_s": delta},
-                    axes={"tau_s": {"start": 1e-6, "stop": tau_stop, "count": 3}})
-                if ok:
-                    compute_trace(cfg, None, quantities)
-                else:
-                    with pytest.raises(ValidationError, match="accumulated phase"):
+                pairs = [{"delta_a_rad_s": 2 * share * h_x, "c12_rad_s": 1.0}
+                         for share in (0.3, 0.7)]
+                for system in ({"kind": "pseudospin",
+                                "h_u": {"x_rad_s": h_x, "z_rad_s": 0.0},
+                                "h_d": {"x_rad_s": 1.0, "z_rad_s": 0.0}},
+                               {"kind": "independent_pairs", "pairs": pairs,
+                                "p_u": 1.0, "p_d": 0.0}):
+                    cfg = pseudospin_cfg(
+                        system=system, sequence={"n_p": 7, "pulse_duration_s": delta},
+                        axes={"tau_s": {"start": 1e-6, "stop": tau_stop, "count": 3}})
+                    if ok:
                         compute_trace(cfg, None, quantities)
+                    else:
+                        with pytest.raises(ValidationError, match="accumulated phase"):
+                            compute_trace(cfg, None, quantities)
 
     def test_dense_limit_uses_spectral_radius_and_cell_length(self, tmp_path):
         # Cell length 4 (tau + delta); H_u = (p_u / 2) A_1 Iz_1 has spectral radius A_1 / 4.
@@ -395,6 +502,18 @@ class TestDips:
         assert rows and all(r[1] == "secular_estimate" for r in rows)
         taus = [float(r[0]) for r in rows]
         assert taus == sorted(taus)
+
+    def test_finite_pulse_dip_is_at_the_trace_minimum(self, tmp_path):
+        # The trace evaluates the interval tau + delta; the report gives tau.
+        cfg = pseudospin_cfg(sequence={"n_p": 10, "pulse_duration_s": 5e-6},
+                             axes={"tau_s": {"start": 1e-6, "stop": 2.4e-4, "count": 2000}})
+        data = compute_trace(cfg)
+        tau_min = data.taus[int(np.argmin(data.envelope))]
+        run_dips(cfg, tmp_path)
+        _, rows = read_csv(tmp_path / "dips.csv")
+        dips = [float(r[0]) for r in rows if r[1] == "floquet_condition"]
+        step = data.taus[1] - data.taus[0]
+        assert min(abs(tau - tau_min) for tau in dips) <= step
 
     def test_flat_system_empty_report(self, tmp_path):
         raw = {
