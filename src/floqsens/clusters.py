@@ -20,6 +20,11 @@ first doublet lands at tau = 2 pi / |Delta_12 (P_u + P_d) +- 2 (C31 - C23)|.
 
 Independent pairs are two-state targets (``PairSet.two_state_models``);
 their joint 2^k space (``PairSet.conditional``) serves only spectra.
+
+Every 2^n space is built from the bit patterns of its basis indices, site
+0 the most significant bit (kron order): Iz_k is diagonal with the sign of
+bit k, and a flip-flop or sigma_x term is one entry per basis state, at the
+index with the flipped bits.  No kron product is formed.
 """
 
 from __future__ import annotations
@@ -32,9 +37,10 @@ import numpy as np
 
 from .engine import ConditionalHamiltonians, PulseSequence, unit_cell, unitary_power
 from .errors import CapacityError, ValidationError
-from .linalg import MAX_DIM, kron
+from .linalg import MAX_DIM
 from .pseudospin import TwoStateModel
-from .sensors import DonorModel, PairTarget, donor_eigensystem, donor_electron_sz
+from .sensors import (DonorModel, PairTarget, _polarization, donor_eigensystem,
+                      donor_electron_sz)
 
 MAX_BATH_SPINS = 6
 
@@ -70,49 +76,41 @@ class SpinCluster:
         return float(self.a[j] - self.a[k])
 
 
-def _site_operator(op: np.ndarray, site: int, n: int) -> np.ndarray:
-    m = np.eye(1, dtype=complex)
-    for j in range(n):
-        m = np.kron(m, op if j == site else np.eye(2, dtype=complex))
-    return m
+def _basis(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Basis indices of n spin-1/2 and their (n, 2^n) sigma_z values, site 0 the
+    most significant bit (the order of a kron chain over sites 0..n-1)."""
+    idx = np.arange(2 ** n)
+    shifts = np.arange(n - 1, -1, -1)[:, None]
+    return idx, 1.0 - 2.0 * ((idx >> shifts) & 1)
 
 
-def _bath_operators(n: int):
-    sz = np.diag([1.0 + 0j, -1.0])
-    sp = np.array([[0, 1.0 + 0j], [0, 0]])
-    iz = [0.5 * _site_operator(sz, k, n) for k in range(n)]
-    raise_ops = [_site_operator(sp, k, n) for k in range(n)]
-    return iz, raise_ops
+def _bath_operators(cluster: SpinCluster) -> tuple[np.ndarray, np.ndarray]:
+    """(sum_k A_k Iz_k, secular dipolar part) on the 2^n bath space.
 
-
-def intra_bath_hamiltonian(cluster: SpinCluster) -> np.ndarray:
-    """Secular dipolar part: Ising shifts plus flip-flop exchange."""
+    Both are diagonal in the spin basis apart from the flip-flop term, which
+    puts -C_jk / 4 at (b with bits j and k swapped, b) for every state b whose
+    bits j and k differ.  Entries are summed from +0 over sites and pairs in
+    ascending order, as a kron-chain build sums them, so they equal its bit for bit.
+    """
     n = cluster.n
-    iz, rp = _bath_operators(n)
-    h = np.zeros((2 ** n, 2 ** n), dtype=complex)
-    for j, k in combinations(range(n), 2):
-        flip = rp[j] @ rp[k].conj().T
-        h += cluster.c[j, k] * (iz[j] @ iz[k] - 0.25 * (flip + flip.conj().T))
-    return h
-
-
-def hyperfine_bath_operator(cluster: SpinCluster) -> np.ndarray:
-    """sum_k A_k Iz_k on the bath space."""
-    n = cluster.n
-    iz, _ = _bath_operators(n)
-    h = np.zeros((2 ** n, 2 ** n), dtype=complex)
+    if n > MAX_BATH_SPINS:
+        raise CapacityError(f"bath of {n} spins exceeds maximum {MAX_BATH_SPINS}")
+    idx, sz = _basis(n)
+    hyperfine = np.zeros(idx.size)
     for k in range(n):
-        h += cluster.a[k] * iz[k]
-    return h
+        hyperfine += cluster.a[k] * (0.5 * sz[k])
+    dipolar = np.zeros((idx.size, idx.size))
+    for j, k in combinations(range(n), 2):
+        dipolar[idx, idx] += cluster.c[j, k] * (0.25 * sz[j] * sz[k])
+        b = idx[sz[j] != sz[k]]
+        dipolar[b ^ (1 << (n - 1 - j)) ^ (1 << (n - 1 - k)), b] -= 0.25 * cluster.c[j, k]
+    return np.diag(hyperfine).astype(complex), dipolar.astype(complex)
 
 
 def conditional_cluster_hamiltonians(cluster: SpinCluster, p_u: float,
                                      p_d: float) -> ConditionalHamiltonians:
     """State-conditional bath Hamiltonians for the given sensor polarizations."""
-    if cluster.n > MAX_BATH_SPINS:
-        raise CapacityError(f"bath of {cluster.n} spins exceeds maximum {MAX_BATH_SPINS}")
-    h_a = hyperfine_bath_operator(cluster)
-    h_c = intra_bath_hamiltonian(cluster)
+    h_a, h_c = _bath_operators(cluster)
     return ConditionalHamiltonians(h_u=0.5 * p_u * h_a + h_c,
                                    h_d=0.5 * p_d * h_a + h_c)
 
@@ -139,20 +137,22 @@ class PairSet:
         return [t.two_state(p_u, p_d) for t in self.pairs]
 
     def conditional(self, p_u: float, p_d: float) -> ConditionalHamiltonians:
-        """Joint tensor-product conditional Hamiltonians of all pairs."""
-        dim = 2 ** len(self.pairs)
+        """Joint tensor-product conditional Hamiltonians of all pairs, pair 0
+        the most significant bit: sum_k (x_k sigma_x,k + z_k sigma_z,k) / 2."""
+        k = len(self.pairs)
+        dim = 2 ** k
         if dim > MAX_DIM:
             raise CapacityError(f"joint pair space of dim {dim} exceeds {MAX_DIM}")
-        h_u = np.zeros((dim, dim), dtype=complex)
-        h_d = np.zeros((dim, dim), dtype=complex)
+        idx, sz = _basis(k)
         models = self.two_state_models(p_u, p_d)
-        for idx, model in enumerate(models):
-            mu, md = model.hamiltonians()
-            left = np.eye(2 ** idx, dtype=complex)
-            right = np.eye(2 ** (len(self.pairs) - idx - 1), dtype=complex)
-            h_u += kron(kron(left, mu), right)
-            h_d += kron(kron(left, md), right)
-        return ConditionalHamiltonians(h_u=h_u, h_d=h_d)
+        out = []
+        for fields in ([m.h_u for m in models], [m.h_d for m in models]):
+            h = np.zeros((dim, dim))
+            for site, f in enumerate(fields):
+                h[idx, idx] += (0.5 * f.z) * sz[site]
+                h[idx ^ (1 << (k - 1 - site)), idx] += 0.5 * f.x
+            out.append(h.astype(complex))
+        return ConditionalHamiltonians(h_u=out[0], h_d=out[1])
 
 
 def basis_state_coherences(ch: ConditionalHamiltonians, seq: PulseSequence) -> np.ndarray:
@@ -228,19 +228,16 @@ def joint_full_model(donor: DonorModel, cluster: SpinCluster,
     transition, H_i = <i|H_total|i>, so the polarizations emerge from the
     diagonalization instead of being imposed.
     """
-    bath_dim = 2 ** cluster.n
+    h_a, h_c = _bath_operators(cluster)
+    bath_dim = h_a.shape[0]
     joint_dim = donor.dim * bath_dim
-    if cluster.n > MAX_BATH_SPINS or joint_dim > MAX_DIM:
+    if joint_dim > MAX_DIM:
         raise CapacityError(f"joint dimension {joint_dim} exceeds capacity")
     energies, states = donor_eigensystem(donor, b0)
     sz = donor_electron_sz(donor)
-    h_a = hyperfine_bath_operator(cluster)
-    h_c = intra_bath_hamiltonian(cluster)
     eye_bath = np.eye(bath_dim, dtype=complex)
     out = []
     for level in (donor.level_u, donor.level_d):
-        psi = states[:, level - 1]
-        energy = float(energies[level - 1])
-        sz_exp = float(np.real(np.vdot(psi, sz @ psi)))
-        out.append(energy * eye_bath + sz_exp * h_a + h_c)
+        sz_exp = 0.5 * _polarization(states[:, level - 1], sz)
+        out.append(float(energies[level - 1]) * eye_bath + sz_exp * h_a + h_c)
     return ConditionalHamiltonians(h_u=out[0], h_d=out[1])

@@ -30,7 +30,7 @@ SYSTEM_KINDS = ("pseudospin", "nv", "donor_pair", "cluster3",
 FIELD_AXES = {"b0_tesla", "omega_x_hz", "row_index"}
 FORMATS = ("csv", "pgm", "both")
 # Largest tau count times field count of one run.  A 1000 x 1000 NV map
-# (10^6 points) takes 1.8 s and 382 MB peak RSS on a 2-core Xeon with
+# (10^6 points) takes 1.8-2.6 s and 142 MB peak RSS on a 2-core Xeon with
 # single-threaded BLAS, and the largest shipped map has 24 200 points.
 # Memory grows linearly past that: 10^12 tau points would need 8 TB for
 # the axis alone.
@@ -334,7 +334,8 @@ def parse_config(cfg: dict) -> ScanConfig:
     needs_field = kind in ("donor_pair", "joint_full") or (
         kind in ("cluster3", "independent_pairs") and donor is not None
         and polarizations is None)
-    if needs_field and fixed_field is None and field_axis is None:
+    field_swept = field_axis is not None and field_axis.name == "b0_tesla"
+    if needs_field and fixed_field is None and not field_swept:
         raise ConfigError(f"system '{kind}' needs 'b0_tesla' fixed in the system "
                           f"block or a b0_tesla field axis")
 

@@ -107,8 +107,6 @@ def _field_b0(cfg: ScanConfig, field_value: float | None) -> float:
         if field_value is None:
             raise ConfigError("field sweep needs a value")
         return float(field_value)
-    if cfg.fixed_field is None:
-        raise ConfigError(f"system '{cfg.system_kind}' needs b0_tesla")
     return cfg.fixed_field
 
 
@@ -194,15 +192,16 @@ def _check_range(values: np.ndarray, what: str):
         raise NumericalConsistencyError(f"{what} left [-1, 1] by {drift:.3e}")
 
 
-def _write_atomic(path: Path, data: bytes) -> None:
-    """Write ``data`` to a temporary file beside ``path``, then rename it to ``path``.
+def _write_atomic(path: Path, chunks) -> None:
+    """Write byte ``chunks`` to a temporary file beside ``path``, then rename it to ``path``.
 
     A write that fails leaves the previous ``path``, or none, never a
     partial one, and removes the temporary file.
     """
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_bytes(data)
+        with tmp.open("wb") as f:
+            f.writelines(chunks)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
@@ -222,28 +221,30 @@ def write_csv(path: Path, header: list[str], rows, keys=None) -> None:
     block's first row.  Without ``keys`` all rows form one block.  With
     ``keys``, ``rows`` holds one block of rows per key tuple and every
     line of a block starts with the cells of its key, formatted once into
-    the block's template.
+    the block's template.  The file is streamed one block at a time.
     """
     if keys is None:
         keys, rows = [()], [rows]
-    text = [",".join(header) + "\n"]
-    for key, block in zip(keys, rows):
-        block = iter(block)
-        first = next(block, None)
-        if first is None:
-            continue
-        lead = (_template(key) % key).replace("%", "%%") + "," if key else ""
-        line = lead + _template(first) + "\n"
-        text.append(line % first)
-        text.extend(map(line.__mod__, block))
-    _write_atomic(path, "".join(text).encode("utf-8"))
+
+    def chunks():
+        yield (",".join(header) + "\n").encode("utf-8")
+        for key, block in zip(keys, rows):
+            block = iter(block)
+            first = next(block, None)
+            if first is None:
+                continue
+            lead = (_template(key) % key).replace("%", "%%") + "," if key else ""
+            line = lead + _template(first) + "\n"
+            yield (line % first + "".join(map(line.__mod__, block))).encode("utf-8")
+
+    _write_atomic(path, chunks())
 
 
 def write_pgm(path: Path, values: np.ndarray) -> None:
     """8-bit binary PGM; L in [-1, 1] maps to round(255 (L + 1) / 2)."""
     pixels = np.rint(255.0 * (np.clip(values, -1.0, 1.0) + 1.0) / 2.0).astype(np.uint8)
     header = f"P5\n{pixels.shape[1]} {pixels.shape[0]}\n255\n".encode("ascii")
-    _write_atomic(path, header + pixels.tobytes())
+    _write_atomic(path, (header, pixels.tobytes()))
 
 
 def write_manifest(path: Path, cfg: ScanConfig, command: str, files: list[str]) -> None:
@@ -254,7 +255,7 @@ def write_manifest(path: Path, cfg: ScanConfig, command: str, files: list[str]) 
         "config": cfg.resolved,
         "files": files,
     }
-    _write_atomic(path, (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8"))
+    _write_atomic(path, [(json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")])
 
 
 def _field_column(cfg: ScanConfig) -> str:

@@ -1,5 +1,9 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from floqsens import (
     CapacityError,
@@ -24,7 +28,8 @@ from floqsens import (
 )
 from floqsens.config import parse_config
 from floqsens.scans import compute_trace
-from floqsens.sensors import donor_pair_polarizations
+from floqsens.sensors import PairTarget, donor_eigensystem, donor_electron_sz, \
+    donor_pair_polarizations
 
 
 def paper_like_cluster():
@@ -380,3 +385,80 @@ class TestJointModel:
         cl = SpinCluster(a=np.zeros(n), c=np.zeros((n, n)))
         with pytest.raises(CapacityError):
             joint_full_model(si_bi(), cl, 0.1)
+
+
+def kron_site(op, site, n):
+    """``op`` on ``site`` of n spin-1/2 by a kron chain over sites 0..n-1."""
+    m = np.eye(1, dtype=complex)
+    for j in range(n):
+        m = np.kron(m, op if j == site else np.eye(2, dtype=complex))
+    return m
+
+
+def kron_bath_operators(cluster):
+    """Reference (sum_k A_k Iz_k, secular dipolar part) from kron-chain site operators."""
+    n = cluster.n
+    iz = [0.5 * kron_site(np.diag([1.0 + 0j, -1.0]), k, n) for k in range(n)]
+    rp = [kron_site(np.array([[0, 1.0 + 0j], [0, 0]]), k, n) for k in range(n)]
+    h_a = np.zeros((2 ** n, 2 ** n), dtype=complex)
+    for k in range(n):
+        h_a += cluster.a[k] * iz[k]
+    h_c = np.zeros((2 ** n, 2 ** n), dtype=complex)
+    for j, k in combinations(range(n), 2):
+        flip = rp[j] @ rp[k].conj().T
+        h_c += cluster.c[j, k] * (iz[j] @ iz[k] - 0.25 * (flip + flip.conj().T))
+    return h_a, h_c
+
+
+# zero (of either sign), subnormal and negative couplings included
+couplings = st.floats(-3e5, 3e5) | st.sampled_from([0.0, -0.0, 5e-324, -5e-324])
+polarization = st.floats(-1.0, 1.0)
+
+
+@st.composite
+def clusters(draw):
+    n = draw(st.integers(1, 6))
+    c = np.zeros((n, n))
+    for j, k in combinations(range(n), 2):
+        c[j, k] = c[k, j] = draw(couplings)
+    return SpinCluster(a=np.array(draw(st.lists(couplings, min_size=n, max_size=n))), c=c)
+
+
+class TestBasisBuild:
+    """The bit-pattern builders against kron chains of site operators, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(cl=clusters(), p_u=polarization, p_d=polarization, b0=st.floats(0.0, 1.0))
+    def test_cluster_spaces_match_kron_chains(self, cl, p_u, p_d, b0):
+        h_a, h_c = kron_bath_operators(cl)
+        ch = conditional_cluster_hamiltonians(cl, p_u, p_d)
+        assert ch.h_u.tobytes() == (0.5 * p_u * h_a + h_c).tobytes()
+        assert ch.h_d.tobytes() == (0.5 * p_d * h_a + h_c).tobytes()
+        d = si_bi()
+        energies, states = donor_eigensystem(d, b0)
+        sz = donor_electron_sz(d)
+        eye = np.eye(2 ** cl.n, dtype=complex)
+        ch = joint_full_model(d, cl, b0)
+        for h, level in ((ch.h_u, d.level_u), (ch.h_d, d.level_d)):
+            psi = states[:, level - 1]
+            sz_exp = float(np.real(np.vdot(psi, sz @ psi)))
+            assert h.tobytes() == (float(energies[level - 1]) * eye + sz_exp * h_a
+                                   + h_c).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(pairs=st.lists(st.tuples(couplings, couplings.filter(bool)), min_size=1, max_size=8),
+           p_u=polarization, p_d=polarization)
+    def test_pair_space_matches_kron_chains(self, pairs, p_u, p_d):
+        ps = PairSet(pairs=tuple(PairTarget(delta_a=a, c12=c) for a, c in pairs))
+        k = len(pairs)
+        ref_u = np.zeros((2 ** k, 2 ** k), dtype=complex)
+        ref_d = np.zeros((2 ** k, 2 ** k), dtype=complex)
+        for site, model in enumerate(ps.two_state_models(p_u, p_d)):
+            left = np.eye(2 ** site, dtype=complex)
+            right = np.eye(2 ** (k - site - 1), dtype=complex)
+            mu, md = model.hamiltonians()
+            ref_u += np.kron(np.kron(left, mu), right)
+            ref_d += np.kron(np.kron(left, md), right)
+        ch = ps.conditional(p_u, p_d)
+        assert ch.h_u.tobytes() == ref_u.tobytes()
+        assert ch.h_d.tobytes() == ref_d.tobytes()

@@ -105,6 +105,10 @@ class TestValidation:
         }
         with pytest.raises(ConfigError, match="b0_tesla"):
             parse_config(raw)
+        # a row_index axis sweeps no field
+        raw["axes"]["row_index"] = {"start": 0, "stop": 2, "count": 3}
+        with pytest.raises(ConfigError, match="b0_tesla"):
+            parse_config(raw)
 
     def test_bad_n_p(self):
         raw = minimal_pseudospin()

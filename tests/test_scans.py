@@ -326,16 +326,34 @@ class TestWriteCsv:
 class TestAtomicOutput:
     def test_writer_failing_partway_leaves_no_map(self, tmp_path, monkeypatch):
         written = []
-        real_write = pathlib.Path.write_bytes
+        real_open = pathlib.Path.open
 
-        def disk_full(self, data):
-            if self.name.startswith(".map.csv"):
-                real_write(self, data[:len(data) // 2])
-                written.append(self.stat().st_size)
+        class DiskFull:
+            """A file that takes the first chunk and half the second, then is full."""
+
+            def __init__(self, path, f):
+                self.path, self.f = path, f
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+            def writelines(self, chunks):
+                chunks = iter(chunks)
+                self.f.write(next(chunks))
+                data = next(chunks)
+                self.f.write(data[:len(data) // 2])
+                self.f.flush()
+                written.append(self.path.stat().st_size)
                 raise OSError(errno.ENOSPC, "No space left on device")
-            return real_write(self, data)
 
-        monkeypatch.setattr(pathlib.Path, "write_bytes", disk_full)
+        def disk_full(self, *args, **kwargs):
+            f = real_open(self, *args, **kwargs)
+            return DiskFull(self, f) if self.name.startswith(".map.csv") else f
+
+        monkeypatch.setattr(pathlib.Path, "open", disk_full)
         cfg = parse_config({
             "system": {"kind": "nv", "omega_z_hz": 0.0, "a_par_hz": 50e3},
             "axes": {"tau_s": {"start": 5e-7, "stop": 3.0e-5, "count": 40},
