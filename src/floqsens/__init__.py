@@ -23,7 +23,7 @@ from .errors import (
     SymmetryViolationError,
     ValidationError,
 )
-from .linalg import EigenSystem, eig_unitary, expm_hermitian, kron, spin_operators
+from .linalg import EigenSystem, eig_unitary, expm_hermitian, spin_operators
 from .pseudospin import (
     DipRecord,
     PseudoField,

@@ -60,6 +60,18 @@ def _number(obj: dict, key: str, where: str, default=None):
     return float(val)
 
 
+def _integer(obj: dict, key: str, where: str, default=None) -> int:
+    """A JSON integer; a bool, a float such as 12.7 or 12.0 and a string are rejected."""
+    if key not in obj:
+        if default is None:
+            raise ConfigError(f"missing '{key}' in {where}")
+        return default
+    val = obj[key]
+    if isinstance(val, bool) or not isinstance(val, int):
+        raise ConfigError(f"'{key}' in {where} must be an integer, got {val!r}")
+    return val
+
+
 def _angular(obj: dict, stem: str, where: str, default=None) -> float:
     """Read '<stem>_hz' (times 2 pi) or '<stem>_rad_s' (as is)."""
     hz_key, rad_key = f"{stem}_hz", f"{stem}_rad_s"
@@ -150,8 +162,8 @@ def _parse_donor(obj, where: str) -> DonorModel:
     if obj.get("preset") == "si_bi":
         allowed = {"preset", "level_u", "level_d"}
         _require_keys(obj, allowed, {"preset"}, where)
-        return si_bi(level_u=int(_number(obj, "level_u", where, 12)),
-                     level_d=int(_number(obj, "level_d", where, 9)))
+        return si_bi(level_u=_integer(obj, "level_u", where, 12),
+                     level_d=_integer(obj, "level_d", where, 9))
     allowed = {"hyperfine_a_hz", "hyperfine_a_rad_s", "nuclear_spin",
                "gamma_e_hz_per_tesla", "gamma_e_rad_s_per_tesla",
                "delta_gamma", "level_u", "level_d"}
@@ -166,8 +178,8 @@ def _parse_donor(obj, where: str) -> DonorModel:
                       nuclear_spin=_number(obj, "nuclear_spin", where),
                       gamma_e=gamma,
                       delta_gamma=_number(obj, "delta_gamma", where),
-                      level_u=int(_number(obj, "level_u", where)),
-                      level_d=int(_number(obj, "level_d", where)))
+                      level_u=_integer(obj, "level_u", where),
+                      level_d=_integer(obj, "level_d", where))
 
 
 def _parse_pair(obj: dict, where: str) -> PairTarget:
@@ -194,27 +206,48 @@ def _parse_cluster(obj: dict, where: str) -> SpinCluster:
     return SpinCluster(a=a, c=c)
 
 
-def _parse_sensor(sys_obj: dict, where: str) -> tuple[DonorModel | None, float | None,
-                                                     tuple[float, float] | None]:
-    """(donor, fixed b0_tesla, (p_u, p_d)) of a bath system's sensor; a donor wins."""
+def _parse_sensor(sys_obj: dict, where: str, field_swept: bool
+                  ) -> tuple[DonorModel | None, float | None, tuple[float, float] | None]:
+    """(donor, fixed b0_tesla, (p_u, p_d)) of a bath system's sensor.
+
+    Exactly one source sets the polarizations: a donor at a field that is
+    fixed ('b0_tesla') or swept (a b0_tesla axis), or fixed p_u/p_d, which
+    take no field.
+    """
+    fixed_field = _number(sys_obj, "b0_tesla", where) if "b0_tesla" in sys_obj else None
     if "donor" in sys_obj:
+        if "p_u" in sys_obj or "p_d" in sys_obj:
+            raise ConfigError(f"{where} takes a donor or fixed p_u/p_d, not both")
         donor = _parse_donor(sys_obj["donor"], where + ".donor")
-        fixed_field = _number(sys_obj, "b0_tesla", where) if "b0_tesla" in sys_obj else None
+        if fixed_field is None and not field_swept:
+            raise ConfigError(f"{where} needs 'b0_tesla' fixed in the system "
+                              f"block or a b0_tesla field axis")
         return donor, fixed_field, None
     if "p_u" in sys_obj and "p_d" in sys_obj:
+        if fixed_field is not None or field_swept:
+            raise ConfigError(f"{where} with fixed p_u/p_d takes no b0_tesla: "
+                              f"a field acts only through a donor")
         return None, None, (_number(sys_obj, "p_u", where), _number(sys_obj, "p_d", where))
     raise ConfigError(f"{where} needs either a donor (field-dependent "
                       f"polarizations) or fixed p_u/p_d")
 
 
-def _parse_system(cfg: dict) -> tuple[str, Any, DonorModel | None,
-                                      float | None, tuple[float, float] | None]:
+def _parse_system(cfg: dict, field_axis: AxisSpec | None
+                  ) -> tuple[str, Any, DonorModel | None, float | None,
+                             tuple[float, float] | None]:
     sys_obj = cfg.get("system")
     if not isinstance(sys_obj, dict) or "kind" not in sys_obj:
         raise ConfigError("config needs a 'system' object with a 'kind'")
     kind = sys_obj["kind"]
     if kind not in SYSTEM_KINDS:
         raise ConfigError(f"unknown system kind '{kind}'; choose from {SYSTEM_KINDS}")
+    if field_axis is not None:
+        valid = {"nv": {"omega_x_hz", "row_index"},
+                 "pseudospin": {"row_index"}}.get(kind, {"b0_tesla", "row_index"})
+        if field_axis.name not in valid:
+            raise ConfigError(f"field axis '{field_axis.name}' not valid for "
+                              f"system '{kind}' (use one of {sorted(valid)})")
+    field_swept = field_axis is not None and field_axis.name == "b0_tesla"
     where = f"system ({kind})"
     donor = None
     fixed_field = None
@@ -234,15 +267,13 @@ def _parse_system(cfg: dict) -> tuple[str, Any, DonorModel | None,
     elif kind == "donor_pair":
         _require_keys(sys_obj, {"kind", "donor", "pair", "b0_tesla"},
                       {"donor", "pair"}, where)
-        donor = _parse_donor(sys_obj["donor"], where + ".donor")
+        donor, fixed_field, polarizations = _parse_sensor(sys_obj, where, field_swept)
         system = _parse_pair(sys_obj["pair"], where + ".pair")
-        if "b0_tesla" in sys_obj:
-            fixed_field = _number(sys_obj, "b0_tesla", where)
     elif kind == "cluster3":
         allowed = {"kind", "cluster", "donor", "b0_tesla", "p_u", "p_d"}
         _require_keys(sys_obj, allowed, {"cluster"}, where)
         system = _parse_cluster(sys_obj["cluster"], where + ".cluster")
-        donor, fixed_field, polarizations = _parse_sensor(sys_obj, where)
+        donor, fixed_field, polarizations = _parse_sensor(sys_obj, where, field_swept)
     elif kind == "independent_pairs":
         allowed = {"kind", "pairs", "donor", "b0_tesla", "p_u", "p_d"}
         _require_keys(sys_obj, allowed, {"pairs"}, where)
@@ -251,18 +282,16 @@ def _parse_system(cfg: dict) -> tuple[str, Any, DonorModel | None,
             raise ConfigError(f"{where}.pairs must be a non-empty list")
         system = PairSet(pairs=tuple(
             _parse_pair(p, f"{where}.pairs[{i}]") for i, p in enumerate(pairs_obj)))
-        donor, fixed_field, polarizations = _parse_sensor(sys_obj, where)
+        donor, fixed_field, polarizations = _parse_sensor(sys_obj, where, field_swept)
     else:  # joint_full
         _require_keys(sys_obj, {"kind", "donor", "cluster", "b0_tesla"},
                       {"donor", "cluster"}, where)
-        donor = _parse_donor(sys_obj["donor"], where + ".donor")
+        donor, fixed_field, polarizations = _parse_sensor(sys_obj, where, field_swept)
         system = _parse_cluster(sys_obj["cluster"], where + ".cluster")
-        if "b0_tesla" in sys_obj:
-            fixed_field = _number(sys_obj, "b0_tesla", where)
     return kind, system, donor, fixed_field, polarizations
 
 
-def _parse_axes(cfg: dict, kind: str) -> tuple[AxisSpec, AxisSpec | None]:
+def _parse_axes(cfg: dict) -> tuple[AxisSpec, AxisSpec | None]:
     axes_obj = cfg.get("axes")
     if not isinstance(axes_obj, dict) or "tau_s" not in axes_obj:
         raise ConfigError("config needs an 'axes' object with at least 'tau_s'")
@@ -275,23 +304,15 @@ def _parse_axes(cfg: dict, kind: str) -> tuple[AxisSpec, AxisSpec | None]:
     def build(name: str, obj: dict) -> AxisSpec:
         _require_keys(obj, {"start", "stop", "count", "spacing"},
                       {"start", "stop", "count"}, f"axes.{name}")
-        count = obj["count"]
-        if isinstance(count, bool) or not isinstance(count, int):
-            raise ConfigError(f"axes.{name}.count must be an integer")
         return AxisSpec(name=name, start=_number(obj, "start", name),
-                        stop=_number(obj, "stop", name), count=count,
+                        stop=_number(obj, "stop", name),
+                        count=_integer(obj, "count", f"axes.{name}"),
                         spacing=obj.get("spacing", "linear"))
 
     tau_axis = build("tau_s", axes_obj["tau_s"])
     if tau_axis.start <= 0:
         raise ConfigError("tau_s axis must start above 0")
     field_axis = build(field_keys[0], axes_obj[field_keys[0]]) if field_keys else None
-    if field_axis is not None:
-        valid = {"nv": {"omega_x_hz", "row_index"},
-                 "pseudospin": {"row_index"}}.get(kind, {"b0_tesla", "row_index"})
-        if field_axis.name not in valid:
-            raise ConfigError(f"field axis '{field_axis.name}' not valid for "
-                              f"system '{kind}' (use one of {sorted(valid)})")
     return tau_axis, field_axis
 
 
@@ -301,8 +322,8 @@ def parse_config(cfg: dict) -> ScanConfig:
         raise ConfigError("top-level config must be a JSON object")
     _require_keys(cfg, {"system", "sequence", "axes", "output"}, {"system", "axes"},
                   "top level")
-    kind, system, donor, fixed_field, polarizations = _parse_system(cfg)
-    tau_axis, field_axis = _parse_axes(cfg, kind)
+    tau_axis, field_axis = _parse_axes(cfg)
+    kind, system, donor, fixed_field, polarizations = _parse_system(cfg, field_axis)
     points = tau_axis.count * (field_axis.count if field_axis is not None else 1)
     if points > MAX_GRID_POINTS:
         raise CapacityError(f"scan grid of {points} tau x field points exceeds "
@@ -310,8 +331,8 @@ def parse_config(cfg: dict) -> ScanConfig:
 
     seq_obj = cfg.get("sequence", {})
     _require_keys(seq_obj, {"n_p", "pulse_duration_s"}, set(), "sequence")
-    n_p = seq_obj.get("n_p", 10)
-    if isinstance(n_p, bool) or not isinstance(n_p, int) or n_p < 1:
+    n_p = _integer(seq_obj, "n_p", "sequence", default=10)
+    if n_p < 1:
         raise ConfigError(f"sequence.n_p must be a positive integer, got {n_p!r}")
     sequence = SequenceSpec(n_p=n_p,
                             pulse_duration=_number(seq_obj, "pulse_duration_s",
@@ -330,14 +351,6 @@ def parse_config(cfg: dict) -> ScanConfig:
     output = OutputSpec(quantity=quantity, format=fmt,
                         crossing_gap=_number(out_obj, "crossing_gap_rad", "output",
                                              default=1e-2))
-
-    needs_field = kind in ("donor_pair", "joint_full") or (
-        kind in ("cluster3", "independent_pairs") and donor is not None
-        and polarizations is None)
-    field_swept = field_axis is not None and field_axis.name == "b0_tesla"
-    if needs_field and fixed_field is None and not field_swept:
-        raise ConfigError(f"system '{kind}' needs 'b0_tesla' fixed in the system "
-                          f"block or a b0_tesla field axis")
 
     resolved = {
         "system": {"kind": kind},

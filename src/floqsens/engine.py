@@ -13,24 +13,25 @@ one eigenphase multiset and makes each u-mode the half-period image of
 its d-partner.  Finite pulse durations keep the same product structure
 (see PulseSequence).
 
-Two paths compute the same quantities.  The per-tau functions
-(``unit_cell``, ``floquet_pair``, ``thermal_coherence_numeric``,
-``envelope_general``) build and diagonalize one cell at a time with Schur
-vectors.  The row kernel ``floquet_row`` serves whole tau grids: since
-H_u and H_d do not depend on tau, ``CellStack`` diagonalizes them once
-and builds A_i(t) = exp(-i H_i t), W_u, W_d, T_u2 and T_d2 for a block of
-tau values as (n_tau, D, D) arrays, each block at most
-``STACK_BLOCK_BYTES`` per stacked array.  Only the requested quantities
-are computed:
+One cell builder serves every path: ``_half_period_blocks``
+diagonalizes H_u and H_d once and yields W_u and W_d for consecutive
+blocks of a tau grid as (n_tau, D, D) arrays, each at most
+``STACK_BLOCK_BYTES``.  ``half_period_operators`` is its one-tau call,
+so a cell of ``unit_cell`` equals the matching cell of a stacked build
+bit for bit.  The per-tau functions (``unit_cell``, ``floquet_pair``,
+``thermal_coherence_numeric``, ``envelope_general``) and the row kernel
+``floquet_row`` differ only in how they diagonalize.  The per-tau path
+uses Schur vectors, one cell at a time.  The row kernel computes only
+the requested quantities, block by block:
 
 * coherence from ``unitary_power`` of the stacked T_u2 and T_d2, the
   binary power that ``thermal_coherence_numeric`` applies to one cell;
 * the envelope floor from one batched ``numpy.linalg.eig`` of T_u2 per
   block: the d-partner of each u-mode Phi is its half-period image
   W_d Phi, so floor = (2/D) sum_l |Phi_l^dag W_d Phi_l|^2 - 1 needs no
-  mode pairing; a tau point whose smallest eigenphase gap is below
-  ``MIN_BATCH_GAP``, where eig modes need not be orthonormal, is
-  recomputed by ``floquet_pair`` and ``envelope_general``.
+  mode pairing; a cell whose smallest eigenphase gap is below
+  ``MIN_BATCH_GAP``, where eig modes need not be orthonormal, goes to
+  ``floquet_pair`` and ``envelope_general`` as built.
 
 Every stacked cell passes the ``UNITARITY_TOL`` check of the per-tau
 path.  The envelope also checks the half-period identity at every tau:
@@ -96,10 +97,6 @@ class PulseSequence:
             raise ValidationError(f"pulse interval tau must be > 0, got {self.tau}")
         if int(self.n_p) != self.n_p or self.n_p < 0:
             raise ValidationError(f"n_p must be a non-negative integer, got {self.n_p}")
-        if not np.isfinite(self.pulse_duration) or self.pulse_duration < 0:
-            raise ValidationError(f"pulse_duration must be >= 0, got {self.pulse_duration}")
-        if self.intra_pulse_hamiltonian is not None:
-            require_hermitian(self.intra_pulse_hamiltonian, name="intra_pulse_hamiltonian")
 
     @property
     def total_time(self) -> float:
@@ -127,20 +124,49 @@ class ConditionalHamiltonians:
         return self.h_u.shape[0]
 
 
+def _propagators(energies: np.ndarray, vectors: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """exp(-i H t) for every t, from the eigen-decomposition of H (as expm_hermitian)."""
+    return (vectors * np.exp(-1j * energies * t[:, None])[:, None, :]) @ vectors.conj().T
+
+
+def _half_period_blocks(ch: ConditionalHamiltonians, taus: np.ndarray,
+                        pulse_duration: float = 0.0,
+                        intra_pulse_hamiltonian: np.ndarray | None = None):
+    """Yield (block, W_u, W_d) over consecutive slices of ``taus``, W_i as (n, D, D) arrays.
+
+    H_u and H_d are diagonalized once.  A slice holds as many tau as fit
+    STACK_BLOCK_BYTES per stacked array, and at least one, so for D > 64 a
+    block exceeds the budget.  The free interval is tau + pulse_duration;
+    with an intra-pulse Hamiltonian it is tau and exp(-i H_pulse 2 delta)
+    sits between the two factors (see PulseSequence).
+    """
+    if not np.isfinite(pulse_duration) or pulse_duration < 0:
+        raise ValidationError(f"pulse_duration must be >= 0, got {pulse_duration}")
+    pulse = None
+    if intra_pulse_hamiltonian is not None:
+        h_pulse = require_hermitian(intra_pulse_hamiltonian, name="intra_pulse_hamiltonian")
+        if h_pulse.shape != ch.h_u.shape:
+            raise ValidationError("intra_pulse_hamiltonian dimension does not match the bath")
+        pulse = expm_hermitian(h_pulse, 2 * pulse_duration)
+    t = taus if pulse is not None else taus + pulse_duration
+    eig_u, eig_d = np.linalg.eigh(ch.h_u), np.linalg.eigh(ch.h_d)
+    size = max(1, STACK_BLOCK_BYTES // (16 * ch.dim ** 2))
+    for start in range(0, taus.size, size):
+        block = slice(start, min(start + size, taus.size))
+        a_u = _propagators(*eig_u, t[block])
+        a_d = _propagators(*eig_d, t[block])
+        if pulse is None:
+            yield block, a_u @ a_d, a_d @ a_u
+        else:
+            yield block, a_u @ pulse @ a_d, a_d @ pulse @ a_u
+
+
 def half_period_operators(ch: ConditionalHamiltonians,
                           seq: PulseSequence) -> tuple[np.ndarray, np.ndarray]:
     """(W_u, W_d) with cell propagators T_u2 = W_u W_d and T_d2 = W_d W_u."""
-    if seq.intra_pulse_hamiltonian is None:
-        t_eff = seq.tau + seq.pulse_duration
-        a_u = expm_hermitian(ch.h_u, t_eff)
-        a_d = expm_hermitian(ch.h_d, t_eff)
-        return a_u @ a_d, a_d @ a_u
-    if seq.intra_pulse_hamiltonian.shape != ch.h_u.shape:
-        raise ValidationError("intra_pulse_hamiltonian dimension does not match the bath")
-    a_u = expm_hermitian(ch.h_u, seq.tau)
-    a_d = expm_hermitian(ch.h_d, seq.tau)
-    t_pi = expm_hermitian(seq.intra_pulse_hamiltonian, 2 * seq.pulse_duration)
-    return a_u @ t_pi @ a_d, a_d @ t_pi @ a_u
+    _, w_u, w_d = next(_half_period_blocks(ch, np.array([seq.tau]), seq.pulse_duration,
+                                           seq.intra_pulse_hamiltonian))
+    return w_u[0], w_d[0]
 
 
 def unit_cell(ch: ConditionalHamiltonians,
@@ -154,6 +180,18 @@ def _circular_gap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pairwise distance of phases a[..., i], b[..., j] on the circle."""
     diff = np.abs(a[..., :, None] - b[..., None, :]) % (2 * np.pi)
     return np.minimum(diff, 2 * np.pi - diff)
+
+
+def _smallest_gap(phases: np.ndarray) -> np.ndarray:
+    """Smallest circular distance of two eigenphases, per row of a (..., D) array.
+
+    Builds a (..., D, D) array, so callers pass one block of a grid at a
+    time.  A row of a single phase has no gap: inf.
+    """
+    gaps = _circular_gap(phases, phases)
+    d = phases.shape[-1]
+    gaps[..., np.arange(d), np.arange(d)] = np.inf
+    return gaps.min(axis=(-2, -1))
 
 
 @dataclass(frozen=True)
@@ -360,57 +398,6 @@ def _require_taus(taus) -> np.ndarray:
     return taus
 
 
-def _propagators(energies: np.ndarray, vectors: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """exp(-i H t) for every t, from the eigen-decomposition of H (as expm_hermitian)."""
-    return (vectors * np.exp(-1j * energies * t[:, None])[:, None, :]) @ vectors.conj().T
-
-
-class CellStack:
-    """CPMG cells of one conditional pair, built for many pulse intervals at once.
-
-    H_u and H_d (and an explicit intra-pulse Hamiltonian) are diagonalized
-    once here; ``cells`` then multiplies the stacked propagators in the
-    factor order of ``half_period_operators`` and ``unit_cell``.
-    """
-
-    def __init__(self, ch: ConditionalHamiltonians, pulse_duration: float = 0.0,
-                 intra_pulse_hamiltonian: np.ndarray | None = None):
-        if not np.isfinite(pulse_duration) or pulse_duration < 0:
-            raise ValidationError(f"pulse_duration must be >= 0, got {pulse_duration}")
-        self.dim = ch.dim
-        self.pulse_duration = float(pulse_duration)
-        self.pulse = None
-        if intra_pulse_hamiltonian is not None:
-            h_pulse = require_hermitian(intra_pulse_hamiltonian, name="intra_pulse_hamiltonian")
-            if h_pulse.shape != ch.h_u.shape:
-                raise ValidationError("intra_pulse_hamiltonian dimension does not match the bath")
-            self.pulse = expm_hermitian(h_pulse, 2 * self.pulse_duration)
-        self._eig_u = np.linalg.eigh(ch.h_u)
-        self._eig_d = np.linalg.eigh(ch.h_d)
-
-    def blocks(self, n_tau: int) -> list[slice]:
-        """Consecutive tau slices whose (n, D, D) stacks fit STACK_BLOCK_BYTES.
-
-        A slice holds at least one tau, so for D > 64 a block exceeds the budget.
-        """
-        size = max(1, STACK_BLOCK_BYTES // (16 * self.dim ** 2))
-        return [slice(i, min(i + size, n_tau)) for i in range(0, n_tau, size)]
-
-    def half_periods(self, taus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(W_u, W_d) as (n_tau, D, D) arrays for pulse intervals ``taus`` > 0."""
-        t = taus if self.pulse is not None else taus + self.pulse_duration
-        a_u = _propagators(*self._eig_u, t)
-        a_d = _propagators(*self._eig_d, t)
-        if self.pulse is None:
-            return a_u @ a_d, a_d @ a_u
-        return a_u @ self.pulse @ a_d, a_d @ self.pulse @ a_u
-
-    def cells(self, taus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(T_u2, T_d2) = (W_u W_d, W_d W_u) as (n_tau, D, D) arrays."""
-        w_u, w_d = self.half_periods(taus)
-        return w_u @ w_d, w_d @ w_u
-
-
 def _stacked_floor(t_u2: np.ndarray, t_d2: np.ndarray,
                    w_d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Envelope floor per tau from one batched eig of T_u2 = W_u W_d.
@@ -424,14 +411,11 @@ def _stacked_floor(t_u2: np.ndarray, t_d2: np.ndarray,
     """
     d = t_u2.shape[-1]
     lam, modes = np.linalg.eig(t_u2)
-    phases = -np.angle(lam)
-    gaps = _circular_gap(phases, phases)
-    gaps[:, np.arange(d), np.arange(d)] = np.inf
     images = w_d @ modes
     residual = np.linalg.norm(t_d2 @ images - lam[:, None, :] * images, axis=1).max(axis=1)
     overlaps = np.einsum("nil,nil->nl", modes.conj(), images)
     floor = (np.abs(overlaps) ** 2).sum(axis=1) * (2.0 / d) - 1.0
-    return floor, gaps.min(axis=(1, 2)), residual
+    return floor, _smallest_gap(-np.angle(lam)), residual
 
 
 def floquet_row(ch: ConditionalHamiltonians, taus: np.ndarray, n_p: int,
@@ -445,8 +429,8 @@ def floquet_row(ch: ConditionalHamiltonians, taus: np.ndarray, n_p: int,
     others are requested.  The envelope comes from the half-period images
     of the T_u2 modes (``_stacked_floor``); a tau point whose half-period
     residual exceeds PHASE_MATCH_TOL raises SymmetryViolationError, and one
-    whose eigenphase gap is below MIN_BATCH_GAP is recomputed by the
-    per-tau Schur path.  Errors name the failing grid point as
+    whose eigenphase gap is below MIN_BATCH_GAP takes the per-tau Schur
+    path on its stacked cells.  Errors name the failing grid point as
     'tau[i] = ...:'.
     """
     taus = _require_taus(taus)
@@ -455,11 +439,8 @@ def floquet_row(ch: ConditionalHamiltonians, taus: np.ndarray, n_p: int,
     unknown = set(quantities) - set(QUANTITIES)
     if unknown:
         raise ValidationError(f"unknown quantities {sorted(unknown)}; expected {QUANTITIES}")
-    stack = CellStack(ch, pulse_duration)
     out = {q: np.empty(taus.size) for q in quantities}
-    redo = []
-    for block in stack.blocks(taus.size):
-        w_u, w_d = stack.half_periods(taus[block])
+    for block, w_u, w_d in _half_period_blocks(ch, taus, pulse_duration):
         t_u2, t_d2 = w_u @ w_d, w_d @ w_u
         for cells in (t_u2, t_d2):
             defect = unitarity_defect(cells)
@@ -471,7 +452,7 @@ def floquet_row(ch: ConditionalHamiltonians, taus: np.ndarray, n_p: int,
         if "coherence" in out:
             p_u = unitary_power(t_u2, int(n_p))
             p_d = unitary_power(t_d2, int(n_p))
-            out["coherence"][block] = np.einsum("nij,nij->n", p_u.conj(), p_d).real / stack.dim
+            out["coherence"][block] = np.einsum("nij,nij->n", p_u.conj(), p_d).real / ch.dim
         if "envelope" in out:
             out["envelope"][block], min_gap, residual = _stacked_floor(t_u2, t_d2, w_d)
             bad = np.flatnonzero(residual > PHASE_MATCH_TOL)
@@ -479,14 +460,12 @@ def floquet_row(ch: ConditionalHamiltonians, taus: np.ndarray, n_p: int,
                 raise _at_tau(SymmetryViolationError(
                     f"u/d eigenphase residual {residual[bad[0]]:.3e} > "
                     f"{PHASE_MATCH_TOL:.1e}"), block.start + bad[0], taus)
-            close = min_gap < MIN_BATCH_GAP
-            redo.extend(block.start + np.flatnonzero(close))
-    for i in redo:
-        seq = PulseSequence(tau=float(taus[i]), n_p=n_p, pulse_duration=pulse_duration)
-        try:
-            out["envelope"][i] = envelope_general(floquet_pair(*unit_cell(ch, seq))).floor
-        except (ValidationError, NumericalConsistencyError) as exc:
-            raise _at_tau(exc, i, taus)
+            for k in np.flatnonzero(min_gap < MIN_BATCH_GAP):
+                try:
+                    out["envelope"][block.start + k] = envelope_general(
+                        floquet_pair(t_u2[k], t_d2[k])).floor
+                except (ValidationError, NumericalConsistencyError) as exc:
+                    raise _at_tau(exc, block.start + k, taus)
     return out
 
 
@@ -502,27 +481,24 @@ class SpectrumScan:
 
 def spectrum_scan(ch: ConditionalHamiltonians, tau_grid: np.ndarray,
                   pulse_duration: float = 0.0,
-                  intra_pulse_hamiltonian: np.ndarray | None = None,
                   gap_threshold: float = 1e-2) -> SpectrumScan:
     """Track cell eigenphases along ascending tau, keeping trajectories smooth.
 
-    The cells come from ``CellStack``; each is then diagonalized by Schur
-    vectors and its modes are matched to the previous ones by maximal
-    overlap, so a column follows one Floquet state through avoided
-    crossings instead of jumping at each phase sort.
+    Each cell T_u2 is diagonalized by Schur vectors and its modes are
+    matched to the previous ones by maximal overlap, so a column follows
+    one Floquet state through avoided crossings instead of jumping at each
+    phase sort.
     """
     taus = _require_taus(tau_grid)
     if taus.size < 1 or np.any(np.diff(taus) <= 0):
         raise ValidationError("tau grid must be non-empty and strictly ascending")
-    stack = CellStack(ch, pulse_duration, intra_pulse_hamiltonian)
     d = ch.dim
     phases = np.empty((taus.size, d))
     min_gaps = np.empty(taus.size)
     prev_modes = None
     order = np.arange(d)
-    for block in stack.blocks(taus.size):
-        t_u2, _ = stack.cells(taus[block])
-        for i, cell in zip(range(block.start, block.stop), t_u2):
+    for block, w_u, w_d in _half_period_blocks(ch, taus, pulse_duration):
+        for i, cell in zip(range(block.start, block.stop), w_u @ w_d):
             spec = eig_unitary(cell)
             if prev_modes is not None:
                 affinity = np.abs(prev_modes.conj().T @ spec.modes)
@@ -531,8 +507,6 @@ def spectrum_scan(ch: ConditionalHamiltonians, tau_grid: np.ndarray,
                 order[rows] = cols
             phases[i] = spec.phases[order]
             prev_modes = spec.modes[:, order]
-            gap = _circular_gap(spec.phases, spec.phases)
-            np.fill_diagonal(gap, np.inf)
-            min_gaps[i] = gap.min() if d > 1 else np.inf
+        min_gaps[block] = _smallest_gap(phases[block])
     return SpectrumScan(taus=taus, phases=phases,
                         crossings=min_gaps < gap_threshold, min_gaps=min_gaps)

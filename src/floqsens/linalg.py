@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import CapacityError, ValidationError
+from .errors import ValidationError
 
 MAX_DIM = 4096
 HERMITICITY_TOL = 1e-12
@@ -60,16 +60,6 @@ def expm_hermitian(h: np.ndarray, t: float) -> np.ndarray:
         raise ValidationError(f"evolution time must be finite and >= 0, got {t}")
     w, v = np.linalg.eigh(h)
     return (v * np.exp(-1j * w * t)) @ v.conj().T
-
-
-def kron(a: np.ndarray, b: np.ndarray, max_dim: int = MAX_DIM) -> np.ndarray:
-    """Tensor product with a capacity guard on the resulting dimension."""
-    a = require_square(a, "left factor")
-    b = require_square(b, "right factor")
-    dim = a.shape[0] * b.shape[0]
-    if dim > max_dim:
-        raise CapacityError(f"kron result dimension {dim} exceeds maximum {max_dim}")
-    return np.kron(a, b)
 
 
 @dataclass(frozen=True)

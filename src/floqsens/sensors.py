@@ -22,8 +22,8 @@ from functools import cached_property
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import ValidationError
-from .linalg import kron, require_hermitian, spin_operators
+from .errors import CapacityError, ValidationError
+from .linalg import MAX_DIM, require_hermitian, spin_operators
 from .pseudospin import PseudoField, TwoStateModel
 
 TWO_PI = 2.0 * math.pi
@@ -63,7 +63,8 @@ class DonorModel:
     """Electron-nuclear donor with the sensing transition level_u -> level_d.
 
     Levels are 1-based indices into the eigenstates sorted by ascending
-    energy at the working field.
+    energy at the working field.  A space of 2(2I+1) > MAX_DIM raises
+    CapacityError before any operator is built.
     """
 
     hyperfine_a: float
@@ -78,6 +79,8 @@ class DonorModel:
         if two_i < 1 or abs(2 * self.nuclear_spin - two_i) > 1e-12:
             raise ValidationError(f"nuclear spin must be a half-integer, got {self.nuclear_spin}")
         dim = self.dim
+        if dim > MAX_DIM:
+            raise CapacityError(f"donor space of dim {dim} exceeds maximum {MAX_DIM}")
         for name, level in (("level_u", self.level_u), ("level_d", self.level_d)):
             if not (1 <= level <= dim):
                 raise ValidationError(f"{name} = {level} outside 1..{dim}")
@@ -99,9 +102,9 @@ class DonorModel:
         ix, iy, iz = spin_operators(self.nuclear_spin)
         eye_e = np.eye(2, dtype=complex)
         eye_n = np.eye(ix.shape[0], dtype=complex)
-        electron_sz = kron(sz, eye_n)
-        zeeman = electron_sz - self.delta_gamma * kron(eye_e, iz)
-        hyperfine = self.hyperfine_a * (kron(sx, ix) + kron(sy, iy) + kron(sz, iz))
+        electron_sz = np.kron(sz, eye_n)
+        zeeman = electron_sz - self.delta_gamma * np.kron(eye_e, iz)
+        hyperfine = self.hyperfine_a * (np.kron(sx, ix) + np.kron(sy, iy) + np.kron(sz, iz))
         for op in (zeeman, hyperfine, electron_sz):
             op.flags.writeable = False
         return zeeman, hyperfine, electron_sz

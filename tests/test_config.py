@@ -139,6 +139,61 @@ class TestValidation:
                            r"a donor \(field-dependent polarizations\) or fixed p_u/p_d$"):
             parse_config(raw)
 
+    @pytest.mark.parametrize("kind", ["cluster3", "independent_pairs"])
+    @pytest.mark.parametrize("extra", [
+        {"system": {"donor": "si_bi", "b0_tesla": 0.15}},
+        {"system": {"b0_tesla": 0.15}},
+        {"axes": {"b0_tesla": {"start": 0.1, "stop": 0.2, "count": 3}}},
+    ], ids=["donor", "fixed-field", "field-axis"])
+    def test_fixed_polarizations_take_no_other_source(self, kind, extra):
+        # Each of these inputs would be silently ignored by one of the sources.
+        bath = ({"cluster": {"a_rad_s": [1e5, 0, 5e4], "c_rad_s": [[0, 1e3, 2e3],
+                                                                   [1e3, 0, 1e3],
+                                                                   [2e3, 1e3, 0]]}}
+                if kind == "cluster3"
+                else {"pairs": [{"delta_a_rad_s": 1e5, "c12_rad_s": 1e3}]})
+        raw = {"system": {"kind": kind, **bath, "p_u": 0.5, "p_d": -0.5},
+               "axes": {"tau_s": {"start": 1e-6, "stop": 1e-4, "count": 10}}}
+        parse_config(raw)
+        for block, keys in extra.items():
+            raw[block].update(keys)
+        with pytest.raises(ConfigError, match=r"p_u/p_d"):
+            parse_config(raw)
+
+    @pytest.mark.parametrize("block, key, value", [
+        ("donor", "level_u", 12.7), ("donor", "level_d", 9.0),
+        ("sequence", "n_p", 2.5), ("axis", "count", 10.5)])
+    def test_integer_fields_reject_non_integers(self, block, key, value):
+        raw = {
+            "system": {"kind": "donor_pair", "donor": {"preset": "si_bi"},
+                       "pair": {"delta_a_rad_s": 1.8e5, "c12_rad_s": 1.8e3},
+                       "b0_tesla": 0.15},
+            "sequence": {"n_p": 10},
+            "axes": {"tau_s": {"start": 1e-6, "stop": 1e-4, "count": 10}},
+        }
+        parse_config(raw)
+        target = {"donor": raw["system"]["donor"], "sequence": raw["sequence"],
+                  "axis": raw["axes"]["tau_s"]}[block]
+        target[key] = value
+        with pytest.raises(ConfigError, match=f"'{key}' in .* must be an integer"):
+            parse_config(raw)
+
+    @pytest.mark.parametrize("spin", [1e6, 1100.5])
+    def test_donor_dimension_is_bounded_at_load(self, spin):
+        # 2 (2I + 1) > MAX_DIM: rejected before any spin operator is built.
+        raw = {
+            "system": {"kind": "donor_pair",
+                       "donor": {"hyperfine_a_hz": 1.4754e9, "nuclear_spin": spin,
+                                 "gamma_e_hz_per_tesla": 27.997e9,
+                                 "delta_gamma": 2.488e-4,
+                                 "level_u": 12, "level_d": 9},
+                       "pair": {"delta_a_rad_s": 1.8e5, "c12_rad_s": 1.8e3},
+                       "b0_tesla": 0.15},
+            "axes": {"tau_s": {"start": 1e-6, "stop": 1e-4, "count": 10}},
+        }
+        with pytest.raises(CapacityError, match="donor space"):
+            parse_config(raw)
+
     def test_unknown_donor_preset(self):
         raw = {
             "system": {"kind": "donor_pair", "donor": "si_p",

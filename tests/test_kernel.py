@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,7 +20,7 @@ from floqsens import (
     unit_cell,
 )
 from floqsens.config import parse_config
-from floqsens.engine import STACK_BLOCK_BYTES, CellStack, floquet_row
+from floqsens.engine import STACK_BLOCK_BYTES, _half_period_blocks, floquet_row
 from floqsens.scans import run_map, run_trace
 
 ATOL = 1e-10
@@ -33,6 +34,15 @@ def per_tau(ch, taus, n_p, pulse_duration):
         coh.append(thermal_coherence_numeric(ch, seq))
         env.append(envelope_general(floquet_pair(*unit_cell(ch, seq))).floor)
     return {"coherence": np.array(coh), "envelope": np.array(env)}
+
+
+def stacked_cells(ch, taus, pulse_duration=0.0, intra_pulse_hamiltonian=None):
+    """(T_u2, T_d2) as (n_tau, D, D) arrays, joined from every block of the cell builder."""
+    blocks = list(_half_period_blocks(ch, np.asarray(taus), pulse_duration,
+                                      intra_pulse_hamiltonian))
+    w_u = np.concatenate([w for _, w, _ in blocks])
+    w_d = np.concatenate([w for _, _, w in blocks])
+    return w_u @ w_d, w_d @ w_u
 
 
 def count_calls(monkeypatch, name):
@@ -96,7 +106,7 @@ def test_forced_power_drift_is_corrected_matrix_by_matrix(rng, monkeypatch, dim,
     # With POWER_DRIFT_TOL = 0 every squared base counts as drifted.
     ch = ConditionalHamiltonians(random_hermitian(dim, rng), random_hermitian(dim, rng))
     taus = np.array([0.2, 0.9, 1.7])
-    t_u2, _ = CellStack(ch).cells(taus)
+    t_u2, _ = stacked_cells(ch, taus)
     monkeypatch.setattr(engine, "POWER_DRIFT_TOL", 0.0)
     calls = count_calls(monkeypatch, "polar_unitary")
     stacked = engine.unitary_power(t_u2, n)
@@ -109,7 +119,7 @@ def test_forced_power_drift_is_corrected_matrix_by_matrix(rng, monkeypatch, dim,
 
 def test_power_drift_re_unitarizes_only_the_drifted_matrices(rng, monkeypatch):
     ch = ConditionalHamiltonians(random_hermitian(4, rng), random_hermitian(4, rng))
-    cells, _ = CellStack(ch).cells(np.array([0.3, 1.1]))
+    cells, _ = stacked_cells(ch, [0.3, 1.1])
     cells[1] *= 1.0 + 1e-9
     calls = count_calls(monkeypatch, "polar_unitary")
     stacked = engine.unitary_power(cells, 40)
@@ -121,12 +131,11 @@ def test_power_drift_re_unitarizes_only_the_drifted_matrices(rng, monkeypatch):
 def test_long_rows_are_built_in_blocks(rng):
     dim = 16
     ch = ConditionalHamiltonians(random_hermitian(dim, rng), random_hermitian(dim, rng))
-    stack = CellStack(ch)
-    blocks = stack.blocks(150)
+    taus = np.linspace(0.05, 2.0, 150)
+    blocks = [block for block, _, _ in _half_period_blocks(ch, taus)]
     assert len(blocks) > 1
     assert max(b.stop - b.start for b in blocks) * 16 * dim ** 2 <= STACK_BLOCK_BYTES
     assert [i for b in blocks for i in range(150)[b]] == list(range(150))
-    taus = np.linspace(0.05, 2.0, 150)
     want = per_tau(ch, taus[::37], 20, 0.0)
     got = floquet_row(ch, taus, 20)
     for quantity in want:
@@ -134,16 +143,39 @@ def test_long_rows_are_built_in_blocks(rng):
 
 
 def test_cells_match_unit_cell_with_intra_pulse_hamiltonian(rng):
+    # Both builds share their code, so the reference is an independent
+    # scipy.linalg.expm product: T_u2 = T_u T_pi T_d T_d T_pi T_u.
     ch = ConditionalHamiltonians(random_hermitian(4, rng), random_hermitian(4, rng))
     h_pulse = random_hermitian(4, rng)
-    taus = np.array([0.3, 1.1])
-    t_u2, t_d2 = CellStack(ch, 0.02, h_pulse).cells(taus)
+    taus = np.array([0.05, 0.3, 0.7, 1.1, 2.4])
+    t_pi = scipy.linalg.expm(-1j * h_pulse * 0.04)
+    t_u2, t_d2 = stacked_cells(ch, taus, 0.02, h_pulse)
     for k, tau in enumerate(taus):
+        t_u = scipy.linalg.expm(-1j * ch.h_u * tau)
+        t_d = scipy.linalg.expm(-1j * ch.h_d * tau)
+        ref_u = t_u @ t_pi @ t_d @ t_d @ t_pi @ t_u
+        ref_d = t_d @ t_pi @ t_u @ t_u @ t_pi @ t_d
         seq = PulseSequence(tau=tau, n_p=1, pulse_duration=0.02,
                             intra_pulse_hamiltonian=h_pulse)
+        for got_u, got_d in ((t_u2[k], t_d2[k]), unit_cell(ch, seq)):
+            np.testing.assert_allclose(got_u, ref_u, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(got_d, ref_d, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("dim", [2, 8, 16])
+@pytest.mark.parametrize("pulse", ["ideal", "delta", "intra_pulse"])
+def test_unit_cell_equals_the_stacked_cell_bit_for_bit(rng, dim, pulse):
+    ch = ConditionalHamiltonians(random_hermitian(dim, rng), random_hermitian(dim, rng))
+    delta = 0.0 if pulse == "ideal" else 0.03
+    h_pulse = random_hermitian(dim, rng) if pulse == "intra_pulse" else None
+    taus = np.sort(rng.uniform(0.01, 3.0, 300))
+    t_u2, t_d2 = stacked_cells(ch, taus, delta, h_pulse)
+    for k, tau in enumerate(taus):
+        seq = PulseSequence(tau=float(tau), n_p=1, pulse_duration=delta,
+                            intra_pulse_hamiltonian=h_pulse)
         ref_u, ref_d = unit_cell(ch, seq)
-        np.testing.assert_allclose(t_u2[k], ref_u, rtol=0, atol=1e-13)
-        np.testing.assert_allclose(t_d2[k], ref_d, rtol=0, atol=1e-13)
+        assert ref_u.tobytes() == t_u2[k].tobytes()
+        assert ref_d.tobytes() == t_d2[k].tobytes()
 
 
 def test_errors_name_the_tau_point(rng, monkeypatch):

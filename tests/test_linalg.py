@@ -4,7 +4,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from floqsens import CapacityError, ValidationError, eig_unitary, expm_hermitian, kron, spin_operators
+from floqsens import ValidationError, eig_unitary, expm_hermitian, spin_operators
 from floqsens.linalg import PAULI_X, PAULI_Z, hermiticity_defect, unitarity_defect
 
 from conftest import random_hermitian
@@ -49,37 +49,6 @@ class TestExpmHermitian:
     def test_rejects_negative_time(self, rng):
         with pytest.raises(ValidationError):
             expm_hermitian(random_hermitian(2, rng), -1.0)
-
-
-class TestKron:
-    def test_identity(self):
-        assert np.array_equal(kron(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_sigma_z_with_identity(self):
-        assert np.allclose(np.diag(kron(PAULI_Z, np.eye(2))), [1, 1, -1, -1])
-
-    def test_double_bit_flip(self):
-        state = np.zeros(4)
-        state[0] = 1.0  # |00>
-        flipped = kron(PAULI_X, PAULI_X) @ state
-        assert np.allclose(flipped, [0, 0, 0, 1])  # |11>
-
-    def test_associativity_exact_on_integers(self, rng):
-        a = rng.integers(-4, 5, size=(2, 2)).astype(complex)
-        b = rng.integers(-4, 5, size=(3, 3)).astype(complex)
-        c = rng.integers(-4, 5, size=(2, 2)).astype(complex)
-        assert np.array_equal(kron(kron(a, b), c), kron(a, kron(b, c)))
-
-    def test_associativity_float(self, rng):
-        a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        c = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        lhs, rhs = kron(kron(a, b), c), kron(a, kron(b, c))
-        assert np.abs(lhs - rhs).max() < 1e-13
-
-    def test_capacity_guard(self):
-        with pytest.raises(CapacityError):
-            kron(np.eye(100), np.eye(100))
 
 
 class TestEigUnitary:

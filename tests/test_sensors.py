@@ -117,16 +117,17 @@ class TestDonorHamiltonian:
                            gamma_e=TWO_PI * 27.97e9, delta_gamma=4.1e-4,
                            level_u=5, level_d=3)])
     def test_cached_operators_match_direct_kron(self, donor, rng):
-        from floqsens.linalg import kron, spin_operators
+        from floqsens.linalg import spin_operators
         sx, sy, sz = spin_operators(0.5)
         ix, iy, iz = spin_operators(donor.nuclear_spin)
         eye_e = np.eye(2, dtype=complex)
         eye_n = np.eye(ix.shape[0], dtype=complex)
         for b0 in np.concatenate([[0.0], rng.uniform(0.0, 2.0, 20)]):
-            zeeman = donor.gamma_e * b0 * (kron(sz, eye_n) - donor.delta_gamma * kron(eye_e, iz))
-            hyperfine = donor.hyperfine_a * (kron(sx, ix) + kron(sy, iy) + kron(sz, iz))
+            zeeman = donor.gamma_e * b0 * (np.kron(sz, eye_n)
+                                           - donor.delta_gamma * np.kron(eye_e, iz))
+            hyperfine = donor.hyperfine_a * (np.kron(sx, ix) + np.kron(sy, iy) + np.kron(sz, iz))
             assert np.array_equal(donor_hamiltonian(donor, b0), zeeman + hyperfine)
-        assert np.array_equal(sensors.donor_electron_sz(donor), kron(sz, eye_n))
+        assert np.array_equal(sensors.donor_electron_sz(donor), np.kron(sz, eye_n))
 
     def test_cached_operators_are_read_only(self):
         donor = si_bi()
