@@ -37,7 +37,9 @@ FORMATS = ("csv", "pgm", "both")
 MAX_GRID_POINTS = 10**6
 
 
-def _require_keys(obj: dict, allowed: set[str], required: set[str], where: str):
+def _require_keys(obj: Any, allowed: set[str], required: set[str], where: str):
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {obj!r}")
     unknown = set(obj) - allowed
     if unknown:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}; "

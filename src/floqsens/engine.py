@@ -45,7 +45,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import NumericalConsistencyError, SymmetryViolationError, ValidationError
 from .linalg import (
@@ -224,6 +223,9 @@ def floquet_pair(t_u2: np.ndarray, t_d2: np.ndarray,
     Raises SymmetryViolationError if the eigenphase multisets disagree by
     more than ``phase_tol`` on the unit circle (an invalid cell pair).
     """
+    # Imported here, not at module level: SciPy is most of a cold start.
+    from scipy.optimize import linear_sum_assignment
+
     su = eig_unitary(t_u2)
     sd = eig_unitary(t_d2)
     overlaps = sd.modes.conj().T @ su.modes
@@ -489,6 +491,9 @@ def spectrum_scan(ch: ConditionalHamiltonians, tau_grid: np.ndarray,
     one Floquet state through avoided crossings instead of jumping at each
     phase sort.
     """
+    # Imported here, not at module level: SciPy is most of a cold start.
+    from scipy.optimize import linear_sum_assignment
+
     taus = _require_taus(tau_grid)
     if taus.size < 1 or np.any(np.diff(taus) <= 0):
         raise ValidationError("tau grid must be non-empty and strictly ascending")

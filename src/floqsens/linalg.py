@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ValidationError
 
@@ -92,11 +91,14 @@ def eig_unitary(u: np.ndarray, tol: float = UNITARITY_TOL) -> EigenSystem:
     so the orthonormal Schur vectors are the eigenmodes; this stays robust
     at the near-degeneracies that avoided-crossing scans deliberately probe.
     """
+    # Imported here, not at module level: SciPy is most of a cold start.
+    from scipy.linalg import schur
+
     u = require_square(u, "unitary")
     defect = unitarity_defect(u)
     if defect > tol:
         raise ValidationError(f"matrix is not unitary: defect {defect:.3e} > {tol:.1e}")
-    t, q = scipy.linalg.schur(u, output="complex")
+    t, q = schur(u, output="complex")
     phases = -np.angle(np.diag(t))
     phases[phases <= -np.pi] += 2 * np.pi
     order = np.argsort(phases, kind="stable")

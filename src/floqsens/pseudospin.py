@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import engine
 from .errors import CapacityError, NumericalConsistencyError, ValidationError
@@ -227,6 +226,9 @@ def dip_positions(model: TwoStateModel, tau_max: float, n_p: int = 1) -> list[Di
     relative).  ``n_p`` only fills the depth field of each record.  A scan
     of more than MAX_DIP_GRID points raises CapacityError.
     """
+    # Imported here, not at module level: SciPy is most of a cold start.
+    from scipy.optimize import brentq
+
     if tau_max <= 0:
         raise ValidationError("tau_max must be > 0")
     omega_sum = model.omega_u + model.omega_d

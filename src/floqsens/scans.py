@@ -247,6 +247,25 @@ def write_pgm(path: Path, values: np.ndarray) -> None:
     _write_atomic(path, (header, pixels.tobytes()))
 
 
+def _json_text(value, indent: str = "") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` for string-keyed documents.
+
+    With an indent the standard library encodes through closures that refer
+    to each other, leaving a reference cycle per call to the garbage
+    collector; here each scalar, key and empty container goes through the
+    C encoder.
+    """
+    inner = indent + "  "
+    if isinstance(value, dict) and value:
+        items = [f"{inner}{json.dumps(k)}: {_json_text(v, inner)}"
+                 for k, v in sorted(value.items())]
+        return "{\n" + ",\n".join(items) + "\n" + indent + "}"
+    if isinstance(value, (list, tuple)) and value:
+        items = [inner + _json_text(v, inner) for v in value]
+        return "[\n" + ",\n".join(items) + "\n" + indent + "]"
+    return json.dumps(value)
+
+
 def write_manifest(path: Path, cfg: ScanConfig, command: str, files: list[str]) -> None:
     doc = {
         "version": __version__,
@@ -255,7 +274,7 @@ def write_manifest(path: Path, cfg: ScanConfig, command: str, files: list[str]) 
         "config": cfg.resolved,
         "files": files,
     }
-    _write_atomic(path, [(json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")])
+    _write_atomic(path, [(_json_text(doc) + "\n").encode("utf-8")])
 
 
 def _field_column(cfg: ScanConfig) -> str:

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import CapacityError, ValidationError
 from .linalg import MAX_DIM, require_hermitian, spin_operators
@@ -194,6 +193,9 @@ def owp_locate(d: DonorModel, b0_min: float, b0_max: float,
     range; raises ValidationError when the transition is degenerate (the
     difference vanishes identically).
     """
+    # Imported here, not at module level: SciPy is most of a cold start.
+    from scipy.optimize import brentq
+
     if not (0 <= b0_min < b0_max):
         raise ValidationError(f"need 0 <= b0_min < b0_max, got [{b0_min}, {b0_max}]")
 

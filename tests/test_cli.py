@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -164,15 +165,82 @@ class TestFlags:
             (tmp_path / "t8" / "map.csv").read_bytes()
 
 
+CONFIGS = Path(__file__).resolve().parents[1] / "scripts" / "configs"
+
+# Runs floqsens.cli.main on (command, config, output) argument triples, then
+# prints the exit codes and every scipy module the interpreter has loaded.
+FRESH_RUN = """
+import json, sys
+import floqsens.cli
+args = iter(sys.argv[1:])
+codes = [floqsens.cli.main([cmd, "--config", cfg, "--output", out])
+         for cmd, cfg, out in zip(args, args, args)]
+print(json.dumps({"codes": codes, "scipy": sorted(
+    m for m in sys.modules if m == "scipy" or m.startswith("scipy."))}))
+"""
+
+
+def child_env():
+    """Environment in which a child interpreter imports the same floqsens as this process."""
+    src = str(Path(floqsens.__file__).resolve().parents[1])
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def run_fresh(tmp_path, *runs):
+    """FRESH_RUN on (command, shipped config) pairs in a new interpreter."""
+    args = []
+    for command, config in runs:
+        args += [command, str(CONFIGS / config), str(tmp_path / Path(config).stem)]
+    proc = subprocess.run([sys.executable, "-c", FRESH_RUN, *args],
+                          capture_output=True, text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
 def test_console_entry_point(tmp_path):
     cfg = write_cfg(tmp_path / "c.json", pseudospin_doc())
-    # The child imports the same floqsens as this process, installed or not.
-    src = str(Path(floqsens.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "floqsens.cli", "trace", "--config", cfg,
          "--output", str(tmp_path)],
-        capture_output=True, text=True, env=env)
+        capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0
     assert "trace.csv" in proc.stdout
+
+
+def test_two_state_maps_load_no_scipy(tmp_path):
+    # This process has SciPy loaded already (tests use it as an oracle).
+    result = run_fresh(tmp_path, ("map", "nv_diamond_map.json"),
+                       ("map", "donor_pair_map.json"))
+    assert result == {"codes": [0, 0], "scipy": []}
+
+
+@pytest.mark.parametrize("command, config", [
+    ("spectrum", "cluster3_spectrum.json"), ("dips", "donor_pair_dips.json"),
+    # reaches SciPy only through the gap fallbacks of floquet_row
+    ("map", "cluster3_map.json")])
+def test_commands_that_need_scipy_import_it(tmp_path, command, config):
+    result = run_fresh(tmp_path, (command, config))
+    assert result["codes"] == [0]
+    assert "scipy.optimize" in result["scipy"]
+
+
+@pytest.mark.parametrize("command, config", [
+    ("trace", "pseudospin_trace.json"), ("map", "nv_diamond_map.json"),
+    ("map", "donor_pair_map.json"), ("map", "cluster3_map.json"),
+    ("spectrum", "cluster3_spectrum.json")])
+def test_commands_leave_no_reference_cycles(tmp_path, command, config):
+    # A command run in a long-lived process (a notebook, a sweep driver)
+    # should leave nothing for the cyclic garbage collector, whose passes
+    # would otherwise land inside later commands.  Not dips: SciPy's brentq
+    # wraps the function it is given in a closure that refers to itself.
+    argv = [command, "--config", str(CONFIGS / config), "--output", str(tmp_path)]
+    assert main(argv) == 0
+    gc.collect()
+    gc.disable()
+    try:
+        assert main(argv) == 0
+        unreachable = gc.collect()
+    finally:
+        gc.enable()
+    assert unreachable == 0

@@ -178,6 +178,19 @@ class TestValidation:
         with pytest.raises(ConfigError, match=f"'{key}' in .* must be an integer"):
             parse_config(raw)
 
+    @pytest.mark.parametrize("path, where", [
+        (("sequence",), "sequence"), (("output",), "output"),
+        (("axes", "tau_s"), "axes.tau_s"),
+        (("system", "h_u"), r"system \(pseudospin\)\.h_u")])
+    def test_blocks_must_be_objects(self, path, where):
+        raw = minimal_pseudospin()
+        parent = raw
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = 5
+        with pytest.raises(ConfigError, match=f"^{where} must be a JSON object, got 5$"):
+            parse_config(raw)
+
     @pytest.mark.parametrize("spin", [1e6, 1100.5])
     def test_donor_dimension_is_bounded_at_load(self, spin):
         # 2 (2I + 1) > MAX_DIM: rejected before any spin operator is built.

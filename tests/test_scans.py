@@ -13,8 +13,8 @@ from floqsens import CapacityError, PairSet, PulseSequence, ValidationError, \
     coherence_analytic, floquet_phase, thermal_coherence_numeric
 from floqsens.config import parse_config
 from floqsens.engine import floquet_row
-from floqsens.scans import compute_trace, run_dips, run_map, run_spectrum, run_trace, \
-    write_csv, write_pgm
+from floqsens.scans import _json_text, compute_trace, run_dips, run_map, run_spectrum, \
+    run_trace, write_csv, write_pgm
 
 
 def pseudospin_cfg(**over):
@@ -546,7 +546,19 @@ class TestDips:
         assert [r for r in rows if r[1] == "floquet_condition"] == []
 
 
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=5), inner,
+                                                                max_size=4),
+    max_leaves=30)
+
+
 class TestManifest:
+    @settings(max_examples=300, deadline=None)
+    @given(JSON_VALUES)
+    def test_manifest_text_is_indented_sorted_json(self, value):
+        assert _json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+
     def test_manifest_contents(self, tmp_path):
         cfg = pseudospin_cfg()
         run_trace(cfg, tmp_path)
