@@ -18,26 +18,32 @@ diagonalizes H_u and H_d once and yields W_u and W_d for consecutive
 blocks of a tau grid as (n_tau, D, D) arrays, each at most
 ``STACK_BLOCK_BYTES``.  ``half_period_operators`` is its one-tau call,
 so a cell of ``unit_cell`` equals the matching cell of a stacked build
-bit for bit.  The per-tau functions (``unit_cell``, ``floquet_pair``,
-``thermal_coherence_numeric``, ``envelope_general``) and the row kernel
-``floquet_row`` differ only in how they diagonalize.  The per-tau path
-uses Schur vectors, one cell at a time.  The row kernel computes only
-the requested quantities, block by block:
+bit for bit.  One eigensolver serves every path too:
+``linalg.eig_unitaries`` returns orthonormal modes of a stack of cells
+(Cayley transform and batched ``eigh``) at any phase gap, and
+``eig_unitary``, which ``floquet_pair`` calls, is its one-cell call.
+The per-tau functions (``unit_cell``, ``floquet_pair``,
+``thermal_coherence_numeric``, ``envelope_general``) work on one cell;
+the row kernel ``floquet_row`` computes only the requested quantities,
+block by block:
 
 * coherence from ``unitary_power`` of the stacked T_u2 and T_d2, the
   binary power that ``thermal_coherence_numeric`` applies to one cell;
-* the envelope floor from one batched ``numpy.linalg.eig`` of T_u2 per
-  block: the d-partner of each u-mode Phi is its half-period image
-  W_d Phi, so floor = (2/D) sum_l |Phi_l^dag W_d Phi_l|^2 - 1 needs no
-  mode pairing; a cell whose smallest eigenphase gap is below
-  ``MIN_BATCH_GAP``, where eig modes need not be orthonormal, goes to
-  ``floquet_pair`` and ``envelope_general`` as built.
+* the envelope floor from one solve of the T_u2 block: the d-partner of
+  each u-mode Phi is its half-period image W_d Phi, so with
+  M = Phi^dag W_d Phi the floor (2/D) sum_{l,l' same cluster} |M_ll'|^2 - 1
+  needs no mode pairing.  A cluster is a chain of eigenphases closer
+  than PHASE_MATCH_TOL; summed over whole clusters the floor does not
+  depend on the basis a solver picks inside one, and ``envelope_general``
+  uses the same clusters.  Away from degeneracy only the diagonal
+  l = l' remains.
 
-Every stacked cell passes the ``UNITARITY_TOL`` check of the per-tau
-path.  The envelope also checks the half-period identity at every tau:
-the residual ||T_d2 W_d Phi - lambda W_d Phi|| must stay below
-``PHASE_MATCH_TOL``.  The two paths agree to a few 1e-14, not bit for
-bit.
+``spectrum_scan`` solves its T_u2 blocks the same way and tracks the
+modes from tau to tau.  Every stacked cell passes the ``UNITARITY_TOL``
+check of the per-tau path, and errors name the failing tau.  The
+envelope also checks the half-period identity at every tau: the residual
+||T_d2 W_d Phi - lambda W_d Phi|| must stay below ``PHASE_MATCH_TOL``.
+The two paths agree to a few 1e-14, not bit for bit.
 """
 
 from __future__ import annotations
@@ -50,6 +56,7 @@ from .errors import NumericalConsistencyError, SymmetryViolationError, Validatio
 from .linalg import (
     DEGENERACY_TOL,
     EigenSystem,
+    eig_unitaries,
     eig_unitary,
     expm_hermitian,
     UNITARITY_TOL,
@@ -66,9 +73,6 @@ POWER_DRIFT_TOL = 1e-12
 # cache and peak memory within about 0.5 MB of the per-tau path; larger
 # blocks measured no faster on D = 8 and 16.
 STACK_BLOCK_BYTES = 64 * 1024
-# Cells with an eigenphase gap below this (rad) leave the batched eig path
-# for the Schur path: eig need not return orthonormal modes in a cluster.
-MIN_BATCH_GAP = 1e-6
 QUANTITIES = ("coherence", "envelope")
 
 
@@ -191,6 +195,22 @@ def _smallest_gap(phases: np.ndarray) -> np.ndarray:
     d = phases.shape[-1]
     gaps[..., np.arange(d), np.arange(d)] = np.inf
     return gaps.min(axis=(-2, -1))
+
+
+def _same_cluster(phases: np.ndarray) -> np.ndarray:
+    """(..., D, D) mask of mode pairs in one phase cluster, for ascending (..., D) phases.
+
+    A cluster is a chain of neighbours on the circle (the last phase and
+    the first are neighbours across the +-pi cut) closer than
+    PHASE_MATCH_TOL.  Inside a cluster the modes are defined only up to a
+    unitary rotation, so a quantity summed over whole clusters does not
+    depend on the eigenbasis a solver returns.
+    """
+    apart = np.diff(phases, axis=-1) >= PHASE_MATCH_TOL
+    label = np.concatenate([np.zeros_like(apart[..., :1]), np.cumsum(apart, axis=-1)], axis=-1)
+    wrapped = phases[..., :1] + 2 * np.pi - phases[..., -1:] < PHASE_MATCH_TOL
+    label = np.where(wrapped & (label == label[..., -1:]), 0, label)
+    return label[..., :, None] == label[..., None, :]
 
 
 @dataclass(frozen=True)
@@ -374,11 +394,19 @@ class EnvelopeTerms:
 
 
 def envelope_general(pair: FloquetPair) -> EnvelopeTerms:
-    """Pulse-number-independent envelope terms of a Floquet pair."""
+    """Pulse-number-independent envelope terms of a Floquet pair.
+
+    A pair of modes in one phase cluster (``_same_cluster``) gets
+    coefficient 0: its overlap depends on the basis the solver picked
+    inside the cluster, and its sin^2 term vanishes with the phase gap.
+    The floor is then (2/D) sum_{l,l' same cluster} |<Phi_d,l'|Phi_u,l>|^2
+    - 1 over paired modes, the same for every basis of a cluster.
+    """
     d = pair.dim
     weights = np.abs(pair.overlaps[pair.pairing]) ** 2
     idx_l, idx_lp = np.triu_indices(d, k=1)
     coeff = (weights[idx_lp, idx_l] + weights[idx_l, idx_lp]) * (2.0 / d)
+    coeff[_same_cluster(pair.spectrum_u.phases)[idx_l, idx_lp]] = 0.0
     gaps = pair.spectrum_u.phases[idx_l] - pair.spectrum_u.phases[idx_lp]
     return EnvelopeTerms(coefficients=coeff, phase_gaps=gaps)
 
@@ -400,24 +428,41 @@ def _require_taus(taus) -> np.ndarray:
     return taus
 
 
+def _require_unitary(cells: np.ndarray, block: slice, taus: np.ndarray) -> None:
+    """Raise ValidationError naming the first tau of a block whose cell fails UNITARITY_TOL."""
+    defect = unitarity_defect(cells)
+    bad = np.flatnonzero(defect > UNITARITY_TOL)
+    if bad.size:
+        raise _at_tau(ValidationError(
+            f"matrix is not unitary: defect {defect[bad[0]]:.3e} > {UNITARITY_TOL:.1e}"),
+            block.start + bad[0], taus)
+
+
 def _stacked_floor(t_u2: np.ndarray, t_d2: np.ndarray,
                    w_d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Envelope floor per tau from one batched eig of T_u2 = W_u W_d.
+    """Envelope floor per tau from one batched eigen-solve of T_u2 = W_u W_d.
 
     T_d2 = W_d W_u maps the half-period image W_d Phi of a u-mode Phi onto
-    lambda W_d Phi, so W_d Phi is the d-partner of Phi and
-    floor = (2/D) sum_l |Phi_l^dag W_d Phi_l|^2 - 1.  Returns (floor,
+    lambda W_d Phi, so W_d Phi is the d-partner of Phi and, with
+    M = Phi^dag W_d Phi, floor = (2/D) sum_{l,l' same cluster} |M_ll'|^2 - 1
+    (``_same_cluster``; off the diagonal only in cells whose smallest
+    phase gap is below PHASE_MATCH_TOL).  The modes come from
+    ``eig_unitaries`` and are orthonormal at any gap.  Returns (floor,
     smallest u-phase gap, largest residual ||T_d2 W_d Phi - lambda W_d Phi||);
-    the floor equals envelope_general(floquet_pair(...)).floor wherever the
-    smallest gap leaves the eig modes orthonormal.
+    the floor equals envelope_general(floquet_pair(...)).floor.
     """
     d = t_u2.shape[-1]
-    lam, modes = np.linalg.eig(t_u2)
+    phases, modes = eig_unitaries(t_u2)
     images = w_d @ modes
+    lam = np.exp(-1j * phases)
     residual = np.linalg.norm(t_d2 @ images - lam[:, None, :] * images, axis=1).max(axis=1)
-    overlaps = np.einsum("nil,nil->nl", modes.conj(), images)
-    floor = (np.abs(overlaps) ** 2).sum(axis=1) * (2.0 / d) - 1.0
-    return floor, _smallest_gap(-np.angle(lam)), residual
+    weight = (np.abs(np.einsum("nil,nil->nl", modes.conj(), images)) ** 2).sum(axis=1)
+    min_gap = _smallest_gap(phases)
+    clustered = np.flatnonzero(min_gap < PHASE_MATCH_TOL)
+    if clustered.size:
+        m = modes[clustered].conj().swapaxes(-1, -2) @ images[clustered]
+        weight[clustered] = (np.abs(m) ** 2 * _same_cluster(phases[clustered])).sum(axis=(1, 2))
+    return weight * (2.0 / d) - 1.0, min_gap, residual
 
 
 def floquet_row(ch: ConditionalHamiltonians, taus: np.ndarray, n_p: int,
@@ -430,10 +475,8 @@ def floquet_row(ch: ConditionalHamiltonians, taus: np.ndarray, n_p: int,
     requested quantity, and a quantity's values do not depend on which
     others are requested.  The envelope comes from the half-period images
     of the T_u2 modes (``_stacked_floor``); a tau point whose half-period
-    residual exceeds PHASE_MATCH_TOL raises SymmetryViolationError, and one
-    whose eigenphase gap is below MIN_BATCH_GAP takes the per-tau Schur
-    path on its stacked cells.  Errors name the failing grid point as
-    'tau[i] = ...:'.
+    residual exceeds PHASE_MATCH_TOL raises SymmetryViolationError.  Errors
+    name the failing grid point as 'tau[i] = ...:'.
     """
     taus = _require_taus(taus)
     if int(n_p) != n_p or n_p < 0:
@@ -444,30 +487,19 @@ def floquet_row(ch: ConditionalHamiltonians, taus: np.ndarray, n_p: int,
     out = {q: np.empty(taus.size) for q in quantities}
     for block, w_u, w_d in _half_period_blocks(ch, taus, pulse_duration):
         t_u2, t_d2 = w_u @ w_d, w_d @ w_u
-        for cells in (t_u2, t_d2):
-            defect = unitarity_defect(cells)
-            bad = np.flatnonzero(defect > UNITARITY_TOL)
-            if bad.size:
-                raise _at_tau(ValidationError(
-                    f"matrix is not unitary: defect {defect[bad[0]]:.3e} > "
-                    f"{UNITARITY_TOL:.1e}"), block.start + bad[0], taus)
+        _require_unitary(t_u2, block, taus)
+        _require_unitary(t_d2, block, taus)
         if "coherence" in out:
             p_u = unitary_power(t_u2, int(n_p))
             p_d = unitary_power(t_d2, int(n_p))
             out["coherence"][block] = np.einsum("nij,nij->n", p_u.conj(), p_d).real / ch.dim
         if "envelope" in out:
-            out["envelope"][block], min_gap, residual = _stacked_floor(t_u2, t_d2, w_d)
+            out["envelope"][block], _, residual = _stacked_floor(t_u2, t_d2, w_d)
             bad = np.flatnonzero(residual > PHASE_MATCH_TOL)
             if bad.size:
                 raise _at_tau(SymmetryViolationError(
                     f"u/d eigenphase residual {residual[bad[0]]:.3e} > "
                     f"{PHASE_MATCH_TOL:.1e}"), block.start + bad[0], taus)
-            for k in np.flatnonzero(min_gap < MIN_BATCH_GAP):
-                try:
-                    out["envelope"][block.start + k] = envelope_general(
-                        floquet_pair(t_u2[k], t_d2[k])).floor
-                except (ValidationError, NumericalConsistencyError) as exc:
-                    raise _at_tau(exc, block.start + k, taus)
     return out
 
 
@@ -486,7 +518,8 @@ def spectrum_scan(ch: ConditionalHamiltonians, tau_grid: np.ndarray,
                   gap_threshold: float = 1e-2) -> SpectrumScan:
     """Track cell eigenphases along ascending tau, keeping trajectories smooth.
 
-    Each cell T_u2 is diagonalized by Schur vectors and its modes are
+    The cells T_u2 of each tau block pass the UNITARITY_TOL check and are
+    diagonalized in one ``eig_unitaries`` call; each cell's modes are then
     matched to the previous ones by maximal overlap, so a column follows
     one Floquet state through avoided crossings instead of jumping at each
     phase sort.
@@ -503,15 +536,18 @@ def spectrum_scan(ch: ConditionalHamiltonians, tau_grid: np.ndarray,
     prev_modes = None
     order = np.arange(d)
     for block, w_u, w_d in _half_period_blocks(ch, taus, pulse_duration):
-        for i, cell in zip(range(block.start, block.stop), w_u @ w_d):
-            spec = eig_unitary(cell)
+        cells = w_u @ w_d
+        _require_unitary(cells, block, taus)
+        block_phases, block_modes = eig_unitaries(cells)
+        for i, cell_phases, modes in zip(range(block.start, block.stop),
+                                         block_phases, block_modes):
             if prev_modes is not None:
-                affinity = np.abs(prev_modes.conj().T @ spec.modes)
+                affinity = np.abs(prev_modes.conj().T @ modes)
                 rows, cols = linear_sum_assignment(-affinity)
                 order = np.empty(d, dtype=int)
                 order[rows] = cols
-            phases[i] = spec.phases[order]
-            prev_modes = spec.modes[:, order]
+            phases[i] = cell_phases[order]
+            prev_modes = modes[:, order]
         min_gaps[block] = _smallest_gap(phases[block])
     return SpectrumScan(taus=taus, phases=phases,
                         crossings=min_gaps < gap_threshold, min_gaps=min_gaps)

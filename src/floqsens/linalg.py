@@ -12,12 +12,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericalConsistencyError, ValidationError
 
 MAX_DIM = 4096
 HERMITICITY_TOL = 1e-12
 UNITARITY_TOL = 1e-10
 DEGENERACY_TOL = 1e-9
+# Largest Cayley eigenvalue |tan((E + cut) / 2)| accepted by eig_unitaries:
+# above it an eigenphase lies within about 2e-3 rad of the cut, and the
+# absolute error eps |A| of eigh starts to mix modes of the other phases.
+MAX_CAYLEY_TAN = 1e3
+# Re-solves of one matrix with a new cut before eig_unitaries gives up.  A
+# solve whose transform was huge (an eigenvalue within rounding of the cut)
+# gives only rough phases, so its next cut can land near an eigenvalue;
+# the solve after that has accurate phases.
+CAYLEY_RECUTS = 3
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -85,24 +94,97 @@ class EigenSystem:
 
 
 def eig_unitary(u: np.ndarray, tol: float = UNITARITY_TOL) -> EigenSystem:
-    """Eigenphases and modes of a unitary matrix via the complex Schur form.
+    """Eigenphases and orthonormal modes of one unitary matrix.
 
-    For a normal matrix the Schur factor is diagonal to machine precision,
-    so the orthonormal Schur vectors are the eigenmodes; this stays robust
-    at the near-degeneracies that avoided-crossing scans deliberately probe.
+    The one-cell call of ``eig_unitaries``, after the unitarity check
+    against ``tol``; raises ValidationError for a non-unitary matrix.
     """
-    # Imported here, not at module level: SciPy is most of a cold start.
-    from scipy.linalg import schur
-
     u = require_square(u, "unitary")
     defect = unitarity_defect(u)
     if defect > tol:
         raise ValidationError(f"matrix is not unitary: defect {defect:.3e} > {tol:.1e}")
-    t, q = schur(u, output="complex")
-    phases = -np.angle(np.diag(t))
+    phases, modes = eig_unitaries(u[None])
+    return EigenSystem(phases=phases[0], modes=modes[0])
+
+
+def eig_unitaries(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenphases and orthonormal modes of each unitary of an (n, D, D) stack.
+
+    Returns (phases, modes) with phases (n, D) ascending in (-pi, pi] and
+    column l of modes[k] belonging to phases[k, l], as in EigenSystem.
+    Unitarity is the caller's check.
+
+    A unitary U is normal, so its Cayley transform
+    A = i (1 - U') (1 + U')^-1 with U' = e^{-i cut} U is Hermitian, with the
+    modes of U and the eigenvalues tan((E + cut) / 2), one to one in E.
+    A batched ``eigh`` of A therefore gives orthonormal modes at any phase
+    gap, degenerate clusters included, and the phases are the Rayleigh
+    quotients -arg(Phi^dag U Phi).  Every matrix is solved with cut 0
+    first; one whose transform exceeds MAX_CAYLEY_TAN (an eigenvalue within
+    about 2e-3 rad of the cut) is solved again with the cut in the middle
+    of its largest phase gap, which is at least 2 pi / D wide, up to
+    CAYLEY_RECUTS times.
+    """
+    size, modes = _cayley_eigh(u, np.zeros(len(u)))
+    phases = _rayleigh_phases(u, modes)
+    todo = np.flatnonzero(size > MAX_CAYLEY_TAN)
+    for _ in range(CAYLEY_RECUTS):
+        if not todo.size:
+            break
+        size, modes[todo] = _cayley_eigh(u[todo], np.pi - _largest_gap_middle(phases[todo]))
+        phases[todo] = _rayleigh_phases(u[todo], modes[todo])
+        todo = todo[size > MAX_CAYLEY_TAN]
+    if todo.size:
+        raise NumericalConsistencyError(
+            f"Cayley transform of matrix {todo[0]} exceeds {MAX_CAYLEY_TAN:.0e} at every cut tried")
     phases[phases <= -np.pi] += 2 * np.pi
-    order = np.argsort(phases, kind="stable")
-    return EigenSystem(phases=phases[order], modes=q[:, order])
+    order = np.argsort(phases, axis=-1, kind="stable")
+    return (np.take_along_axis(phases, order, axis=-1),
+            np.take_along_axis(modes, order[:, None, :], axis=-1))
+
+
+def _cayley_eigh(u: np.ndarray, cut: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Size and ``eigh`` modes of the Cayley transform of each e^{-i cut} U.
+
+    The size is the largest |tan| of the Hermitized transform, or the
+    largest entry of the transform as solved if that is larger.  An
+    eigenvalue within rounding of the cut gives 1 + U' a tiny eigenvalue
+    of arbitrary complex phase, and its huge term in the solved transform
+    can be anti-Hermitian and vanish from A.  An eigenvalue exactly on the
+    cut (-1 at cut 0) makes 1 + U' singular: size inf and unit modes, so
+    the matrix is solved again at the largest gap of its diagonal phases.
+    """
+    eye = np.eye(u.shape[-1])
+    shifted = u * np.exp(-1j * cut)[:, None, None]
+    try:
+        a = np.linalg.solve(eye + shifted, eye - shifted)
+    except np.linalg.LinAlgError:
+        a = np.full_like(shifted, np.inf)
+        for k in range(len(u)):
+            try:
+                a[k] = np.linalg.solve(eye + shifted[k], eye - shifted[k])
+            except np.linalg.LinAlgError:
+                pass
+    size = np.abs(a).max(axis=(-2, -1))
+    singular = ~np.isfinite(size)
+    a[singular] = 0.0
+    tans, modes = np.linalg.eigh(0.5j * (a - a.conj().swapaxes(-1, -2)))
+    modes[singular] = eye
+    return np.maximum(size, np.abs(tans).max(axis=-1)), modes
+
+
+def _rayleigh_phases(u: np.ndarray, modes: np.ndarray) -> np.ndarray:
+    """-arg(Phi^dag U Phi) for every mode column Phi of a (n, D, D) stack."""
+    return -np.angle(np.einsum("nil,nil->nl", modes.conj(), u @ modes))
+
+
+def _largest_gap_middle(phases: np.ndarray) -> np.ndarray:
+    """Middle of the largest circular gap between the phases of each row."""
+    ordered = np.sort(phases, axis=-1)
+    gaps = np.diff(ordered, axis=-1, append=ordered[:, :1] + 2 * np.pi)
+    k = gaps.argmax(axis=-1)
+    rows = np.arange(len(phases))
+    return ordered[rows, k] + gaps[rows, k] / 2
 
 
 def polar_unitary(u: np.ndarray) -> np.ndarray:

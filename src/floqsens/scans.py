@@ -9,10 +9,15 @@ the engine's stacked row kernel ``floquet_row``, which diagonalizes H_u
 and H_d once per field and builds the cells of the tau axis in blocks.
 On both paths a map asks only for the quantity it emits and a trace asks
 for both; each value is the same either way.  The overlay curves of a
-two-state map reuse the model of each row.  Kernel values differ from
-those of the earlier per-tau Schur path by a few 1e-14 at most, so
-dense-system files are not bitwise equal to files written before the
-kernel.
+two-state map reuse the model of each row.  The engine diagonalizes
+every dense cell with one batched eigensolver (``linalg.eig_unitaries``)
+and sums the envelope floor over whole clusters of degenerate
+eigenphases, so a floor does not depend on the eigenbasis picked inside
+a cluster.  Dense-system values differ from those of earlier versions by
+a few 1e-14, except envelope values at cells with degenerate eigenphases,
+where the earlier per-tau Schur path depended on that basis; dense-system
+files are therefore not bitwise equal to files written by earlier
+versions.
 
 A run whose largest accumulated phase exceeds ``MAX_PHASE_RAD`` is
 rejected with ValidationError (CLI exit 2) before anything is written;

@@ -208,17 +208,15 @@ def test_console_entry_point(tmp_path):
     assert "trace.csv" in proc.stdout
 
 
-def test_two_state_maps_load_no_scipy(tmp_path):
+def test_maps_load_no_scipy(tmp_path):
     # This process has SciPy loaded already (tests use it as an oracle).
     result = run_fresh(tmp_path, ("map", "nv_diamond_map.json"),
-                       ("map", "donor_pair_map.json"))
-    assert result == {"codes": [0, 0], "scipy": []}
+                       ("map", "donor_pair_map.json"), ("map", "cluster3_map.json"))
+    assert result == {"codes": [0, 0, 0], "scipy": []}
 
 
 @pytest.mark.parametrize("command, config", [
-    ("spectrum", "cluster3_spectrum.json"), ("dips", "donor_pair_dips.json"),
-    # reaches SciPy only through the gap fallbacks of floquet_row
-    ("map", "cluster3_map.json")])
+    ("spectrum", "cluster3_spectrum.json"), ("dips", "donor_pair_dips.json")])
 def test_commands_that_need_scipy_import_it(tmp_path, command, config):
     result = run_fresh(tmp_path, (command, config))
     assert result["codes"] == [0]

@@ -10,18 +10,22 @@ import floqsens.engine as engine
 from conftest import random_hermitian
 from floqsens import (
     ConditionalHamiltonians,
+    EigenSystem,
+    FloquetPair,
     PulseSequence,
     SymmetryViolationError,
     ValidationError,
+    conditional_cluster_hamiltonians,
     envelope_general,
     expm_hermitian,
     floquet_pair,
+    half_period_operators,
     thermal_coherence_numeric,
     unit_cell,
 )
 from floqsens.config import parse_config
-from floqsens.engine import STACK_BLOCK_BYTES, _half_period_blocks, floquet_row
-from floqsens.scans import run_map, run_trace
+from floqsens.engine import STACK_BLOCK_BYTES, _half_period_blocks, _stacked_floor, floquet_row
+from floqsens.scans import compute_trace, run_map, run_trace
 
 ATOL = 1e-10
 
@@ -34,6 +38,43 @@ def per_tau(ch, taus, n_p, pulse_duration):
         coh.append(thermal_coherence_numeric(ch, seq))
         env.append(envelope_general(floquet_pair(*unit_cell(ch, seq))).floor)
     return {"coherence": np.array(coh), "envelope": np.array(env)}
+
+
+def schur_floor(ch, taus, pulse_duration=0.0):
+    """Envelope floor per tau from the Schur vectors of T_u2 (the independent oracle).
+
+    floor = (2/D) sum |Phi_l^dag W_d Phi_l'|^2 - 1 over mode pairs whose
+    cell eigenvalues lie within 1e-8 of each other; inside such a cluster
+    the Schur vectors are an arbitrary basis, and the sum does not see it.
+    """
+    floors = []
+    for tau in taus:
+        w_u, w_d = half_period_operators(
+            ch, PulseSequence(tau=float(tau), n_p=1, pulse_duration=pulse_duration))
+        t, q = scipy.linalg.schur(w_u @ w_d, output="complex")
+        lam = np.diag(t)
+        same = np.abs(lam[:, None] - lam[None, :]) < 1e-8
+        overlaps = q.conj().T @ w_d @ q
+        floors.append(2.0 / lam.size * (np.abs(overlaps) ** 2)[same].sum() - 1.0)
+    return np.array(floors)
+
+
+def rotate_in_clusters(phases, modes, rng):
+    """Modes mixed by a random unitary inside each cluster of equal phases."""
+    modes = modes.copy()
+    for value in np.unique(np.round(phases, 6)):
+        cluster = np.flatnonzero(np.round(phases, 6) == value)
+        z = rng.standard_normal((cluster.size,) * 2) + 1j * rng.standard_normal((cluster.size,) * 2)
+        modes[:, cluster] = modes[:, cluster] @ np.linalg.qr(z)[0]
+    return modes
+
+
+def doubled(rng, dim=3):
+    """Two copies of one random block: every cell eigenphase appears twice."""
+    a_u, a_d = random_hermitian(dim, rng), random_hermitian(dim, rng)
+    zero = np.zeros((dim, dim))
+    return ConditionalHamiltonians(np.block([[a_u, zero], [zero, a_u]]),
+                                   np.block([[a_d, zero], [zero, a_d]]))
 
 
 def stacked_cells(ch, taus, pulse_duration=0.0, intra_pulse_hamiltonian=None):
@@ -86,18 +127,59 @@ def test_quantity_values_do_not_depend_on_the_request(rng):
         assert alone[quantity].tobytes() == both[quantity].tobytes()
 
 
-def test_degenerate_phases_take_the_schur_path(rng, monkeypatch):
-    # Two copies of one block give every cell eigenphase twice.
-    a_u, a_d = random_hermitian(3, rng), random_hermitian(3, rng)
-    zero = np.zeros((3, 3))
-    ch = ConditionalHamiltonians(np.block([[a_u, zero], [zero, a_u]]),
-                                 np.block([[a_d, zero], [zero, a_d]]))
+def test_degenerate_phases_match_the_schur_oracle(rng):
+    ch = doubled(rng)
     taus = np.array([0.1, 0.7, 1.3])
-    want = per_tau(ch, taus, 12, 0.05)["envelope"]
-    calls = count_calls(monkeypatch, "floquet_pair")
+    want = schur_floor(ch, taus, 0.05)
     got = floquet_row(ch, taus, 12, ("envelope",), pulse_duration=0.05)["envelope"]
-    assert len(calls) == taus.size
-    assert got.tobytes() == want.tobytes()
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(per_tau(ch, taus, 12, 0.05)["envelope"], want, rtol=0, atol=1e-12)
+
+
+def test_symmetric_cluster3_envelope_does_not_depend_on_the_basis():
+    # Two equal hyperfine couplings and equal flip-flops: every cell of the
+    # tau axis has degenerate eigenphases.  The per-tau Schur path paired
+    # arbitrary bases inside the clusters and read up to 2.4e-2 off.
+    cfg = parse_config({
+        "system": {"kind": "cluster3", "p_u": 0.3, "p_d": -0.5,
+                   "cluster": {"a_rad_s": [1e5, 1e5, 0.0],
+                               "c_rad_s": [[0.0, 1e3, 1e3], [1e3, 0.0, 1e3],
+                                           [1e3, 1e3, 0.0]]}},
+        "sequence": {"n_p": 100},
+        "axes": {"tau_s": {"start": 2e-5, "stop": 3.2e-4, "count": 300}}})
+    data = compute_trace(cfg)
+    ch = conditional_cluster_hamiltonians(cfg.system, 0.3, -0.5)
+    want = schur_floor(ch, data.taus)
+    np.testing.assert_allclose(data.envelope, want, rtol=0, atol=1e-12)
+    oracle = per_tau(ch, data.taus, 100, 0.0)
+    np.testing.assert_allclose(data.envelope, oracle["envelope"], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(data.coherence, oracle["coherence"], rtol=0, atol=ATOL)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_floor_does_not_see_rotations_inside_a_cluster(seed, monkeypatch):
+    rng = np.random.default_rng(seed)
+    ch = doubled(rng, dim=2 + seed % 3)
+    taus = np.array([0.3, 0.9, 1.6])
+    want = schur_floor(ch, taus)
+    _, w_u, w_d = next(_half_period_blocks(ch, taus))
+    original = engine.eig_unitaries
+
+    def rotated(cells):
+        phases, modes = original(cells)
+        return phases, np.stack([rotate_in_clusters(p, m, rng) for p, m in zip(phases, modes)])
+
+    monkeypatch.setattr(engine, "eig_unitaries", rotated)
+    floor, _, residual = _stacked_floor(w_u @ w_d, w_d @ w_u, w_d)
+    np.testing.assert_allclose(floor, want, rtol=0, atol=1e-12)
+    assert residual.max() < 1e-12
+    for k in range(taus.size):
+        pair = floquet_pair(w_u[k] @ w_d[k], w_d[k] @ w_u[k])
+        su = pair.spectrum_u
+        modes = rotate_in_clusters(su.phases, su.modes, rng)
+        turned = FloquetPair(EigenSystem(su.phases, modes), pair.spectrum_d, pair.pairing,
+                             pair.spectrum_d.modes.conj().T @ modes)
+        assert envelope_general(turned).floor == pytest.approx(want[k], abs=1e-12)
 
 
 @pytest.mark.parametrize("dim", [2, 8, 16])

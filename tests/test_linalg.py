@@ -3,9 +3,13 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
-from floqsens import ValidationError, eig_unitary, expm_hermitian, spin_operators
-from floqsens.linalg import PAULI_X, PAULI_Z, hermiticity_defect, unitarity_defect
+import floqsens.linalg as linalg
+from floqsens import EigenSystem, NumericalConsistencyError, ValidationError, eig_unitary, \
+    expm_hermitian, spin_operators
+from floqsens.linalg import PAULI_X, PAULI_Z, eig_unitaries, hermiticity_defect, \
+    unitarity_defect
 
 from conftest import random_hermitian
 
@@ -103,6 +107,93 @@ class TestEigUnitary:
     def test_rejects_non_unitary(self):
         with pytest.raises(ValidationError, match="defect"):
             eig_unitary(np.eye(2) * 1.5)
+
+
+def schur_phases(u):
+    """Eigenphases of a unitary from its complex Schur form (the independent oracle)."""
+    t, _ = scipy.linalg.schur(u, output="complex")
+    return -np.angle(np.diag(t))
+
+
+def circle_distance(a, b):
+    """Largest distance on the unit circle between two phase multisets, matched optimally."""
+    dist = np.abs(np.exp(-1j * a)[:, None] - np.exp(-1j * b)[None, :])
+    rows, cols = linear_sum_assignment(dist)
+    return dist[rows, cols].max()
+
+
+@st.composite
+def unitary_spectra(draw):
+    """(U, phases) with U = Q diag(exp(-i phases)) Q^dag, Q a random unitary or a permutation.
+
+    Spectra are generic, near-degenerate (gaps down to 1e-13), exactly
+    degenerate, next to the -1 cut of the first Cayley solve, or with an
+    eigenvalue at exactly -1.
+    """
+    dim = draw(st.integers(2, 16))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["generic", "near", "degenerate", "near_cut", "minus_one"]))
+    phases = rng.uniform(-np.pi, np.pi, dim)
+    if kind == "near":
+        phases[1:] = phases[:-1] + 10.0 ** rng.uniform(-13, -4, dim - 1)
+    elif kind == "degenerate":
+        phases = np.repeat(phases[: (dim + 1) // 2], 2)[:dim]
+    elif kind == "near_cut":
+        phases[: max(1, dim // 3)] = np.pi - 10.0 ** rng.uniform(-14, -2, max(1, dim // 3))
+    elif kind == "minus_one":
+        phases[: draw(st.integers(1, dim))] = np.pi
+    if draw(st.booleans()):
+        z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        q, r = np.linalg.qr(z)
+        q = q * (np.diag(r) / np.abs(np.diag(r)))
+    else:
+        q = np.eye(dim)[rng.permutation(dim)]
+    return (q * np.exp(-1j * phases)) @ q.conj().T
+
+
+class TestEigUnitaries:
+    @settings(max_examples=300, deadline=None)
+    @given(u=unitary_spectra())
+    def test_matches_schur_oracle(self, u):
+        phases, modes = eig_unitaries(u[None])
+        phases, modes = phases[0], modes[0]
+        dim = u.shape[0]
+        assert np.abs(modes.conj().T @ modes - np.eye(dim)).max() <= 1e-13
+        assert EigenSystem(phases, modes).reconstruction_defect(u) <= 1e-12
+        assert np.all(np.diff(phases) >= 0)
+        assert np.all((phases > -np.pi) & (phases <= np.pi))
+        assert circle_distance(phases, schur_phases(u)) <= 1e-12
+
+    @pytest.mark.parametrize("seed", [207, 6076, 17702])
+    def test_eigenvalue_within_rounding_of_the_cut(self, seed):
+        # An eigenvalue at -1 up to rounding makes the first solve huge and
+        # its phases rough.  When found, seed 207 lost its -1 mode to the
+        # Hermitization (size from tan values alone), and 6076 and 17702
+        # needed a second re-cut because the first landed near an eigenvalue.
+        rng = np.random.default_rng(seed)
+        dim = int(rng.integers(2, 17))
+        phases = rng.uniform(-np.pi, np.pi, dim)
+        phases[0] = np.pi
+        q = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))[0]
+        u = (q * np.exp(-1j * phases)) @ q.conj().T
+        es = eig_unitary(u)
+        assert np.abs(es.modes.conj().T @ es.modes - np.eye(dim)).max() <= 1e-13
+        assert es.reconstruction_defect(u) <= 1e-12
+
+    def test_stack_equals_one_matrix_at_a_time(self, rng):
+        cells = np.stack([expm_hermitian(random_hermitian(6, rng), 0.8) for _ in range(5)])
+        cells[2] = -np.eye(6)
+        phases, modes = eig_unitaries(cells)
+        for k, cell in enumerate(cells):
+            es = eig_unitary(cell)
+            assert es.phases.tobytes() == phases[k].tobytes()
+            assert es.modes.tobytes() == modes[k].tobytes()
+
+    def test_unresolved_cut_raises(self, rng, monkeypatch):
+        monkeypatch.setattr(linalg, "MAX_CAYLEY_TAN", 0.0)
+        cells = np.stack([expm_hermitian(random_hermitian(3, rng), 0.8) for _ in range(2)])
+        with pytest.raises(NumericalConsistencyError, match="at every cut tried"):
+            eig_unitaries(cells)
 
 
 class TestSpinOperators:

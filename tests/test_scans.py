@@ -175,6 +175,23 @@ def test_pair_product_matches_joint_kernel(case, n_p):
     assert np.abs(data.envelope - joint["envelope"]).max() <= 1e-9
 
 
+@pytest.mark.parametrize("tau", [1.0, 1.9635])
+def test_coincident_pair_levels_give_the_product_floor(tau):
+    # Two equal pairs make joint cell levels coincide at every tau.  While the
+    # joint floor depended on the eigenbasis picked inside such a cluster,
+    # it read -0.00771837 at tau 1.9635 s against the product -0.00270698.
+    pairs = [{"delta_a_rad_s": -7.1554, "c12_rad_s": -3.5777},
+             {"delta_a_rad_s": 0.0, "c12_rad_s": 1.0}, {"delta_a_rad_s": 0.0, "c12_rad_s": 1.0}]
+    p_u, p_d = -1.0, 0.4946152490554696
+    cfg = parse_config({
+        "system": {"kind": "independent_pairs", "pairs": pairs, "p_u": p_u, "p_d": p_d},
+        "sequence": {"n_p": 1}, "axes": {"tau_s": {"start": tau, "stop": 1.001 * tau,
+                                                   "count": 2}}})
+    data = compute_trace(cfg)
+    joint = floquet_row(cfg.system.conditional(p_u, p_d), data.taus, 1)
+    assert np.abs(data.envelope - joint["envelope"]).max() <= 1e-12
+
+
 def test_pair_traces_and_maps_never_build_the_joint_space(tmp_path, monkeypatch):
     def no_joint_space(self, p_u, p_d):
         raise CapacityError("joint pair space built")
