@@ -208,11 +208,17 @@ def test_console_entry_point(tmp_path):
     assert "trace.csv" in proc.stdout
 
 
-def test_maps_load_no_scipy(tmp_path):
+def test_two_state_maps_load_no_scipy(tmp_path):
     # This process has SciPy loaded already (tests use it as an oracle).
     result = run_fresh(tmp_path, ("map", "nv_diamond_map.json"),
-                       ("map", "donor_pair_map.json"), ("map", "cluster3_map.json"))
-    assert result == {"codes": [0, 0, 0], "scipy": []}
+                       ("map", "donor_pair_map.json"))
+    assert result == {"codes": [0, 0], "scipy": []}
+
+
+def test_cluster3_map_loads_no_scipy(tmp_path):
+    # Dense cells take the batched Cayley eigensolver, which needs no SciPy.
+    result = run_fresh(tmp_path, ("map", "cluster3_map.json"))
+    assert result == {"codes": [0], "scipy": []}
 
 
 @pytest.mark.parametrize("command, config", [
