@@ -39,8 +39,12 @@ block by block:
   l = l' remains.
 
 ``spectrum_scan`` solves its T_u2 blocks the same way and tracks the
-modes from tau to tau.  Every stacked cell passes the ``UNITARITY_TOL``
-check of the per-tau path, and errors name the failing tau.  The
+modes from tau to tau: one batched product gives the mode overlaps of
+each cell with the one before it, a row maximum above TRACKING_OVERLAP
+is the unique best continuation of its mode, and only a tau where modes
+mix goes to SciPy's ``linear_sum_assignment``.  Every stacked cell
+passes the ``UNITARITY_TOL`` check of the per-tau path, and errors,
+those of the eigensolver included, name the failing tau.  The
 envelope also checks the half-period identity at every tau: the residual
 ||T_d2 W_d Phi - lambda W_d Phi|| must stay below ``PHASE_MATCH_TOL``.
 The two paths agree to a few 1e-14, not bit for bit.
@@ -74,6 +78,10 @@ POWER_DRIFT_TOL = 1e-12
 # blocks measured no faster on D = 8 and 16.
 STACK_BLOCK_BYTES = 64 * 1024
 QUANTITIES = ("coherence", "envelope")
+# Overlap |Phi_{i-1}^dag Phi_i| above which spectrum_scan continues a mode
+# by its row maximum.  Above 1/sqrt(2) two maxima cannot share a column;
+# 0.75 leaves each row maximum ahead of any other assignment by > 0.08.
+TRACKING_OVERLAP = 0.75
 
 
 @dataclass(frozen=True)
@@ -179,22 +187,31 @@ def unit_cell(ch: ConditionalHamiltonians,
     return w_u @ w_d, w_d @ w_u
 
 
-def _circular_gap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pairwise distance of phases a[..., i], b[..., j] on the circle."""
-    diff = np.abs(a[..., :, None] - b[..., None, :]) % (2 * np.pi)
+def _circular_distance(diff: np.ndarray) -> np.ndarray:
+    """Distance on the circle of phases whose difference is ``diff``."""
+    diff = np.abs(diff) % (2 * np.pi)
     return np.minimum(diff, 2 * np.pi - diff)
 
 
-def _smallest_gap(phases: np.ndarray) -> np.ndarray:
-    """Smallest circular distance of two eigenphases, per row of a (..., D) array.
+def _circular_gap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Pairwise distance of phases a[..., i], b[..., j] on the circle."""
+    return _circular_distance(a[..., :, None] - b[..., None, :])
 
-    Builds a (..., D, D) array, so callers pass one block of a grid at a
-    time.  A row of a single phase has no gap: inf.
+
+def _smallest_gap(phases: np.ndarray) -> np.ndarray:
+    """Smallest circular distance of two eigenphases, per row of a (..., D) array in [-pi, pi].
+
+    Only neighbours of the sorted phases, and the last and first across
+    the cut, can be closest: a rounded difference grows with the distance
+    of its operands, so with the ``_circular_gap`` arithmetic per pair the
+    result equals the minimum over all pairs bit for bit.  A row of a
+    single phase has no gap: inf.
     """
-    gaps = _circular_gap(phases, phases)
-    d = phases.shape[-1]
-    gaps[..., np.arange(d), np.arange(d)] = np.inf
-    return gaps.min(axis=(-2, -1))
+    if phases.shape[-1] < 2:
+        return np.full(phases.shape[:-1], np.inf)
+    ordered = np.sort(phases, axis=-1)
+    return _circular_distance(np.concatenate(
+        [np.diff(ordered, axis=-1), ordered[..., -1:] - ordered[..., :1]], axis=-1)).min(axis=-1)
 
 
 def _same_cluster(phases: np.ndarray) -> np.ndarray:
@@ -494,7 +511,10 @@ def floquet_row(ch: ConditionalHamiltonians, taus: np.ndarray, n_p: int,
             p_d = unitary_power(t_d2, int(n_p))
             out["coherence"][block] = np.einsum("nij,nij->n", p_u.conj(), p_d).real / ch.dim
         if "envelope" in out:
-            out["envelope"][block], _, residual = _stacked_floor(t_u2, t_d2, w_d)
+            try:
+                out["envelope"][block], _, residual = _stacked_floor(t_u2, t_d2, w_d)
+            except NumericalConsistencyError as exc:  # eig_unitaries names its matrix
+                raise _at_tau(exc, block.start + exc.index, taus)
             bad = np.flatnonzero(residual > PHASE_MATCH_TOL)
             if bad.size:
                 raise _at_tau(SymmetryViolationError(
@@ -519,14 +539,20 @@ def spectrum_scan(ch: ConditionalHamiltonians, tau_grid: np.ndarray,
     """Track cell eigenphases along ascending tau, keeping trajectories smooth.
 
     The cells T_u2 of each tau block pass the UNITARITY_TOL check and are
-    diagonalized in one ``eig_unitaries`` call; each cell's modes are then
-    matched to the previous ones by maximal overlap, so a column follows
-    one Floquet state through avoided crossings instead of jumping at each
-    phase sort.
+    diagonalized in one ``eig_unitaries`` call.  Each cell's modes are
+    matched to the previous cell's by the assignment of largest total
+    overlap, so a column follows one Floquet state through avoided
+    crossings instead of jumping at each phase sort.  The overlaps
+    |Phi_{i-1}^dag Phi_i| of a block come from one batched product.  They
+    are the magnitudes of a unitary matrix, so when every row has an entry
+    above TRACKING_OVERLAP the row maxima lie in distinct columns, and any
+    other assignment loses at least 0.75 - sqrt(1 - 0.75^2) > 0.08 on
+    each row it changes: the argmaxes are the unique optimum.  Only a tau
+    where modes mix (some row below the threshold) calls
+    ``linear_sum_assignment``, the one place a spectrum needs SciPy.
+    ``min_gaps`` is the smallest phase gap per tau and ``crossings`` marks
+    the gaps below ``gap_threshold``.  Errors name the failing tau.
     """
-    # Imported here, not at module level: SciPy is most of a cold start.
-    from scipy.optimize import linear_sum_assignment
-
     taus = _require_taus(tau_grid)
     if taus.size < 1 or np.any(np.diff(taus) <= 0):
         raise ValidationError("tau grid must be non-empty and strictly ascending")
@@ -534,20 +560,40 @@ def spectrum_scan(ch: ConditionalHamiltonians, tau_grid: np.ndarray,
     phases = np.empty((taus.size, d))
     min_gaps = np.empty(taus.size)
     prev_modes = None
-    order = np.arange(d)
+    order = list(range(d))
     for block, w_u, w_d in _half_period_blocks(ch, taus, pulse_duration):
         cells = w_u @ w_d
         _require_unitary(cells, block, taus)
-        block_phases, block_modes = eig_unitaries(cells)
-        for i, cell_phases, modes in zip(range(block.start, block.stop),
-                                         block_phases, block_modes):
-            if prev_modes is not None:
-                affinity = np.abs(prev_modes.conj().T @ modes)
-                rows, cols = linear_sum_assignment(-affinity)
-                order = np.empty(d, dtype=int)
-                order[rows] = cols
-            phases[i] = cell_phases[order]
-            prev_modes = modes[:, order]
+        try:
+            block_phases, block_modes = eig_unitaries(cells)
+        except NumericalConsistencyError as exc:  # names its matrix in the block
+            raise _at_tau(exc, block.start + exc.index, taus)
+        if prev_modes is None:
+            prev_modes = block_modes[0]  # the first cell continues itself
+        # chain[k] precedes chain[k + 1], the cell of block index k.
+        chain = np.concatenate([prev_modes[None], block_modes])
+        overlaps = np.abs(chain[:-1].conj().swapaxes(-1, -2) @ chain[1:])
+        clear = (overlaps.max(axis=-1) > TRACKING_OVERLAP).all(axis=-1).tolist()
+        orders = []
+        for k, best in enumerate(overlaps.argmax(axis=-1).tolist()):
+            if clear[k]:
+                order = [best[j] for j in order]
+            else:
+                order = _assign_modes(chain[k][:, order], chain[k + 1])
+            orders.append(order)
+        phases[block] = np.take_along_axis(block_phases, np.array(orders), axis=-1)
+        prev_modes = block_modes[-1]
         min_gaps[block] = _smallest_gap(phases[block])
     return SpectrumScan(taus=taus, phases=phases,
                         crossings=min_gaps < gap_threshold, min_gaps=min_gaps)
+
+
+def _assign_modes(prev_modes: np.ndarray, modes: np.ndarray) -> list[int]:
+    """Column of ``modes`` that continues each column of ``prev_modes``, by largest total overlap."""
+    # Imported here, not at module level: SciPy is most of a cold start.
+    from scipy.optimize import linear_sum_assignment
+
+    rows, cols = linear_sum_assignment(-np.abs(prev_modes.conj().T @ modes))
+    order = np.empty(modes.shape[-1], dtype=int)
+    order[rows] = cols
+    return order.tolist()

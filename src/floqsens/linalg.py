@@ -123,7 +123,8 @@ def eig_unitaries(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     first; one whose transform exceeds MAX_CAYLEY_TAN (an eigenvalue within
     about 2e-3 rad of the cut) is solved again with the cut in the middle
     of its largest phase gap, which is at least 2 pi / D wide, up to
-    CAYLEY_RECUTS times.
+    CAYLEY_RECUTS times.  A matrix still above it raises
+    NumericalConsistencyError; its ``index`` is that matrix's stack index.
     """
     size, modes = _cayley_eigh(u, np.zeros(len(u)))
     phases = _rayleigh_phases(u, modes)
@@ -135,8 +136,10 @@ def eig_unitaries(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         phases[todo] = _rayleigh_phases(u[todo], modes[todo])
         todo = todo[size > MAX_CAYLEY_TAN]
     if todo.size:
-        raise NumericalConsistencyError(
-            f"Cayley transform of matrix {todo[0]} exceeds {MAX_CAYLEY_TAN:.0e} at every cut tried")
+        exc = NumericalConsistencyError(
+            f"Cayley transform exceeds {MAX_CAYLEY_TAN:.0e} at every cut tried")
+        exc.index = int(todo[0])
+        raise exc
     phases[phases <= -np.pi] += 2 * np.pi
     order = np.argsort(phases, axis=-1, kind="stable")
     return (np.take_along_axis(phases, order, axis=-1),

@@ -391,9 +391,8 @@ def run_spectrum(cfg: ScanConfig, outdir: Path) -> list[Path]:
                          gap_threshold=cfg.output.crossing_gap)
     dim = scan.phases.shape[1]
     header = ["tau_s"] + [f"phase_{k + 1}" for k in range(dim)] + ["crossing"]
-    rows = []
-    for i, tau in enumerate(scan.taus):
-        rows.append((float(tau), *map(float, scan.phases[i]), int(scan.crossings[i])))
+    rows = [(tau, *phases, crossing) for tau, phases, crossing in
+            zip(scan.taus.tolist(), scan.phases.tolist(), scan.crossings.astype(int).tolist())]
     out = outdir / "spectrum.csv"
     write_csv(out, header, rows)
     manifest = outdir / "spectrum_manifest.json"

@@ -221,12 +221,42 @@ def test_cluster3_map_loads_no_scipy(tmp_path):
     assert result == {"codes": [0], "scipy": []}
 
 
-@pytest.mark.parametrize("command, config", [
-    ("spectrum", "cluster3_spectrum.json"), ("dips", "donor_pair_dips.json")])
+def test_spectrum_loads_no_scipy(tmp_path):
+    # Modes of neighbouring tau that overlap clearly are matched without
+    # linear_sum_assignment; on the shipped 500-tau grid they always do.
+    result = run_fresh(tmp_path, ("spectrum", "cluster3_spectrum.json"))
+    assert result == {"codes": [0], "scipy": []}
+
+
+def test_coarse_spectrum_imports_scipy_where_modes_mix(tmp_path):
+    # On 25 tau the shipped cluster3 modes mix between neighbouring tau once,
+    # and that tau alone goes to linear_sum_assignment.
+    doc = json.loads((CONFIGS / "cluster3_spectrum.json").read_text())
+    doc["axes"]["tau_s"]["count"] = 25
+    cfg = write_cfg(tmp_path / "coarse_spectrum.json", doc)
+    result = run_fresh(tmp_path, ("spectrum", cfg))
+    assert result["codes"] == [0]
+    assert "scipy.optimize" in result["scipy"]
+
+
+@pytest.mark.parametrize("command, config", [("dips", "donor_pair_dips.json")])
 def test_commands_that_need_scipy_import_it(tmp_path, command, config):
     result = run_fresh(tmp_path, (command, config))
     assert result["codes"] == [0]
     assert "scipy.optimize" in result["scipy"]
+
+
+@pytest.mark.parametrize("command", ["spectrum", "trace"])
+def test_unresolved_eigensolve_exits_3(tmp_path, capsys, monkeypatch, command):
+    # With the Cayley bound at 1 the shipped cluster3 cells fail in a later
+    # tau block, in spectrum_scan (spectrum) and in floquet_row (trace).
+    monkeypatch.setattr(floqsens.linalg, "MAX_CAYLEY_TAN", 1.0)
+    outdir = tmp_path / "out"
+    assert main([command, "--config", str(CONFIGS / "cluster3_spectrum.json"),
+                 "--output", str(outdir)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical-consistency error: tau[") and err.count("\n") == 1
+    assert list(outdir.iterdir()) == []
 
 
 @pytest.mark.parametrize("command, config", [

@@ -1,5 +1,9 @@
 """The stacked row kernel ``floquet_row`` against the per-tau engine path."""
 
+import json
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -7,11 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import floqsens.engine as engine
+import floqsens.linalg as linalg
 from conftest import random_hermitian
 from floqsens import (
     ConditionalHamiltonians,
     EigenSystem,
     FloquetPair,
+    NumericalConsistencyError,
     PulseSequence,
     SymmetryViolationError,
     ValidationError,
@@ -20,14 +26,16 @@ from floqsens import (
     expm_hermitian,
     floquet_pair,
     half_period_operators,
+    spectrum_scan,
     thermal_coherence_numeric,
     unit_cell,
 )
 from floqsens.config import parse_config
 from floqsens.engine import STACK_BLOCK_BYTES, _half_period_blocks, _stacked_floor, floquet_row
-from floqsens.scans import compute_trace, run_map, run_trace
+from floqsens.scans import _conditional, compute_trace, run_map, run_trace
 
 ATOL = 1e-10
+CONFIGS = Path(__file__).resolve().parents[1] / "scripts" / "configs"
 
 
 def per_tau(ch, taus, n_p, pulse_duration):
@@ -331,3 +339,27 @@ def test_cluster3_map_row_equals_trace(tmp_path, make_doc, quantity):
     lines = (tmp_path / "t" / "trace.csv").read_text().splitlines()
     column = lines[0].split(",").index(quantity)
     assert [(r.split(",")[0], r.split(",")[column]) for r in lines[1:]] == map_col
+
+
+@pytest.mark.parametrize("path", ["spectrum_scan", "floquet_row"])
+def test_unresolved_eigensolve_names_the_tau_point(monkeypatch, path):
+    # With the Cayley bound at 1 the shipped cluster3 cells first fail in a
+    # later tau block; the error names the tau, not the matrix of the block.
+    cfg = parse_config(json.loads((CONFIGS / "cluster3_spectrum.json").read_text()))
+    ch, _ = _conditional(cfg, None)
+    taus = cfg.tau_axis.values()
+    monkeypatch.setattr(linalg, "MAX_CAYLEY_TAN", 1.0)
+    with pytest.raises(NumericalConsistencyError) as failure:
+        if path == "spectrum_scan":
+            spectrum_scan(ch, taus)
+        else:
+            floquet_row(ch, taus, 1, ("envelope",))
+    named = re.fullmatch(r"tau\[(\d+)\] = (\S+): Cayley transform exceeds 1e\+00 at every "
+                         r"cut tried", str(failure.value))
+    assert named, str(failure.value)
+    i = int(named[1])
+    assert i >= STACK_BLOCK_BYTES // (16 * ch.dim ** 2)
+    assert named[2] == f"{taus[i]:g}"
+    w_u, w_d = half_period_operators(ch, PulseSequence(tau=float(taus[i]), n_p=1))
+    with pytest.raises(NumericalConsistencyError):
+        linalg.eig_unitaries((w_u @ w_d)[None])
