@@ -17,10 +17,13 @@ an n_p-independent envelope 1 - 2 F under a fast oscillation.  Coherence
 dips sit at the roots of cos E(tau/2) = 0, where F = 1 and the dip depth
 is set by the level repulsion delta = pi - E(tau_dip).
 
-Near a true level crossing (E(tau) -> pi) the F ratio degenerates to 0/0,
-so samples with |cos(E(tau)/2)| below ``ANALYTIC_GUARD`` are delegated to
-direct 2x2 propagation, which stays well conditioned there: one call of
-the engine's row kernel ``floquet_row`` on all flagged samples.
+``two_state_grid`` evaluates these formulas for many models on one
+(models, tau) grid; ``coherence_analytic`` and ``envelope`` are its
+one-model calls.  Near a true level crossing (E(tau) -> pi) the F ratio
+degenerates to 0/0, so samples with |cos(E(tau)/2)| below
+``ANALYTIC_GUARD`` are delegated to direct 2x2 propagation, which stays
+well conditioned there: one ``floquet_row`` call per model with flagged
+samples.
 """
 
 from __future__ import annotations
@@ -116,13 +119,17 @@ class TwoStateModel:
         return engine.ConditionalHamiltonians(h_u=h_u, h_d=h_d)
 
 
+def _cos_phase(two_w_u, two_w_d, k, s) -> np.ndarray:
+    """cos(2 w_u s) cos(2 w_d s) - sin(2 w_u s) sin(2 w_d s) k, broadcasting."""
+    au = two_w_u * s
+    ad = two_w_d * s
+    return np.cos(au) * np.cos(ad) - np.sin(au) * np.sin(ad) * k
+
+
 def cos_floquet_phase(model: TwoStateModel, s) -> np.ndarray | float:
     """cos E(s) of the cell with pulse interval s; vectorized over s."""
-    s = np.asarray(s, dtype=float)
-    au = 2 * model.omega_u * s
-    ad = 2 * model.omega_d * s
-    k = math.cos(model.theta_u - model.theta_d)
-    rhs = np.cos(au) * np.cos(ad) - np.sin(au) * np.sin(ad) * k
+    rhs = _cos_phase(2 * model.omega_u, 2 * model.omega_d,
+                     math.cos(model.theta_u - model.theta_d), np.asarray(s, dtype=float))
     return rhs if rhs.ndim else float(rhs)
 
 
@@ -139,14 +146,64 @@ def floquet_phase(model: TwoStateModel, s) -> np.ndarray | float:
     return e if np.asarray(s).ndim else float(e)
 
 
-def _envelope_factor(model: TwoStateModel, tau: np.ndarray):
-    """(F, cos E(tau), analytic-ok mask) on an array of pulse intervals."""
-    cos_e = np.asarray(cos_floquet_phase(model, tau))
+def two_state_grid(models, tau: np.ndarray, quantity: str,
+                   n_p: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """``quantity`` of each model over the pulse intervals ``tau``, on one grid.
+
+    'coherence' after n_p cells or the envelope 1 - 2 F.  Returns (values,
+    flags), both (len(models), tau.size); flags mark the samples within
+    ANALYTIC_GUARD of a true level crossing, which ``floquet_row``
+    computes from that model's 2x2 cell instead.  An error raised for one
+    model carries its position in ``index``.
+    """
+    tau = np.asarray(tau, dtype=float)
+    if np.any(tau <= 0):
+        exc = ValidationError("pulse interval must be > 0")
+        exc.index = 0  # every model fails, the first one first
+        raise exc
+    # h_u == h_d evolves identically in both sensor states: zero frequencies
+    # give cos E = 1, F = 0 and so exactly 1 (no signal) with no flags.
+    same = np.array([m.h_u == m.h_d for m in models])[:, None]
+    two_w_u = np.where(same, 0.0, np.array([2 * m.omega_u for m in models])[:, None])
+    two_w_d = np.where(same, 0.0, np.array([2 * m.omega_d for m in models])[:, None])
+    k = np.array([math.cos(m.theta_u - m.theta_d) for m in models])[:, None]
+    cos_e = _cos_phase(two_w_u, two_w_d, k, tau)
     q = np.maximum(0.5 * (1.0 + cos_e), 0.0)
-    p = np.asarray(cos_floquet_phase(model, tau / 2.0)) ** 2
+    p = _cos_phase(two_w_u, two_w_d, k, tau / 2.0) ** 2
     ok = np.sqrt(q) >= ANALYTIC_GUARD
     f = np.where(ok, 1.0 - p / np.where(ok, q, 1.0), np.nan)
-    return f, cos_e, ok
+    if quantity == "coherence":
+        osc = np.sin(n_p * np.arccos(np.clip(cos_e, -1.0, 1.0))) ** 2
+        vals = 1.0 - 2.0 * f * osc
+    else:
+        vals = 1.0 - 2.0 * f
+    for i in np.flatnonzero(~ok.all(axis=1)):
+        try:
+            vals[i, ~ok[i]] = engine.floquet_row(
+                models[i].conditional(), tau[~ok[i]], n_p if quantity == "coherence" else 1,
+                (quantity,))[quantity]
+        except (ValidationError, NumericalConsistencyError) as exc:
+            exc.index = int(i)
+            raise
+    if quantity == "coherence":
+        bad = np.abs(vals) - 1.0
+        rows = np.flatnonzero((bad > COS_RANGE_TOL).any(axis=1))
+        if rows.size:
+            exc = NumericalConsistencyError(
+                f"coherence left [-1, 1] by {bad[rows[0]].max():.3e}")
+            exc.index = int(rows[0])
+            raise exc
+    return np.clip(vals, -1.0, 1.0), ~ok
+
+
+def _one_model(model: TwoStateModel, tau, quantity: str, n_p: int, return_flag: bool):
+    """``two_state_grid`` of one model, shaped like ``tau`` (a float for a scalar)."""
+    tau_arr = np.atleast_1d(np.asarray(tau, dtype=float))
+    vals, flags = two_state_grid([model], tau_arr.ravel(), quantity, n_p)
+    vals, flags = vals.reshape(tau_arr.shape), flags.reshape(tau_arr.shape)
+    if np.asarray(tau).ndim == 0:
+        return (float(vals[0]), bool(flags[0])) if return_flag else float(vals[0])
+    return (vals, flags) if return_flag else vals
 
 
 def coherence_analytic(model: TwoStateModel, tau, n_p: int,
@@ -157,50 +214,12 @@ def coherence_analytic(model: TwoStateModel, tau, n_p: int,
     propagation instead of the analytic formula; ``return_flag`` also
     returns the mask of such samples.
     """
-    tau_arr = np.atleast_1d(np.asarray(tau, dtype=float))
-    if np.any(tau_arr <= 0):
-        raise ValidationError("pulse interval must be > 0")
-    if model.h_u == model.h_d:
-        # identical conditional evolution, exactly no signal
-        vals = np.ones_like(tau_arr)
-        ok = np.ones(tau_arr.shape, dtype=bool)
-    else:
-        f, cos_e, ok = _envelope_factor(model, tau_arr)
-        e_tau = np.arccos(np.clip(cos_e, -1.0, 1.0))
-        osc = np.sin(n_p * e_tau) ** 2
-        vals = 1.0 - 2.0 * f * osc
-        if not ok.all():
-            vals[~ok] = engine.floquet_row(model.conditional(), tau_arr[~ok], n_p,
-                                           ("coherence",))["coherence"]
-    bad = np.abs(vals) - 1.0
-    if np.any(bad > COS_RANGE_TOL):
-        raise NumericalConsistencyError(f"coherence left [-1, 1] by {bad.max():.3e}")
-    vals = np.clip(vals, -1.0, 1.0)
-    flags = ~ok
-    if np.asarray(tau).ndim == 0:
-        return (float(vals[0]), bool(flags[0])) if return_flag else float(vals[0])
-    return (vals, flags) if return_flag else vals
+    return _one_model(model, tau, "coherence", n_p, return_flag)
 
 
 def envelope(model: TwoStateModel, tau, return_flag: bool = False):
     """Pulse-number-independent coherence envelope 1 - 2 F(tau) (vectorized)."""
-    tau_arr = np.atleast_1d(np.asarray(tau, dtype=float))
-    if np.any(tau_arr <= 0):
-        raise ValidationError("pulse interval must be > 0")
-    if model.h_u == model.h_d:
-        vals = np.ones_like(tau_arr)
-        ok = np.ones(tau_arr.shape, dtype=bool)
-    else:
-        f, _, ok = _envelope_factor(model, tau_arr)
-        vals = 1.0 - 2.0 * f
-        if not ok.all():
-            vals[~ok] = engine.floquet_row(model.conditional(), tau_arr[~ok], 1,
-                                           ("envelope",))["envelope"]
-    vals = np.clip(vals, -1.0, 1.0)
-    flags = ~ok
-    if np.asarray(tau).ndim == 0:
-        return (float(vals[0]), bool(flags[0])) if return_flag else float(vals[0])
-    return (vals, flags) if return_flag else vals
+    return _one_model(model, tau, "envelope", 1, return_flag)
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,15 @@
 """Sweep engine and file emission for the command-line front end.
 
-Every map row is produced by the same ``compute_trace`` call the ``trace``
-command uses, so a map row at fixed field and the corresponding trace are
-bitwise identical.  Products of independent two-state targets (the
-two-state systems and ``independent_pairs``) take the closed-form
-pseudospin path with no joint 2^k space; every other system goes through
-the engine's stacked row kernel ``floquet_row``, which diagonalizes H_u
-and H_d once per field and builds the cells of the tau axis in blocks.
-On both paths a map asks only for the quantity it emits and a trace asks
-for both; each value is the same either way.  The overlay curves of a
-two-state map reuse the model of each row.  The engine diagonalizes
+A map computes its rows in one ``field_rows`` call and ``compute_trace``
+is the one-field call, so a map row and the trace at its field are
+bitwise identical.  The donor polarizations of all fields come from
+batched ``eigh`` calls.  Products of independent two-state targets (the
+two-state systems and ``independent_pairs``) are evaluated in closed
+form on (rows, tau) grids, with no joint 2^k space; every other system
+goes through the engine's row kernel ``floquet_row`` once per field.  A
+map asks only for the quantity it emits and a trace asks for both; each
+value is the same either way.  The overlay curves of a map reuse the
+models and polarizations of its rows.  The engine diagonalizes
 every dense cell with one batched eigensolver (``linalg.eig_unitaries``)
 and sums the envelope floor over whole clusters of degenerate
 eigenphases, so a floor does not depend on the eigenbasis picked inside
@@ -53,9 +53,9 @@ from .clusters import conditional_cluster_hamiltonians, doublet_dip_estimates, \
 from .config import ScanConfig
 from .engine import QUANTITIES, ConditionalHamiltonians, floquet_row, spectrum_scan
 from .errors import ConfigError, NumericalConsistencyError, ValidationError
-from .pseudospin import TwoStateModel, avg_hamiltonian_dip, \
-    coherence_analytic, diamond_boundaries, dip_positions, envelope, floquet_phase
-from .sensors import NVModel, donor_pair_polarizations, donor_pair_two_state, nv_two_state
+from .pseudospin import TwoStateModel, avg_hamiltonian_dip, diamond_boundaries, \
+    dip_positions, floquet_phase, two_state_grid
+from .sensors import NVModel, donor_pair_polarizations, nv_two_state
 
 TWO_PI = 2.0 * math.pi
 
@@ -68,6 +68,9 @@ MIN_REPORTED_DELTA = 1e-6
 MAX_PHASE_RAD = 1e12
 # CSV float cells: 17 significant digits round-trip every double.
 FLOAT_FORMAT = "%.17g"
+# Byte budget of one (rows, tau) array of the closed-form map kernel, which
+# works in chunks of rows so that no temporary spans the whole map.
+ROW_BLOCK_BYTES = 64 * 1024
 
 
 @dataclass(frozen=True)
@@ -87,9 +90,22 @@ class TraceData:
     polarizations: tuple[float, float] | None = None
 
 
-def _two_state_models(cfg: ScanConfig, field_value: float | None
-                      ) -> list[TwoStateModel] | None:
-    """The independent two-state targets at this field, or None for other systems."""
+def _polarizations(cfg: ScanConfig, fields: list) -> list[tuple[float, float] | None]:
+    """The sensor's (P_u, P_d) at each field, from batched donor solves (None
+    for systems without a polarized sensor).  A failing field raises with
+    ``index`` set to its position."""
+    if cfg.system_kind not in ("donor_pair", "cluster3", "independent_pairs"):
+        return [None] * len(fields)
+    if cfg.polarizations is not None:
+        return [cfg.polarizations] * len(fields)
+    p_u, p_d = donor_pair_polarizations(cfg.donor, np.array([_field_b0(cfg, f) for f in fields]))
+    return list(zip(p_u.tolist(), p_d.tolist()))
+
+
+def _two_state_models(cfg: ScanConfig, field_value: float | None,
+                      pols: tuple[float, float] | None) -> list[TwoStateModel] | None:
+    """The independent two-state targets at this field, given the sensor
+    polarizations there, or None for other systems."""
     kind = cfg.system_kind
     if kind == "pseudospin":
         return [cfg.system]
@@ -101,9 +117,9 @@ def _two_state_models(cfg: ScanConfig, field_value: float | None
             nv = NVModel(omega_x=TWO_PI * field_value, omega_z=nv.omega_z, a_par=nv.a_par)
         return [nv_two_state(nv)]
     if kind == "donor_pair":
-        return [donor_pair_two_state(cfg.donor, cfg.system, _field_b0(cfg, field_value))]
+        return [cfg.system.two_state(*pols)]
     if kind == "independent_pairs":
-        return cfg.system.two_state_models(*_cluster_polarizations(cfg, field_value))
+        return cfg.system.two_state_models(*pols)
     return None
 
 
@@ -115,25 +131,24 @@ def _field_b0(cfg: ScanConfig, field_value: float | None) -> float:
     return cfg.fixed_field
 
 
-def _cluster_polarizations(cfg: ScanConfig, field_value: float | None) -> tuple[float, float]:
-    if cfg.polarizations is not None:
-        return cfg.polarizations
-    b0 = _field_b0(cfg, field_value)
-    return donor_pair_polarizations(cfg.donor, b0)
+def _row_hamiltonians(cfg: ScanConfig, field_value: float | None,
+                      pols: tuple[float, float] | None) -> ConditionalHamiltonians:
+    """The conditional Hamiltonians at this field, given the sensor polarizations there."""
+    kind = cfg.system_kind
+    if kind == "cluster3":
+        return conditional_cluster_hamiltonians(cfg.system, *pols)
+    if kind == "independent_pairs":
+        return cfg.system.conditional(*pols)
+    if kind == "joint_full":
+        return joint_full_model(cfg.donor, cfg.system, _field_b0(cfg, field_value))
+    return _two_state_models(cfg, field_value, pols)[0].conditional()
 
 
 def _conditional(cfg: ScanConfig, field_value: float | None
                  ) -> tuple[ConditionalHamiltonians, tuple[float, float] | None]:
-    """The conditional Hamiltonians at this field, and the (P_u, P_d) of a cluster3 sensor."""
-    kind = cfg.system_kind
-    if kind == "cluster3":
-        pols = _cluster_polarizations(cfg, field_value)
-        return conditional_cluster_hamiltonians(cfg.system, *pols), pols
-    if kind == "independent_pairs":
-        return cfg.system.conditional(*_cluster_polarizations(cfg, field_value)), None
-    if kind == "joint_full":
-        return joint_full_model(cfg.donor, cfg.system, _field_b0(cfg, field_value)), None
-    return _two_state_models(cfg, field_value)[0].conditional(), None
+    """The conditional Hamiltonians at this field, and the sensor's (P_u, P_d) there."""
+    pols, = _polarizations(cfg, [field_value])
+    return _row_hamiltonians(cfg, field_value, pols), pols
 
 
 def _spectral_radius(ch: ConditionalHamiltonians) -> float:
@@ -155,40 +170,104 @@ def _require_phase(radius: float, tau_max: float, delta: float, cells: int) -> N
             f"beyond which double precision cannot represent it")
 
 
-def compute_trace(cfg: ScanConfig, field_value: float | None = None,
-                  quantities: tuple[str, ...] = QUANTITIES) -> TraceData:
-    """The requested quantities over the tau axis at one field point.
+def _closed_form(models: list[list[TwoStateModel]], tau_eff: np.ndarray, n_p: int,
+                 quantity: str, out: np.ndarray) -> None:
+    """Fill ``out`` (rows, tau) with the product over each row's two-state targets.
 
-    Only ``quantities`` are computed, on every path; each value is the same
-    whichever others are requested.  A finite pulse duration delta shifts
-    the effective interval of the analytic two-state path to tau + delta,
-    matching the engine's cell construction.  Two-state targets k combine
-    into coherence prod_k L_k and envelope 2 prod_k (1 + f_k) / 2 - 1.
-    Rows whose largest accumulated phase exceeds MAX_PHASE_RAD raise
-    ValidationError: the spectral radius (max(sum_k w_u,k, sum_k w_d,k)
-    for two-state targets) times n_p cells of length 4 max(tau + delta)
-    when coherence is asked for, one cell otherwise.
+    ``two_state_grid`` takes target k of every row of a chunk of at most
+    ROW_BLOCK_BYTES per array; a row's targets combine in their order, as
+    coherence prod_k L_k and envelope 2 prod_k (1 + f_k) / 2 - 1.  An
+    error's ``index`` is its row.
+    """
+    combine = (np.multiply if quantity == "coherence"
+               else lambda e, f: (1.0 + e) * (1.0 + f) / 2.0 - 1.0)
+    step = max(1, ROW_BLOCK_BYTES // (8 * tau_eff.size))
+    for start in range(0, len(models), step):
+        chunk = models[start:start + step]
+        try:
+            grids = [two_state_grid([row[k] for row in chunk], tau_eff, quantity, n_p)[0]
+                     for k in range(len(chunk[0]))]
+        except (ValidationError, NumericalConsistencyError) as exc:
+            exc.index += start
+            raise
+        out[start:start + len(chunk)] = reduce(combine, grids)
+
+
+def field_rows(cfg: ScanConfig, fields: list, quantities: tuple[str, ...] = QUANTITIES,
+               name_rows: bool = False) -> tuple[dict, list | None, list | None]:
+    """The requested quantities over the tau axis at each field point.
+
+    Returns (values, models, polarizations): a (fields, tau) array per
+    quantity, and per row what TraceData holds for one trace, or None.
+
+    Only ``quantities`` are computed; a value does not depend on the other
+    quantities or fields of the call.  Two-state targets go through
+    ``_closed_form`` at the interval tau + delta (delta the pulse
+    duration, as in the engine's cells), other systems through one
+    ``floquet_row`` call per field.  A row whose largest accumulated phase
+    exceeds MAX_PHASE_RAD raises ValidationError: the spectral radius
+    (max(sum_k w_u,k, sum_k w_d,k) for two-state targets) times n_p cells
+    of length 4 max(tau + delta) when coherence is asked for, one cell
+    otherwise.  With ``name_rows`` an error starts 'row i (field f): '.
     """
     taus = cfg.tau_axis.values()
     n_p = cfg.sequence.n_p
     delta = cfg.sequence.pulse_duration
     cells = n_p if "coherence" in quantities else 1
-    models = _two_state_models(cfg, field_value)
-    if models is not None:
-        radius = max(sum(m.omega_u for m in models), sum(m.omega_d for m in models))
-        _require_phase(radius, float(taus.max()), delta, cells)
-        tau_eff = taus + delta
-        coh = (reduce(np.multiply, [coherence_analytic(m, tau_eff, n_p) for m in models])
-               if "coherence" in quantities else None)
-        env = (reduce(lambda e, f: (1.0 + e) * (1.0 + f) / 2.0 - 1.0,
-                      [envelope(m, tau_eff) for m in models])
-               if "envelope" in quantities else None)
-        return TraceData(taus=taus, coherence=coh, envelope=env, models=models)
-    ch, pols = _conditional(cfg, field_value)
-    _require_phase(_spectral_radius(ch), float(taus.max()), delta, cells)
-    row = floquet_row(ch, taus, n_p, quantities, pulse_duration=delta)
-    return TraceData(taus=taus, coherence=row.get("coherence"),
-                     envelope=row.get("envelope"), polarizations=pols)
+    tau_max = float(taus.max())
+    values = {q: np.empty((len(fields), taus.size)) for q in quantities}
+
+    def at_row(exc: Exception, i: int) -> Exception:
+        if name_rows:
+            exc.args = (f"row {i} (field {fields[i]:g}): {exc}",)
+        return exc
+
+    try:
+        pols = _polarizations(cfg, fields)
+    except ValidationError as exc:  # without an index (no field given) every row fails
+        raise at_row(exc, getattr(exc, "index", 0))
+    if cfg.system_kind in ("cluster3", "joint_full"):
+        for i, field in enumerate(fields):
+            try:
+                ch = _row_hamiltonians(cfg, field, pols[i])
+                _require_phase(_spectral_radius(ch), tau_max, delta, cells)
+                row = floquet_row(ch, taus, n_p, quantities, pulse_duration=delta)
+            except (ValidationError, NumericalConsistencyError) as exc:
+                raise at_row(exc, i)
+            for q in quantities:
+                values[q][i] = row[q]
+        return values, None, pols if cfg.system_kind == "cluster3" else None
+    models = []
+    for i, field in enumerate(fields):
+        try:
+            row_models = _two_state_models(cfg, field, pols[i])
+            _require_phase(max(sum(m.omega_u for m in row_models),
+                               sum(m.omega_d for m in row_models)), tau_max, delta, cells)
+        except (ValidationError, NumericalConsistencyError) as exc:
+            raise at_row(exc, i)
+        models.append(row_models)
+    for q in quantities:
+        try:
+            _closed_form(models, taus + delta, n_p, q, values[q])
+        except (ValidationError, NumericalConsistencyError) as exc:
+            raise at_row(exc, exc.index)
+    return values, models, None
+
+
+def compute_trace(cfg: ScanConfig, field_value: float | None = None,
+                  quantities: tuple[str, ...] = QUANTITIES) -> TraceData:
+    """The requested quantities over the tau axis at one field point: the
+    one-field call of ``field_rows``, so a map row and the trace at its
+    field are equal bit for bit."""
+    values, models, pols = field_rows(cfg, [field_value], quantities)
+    return TraceData(taus=cfg.tau_axis.values(), coherence=_first(values.get("coherence")),
+                     envelope=_first(values.get("envelope")),
+                     models=_first(models), polarizations=_first(pols))
+
+
+def _first(items):
+    """items[0], or None for None."""
+    return items[0] if items is not None else None
 
 
 def _check_range(values: np.ndarray, what: str):
@@ -302,73 +381,73 @@ def run_trace(cfg: ScanConfig, outdir: Path) -> list[Path]:
     return [out, manifest]
 
 
-def _overlay_rows(cfg: ScanConfig, field_values: np.ndarray, traces: list[TraceData]):
+def _overlay_rows(cfg: ScanConfig, field_values: list[float], models, pols):
     """Analytic overlay curves for map output, when the system has them.
 
-    ``traces`` holds the computed map rows; the overlay reuses their
-    two-state models and sensor polarizations.
+    The overlay reuses the models and polarizations of the map rows.  A
+    boundary or estimate that does not exist at a field is written as inf.
+    The rows come as one float array: as one float object per cell, held
+    while map.csv is written, they raised the peak RSS of a long-running
+    process by about 1 MB.
     """
     kind = cfg.system_kind
     if kind == "nv" and cfg.field_axis.name == "omega_x_hz":
         header = ["omega_x_hz", "tau_plus_s", "tau_minus_s"]
-        rows = []
-        for f, trace in zip(field_values, traces):
-            tau_plus, tau_minus = diamond_boundaries(trace.models[0])
-            rows.append((float(f), tau_plus, tau_minus if tau_minus is not None else math.inf))
-        return header, rows
+        overlay = []
+        for f, (model,) in zip(field_values, models):
+            try:
+                tau_plus, tau_minus = diamond_boundaries(model)
+            except ValidationError:  # w_u = w_d = 0: no boundary at all
+                tau_plus, tau_minus = math.inf, None
+            overlay.append((f, tau_plus, tau_minus if tau_minus is not None else math.inf))
+        return header, np.array(overlay)
     if kind == "donor_pair" and cfg.field_axis.name == "b0_tesla":
         header = ["b0_tesla", "tau_avg_s"]
-        rows = [(float(f), avg_hamiltonian_dip(trace.models[0]))
-                for f, trace in zip(field_values, traces)]
-        return header, rows
+        return header, np.array([(f, avg_hamiltonian_dip(model))
+                                 for f, (model,) in zip(field_values, models)])
     if kind == "cluster3" and cfg.donor is not None and cfg.field_axis.name == "b0_tesla":
         labels = None
-        rows = []
-        for f, trace in zip(field_values, traces):
-            est = doublet_dip_estimates(cfg.system, *trace.polarizations)
+        overlay = []
+        for f, row_pols in zip(field_values, pols):
+            est = doublet_dip_estimates(cfg.system, *row_pols)
             est = sorted(est, key=lambda r: r.label)
             if labels is None:
                 labels = [r.label for r in est]
             by_label = {r.label: r.tau for r in est}
-            rows.append((float(f), *[by_label.get(lb, math.inf) for lb in labels]))
+            overlay.append((f, *[by_label.get(lb, math.inf) for lb in labels]))
         header = ["b0_tesla"] + [f"tau_{lb.replace('+', 'p').replace('-', 'm')}_s"
                                  for lb in (labels or [])]
-        return header, rows
+        return header, np.array(overlay)
     return None, None
 
 
 def run_map(cfg: ScanConfig, outdir: Path) -> list[Path]:
     """Emit the long-form map CSV, plus PGM and overlay curves if requested.
 
-    Rows are computed in order, one ``compute_trace`` call per field.
+    All rows come from one ``field_rows`` call over the field axis; the
+    overlay rows are computed before any file is written.
     """
     outdir.mkdir(parents=True, exist_ok=True)
     if cfg.field_axis is None:
         raise ConfigError("map needs a field axis in addition to tau_s")
-    field_values = cfg.field_axis.values()
+    field_values = cfg.field_axis.values().tolist()
     quantity = cfg.output.quantity
-
-    traces = []
-    for index, field in enumerate(field_values):
-        try:
-            traces.append(compute_trace(cfg, float(field), (quantity,)))
-        except (ValidationError, NumericalConsistencyError) as exc:
-            exc.args = (f"row {index} (field {field:g}): {exc}",)
-            raise
-    grid = np.stack([getattr(trace, quantity) for trace in traces])
+    values, models, pols = field_rows(cfg, field_values, (quantity,), name_rows=True)
+    grid = values[quantity]
     _check_range(grid, quantity)
+    header, overlay = (_overlay_rows(cfg, field_values, models, pols)
+                       if cfg.output.format in ("csv", "both") else (None, None))
     files = []
-    out_csv = outdir / "map.csv"
     if cfg.output.format in ("csv", "both"):
+        out_csv = outdir / "map.csv"
         taus = [FLOAT_FORMAT % tau for tau in cfg.tau_axis.values().tolist()]
         write_csv(out_csv, [_field_column(cfg), "tau_s", quantity],
                   [zip(taus, row) for row in grid.tolist()],
-                  keys=[(f,) for f in field_values.tolist()])
+                  keys=[(f,) for f in field_values])
         files.append(out_csv)
-        header, overlay = _overlay_rows(cfg, field_values, traces)
         if overlay is not None:
             out_overlay = outdir / "map_overlay.csv"
-            write_csv(out_overlay, header, overlay)
+            write_csv(out_overlay, header, map(tuple, overlay.tolist()))
             files.append(out_overlay)
     if cfg.output.format in ("pgm", "both"):
         out_pgm = outdir / "map.pgm"
@@ -422,7 +501,7 @@ def run_dips(cfg: ScanConfig, outdir: Path) -> list[Path]:
     s_stop = cfg.tau_axis.stop + pulse
     rows = []
     if cfg.system_kind in ("pseudospin", "nv", "donor_pair"):
-        model, = _two_state_models(cfg, None)
+        model, = _two_state_models(cfg, None, *_polarizations(cfg, [None]))
         _require_phase(max(model.omega_u, model.omega_d), cfg.tau_axis.stop, pulse, n_p)
         for rec in dip_positions(model, s_stop, n_p=n_p):
             if rec.delta < MIN_REPORTED_DELTA:
@@ -439,7 +518,7 @@ def run_dips(cfg: ScanConfig, outdir: Path) -> list[Path]:
             depth = 1.0 - 2.0 * math.sin(n_p * delta) ** 2
             rows.append((tau_bar, "avg_hamiltonian", delta, depth, 1))
     elif cfg.system_kind == "cluster3":
-        p_u, p_d = _cluster_polarizations(cfg, None)
+        (p_u, p_d), = _polarizations(cfg, [None])
         for rec in doublet_dip_estimates(cfg.system, p_u, p_d):
             if rec.tau <= s_stop:
                 rows.append((rec.tau, "secular_estimate", math.nan, math.nan,

@@ -21,8 +21,9 @@ from functools import cached_property
 
 import numpy as np
 
+from .engine import STACK_BLOCK_BYTES
 from .errors import CapacityError, ValidationError
-from .linalg import MAX_DIM, require_hermitian, spin_operators
+from .linalg import MAX_DIM, spin_operators
 from .pseudospin import PseudoField, TwoStateModel
 
 TWO_PI = 2.0 * math.pi
@@ -121,16 +122,38 @@ def donor_electron_sz(d: DonorModel) -> np.ndarray:
     return d._operators[2]
 
 
-def donor_hamiltonian(d: DonorModel, b0: float) -> np.ndarray:
-    """H = gamma_e B0 (S_z - delta_gamma I_z) + A S.I on the 2(2I+1) space."""
-    if not np.isfinite(b0) or b0 < 0:
-        raise ValidationError(f"magnetic field must be finite and >= 0, got {b0}")
+def _at_field(exc: ValidationError, index) -> ValidationError:
+    """``exc`` with ``index`` set to the flat index of the failing field."""
+    exc.index = int(index)
+    return exc
+
+
+def donor_hamiltonian(d: DonorModel, b0) -> np.ndarray:
+    """H = gamma_e B0 (S_z - delta_gamma I_z) + A S.I on the 2(2I+1) space.
+
+    An array of fields gives the stack of their Hamiltonians, each equal
+    bit for bit to that of its scalar field.  A field that is not finite
+    and >= 0, or a non-finite H, raises ValidationError whose ``index`` is
+    the flat index of that field.  H is Hermitian by construction.
+    """
+    fields = np.asarray(b0, dtype=float)
+    bad = np.flatnonzero(~(np.isfinite(fields) & (fields >= 0)))
+    if bad.size:
+        raise _at_field(ValidationError(f"magnetic field must be finite and >= 0, "
+                                        f"got {float(fields.flat[bad[0]])}"), bad[0])
     zeeman, hyperfine, _ = d._operators
-    return require_hermitian(d.gamma_e * b0 * zeeman + hyperfine, name="donor Hamiltonian")
+    with np.errstate(over="ignore"):  # an overflow is reported as a non-finite H
+        scale = d.gamma_e * fields[..., None, None]
+    h = scale * zeeman + hyperfine
+    bad = np.flatnonzero(~np.isfinite(h.view(float)).all(axis=(-2, -1)))
+    if bad.size:
+        raise _at_field(ValidationError("donor Hamiltonian has non-finite entries"), bad[0])
+    return h
 
 
-def donor_eigensystem(d: DonorModel, b0: float) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and eigenvector columns of the donor at b0."""
+def donor_eigensystem(d: DonorModel, b0) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending) and eigenvector columns of the donor at b0
+    (one batched ``eigh`` for an array of fields)."""
     w, v = np.linalg.eigh(donor_hamiltonian(d, b0))
     return w, v
 
@@ -172,11 +195,27 @@ class PairTarget:
                              h_d=PseudoField(self.c12 / 2.0, self.delta_a * p_d / 2.0))
 
 
-def donor_pair_polarizations(d: DonorModel, b0: float) -> tuple[float, float]:
-    """(P_u, P_d) of the donor transition levels at b0 (single diagonalization)."""
-    _, v = donor_eigensystem(d, b0)
+def donor_pair_polarizations(d: DonorModel, b0):
+    """(P_u, P_d) of the donor transition levels at b0: two floats, or for an
+    array of fields two arrays of its shape, equal bit for bit to the scalar
+    results.  Fields are diagonalized by batched ``eigh`` in blocks of at
+    most STACK_BLOCK_BYTES per stack."""
+    fields = np.asarray(b0, dtype=float)
+    flat = fields.reshape(-1)
     sz = donor_electron_sz(d)
-    return _polarization(v[:, d.level_u - 1], sz), _polarization(v[:, d.level_d - 1], sz)
+    step = max(1, STACK_BLOCK_BYTES // (16 * d.dim ** 2))
+    pols = []
+    for start in range(0, flat.size, step):
+        try:
+            _, v = donor_eigensystem(d, flat[start:start + step])
+        except ValidationError as exc:
+            raise _at_field(exc, start + exc.index)
+        pols += [(_polarization(m[:, d.level_u - 1], sz), _polarization(m[:, d.level_d - 1], sz))
+                 for m in v]
+    if fields.ndim == 0:
+        return pols[0]
+    p_u, p_d = np.array(pols).T
+    return p_u.reshape(fields.shape), p_d.reshape(fields.shape)
 
 
 def donor_pair_two_state(d: DonorModel, pair: PairTarget, b0: float) -> TwoStateModel:

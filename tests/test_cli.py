@@ -130,6 +130,25 @@ class TestExitCodes:
         assert err.count("\n") == 1
         assert not outdir.exists()
 
+    @pytest.mark.parametrize("fmt", ["csv", "pgm", "both"])
+    def test_zero_field_nv_map_succeeds_in_every_format(self, tmp_path, capsys, fmt):
+        # At omega_x = a_par = 0 the model has w_u = w_d = 0 and no diamond
+        # boundary; the overlay writes inf for both instead of failing the map.
+        doc = {"system": {"kind": "nv", "omega_z_hz": 0.0, "a_par_hz": 0.0},
+               "axes": {"tau_s": {"start": 1e-6, "stop": 1e-5, "count": 4},
+                        "omega_x_hz": {"start": 0.0, "stop": 1e4, "count": 3}}}
+        cfg = write_cfg(tmp_path / "c.json", doc)
+        outdir = tmp_path / "out"
+        assert main(["map", "--config", cfg, "--output", str(outdir), "--format", fmt]) == 0
+        assert capsys.readouterr().err == ""
+        files = {"csv": ["map.csv", "map_overlay.csv"], "pgm": ["map.pgm"]}
+        want = files.get(fmt, files["csv"] + files["pgm"]) + ["map_manifest.json"]
+        assert sorted(p.name for p in outdir.iterdir()) == sorted(want)
+        if fmt != "pgm":
+            overlay = (outdir / "map_overlay.csv").read_text().splitlines()
+            assert overlay[1] == "0,inf,inf"
+            assert all(line.endswith(",inf") for line in overlay[1:])
+
     def test_numerical_consistency_error(self, tmp_path, monkeypatch):
         from floqsens import NumericalConsistencyError
         import floqsens.cli as cli
