@@ -16,7 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from floqsens import PairTarget, avg_hamiltonian_dip, dip_positions, donor_pair_two_state, owp_locate, si_bi
+from floqsens import PairTarget, avg_hamiltonian_dip, dip_positions, donor_pair_polarizations, \
+    owp_locate, si_bi
 from floqsens.config import parse_config
 from floqsens.scans import run_map, write_csv
 
@@ -64,7 +65,7 @@ def main() -> None:
         pair = PairTarget(delta_a=DELTA_A, c12=DELTA_A / ratio)
         rows = []
         for b0 in np.linspace(*B0_RANGE, 60):
-            model = donor_pair_two_state(donor, pair, float(b0))
+            model = pair.two_state(*donor_pair_polarizations(donor, float(b0)))
             rec = first_dip(model)
             rows.append((float(b0), rec.tau_dip, avg_hamiltonian_dip(model), rec.delta))
         write_csv(subdir / "dip_comparison.csv",

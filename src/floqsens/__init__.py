@@ -55,7 +55,7 @@ from .sensors import (
     NVModel,
     PairTarget,
     donor_hamiltonian,
-    donor_pair_two_state,
+    donor_pair_polarizations,
     donor_polarization,
     nv_two_state,
     owp_locate,

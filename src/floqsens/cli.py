@@ -59,7 +59,6 @@ def main(argv: list[str] | None = None) -> int:
                              **({"quantity": args.quantity} if args.quantity else {}))
             cfg = replace(cfg, output=output)
         outdir = Path(args.output)
-        outdir.mkdir(parents=True, exist_ok=True)
         if args.command == "trace":
             files = run_trace(cfg, outdir)
         elif args.command == "map":

@@ -16,7 +16,7 @@ its d-partner.  Finite pulse durations keep the same product structure
 One cell builder serves every path: ``_half_period_blocks``
 diagonalizes H_u and H_d once and yields W_u and W_d for consecutive
 blocks of a tau grid as (n_tau, D, D) arrays, each at most
-``STACK_BLOCK_BYTES``.  ``half_period_operators`` is its one-tau call,
+``linalg.BLOCK_BYTES``.  ``half_period_operators`` is its one-tau call,
 so a cell of ``unit_cell`` equals the matching cell of a stacked build
 bit for bit.  One eigensolver serves every path too:
 ``linalg.eig_unitaries`` returns orthonormal modes of a stack of cells
@@ -44,7 +44,8 @@ each cell with the one before it, a row maximum above TRACKING_OVERLAP
 is the unique best continuation of its mode, and only a tau where modes
 mix goes to SciPy's ``linear_sum_assignment``.  Every stacked cell
 passes the ``UNITARITY_TOL`` check of the per-tau path, and errors,
-those of the eigensolver included, name the failing tau.  The
+those of the eigensolver included, name the failing tau
+(``errors.locate``).  The
 envelope also checks the half-period identity at every tau: the residual
 ||T_d2 W_d Phi - lambda W_d Phi|| must stay below ``PHASE_MATCH_TOL``.
 The two paths agree to a few 1e-14, not bit for bit.
@@ -56,10 +57,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericalConsistencyError, SymmetryViolationError, ValidationError
+from .errors import NumericalConsistencyError, SymmetryViolationError, ValidationError, locate
 from .linalg import (
     DEGENERACY_TOL,
     EigenSystem,
+    block_slices,
     eig_unitaries,
     eig_unitary,
     expm_hermitian,
@@ -72,11 +74,6 @@ from .linalg import (
 PHASE_MATCH_TOL = 1e-8
 HALF_PERIOD_TOL = 1e-8
 POWER_DRIFT_TOL = 1e-12
-# Byte budget of one stacked (n_tau, D, D) complex array in the row kernel;
-# longer tau grids are processed in blocks.  At 64 KiB the stacks stay in
-# cache and peak memory within about 0.5 MB of the per-tau path; larger
-# blocks measured no faster on D = 8 and 16.
-STACK_BLOCK_BYTES = 64 * 1024
 QUANTITIES = ("coherence", "envelope")
 # Overlap |Phi_{i-1}^dag Phi_i| above which spectrum_scan continues a mode
 # by its row maximum.  Above 1/sqrt(2) two maxima cannot share a column;
@@ -145,9 +142,9 @@ def _half_period_blocks(ch: ConditionalHamiltonians, taus: np.ndarray,
                         intra_pulse_hamiltonian: np.ndarray | None = None):
     """Yield (block, W_u, W_d) over consecutive slices of ``taus``, W_i as (n, D, D) arrays.
 
-    H_u and H_d are diagonalized once.  A slice holds as many tau as fit
-    STACK_BLOCK_BYTES per stacked array, and at least one, so for D > 64 a
-    block exceeds the budget.  The free interval is tau + pulse_duration;
+    H_u and H_d are diagonalized once.  The slices are ``block_slices`` of
+    (D, D) complex cells, so for D > 64 a block of one tau exceeds
+    BLOCK_BYTES.  The free interval is tau + pulse_duration;
     with an intra-pulse Hamiltonian it is tau and exp(-i H_pulse 2 delta)
     sits between the two factors (see PulseSequence).
     """
@@ -161,9 +158,7 @@ def _half_period_blocks(ch: ConditionalHamiltonians, taus: np.ndarray,
         pulse = expm_hermitian(h_pulse, 2 * pulse_duration)
     t = taus if pulse is not None else taus + pulse_duration
     eig_u, eig_d = np.linalg.eigh(ch.h_u), np.linalg.eigh(ch.h_d)
-    size = max(1, STACK_BLOCK_BYTES // (16 * ch.dim ** 2))
-    for start in range(0, taus.size, size):
-        block = slice(start, min(start + size, taus.size))
+    for block in block_slices(taus.size, 16 * ch.dim ** 2):
         a_u = _propagators(*eig_u, t[block])
         a_d = _propagators(*eig_d, t[block])
         if pulse is None:
@@ -253,12 +248,11 @@ class FloquetPair:
         return self.spectrum_u.phases
 
 
-def floquet_pair(t_u2: np.ndarray, t_d2: np.ndarray,
-                 phase_tol: float = PHASE_MATCH_TOL) -> FloquetPair:
+def floquet_pair(t_u2: np.ndarray, t_d2: np.ndarray) -> FloquetPair:
     """Diagonalize both cells and match modes by phase, then by overlap.
 
     Raises SymmetryViolationError if the eigenphase multisets disagree by
-    more than ``phase_tol`` on the unit circle (an invalid cell pair).
+    more than PHASE_MATCH_TOL on the unit circle (an invalid cell pair).
     """
     # Imported here, not at module level: SciPy is most of a cold start.
     from scipy.optimize import linear_sum_assignment
@@ -268,27 +262,26 @@ def floquet_pair(t_u2: np.ndarray, t_d2: np.ndarray,
     overlaps = sd.modes.conj().T @ su.modes
     gaps = _circular_gap(su.phases, sd.phases)
     # Phase agreement dominates the assignment; |overlap| breaks degenerate ties.
-    cost = gaps / max(phase_tol, 1e-300) - np.abs(overlaps.T)
+    cost = gaps / PHASE_MATCH_TOL - np.abs(overlaps.T)
     rows, cols = linear_sum_assignment(cost)
     pairing = np.empty(su.dim, dtype=int)
     pairing[rows] = cols
     matched = gaps[np.arange(su.dim), pairing]
-    if matched.max() > phase_tol:
+    if matched.max() > PHASE_MATCH_TOL:
         raise SymmetryViolationError(
-            f"u/d eigenphase multisets differ by {matched.max():.3e} > {phase_tol:.1e}")
+            f"u/d eigenphase multisets differ by {matched.max():.3e} > {PHASE_MATCH_TOL:.1e}")
     return FloquetPair(spectrum_u=su, spectrum_d=sd, pairing=pairing, overlaps=overlaps)
 
 
 def half_period_check(ch: ConditionalHamiltonians, seq: PulseSequence,
-                      pair: FloquetPair, tol: float = HALF_PERIOD_TOL,
-                      degeneracy_tol: float = DEGENERACY_TOL) -> float:
+                      pair: FloquetPair) -> float:
     """Verify W_d maps each u-mode onto its paired d-mode (up to a phase).
 
     Returns the largest residual || W_d phi_u - e^{i mu} phi_d || over all
-    modes.  Also checks that the two transfer phases of each mode pair add
-    up to the cell eigenphase (mod 2 pi).  Modes inside a degenerate phase
-    cluster are exempt from the per-mode residual (only the subspace is
-    well-defined there).
+    modes.  Also checks, to HALF_PERIOD_TOL, that the two transfer phases of
+    each mode pair add up to the cell eigenphase (mod 2 pi).  Modes closer
+    than DEGENERACY_TOL to another phase are exempt from the per-mode
+    residual (only the subspace is well-defined there).
     """
     w_u, w_d = half_period_operators(ch, seq)
     phases = pair.spectrum_u.phases
@@ -305,17 +298,17 @@ def half_period_check(ch: ConditionalHamiltonians, seq: PulseSequence,
         mu_sum = -(np.angle(amp_d) + np.angle(amp_u))
         phase_err = np.abs(np.exp(1j * (mu_sum - phases[l])) - 1.0)
         gap = np.delete(_circular_gap(phases[l:l + 1], phases)[0], l)
-        isolated = gap.min() > degeneracy_tol if pair.dim > 1 else True
+        isolated = gap.min() > DEGENERACY_TOL if pair.dim > 1 else True
         worst = max(worst, residual)
         if isolated:
             worst_isolated = max(worst_isolated, residual)
-            if phase_err > tol:
+            if phase_err > HALF_PERIOD_TOL:
                 raise SymmetryViolationError(
                     f"half-period transfer phases of mode {l} miss the eigenphase "
                     f"by {phase_err:.3e}")
-    if worst_isolated > tol:
-        raise SymmetryViolationError(
-            f"half-period residual {worst_isolated:.3e} > {tol:.1e} on an isolated mode")
+    if worst_isolated > HALF_PERIOD_TOL:
+        raise SymmetryViolationError(f"half-period residual {worst_isolated:.3e} > "
+                                     f"{HALF_PERIOD_TOL:.1e} on an isolated mode")
     return worst
 
 
@@ -428,12 +421,6 @@ def envelope_general(pair: FloquetPair) -> EnvelopeTerms:
     return EnvelopeTerms(coefficients=coeff, phase_gaps=gaps)
 
 
-def _at_tau(exc: Exception, i: int, taus: np.ndarray) -> Exception:
-    """``exc`` with its message prefixed by the failing grid point taus[i]."""
-    exc.args = (f"tau[{i}] = {taus[i]:g}: {exc}",)
-    return exc
-
-
 def _require_taus(taus) -> np.ndarray:
     """A one-dimensional grid of finite, positive pulse intervals."""
     taus = np.asarray(taus, dtype=float)
@@ -441,18 +428,19 @@ def _require_taus(taus) -> np.ndarray:
         raise ValidationError("tau grid must be one-dimensional")
     bad = np.flatnonzero(~(np.isfinite(taus) & (taus > 0)))
     if bad.size:
-        raise _at_tau(ValidationError("pulse interval tau must be > 0"), bad[0], taus)
+        i = bad[0]
+        raise locate(ValidationError("pulse interval tau must be > 0"), i,
+                     f"tau[{i}] = {taus[i]:g}")
     return taus
 
 
-def _require_unitary(cells: np.ndarray, block: slice, taus: np.ndarray) -> None:
-    """Raise ValidationError naming the first tau of a block whose cell fails UNITARITY_TOL."""
+def _require_unitary(cells: np.ndarray) -> None:
+    """Raise ValidationError at the index of the first cell of a stack that fails UNITARITY_TOL."""
     defect = unitarity_defect(cells)
     bad = np.flatnonzero(defect > UNITARITY_TOL)
     if bad.size:
-        raise _at_tau(ValidationError(
-            f"matrix is not unitary: defect {defect[bad[0]]:.3e} > {UNITARITY_TOL:.1e}"),
-            block.start + bad[0], taus)
+        raise locate(ValidationError(
+            f"matrix is not unitary: defect {defect[bad[0]]:.3e} > {UNITARITY_TOL:.1e}"), bad[0])
 
 
 def _stacked_floor(t_u2: np.ndarray, t_d2: np.ndarray,
@@ -504,22 +492,23 @@ def floquet_row(ch: ConditionalHamiltonians, taus: np.ndarray, n_p: int,
     out = {q: np.empty(taus.size) for q in quantities}
     for block, w_u, w_d in _half_period_blocks(ch, taus, pulse_duration):
         t_u2, t_d2 = w_u @ w_d, w_d @ w_u
-        _require_unitary(t_u2, block, taus)
-        _require_unitary(t_d2, block, taus)
-        if "coherence" in out:
-            p_u = unitary_power(t_u2, int(n_p))
-            p_d = unitary_power(t_d2, int(n_p))
-            out["coherence"][block] = np.einsum("nij,nij->n", p_u.conj(), p_d).real / ch.dim
-        if "envelope" in out:
-            try:
+        try:
+            _require_unitary(t_u2)
+            _require_unitary(t_d2)
+            if "coherence" in out:
+                p_u = unitary_power(t_u2, int(n_p))
+                p_d = unitary_power(t_d2, int(n_p))
+                out["coherence"][block] = np.einsum("nij,nij->n", p_u.conj(), p_d).real / ch.dim
+            if "envelope" in out:
                 out["envelope"][block], _, residual = _stacked_floor(t_u2, t_d2, w_d)
-            except NumericalConsistencyError as exc:  # eig_unitaries names its matrix
-                raise _at_tau(exc, block.start + exc.index, taus)
-            bad = np.flatnonzero(residual > PHASE_MATCH_TOL)
-            if bad.size:
-                raise _at_tau(SymmetryViolationError(
-                    f"u/d eigenphase residual {residual[bad[0]]:.3e} > "
-                    f"{PHASE_MATCH_TOL:.1e}"), block.start + bad[0], taus)
+                bad = np.flatnonzero(residual > PHASE_MATCH_TOL)
+                if bad.size:
+                    raise locate(SymmetryViolationError(
+                        f"u/d eigenphase residual {residual[bad[0]]:.3e} > "
+                        f"{PHASE_MATCH_TOL:.1e}"), bad[0])
+        except (ValidationError, NumericalConsistencyError) as exc:  # located in the block
+            i = block.start + exc.index
+            raise locate(exc, i, f"tau[{i}] = {taus[i]:g}")
     return out
 
 
@@ -563,11 +552,12 @@ def spectrum_scan(ch: ConditionalHamiltonians, tau_grid: np.ndarray,
     order = list(range(d))
     for block, w_u, w_d in _half_period_blocks(ch, taus, pulse_duration):
         cells = w_u @ w_d
-        _require_unitary(cells, block, taus)
         try:
+            _require_unitary(cells)
             block_phases, block_modes = eig_unitaries(cells)
-        except NumericalConsistencyError as exc:  # names its matrix in the block
-            raise _at_tau(exc, block.start + exc.index, taus)
+        except (ValidationError, NumericalConsistencyError) as exc:  # located in the block
+            i = block.start + exc.index
+            raise locate(exc, i, f"tau[{i}] = {taus[i]:g}")
         if prev_modes is None:
             prev_modes = block_modes[0]  # the first cell continues itself
         # chain[k] precedes chain[k + 1], the cell of block index k.

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import engine
-from .errors import CapacityError, NumericalConsistencyError, ValidationError
+from .errors import CapacityError, NumericalConsistencyError, ValidationError, locate
 from .linalg import PAULI_X, PAULI_Z
 
 # Below this |cos(E(tau)/2)| the analytic F ratio loses more than ~1e-10
@@ -48,6 +48,9 @@ DIP_CONDITION_TOL = 1e-6
 # per-root refinement grow with the grid; at this size a search finds about
 # 1.3e4 dips in about 1.5 s and 55 MB (one Xeon core).
 MAX_DIP_GRID = 10 ** 6
+# regime_classify reports weak coupling (regime I) where |h_u + h_d| / |h_u - h_d|
+# is at least this ratio, and anti-alignment (regime II) where it is at most its inverse.
+REGIME_THRESHOLD = 10.0
 
 
 @dataclass(frozen=True)
@@ -157,10 +160,8 @@ def two_state_grid(models, tau: np.ndarray, quantity: str,
     model carries its position in ``index``.
     """
     tau = np.asarray(tau, dtype=float)
-    if np.any(tau <= 0):
-        exc = ValidationError("pulse interval must be > 0")
-        exc.index = 0  # every model fails, the first one first
-        raise exc
+    if np.any(tau <= 0):  # every model fails, the first one first
+        raise locate(ValidationError("pulse interval must be > 0"), 0)
     # h_u == h_d evolves identically in both sensor states: zero frequencies
     # give cos E = 1, F = 0 and so exactly 1 (no signal) with no flags.
     same = np.array([m.h_u == m.h_d for m in models])[:, None]
@@ -183,16 +184,13 @@ def two_state_grid(models, tau: np.ndarray, quantity: str,
                 models[i].conditional(), tau[~ok[i]], n_p if quantity == "coherence" else 1,
                 (quantity,))[quantity]
         except (ValidationError, NumericalConsistencyError) as exc:
-            exc.index = int(i)
-            raise
+            raise locate(exc, i)
     if quantity == "coherence":
         bad = np.abs(vals) - 1.0
         rows = np.flatnonzero((bad > COS_RANGE_TOL).any(axis=1))
         if rows.size:
-            exc = NumericalConsistencyError(
-                f"coherence left [-1, 1] by {bad[rows[0]].max():.3e}")
-            exc.index = int(rows[0])
-            raise exc
+            raise locate(NumericalConsistencyError(
+                f"coherence left [-1, 1] by {bad[rows[0]].max():.3e}"), rows[0])
     return np.clip(vals, -1.0, 1.0), ~ok
 
 
@@ -232,11 +230,6 @@ class DipRecord:
     depth: float
 
 
-def _dip_function(model: TwoStateModel, tau) -> np.ndarray | float:
-    """cos E(tau/2); dips are its roots."""
-    return cos_floquet_phase(model, np.asarray(tau) / 2.0)
-
-
 def dip_positions(model: TwoStateModel, tau_max: float, n_p: int = 1) -> list[DipRecord]:
     """All dip locations (roots of cos E(tau/2) = 0) in (0, tau_max].
 
@@ -261,9 +254,9 @@ def dip_positions(model: TwoStateModel, tau_max: float, n_p: int = 1) -> list[Di
     grid = grid[grid <= tau_max]
     if grid.size == 0:
         return []
-    vals = np.asarray(_dip_function(model, grid))
+    vals = cos_floquet_phase(model, grid / 2.0)
     records = []
-    f = lambda t: float(_dip_function(model, t))
+    f = lambda t: float(cos_floquet_phase(model, t / 2.0))
     for i in np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]:
         lo, hi = float(grid[i]), float(grid[i + 1])
         # To double precision: at rtol 1e-10 the residual of the j-th root
@@ -325,8 +318,8 @@ class Regime(enum.Enum):
     INTERMEDIATE = "intermediate"
 
 
-def regime_classify(model: TwoStateModel, threshold: float = 10.0) -> Regime:
-    """Classify by r = |h_u + h_d| / |h_u - h_d| against the given threshold."""
+def regime_classify(model: TwoStateModel) -> Regime:
+    """Classify by r = |h_u + h_d| / |h_u - h_d| against REGIME_THRESHOLD."""
     h_sum = model.h_u.vector() + model.h_d.vector()
     h_diff = model.h_u.vector() - model.h_d.vector()
     num = float(np.linalg.norm(h_sum))
@@ -334,9 +327,9 @@ def regime_classify(model: TwoStateModel, threshold: float = 10.0) -> Regime:
     if den == 0.0:
         return Regime.WEAK_COUPLING_I
     r = num / den
-    if r >= threshold:
+    if r >= REGIME_THRESHOLD:
         return Regime.WEAK_COUPLING_I
-    if r <= 1.0 / threshold:
+    if r <= 1.0 / REGIME_THRESHOLD:
         return Regime.ANTIALIGNED_II
     return Regime.INTERMEDIATE
 

@@ -5,7 +5,8 @@ is the one-field call, so a map row and the trace at its field are
 bitwise identical.  The donor polarizations of all fields come from
 batched ``eigh`` calls.  Products of independent two-state targets (the
 two-state systems and ``independent_pairs``) are evaluated in closed
-form on (rows, tau) grids, with no joint 2^k space; every other system
+form on (rows, tau) grids, in chunks of rows of at most
+``linalg.BLOCK_BYTES`` per array, with no joint 2^k space; every other system
 goes through the engine's row kernel ``floquet_row`` once per field.  A
 map asks only for the quantity it emits and a trace asks for both; each
 value is the same either way.  The overlay curves of a map reuse the
@@ -52,7 +53,8 @@ from .clusters import conditional_cluster_hamiltonians, doublet_dip_estimates, \
     joint_full_model
 from .config import ScanConfig
 from .engine import QUANTITIES, ConditionalHamiltonians, floquet_row, spectrum_scan
-from .errors import ConfigError, NumericalConsistencyError, ValidationError
+from .errors import ConfigError, NumericalConsistencyError, ValidationError, locate
+from .linalg import block_slices
 from .pseudospin import TwoStateModel, avg_hamiltonian_dip, diamond_boundaries, \
     dip_positions, floquet_phase, two_state_grid
 from .sensors import NVModel, donor_pair_polarizations, nv_two_state
@@ -68,26 +70,15 @@ MIN_REPORTED_DELTA = 1e-6
 MAX_PHASE_RAD = 1e12
 # CSV float cells: 17 significant digits round-trip every double.
 FLOAT_FORMAT = "%.17g"
-# Byte budget of one (rows, tau) array of the closed-form map kernel, which
-# works in chunks of rows so that no temporary spans the whole map.
-ROW_BLOCK_BYTES = 64 * 1024
 
 
 @dataclass(frozen=True)
 class TraceData:
-    """One computed trace over the tau grid; a quantity not computed is None.
-
-    ``models`` are the closed-form two-state targets the trace is the
-    product of (one for a single two-state system, one per pair for
-    independent_pairs), or None for systems on the Floquet engine path;
-    ``polarizations`` holds the sensor's (P_u, P_d) of a cluster3 trace.
-    """
+    """One computed trace over the tau grid; a quantity not computed is None."""
 
     taus: np.ndarray
     coherence: np.ndarray | None
     envelope: np.ndarray | None
-    models: list[TwoStateModel] | None = None
-    polarizations: tuple[float, float] | None = None
 
 
 def _polarizations(cfg: ScanConfig, fields: list) -> list[tuple[float, float] | None]:
@@ -144,13 +135,6 @@ def _row_hamiltonians(cfg: ScanConfig, field_value: float | None,
     return _two_state_models(cfg, field_value, pols)[0].conditional()
 
 
-def _conditional(cfg: ScanConfig, field_value: float | None
-                 ) -> tuple[ConditionalHamiltonians, tuple[float, float] | None]:
-    """The conditional Hamiltonians at this field, and the sensor's (P_u, P_d) there."""
-    pols, = _polarizations(cfg, [field_value])
-    return _row_hamiltonians(cfg, field_value, pols), pols
-
-
 def _spectral_radius(ch: ConditionalHamiltonians) -> float:
     """Largest |eigenvalue| of H_u and H_d."""
     return max(float(np.abs(np.linalg.eigvalsh(h)).max()) for h in (ch.h_u, ch.h_d))
@@ -174,23 +158,21 @@ def _closed_form(models: list[list[TwoStateModel]], tau_eff: np.ndarray, n_p: in
                  quantity: str, out: np.ndarray) -> None:
     """Fill ``out`` (rows, tau) with the product over each row's two-state targets.
 
-    ``two_state_grid`` takes target k of every row of a chunk of at most
-    ROW_BLOCK_BYTES per array; a row's targets combine in their order, as
-    coherence prod_k L_k and envelope 2 prod_k (1 + f_k) / 2 - 1.  An
-    error's ``index`` is its row.
+    ``two_state_grid`` takes target k of every row of a chunk of rows
+    (``block_slices`` of float tau rows); a row's targets combine in their
+    order, as coherence prod_k L_k and envelope 2 prod_k (1 + f_k) / 2 - 1.
+    An error's ``index`` is its row.
     """
     combine = (np.multiply if quantity == "coherence"
                else lambda e, f: (1.0 + e) * (1.0 + f) / 2.0 - 1.0)
-    step = max(1, ROW_BLOCK_BYTES // (8 * tau_eff.size))
-    for start in range(0, len(models), step):
-        chunk = models[start:start + step]
+    for block in block_slices(len(models), 8 * tau_eff.size):
+        chunk = models[block]
         try:
             grids = [two_state_grid([row[k] for row in chunk], tau_eff, quantity, n_p)[0]
                      for k in range(len(chunk[0]))]
         except (ValidationError, NumericalConsistencyError) as exc:
-            exc.index += start
-            raise
-        out[start:start + len(chunk)] = reduce(combine, grids)
+            raise locate(exc, block.start + exc.index)
+        out[block] = reduce(combine, grids)
 
 
 def field_rows(cfg: ScanConfig, fields: list, quantities: tuple[str, ...] = QUANTITIES,
@@ -198,7 +180,10 @@ def field_rows(cfg: ScanConfig, fields: list, quantities: tuple[str, ...] = QUAN
     """The requested quantities over the tau axis at each field point.
 
     Returns (values, models, polarizations): a (fields, tau) array per
-    quantity, and per row what TraceData holds for one trace, or None.
+    quantity; per row the closed-form two-state targets the row is the
+    product of (one for a single two-state system, one per pair for
+    independent_pairs), or None on the Floquet engine path; and per row
+    the sensor's (P_u, P_d) for cluster3, or None.
 
     Only ``quantities`` are computed; a value does not depend on the other
     quantities or fields of the call.  Two-state targets go through
@@ -208,7 +193,8 @@ def field_rows(cfg: ScanConfig, fields: list, quantities: tuple[str, ...] = QUAN
     exceeds MAX_PHASE_RAD raises ValidationError: the spectral radius
     (max(sum_k w_u,k, sum_k w_d,k) for two-state targets) times n_p cells
     of length 4 max(tau + delta) when coherence is asked for, one cell
-    otherwise.  With ``name_rows`` an error starts 'row i (field f): '.
+    otherwise.  An error's ``index`` is its row, and with ``name_rows`` its
+    message starts 'row i (field f): '.
     """
     taus = cfg.tau_axis.values()
     n_p = cfg.sequence.n_p
@@ -216,42 +202,34 @@ def field_rows(cfg: ScanConfig, fields: list, quantities: tuple[str, ...] = QUAN
     cells = n_p if "coherence" in quantities else 1
     tau_max = float(taus.max())
     values = {q: np.empty((len(fields), taus.size)) for q in quantities}
-
-    def at_row(exc: Exception, i: int) -> Exception:
-        if name_rows:
-            exc.args = (f"row {i} (field {fields[i]:g}): {exc}",)
-        return exc
-
     try:
         pols = _polarizations(cfg, fields)
-    except ValidationError as exc:  # without an index (no field given) every row fails
-        raise at_row(exc, getattr(exc, "index", 0))
-    if cfg.system_kind in ("cluster3", "joint_full"):
+        if cfg.system_kind in ("cluster3", "joint_full"):
+            for i, field in enumerate(fields):
+                try:
+                    ch = _row_hamiltonians(cfg, field, pols[i])
+                    _require_phase(_spectral_radius(ch), tau_max, delta, cells)
+                    row = floquet_row(ch, taus, n_p, quantities, pulse_duration=delta)
+                except (ValidationError, NumericalConsistencyError) as exc:
+                    raise locate(exc, i)
+                for q in quantities:
+                    values[q][i] = row[q]
+            return values, None, pols if cfg.system_kind == "cluster3" else None
+        models = []
         for i, field in enumerate(fields):
             try:
-                ch = _row_hamiltonians(cfg, field, pols[i])
-                _require_phase(_spectral_radius(ch), tau_max, delta, cells)
-                row = floquet_row(ch, taus, n_p, quantities, pulse_duration=delta)
+                row_models = _two_state_models(cfg, field, pols[i])
+                _require_phase(max(sum(m.omega_u for m in row_models),
+                                   sum(m.omega_d for m in row_models)), tau_max, delta, cells)
             except (ValidationError, NumericalConsistencyError) as exc:
-                raise at_row(exc, i)
-            for q in quantities:
-                values[q][i] = row[q]
-        return values, None, pols if cfg.system_kind == "cluster3" else None
-    models = []
-    for i, field in enumerate(fields):
-        try:
-            row_models = _two_state_models(cfg, field, pols[i])
-            _require_phase(max(sum(m.omega_u for m in row_models),
-                               sum(m.omega_d for m in row_models)), tau_max, delta, cells)
-        except (ValidationError, NumericalConsistencyError) as exc:
-            raise at_row(exc, i)
-        models.append(row_models)
-    for q in quantities:
-        try:
+                raise locate(exc, i)
+            models.append(row_models)
+        for q in quantities:
             _closed_form(models, taus + delta, n_p, q, values[q])
-        except (ValidationError, NumericalConsistencyError) as exc:
-            raise at_row(exc, exc.index)
-    return values, models, None
+        return values, models, None
+    except (ValidationError, NumericalConsistencyError) as exc:
+        i = getattr(exc, "index", 0)  # without an index (no field given) every row fails
+        raise locate(exc, i, f"row {i} (field {fields[i]:g})" if name_rows else None)
 
 
 def compute_trace(cfg: ScanConfig, field_value: float | None = None,
@@ -259,15 +237,10 @@ def compute_trace(cfg: ScanConfig, field_value: float | None = None,
     """The requested quantities over the tau axis at one field point: the
     one-field call of ``field_rows``, so a map row and the trace at its
     field are equal bit for bit."""
-    values, models, pols = field_rows(cfg, [field_value], quantities)
-    return TraceData(taus=cfg.tau_axis.values(), coherence=_first(values.get("coherence")),
-                     envelope=_first(values.get("envelope")),
-                     models=_first(models), polarizations=_first(pols))
-
-
-def _first(items):
-    """items[0], or None for None."""
-    return items[0] if items is not None else None
+    values, _, _ = field_rows(cfg, [field_value], quantities)
+    row = {q: v[0] for q, v in values.items()}
+    return TraceData(taus=cfg.tau_axis.values(), coherence=row.get("coherence"),
+                     envelope=row.get("envelope"))
 
 
 def _check_range(values: np.ndarray, what: str):
@@ -361,17 +334,14 @@ def write_manifest(path: Path, cfg: ScanConfig, command: str, files: list[str]) 
     _write_atomic(path, [(_json_text(doc) + "\n").encode("utf-8")])
 
 
-def _field_column(cfg: ScanConfig) -> str:
-    return cfg.field_axis.name if cfg.field_axis is not None else "row_index"
-
-
 def run_trace(cfg: ScanConfig, outdir: Path) -> list[Path]:
-    """Emit trace.csv with columns tau_s, coherence, envelope."""
+    """Emit trace.csv with columns tau_s, coherence, envelope, each range-checked."""
     outdir.mkdir(parents=True, exist_ok=True)
     if cfg.field_axis is not None:
         raise ConfigError("trace takes a single tau axis; drop the field axis")
     data = compute_trace(cfg, None)
     _check_range(data.coherence, "coherence")
+    _check_range(data.envelope, "envelope")
     out = outdir / "trace.csv"
     write_csv(out, ["tau_s", "coherence", "envelope"],
               zip(map(float, data.taus), map(float, data.coherence),
@@ -441,7 +411,7 @@ def run_map(cfg: ScanConfig, outdir: Path) -> list[Path]:
     if cfg.output.format in ("csv", "both"):
         out_csv = outdir / "map.csv"
         taus = [FLOAT_FORMAT % tau for tau in cfg.tau_axis.values().tolist()]
-        write_csv(out_csv, [_field_column(cfg), "tau_s", quantity],
+        write_csv(out_csv, [cfg.field_axis.name, "tau_s", quantity],
                   [zip(taus, row) for row in grid.tolist()],
                   keys=[(f,) for f in field_values])
         files.append(out_csv)
@@ -463,7 +433,7 @@ def run_spectrum(cfg: ScanConfig, outdir: Path) -> list[Path]:
     outdir.mkdir(parents=True, exist_ok=True)
     if cfg.field_axis is not None:
         raise ConfigError("spectrum takes a single tau axis; drop the field axis")
-    ch, _ = _conditional(cfg, None)
+    ch = _row_hamiltonians(cfg, None, *_polarizations(cfg, [None]))
     _require_phase(_spectral_radius(ch), cfg.tau_axis.stop, cfg.sequence.pulse_duration, 1)
     scan = spectrum_scan(ch, cfg.tau_axis.values(),
                          pulse_duration=cfg.sequence.pulse_duration,

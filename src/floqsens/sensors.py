@@ -21,9 +21,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .engine import STACK_BLOCK_BYTES
-from .errors import CapacityError, ValidationError
-from .linalg import MAX_DIM, spin_operators
+from .errors import CapacityError, ValidationError, locate
+from .linalg import MAX_DIM, block_slices, spin_operators
 from .pseudospin import PseudoField, TwoStateModel
 
 TWO_PI = 2.0 * math.pi
@@ -34,6 +33,10 @@ SI_BI_HYPERFINE = TWO_PI * 1.4754e9       # rad/s
 SI_BI_NUCLEAR_SPIN = 4.5
 SI_BI_GAMMA_E = TWO_PI * 27.997e9         # rad/s per tesla
 SI_BI_DELTA_GAMMA = 2.488e-4
+# owp_locate brackets P_u - P_d = 0 on this many scan fields and refines
+# the first bracket to OWP_XTOL tesla.
+OWP_SCAN_POINTS = 64
+OWP_XTOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -122,12 +125,6 @@ def donor_electron_sz(d: DonorModel) -> np.ndarray:
     return d._operators[2]
 
 
-def _at_field(exc: ValidationError, index) -> ValidationError:
-    """``exc`` with ``index`` set to the flat index of the failing field."""
-    exc.index = int(index)
-    return exc
-
-
 def donor_hamiltonian(d: DonorModel, b0) -> np.ndarray:
     """H = gamma_e B0 (S_z - delta_gamma I_z) + A S.I on the 2(2I+1) space.
 
@@ -139,15 +136,16 @@ def donor_hamiltonian(d: DonorModel, b0) -> np.ndarray:
     fields = np.asarray(b0, dtype=float)
     bad = np.flatnonzero(~(np.isfinite(fields) & (fields >= 0)))
     if bad.size:
-        raise _at_field(ValidationError(f"magnetic field must be finite and >= 0, "
-                                        f"got {float(fields.flat[bad[0]])}"), bad[0])
+        raise locate(ValidationError(f"magnetic field must be finite and >= 0, "
+                                     f"got {float(fields.flat[bad[0]])}"), bad[0])
     zeeman, hyperfine, _ = d._operators
-    with np.errstate(over="ignore"):  # an overflow is reported as a non-finite H
-        scale = d.gamma_e * fields[..., None, None]
-    h = scale * zeeman + hyperfine
+    # An overflowing field, and the inf * 0 it then meets off the Zeeman
+    # diagonal, are reported as a non-finite H, not warned about.
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = d.gamma_e * fields[..., None, None] * zeeman + hyperfine
     bad = np.flatnonzero(~np.isfinite(h.view(float)).all(axis=(-2, -1)))
     if bad.size:
-        raise _at_field(ValidationError("donor Hamiltonian has non-finite entries"), bad[0])
+        raise locate(ValidationError("donor Hamiltonian has non-finite entries"), bad[0])
     return h
 
 
@@ -198,18 +196,17 @@ class PairTarget:
 def donor_pair_polarizations(d: DonorModel, b0):
     """(P_u, P_d) of the donor transition levels at b0: two floats, or for an
     array of fields two arrays of its shape, equal bit for bit to the scalar
-    results.  Fields are diagonalized by batched ``eigh`` in blocks of at
-    most STACK_BLOCK_BYTES per stack."""
+    results.  Fields are diagonalized by batched ``eigh`` in ``block_slices``
+    of the (D, D) Hamiltonians."""
     fields = np.asarray(b0, dtype=float)
     flat = fields.reshape(-1)
     sz = donor_electron_sz(d)
-    step = max(1, STACK_BLOCK_BYTES // (16 * d.dim ** 2))
     pols = []
-    for start in range(0, flat.size, step):
+    for block in block_slices(flat.size, 16 * d.dim ** 2):
         try:
-            _, v = donor_eigensystem(d, flat[start:start + step])
+            _, v = donor_eigensystem(d, flat[block])
         except ValidationError as exc:
-            raise _at_field(exc, start + exc.index)
+            raise locate(exc, block.start + exc.index)
         pols += [(_polarization(m[:, d.level_u - 1], sz), _polarization(m[:, d.level_d - 1], sz))
                  for m in v]
     if fields.ndim == 0:
@@ -218,19 +215,13 @@ def donor_pair_polarizations(d: DonorModel, b0):
     return p_u.reshape(fields.shape), p_d.reshape(fields.shape)
 
 
-def donor_pair_two_state(d: DonorModel, pair: PairTarget, b0: float) -> TwoStateModel:
-    """Two-state target of a nuclear pair at the donor's polarizations at b0."""
-    return pair.two_state(*donor_pair_polarizations(d, b0))
-
-
-def owp_locate(d: DonorModel, b0_min: float, b0_max: float,
-               scan_points: int = 64, xtol: float = 1e-6) -> float | None:
+def owp_locate(d: DonorModel, b0_min: float, b0_max: float) -> float | None:
     """Field where P_u(B0) = P_d(B0), by sign-change scan plus Brent's method.
 
-    The first bracketing pair of scan points is refined to ``xtol`` tesla.
-    Returns None when the polarization difference has no sign change in the
-    range; raises ValidationError when the transition is degenerate (the
-    difference vanishes identically).
+    The first bracketing pair of OWP_SCAN_POINTS scan points is refined to
+    OWP_XTOL tesla.  Returns None when the polarization difference has no
+    sign change in the range; raises ValidationError when the transition is
+    degenerate (the difference vanishes identically).
     """
     # Imported here, not at module level: SciPy is most of a cold start.
     from scipy.optimize import brentq
@@ -242,7 +233,7 @@ def owp_locate(d: DonorModel, b0_min: float, b0_max: float,
         p_u, p_d = donor_pair_polarizations(d, b0)
         return p_u - p_d
 
-    grid = np.linspace(b0_min, b0_max, scan_points)
+    grid = np.linspace(b0_min, b0_max, OWP_SCAN_POINTS)
     vals = np.array([dp(b) for b in grid])
     if np.all(np.abs(vals) < 1e-12):
         raise ValidationError("polarization difference vanishes identically; "
@@ -252,4 +243,4 @@ def owp_locate(d: DonorModel, b0_min: float, b0_max: float,
     if idx.size == 0:
         roots = np.nonzero(signs == 0)[0]
         return float(grid[roots[0]]) if roots.size else None
-    return brentq(dp, float(grid[idx[0]]), float(grid[idx[0] + 1]), xtol=xtol)
+    return brentq(dp, float(grid[idx[0]]), float(grid[idx[0] + 1]), xtol=OWP_XTOL)

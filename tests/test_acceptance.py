@@ -167,7 +167,7 @@ def test_criterion_4_avg_hamiltonian_identity_and_regimes():
         pair = fs.PairTarget(delta_a=delta_a, c12=delta_a / ratio)
         out = []
         for b0 in sweep:
-            model = fs.donor_pair_two_state(donor, pair, float(b0))
+            model = pair.two_state(*fs.donor_pair_polarizations(donor, float(b0)))
             tau_bar = fs.avg_hamiltonian_dip(model)
             rec = first_dip_record(model)
             out.append(abs(tau_bar - rec.tau_dip) / rec.tau_dip)
@@ -191,7 +191,7 @@ def test_criterion_5_owp_location_and_sharpness():
     pair = fs.PairTarget(delta_a=180e3, c12=1.8e3)
 
     def first_delta(b0):
-        model = fs.donor_pair_two_state(donor, pair, b0)
+        model = pair.two_state(*fs.donor_pair_polarizations(donor, b0))
         return first_dip_record(model).delta
 
     d_owp = first_delta(b_owp)

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import floqsens
@@ -297,3 +298,37 @@ def test_commands_leave_no_reference_cycles(tmp_path, command, config):
     finally:
         gc.enable()
     assert unreachable == 0
+
+
+def test_overflowing_donor_field_fails_on_one_stderr_line(tmp_path):
+    # gamma_e B0 overflows at B0 = 5e299 T, and inf * 0 off the Zeeman
+    # diagonal would warn before the error; only a fresh interpreter shows
+    # what a command-line user sees on stderr.
+    doc = {"system": {"kind": "donor_pair", "donor": "si_bi",
+                      "pair": {"delta_a_rad_s": 180e3, "c12_rad_s": 1.8e3}},
+           "axes": {"tau_s": {"start": 2e-6, "stop": 3.5e-4, "count": 5},
+                    "b0_tesla": {"start": 0.0, "stop": 1e300, "count": 3}}}
+    cfg = write_cfg(tmp_path / "c.json", doc)
+    proc = subprocess.run(
+        [sys.executable, "-m", "floqsens.cli", "map", "--config", cfg,
+         "--output", str(tmp_path / "out")],
+        capture_output=True, text=True, env={**child_env(), "PYTHONWARNINGS": "default"})
+    assert proc.returncode == 2
+    assert proc.stderr == ("config error: row 1 (field 5e+299): donor Hamiltonian has "
+                           "non-finite entries\n")
+
+
+def test_trace_range_checks_its_envelope(tmp_path, capsys, monkeypatch):
+    # A dense envelope outside [-1, 1] fails a trace as it fails a map.
+    import floqsens.scans as scans
+
+    def drifted(ch, taus, n_p, quantities, pulse_duration=0.0):
+        return {q: np.full(len(taus), 1.1 if q == "envelope" else 1.0) for q in quantities}
+
+    monkeypatch.setattr(scans, "floquet_row", drifted)
+    outdir = tmp_path / "out"
+    assert main(["trace", "--config", str(CONFIGS / "cluster3_spectrum.json"),
+                 "--output", str(outdir)]) == 3
+    assert capsys.readouterr().err == ("numerical-consistency error: envelope left [-1, 1] "
+                                       "by 1.000e-01\n")
+    assert not (outdir / "trace.csv").exists()

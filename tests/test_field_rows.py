@@ -4,8 +4,10 @@ A map is computed by ``scans.field_rows`` on whole (field, tau) grids, in
 chunks of rows; a trace is its one-field call.  Each map row must equal
 ``compute_trace`` at its field bit for bit, and must match direct 2x2
 propagation (``floquet_row`` on each two-state target, combined as the
-product) to 1e-9.  The chunk budget is shrunk so that row counts do not
-divide into whole chunks.
+product) to 1e-9.  The block budget ``linalg.BLOCK_BYTES`` is shrunk so that
+row counts do not divide into whole chunks, or to 0, below one item of
+every batched kernel (row chunks, donor polarizations, engine cells), which
+then takes one item per block.
 """
 
 import json
@@ -17,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from floqsens import ConfigError, TwoStateModel, ValidationError, coherence_analytic, envelope, si_bi
-from floqsens import scans
+from floqsens import linalg
 from floqsens.cli import main
 from floqsens.config import parse_config
 from floqsens.engine import floquet_row
@@ -48,19 +50,19 @@ def reference_rows(row_models, cfg, quantity):
 
 def check_map(cfg, quantity, rows_per_chunk):
     """Map rows against compute_trace (bitwise) and floquet_row (1e-9), with
-    ``rows_per_chunk`` rows per chunk; returns the number of rows with guard
-    fallback samples."""
+    ``rows_per_chunk`` rows per chunk (0: a budget below one item); returns
+    the number of rows with guard fallback samples."""
     n_tau = cfg.tau_axis.count
     fields = cfg.field_axis.values().tolist()
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(scans, "ROW_BLOCK_BYTES", 8 * n_tau * rows_per_chunk)
+        patch.setattr(linalg, "BLOCK_BYTES", 8 * n_tau * rows_per_chunk)
         values, row_models, _ = field_rows(cfg, fields, (quantity,), name_rows=True)
     grid = values[quantity]
     assert grid.shape == (len(fields), n_tau)
     for i, field in enumerate(fields):
         trace = compute_trace(cfg, field, (quantity,))
         assert getattr(trace, quantity).tobytes() == grid[i].tobytes()
-        assert trace.models == row_models[i]
+        assert field_rows(cfg, [field], (quantity,))[1] == [row_models[i]]
     assert np.abs(grid - reference_rows(row_models, cfg, quantity)).max() <= TOL
     tau_eff = cfg.tau_axis.values() + cfg.sequence.pulse_duration
     return sum(any(coherence_analytic(m, tau_eff, 1, return_flag=True)[1].any() for m in models)
@@ -68,7 +70,7 @@ def check_map(cfg, quantity, rows_per_chunk):
 
 
 QUANTITY = st.sampled_from(["coherence", "envelope"])
-CHUNK = st.integers(1, 5)
+CHUNK = st.integers(0, 5)
 N_P = st.integers(1, 40)
 
 
@@ -270,7 +272,7 @@ def test_fallback_error_names_its_row_in_a_later_chunk(monkeypatch):
     def synthetic(*args, **kwargs):
         raise engine.NumericalConsistencyError("synthetic")
 
-    monkeypatch.setattr(scans, "ROW_BLOCK_BYTES", 8 * 5 * 2)
+    monkeypatch.setattr(linalg, "BLOCK_BYTES", 8 * 5 * 2)
     monkeypatch.setattr(engine, "floquet_row", synthetic)
     with pytest.raises(engine.NumericalConsistencyError, match=r"^row 4 \(field 10000\): synthetic$"):
         field_rows(cfg, fields, ("coherence",), name_rows=True)

@@ -31,8 +31,8 @@ from floqsens import (
     unit_cell,
 )
 from floqsens.config import parse_config
-from floqsens.engine import STACK_BLOCK_BYTES, _half_period_blocks, _stacked_floor, floquet_row
-from floqsens.scans import _conditional, compute_trace, run_map, run_trace
+from floqsens.engine import _half_period_blocks, _stacked_floor, floquet_row
+from floqsens.scans import _polarizations, _row_hamiltonians, compute_trace, run_map, run_trace
 
 ATOL = 1e-10
 CONFIGS = Path(__file__).resolve().parents[1] / "scripts" / "configs"
@@ -224,7 +224,7 @@ def test_long_rows_are_built_in_blocks(rng):
     taus = np.linspace(0.05, 2.0, 150)
     blocks = [block for block, _, _ in _half_period_blocks(ch, taus)]
     assert len(blocks) > 1
-    assert max(b.stop - b.start for b in blocks) * 16 * dim ** 2 <= STACK_BLOCK_BYTES
+    assert max(b.stop - b.start for b in blocks) * 16 * dim ** 2 <= linalg.BLOCK_BYTES
     assert [i for b in blocks for i in range(150)[b]] == list(range(150))
     want = per_tau(ch, taus[::37], 20, 0.0)
     got = floquet_row(ch, taus, 20)
@@ -346,7 +346,7 @@ def test_unresolved_eigensolve_names_the_tau_point(monkeypatch, path):
     # With the Cayley bound at 1 the shipped cluster3 cells first fail in a
     # later tau block; the error names the tau, not the matrix of the block.
     cfg = parse_config(json.loads((CONFIGS / "cluster3_spectrum.json").read_text()))
-    ch, _ = _conditional(cfg, None)
+    ch = _row_hamiltonians(cfg, None, *_polarizations(cfg, [None]))
     taus = cfg.tau_axis.values()
     monkeypatch.setattr(linalg, "MAX_CAYLEY_TAN", 1.0)
     with pytest.raises(NumericalConsistencyError) as failure:
@@ -358,7 +358,7 @@ def test_unresolved_eigensolve_names_the_tau_point(monkeypatch, path):
                          r"cut tried", str(failure.value))
     assert named, str(failure.value)
     i = int(named[1])
-    assert i >= STACK_BLOCK_BYTES // (16 * ch.dim ** 2)
+    assert i >= linalg.BLOCK_BYTES // (16 * ch.dim ** 2)
     assert named[2] == f"{taus[i]:g}"
     w_u, w_d = half_period_operators(ch, PulseSequence(tau=float(taus[i]), n_p=1))
     with pytest.raises(NumericalConsistencyError):

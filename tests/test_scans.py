@@ -13,8 +13,8 @@ from floqsens import CapacityError, PairSet, PulseSequence, ValidationError, \
     coherence_analytic, floquet_phase, thermal_coherence_numeric
 from floqsens.config import parse_config
 from floqsens.engine import floquet_row
-from floqsens.scans import _json_text, compute_trace, run_dips, run_map, run_spectrum, \
-    run_trace, write_csv, write_pgm
+from floqsens.scans import _json_text, compute_trace, field_rows, run_dips, run_map, \
+    run_spectrum, run_trace, write_csv, write_pgm
 
 
 def pseudospin_cfg(**over):
@@ -65,8 +65,9 @@ class TestTrace:
             run_trace(cfg, tmp_path)
 
     def test_donor_pair_trace_dip_near_avg_estimate(self, tmp_path):
-        from floqsens import avg_hamiltonian_dip, donor_pair_two_state, PairTarget, si_bi
-        model = donor_pair_two_state(si_bi(), PairTarget(delta_a=180e3, c12=1.8e3), 0.15)
+        from floqsens import avg_hamiltonian_dip, donor_pair_polarizations, PairTarget, si_bi
+        model = PairTarget(delta_a=180e3, c12=1.8e3).two_state(
+            *donor_pair_polarizations(si_bi(), 0.15))
         tau_bar = avg_hamiltonian_dip(model)
         raw = {
             "system": {"kind": "donor_pair", "donor": "si_bi",
@@ -99,7 +100,8 @@ class TestRequestedQuantities:
             one = compute_trace(cfg, None, (quantity,))
             assert getattr(one, other) is None
             assert getattr(one, quantity).tobytes() == getattr(both, quantity).tobytes()
-            assert one.models == both.models == compute_trace(cfg, None, ()).models
+            assert (field_rows(cfg, [None], (quantity,))[1] == field_rows(cfg, [None])[1]
+                    == field_rows(cfg, [None], ())[1])
 
 
 @st.composite
@@ -167,8 +169,9 @@ def test_pair_product_matches_joint_kernel(case, n_p):
         "system": {"kind": "independent_pairs", "pairs": pairs, "p_u": p_u, "p_d": p_d},
         "sequence": {"n_p": n_p}, "axes": {"tau_s": axis}})
     data = compute_trace(cfg)
-    assume(joint_spectrum_is_simple(data.models, data.taus, index))
-    _, flags = coherence_analytic(data.models[index], data.taus, n_p, return_flag=True)
+    (models,) = field_rows(cfg, [None])[1]
+    assume(joint_spectrum_is_simple(models, data.taus, index))
+    _, flags = coherence_analytic(models[index], data.taus, n_p, return_flag=True)
     assert flags.any() and not flags.all()
     joint = floquet_row(cfg.system.conditional(p_u, p_d), data.taus, n_p)
     assert np.abs(data.coherence - joint["coherence"]).max() <= 1e-9

@@ -12,7 +12,6 @@ from floqsens import (
     avg_hamiltonian_dip,
     dip_positions,
     donor_hamiltonian,
-    donor_pair_two_state,
     donor_polarization,
     envelope,
     nv_two_state,
@@ -195,7 +194,7 @@ class TestPairTarget:
 
     def test_zero_detuning_silences_pair(self):
         d = si_bi()
-        model = donor_pair_two_state(d, PairTarget(delta_a=0.0, c12=2e3), 0.12)
+        model = PairTarget(delta_a=0.0, c12=2e3).two_state(*donor_pair_polarizations(d, 0.12))
         assert model.h_u == model.h_d
         taus = np.linspace(1e-6, 1e-3, 30)
         from floqsens import coherence_analytic
@@ -205,7 +204,7 @@ class TestPairTarget:
     def test_antialigned_regime_away_from_owp(self):
         d = si_bi()
         pair = PairTarget(delta_a=180e3, c12=1.8e3)
-        model = donor_pair_two_state(d, pair, 0.34)
+        model = pair.two_state(*donor_pair_polarizations(d, 0.34))
         assert regime_classify(model) is Regime.ANTIALIGNED_II
 
 
@@ -220,7 +219,7 @@ class TestOwp:
         b_owp = owp_locate(d, 0.05, 0.35)
 
         def first_delta(b0):
-            model = donor_pair_two_state(d, pair, b0)
+            model = pair.two_state(*donor_pair_polarizations(d, b0))
             cap = 3 * avg_hamiltonian_dip(model)
             records = dip_positions(model, cap)
             while not records:
