@@ -17,13 +17,18 @@ an n_p-independent envelope 1 - 2 F under a fast oscillation.  Coherence
 dips sit at the roots of cos E(tau/2) = 0, where F = 1 and the dip depth
 is set by the level repulsion delta = pi - E(tau_dip).
 
+With a0 = cos(w_u s) cos(w_d s) - sin(w_u s) sin(w_d s) cos(theta_u - theta_d)
+= cos E(s/2) and y = sin(w_u s) sin(w_d s) sin(theta_u - theta_d), the
+identity cos^2(E(s)/2) = a0^2 + y^2 =: q takes the subtraction out of F:
+
+    F = y^2 / q,   E = 2 arccos(sqrt(q)),
+
+so F keeps full precision up to a true level crossing (E(tau) -> pi,
+q -> 0), where it is 0/0.  There F is 0, as in the engine, which puts
+the eigenphases +-E of a cell into one cluster once q <= CROSSING_Q.
 ``two_state_grid`` evaluates these formulas for many models on one
 (models, tau) grid; ``coherence_analytic`` and ``envelope`` are its
-one-model calls.  Near a true level crossing (E(tau) -> pi) the F ratio
-degenerates to 0/0, so samples with |cos(E(tau)/2)| below
-``ANALYTIC_GUARD`` are delegated to direct 2x2 propagation, which stays
-well conditioned there: one ``floquet_row`` call per model with flagged
-samples.
+one-model calls.
 """
 
 from __future__ import annotations
@@ -38,10 +43,6 @@ from . import engine
 from .errors import CapacityError, NumericalConsistencyError, ValidationError, locate
 from .linalg import PAULI_X, PAULI_Z
 
-# Below this |cos(E(tau)/2)| the analytic F ratio loses more than ~1e-10
-# of absolute accuracy in double precision; delegate to the numeric path.
-ANALYTIC_GUARD = 1e-3
-
 COS_RANGE_TOL = 1e-9
 DIP_CONDITION_TOL = 1e-6
 # Largest root-bracketing grid of dip_positions (points).  Memory and the
@@ -51,6 +52,9 @@ MAX_DIP_GRID = 10 ** 6
 # regime_classify reports weak coupling (regime I) where |h_u + h_d| / |h_u - h_d|
 # is at least this ratio, and anti-alignment (regime II) where it is at most its inverse.
 REGIME_THRESHOLD = 10.0
+# q = cos^2(E/2) at or below which F = 0: the eigenphases +-E of the cell are
+# 2 (pi - E) apart, within engine.PHASE_MATCH_TOL, and form one cluster.
+CROSSING_Q = math.sin(engine.PHASE_MATCH_TOL / 4.0) ** 2
 
 
 @dataclass(frozen=True)
@@ -122,17 +126,13 @@ class TwoStateModel:
         return engine.ConditionalHamiltonians(h_u=h_u, h_d=h_d)
 
 
-def _cos_phase(two_w_u, two_w_d, k, s) -> np.ndarray:
-    """cos(2 w_u s) cos(2 w_d s) - sin(2 w_u s) sin(2 w_d s) k, broadcasting."""
-    au = two_w_u * s
-    ad = two_w_d * s
-    return np.cos(au) * np.cos(ad) - np.sin(au) * np.sin(ad) * k
-
-
 def cos_floquet_phase(model: TwoStateModel, s) -> np.ndarray | float:
     """cos E(s) of the cell with pulse interval s; vectorized over s."""
-    rhs = _cos_phase(2 * model.omega_u, 2 * model.omega_d,
-                     math.cos(model.theta_u - model.theta_d), np.asarray(s, dtype=float))
+    s = np.asarray(s, dtype=float)
+    au = 2 * model.omega_u * s
+    ad = 2 * model.omega_d * s
+    k = math.cos(model.theta_u - model.theta_d)
+    rhs = np.cos(au) * np.cos(ad) - np.sin(au) * np.sin(ad) * k
     return rhs if rhs.ndim else float(rhs)
 
 
@@ -149,75 +149,47 @@ def floquet_phase(model: TwoStateModel, s) -> np.ndarray | float:
     return e if np.asarray(s).ndim else float(e)
 
 
-def two_state_grid(models, tau: np.ndarray, quantity: str,
-                   n_p: int = 1) -> tuple[np.ndarray, np.ndarray]:
+def two_state_grid(models, tau: np.ndarray, quantity: str, n_p: int = 1) -> np.ndarray:
     """``quantity`` of each model over the pulse intervals ``tau``, on one grid.
 
-    'coherence' after n_p cells or the envelope 1 - 2 F.  Returns (values,
-    flags), both (len(models), tau.size); flags mark the samples within
-    ANALYTIC_GUARD of a true level crossing, which ``floquet_row``
-    computes from that model's 2x2 cell instead.  An error raised for one
-    model carries its position in ``index``.
+    'coherence' after n_p cells or the envelope 1 - 2 F, as a
+    (len(models), tau.size) array, from F = y^2 / q and E = 2 arccos(sqrt(q))
+    at every sample; F is 0 where q <= CROSSING_Q.  Both lie in [-1, 1]
+    by construction (y^2 <= q).  A tau <= 0 raises ValidationError with
+    ``index`` 0.
     """
     tau = np.asarray(tau, dtype=float)
     if np.any(tau <= 0):  # every model fails, the first one first
         raise locate(ValidationError("pulse interval must be > 0"), 0)
-    # h_u == h_d evolves identically in both sensor states: zero frequencies
-    # give cos E = 1, F = 0 and so exactly 1 (no signal) with no flags.
-    same = np.array([m.h_u == m.h_d for m in models])[:, None]
-    two_w_u = np.where(same, 0.0, np.array([2 * m.omega_u for m in models])[:, None])
-    two_w_d = np.where(same, 0.0, np.array([2 * m.omega_d for m in models])[:, None])
-    k = np.array([math.cos(m.theta_u - m.theta_d) for m in models])[:, None]
-    cos_e = _cos_phase(two_w_u, two_w_d, k, tau)
-    q = np.maximum(0.5 * (1.0 + cos_e), 0.0)
-    p = _cos_phase(two_w_u, two_w_d, k, tau / 2.0) ** 2
-    ok = np.sqrt(q) >= ANALYTIC_GUARD
-    f = np.where(ok, 1.0 - p / np.where(ok, q, 1.0), np.nan)
+    au = np.array([m.omega_u for m in models])[:, None] * tau
+    ad = np.array([m.omega_d for m in models])[:, None] * tau
+    turn = np.array([m.theta_u - m.theta_d for m in models])[:, None]
+    sin_sin = np.sin(au) * np.sin(ad)
+    a0 = np.cos(au) * np.cos(ad) - sin_sin * np.cos(turn)
+    y2 = (sin_sin * np.sin(turn)) ** 2
+    q = a0 * a0 + y2
+    f = np.divide(y2, q, out=np.zeros_like(q), where=q > CROSSING_Q)
     if quantity == "coherence":
-        osc = np.sin(n_p * np.arccos(np.clip(cos_e, -1.0, 1.0))) ** 2
-        vals = 1.0 - 2.0 * f * osc
-    else:
-        vals = 1.0 - 2.0 * f
-    for i in np.flatnonzero(~ok.all(axis=1)):
-        try:
-            vals[i, ~ok[i]] = engine.floquet_row(
-                models[i].conditional(), tau[~ok[i]], n_p if quantity == "coherence" else 1,
-                (quantity,))[quantity]
-        except (ValidationError, NumericalConsistencyError) as exc:
-            raise locate(exc, i)
-    if quantity == "coherence":
-        bad = np.abs(vals) - 1.0
-        rows = np.flatnonzero((bad > COS_RANGE_TOL).any(axis=1))
-        if rows.size:
-            raise locate(NumericalConsistencyError(
-                f"coherence left [-1, 1] by {bad[rows[0]].max():.3e}"), rows[0])
-    return np.clip(vals, -1.0, 1.0), ~ok
+        f *= np.sin(2 * n_p * np.arccos(np.minimum(np.sqrt(q), 1.0))) ** 2
+    return 1.0 - 2.0 * f
 
 
-def _one_model(model: TwoStateModel, tau, quantity: str, n_p: int, return_flag: bool):
+def _one_model(model: TwoStateModel, tau, quantity: str, n_p: int):
     """``two_state_grid`` of one model, shaped like ``tau`` (a float for a scalar)."""
-    tau_arr = np.atleast_1d(np.asarray(tau, dtype=float))
-    vals, flags = two_state_grid([model], tau_arr.ravel(), quantity, n_p)
-    vals, flags = vals.reshape(tau_arr.shape), flags.reshape(tau_arr.shape)
-    if np.asarray(tau).ndim == 0:
-        return (float(vals[0]), bool(flags[0])) if return_flag else float(vals[0])
-    return (vals, flags) if return_flag else vals
+    tau_arr = np.asarray(tau, dtype=float)
+    vals = two_state_grid([model], tau_arr.ravel(), quantity, n_p).reshape(tau_arr.shape)
+    return vals if tau_arr.ndim else float(vals)
 
 
-def coherence_analytic(model: TwoStateModel, tau, n_p: int,
-                       return_flag: bool = False):
-    """Bath-averaged coherence after n_p cells at interval tau (vectorized).
-
-    Samples too close to a true level crossing are computed by direct
-    propagation instead of the analytic formula; ``return_flag`` also
-    returns the mask of such samples.
-    """
-    return _one_model(model, tau, "coherence", n_p, return_flag)
+def coherence_analytic(model: TwoStateModel, tau, n_p: int):
+    """Bath-averaged coherence 1 - 2 F sin^2(n_p E) after n_p cells at
+    interval tau (vectorized); exactly 1 at a true level crossing."""
+    return _one_model(model, tau, "coherence", n_p)
 
 
-def envelope(model: TwoStateModel, tau, return_flag: bool = False):
+def envelope(model: TwoStateModel, tau):
     """Pulse-number-independent coherence envelope 1 - 2 F(tau) (vectorized)."""
-    return _one_model(model, tau, "envelope", 1, return_flag)
+    return _one_model(model, tau, "envelope", 1)
 
 
 @dataclass(frozen=True)
@@ -269,18 +241,20 @@ def dip_positions(model: TwoStateModel, tau_max: float, n_p: int = 1) -> list[Di
 
 
 def dip_depth(model: TwoStateModel, tau_dip: float, n_p: int) -> tuple[float, float]:
-    """Level repulsion delta = |pi - E(tau_dip)| and depth 1 - 2 sin^2(n_p delta).
-
-    ``tau_dip`` must satisfy the dip condition E(tau_dip/2) = pi/2 within
-    1e-6 rad.
-    """
+    """``level_repulsion`` at ``tau_dip``, which must satisfy the dip
+    condition E(tau_dip/2) = pi/2 within 1e-6 rad."""
     miss = abs(float(floquet_phase(model, tau_dip / 2.0)) - math.pi / 2.0)
     if miss > DIP_CONDITION_TOL:
         raise ValidationError(
             f"tau_dip misses the dip condition E(tau/2) = pi/2 by {miss:.3e} rad")
+    return level_repulsion(model, tau_dip, n_p)
+
+
+def level_repulsion(model: TwoStateModel, tau: float, n_p: int) -> tuple[float, float]:
+    """Level repulsion delta = |pi - E(tau)| and depth 1 - 2 sin^2(n_p delta)."""
     # delta = pi - E ==> cos(delta) = -cos(E); arccos near +1 keeps small
     # delta at the sqrt(eps) precision floor instead of losing it outright.
-    rhs = float(cos_floquet_phase(model, tau_dip))
+    rhs = float(cos_floquet_phase(model, tau))
     delta = math.acos(min(1.0, max(-1.0, -rhs)))
     depth = 1.0 - 2.0 * math.sin(n_p * delta) ** 2
     return delta, depth

@@ -56,7 +56,7 @@ from .engine import QUANTITIES, ConditionalHamiltonians, floquet_row, spectrum_s
 from .errors import ConfigError, NumericalConsistencyError, ValidationError, locate
 from .linalg import block_slices
 from .pseudospin import TwoStateModel, avg_hamiltonian_dip, diamond_boundaries, \
-    dip_positions, floquet_phase, two_state_grid
+    dip_positions, level_repulsion, two_state_grid
 from .sensors import NVModel, donor_pair_polarizations, nv_two_state
 
 TWO_PI = 2.0 * math.pi
@@ -168,15 +168,15 @@ def _closed_form(models: list[list[TwoStateModel]], tau_eff: np.ndarray, n_p: in
     for block in block_slices(len(models), 8 * tau_eff.size):
         chunk = models[block]
         try:
-            grids = [two_state_grid([row[k] for row in chunk], tau_eff, quantity, n_p)[0]
+            grids = [two_state_grid([row[k] for row in chunk], tau_eff, quantity, n_p)
                      for k in range(len(chunk[0]))]
         except (ValidationError, NumericalConsistencyError) as exc:
             raise locate(exc, block.start + exc.index)
         out[block] = reduce(combine, grids)
 
 
-def field_rows(cfg: ScanConfig, fields: list, quantities: tuple[str, ...] = QUANTITIES,
-               name_rows: bool = False) -> tuple[dict, list | None, list | None]:
+def field_rows(cfg: ScanConfig, fields: list,
+               quantities: tuple[str, ...] = QUANTITIES) -> tuple[dict, list | None, list | None]:
     """The requested quantities over the tau axis at each field point.
 
     Returns (values, models, polarizations): a (fields, tau) array per
@@ -193,8 +193,8 @@ def field_rows(cfg: ScanConfig, fields: list, quantities: tuple[str, ...] = QUAN
     exceeds MAX_PHASE_RAD raises ValidationError: the spectral radius
     (max(sum_k w_u,k, sum_k w_d,k) for two-state targets) times n_p cells
     of length 4 max(tau + delta) when coherence is asked for, one cell
-    otherwise.  An error's ``index`` is its row, and with ``name_rows`` its
-    message starts 'row i (field f): '.
+    otherwise.  An error's ``index`` is its row, and its message starts
+    'row i (field f): ' when that row's field is given (not None).
     """
     taus = cfg.tau_axis.values()
     n_p = cfg.sequence.n_p
@@ -229,7 +229,7 @@ def field_rows(cfg: ScanConfig, fields: list, quantities: tuple[str, ...] = QUAN
         return values, models, None
     except (ValidationError, NumericalConsistencyError) as exc:
         i = getattr(exc, "index", 0)  # without an index (no field given) every row fails
-        raise locate(exc, i, f"row {i} (field {fields[i]:g})" if name_rows else None)
+        raise locate(exc, i, None if fields[i] is None else f"row {i} (field {fields[i]:g})")
 
 
 def compute_trace(cfg: ScanConfig, field_value: float | None = None,
@@ -245,7 +245,7 @@ def compute_trace(cfg: ScanConfig, field_value: float | None = None,
 
 def _check_range(values: np.ndarray, what: str):
     drift = float(np.abs(values).max(initial=0.0)) - 1.0
-    if drift > 1e-9:
+    if not drift <= 1e-9:  # NaN fails too
         raise NumericalConsistencyError(f"{what} left [-1, 1] by {drift:.3e}")
 
 
@@ -253,13 +253,16 @@ def _write_atomic(path: Path, chunks) -> None:
     """Write byte ``chunks`` to a temporary file beside ``path``, then rename it to ``path``.
 
     A write that fails leaves the previous ``path``, or none, never a
-    partial one, and removes the temporary file.
+    partial one, removes the temporary file and raises its OSError with
+    ``path`` as the file name.
     """
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with tmp.open("wb") as f:
             f.writelines(chunks)
         os.replace(tmp, path)
+    except OSError as exc:  # name the output, not the temporary file
+        raise OSError(exc.errno, exc.strerror, str(path)) from exc
     finally:
         tmp.unlink(missing_ok=True)
 
@@ -402,7 +405,7 @@ def run_map(cfg: ScanConfig, outdir: Path) -> list[Path]:
         raise ConfigError("map needs a field axis in addition to tau_s")
     field_values = cfg.field_axis.values().tolist()
     quantity = cfg.output.quantity
-    values, models, pols = field_rows(cfg, field_values, (quantity,), name_rows=True)
+    values, models, pols = field_rows(cfg, field_values, (quantity,))
     grid = values[quantity]
     _check_range(grid, quantity)
     header, overlay = (_overlay_rows(cfg, field_values, models, pols)
@@ -483,9 +486,7 @@ def run_dips(cfg: ScanConfig, outdir: Path) -> list[Path]:
         except ValidationError:
             tau_bar = None
         if tau_bar is not None and tau_bar <= s_stop:
-            e_tau = float(floquet_phase(model, tau_bar))
-            delta = abs(math.pi - e_tau)
-            depth = 1.0 - 2.0 * math.sin(n_p * delta) ** 2
+            delta, depth = level_repulsion(model, tau_bar, n_p)
             rows.append((tau_bar, "avg_hamiltonian", delta, depth, 1))
     elif cfg.system_kind == "cluster3":
         (p_u, p_d), = _polarizations(cfg, [None])

@@ -1,3 +1,4 @@
+import errno
 import gc
 import json
 import os
@@ -332,3 +333,34 @@ def test_trace_range_checks_its_envelope(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err == ("numerical-consistency error: envelope left [-1, 1] "
                                        "by 1.000e-01\n")
     assert not (outdir / "trace.csv").exists()
+
+
+@pytest.mark.parametrize("command, config", [("trace", "cluster3_spectrum.json"),
+                                             ("map", "cluster3_map.json")])
+def test_nan_rows_fail_the_range_check(tmp_path, capsys, monkeypatch, command, config):
+    import floqsens.scans as scans
+
+    def nan_rows(ch, taus, n_p, quantities, pulse_duration=0.0):
+        return {q: np.full(len(taus), np.nan) for q in quantities}
+
+    monkeypatch.setattr(scans, "floquet_row", nan_rows)
+    outdir = tmp_path / "out"
+    assert main([command, "--config", str(CONFIGS / config), "--output", str(outdir)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical-consistency error: ") and err.endswith(" by nan\n")
+    assert not (outdir / f"{command}.csv").exists()
+
+
+def test_write_error_names_the_output(tmp_path, capsys):
+    doc = pseudospin_doc()
+    doc["axes"]["row_index"] = {"start": 0, "stop": 1, "count": 2}
+    cfg = write_cfg(tmp_path / "c.json", doc)
+    blocked = tmp_path / "out" / "map.csv"
+    blocked.mkdir(parents=True)
+    errs = []
+    for _ in range(2):
+        assert main(["map", "--config", cfg, "--output", str(blocked.parent)]) == 2
+        errs.append(capsys.readouterr().err)
+    assert errs[0] == errs[1] == (f"file error: [Errno {errno.EISDIR}] "
+                                  f"{os.strerror(errno.EISDIR)}: '{blocked}'\n")
+    assert list(blocked.parent.iterdir()) == [blocked]

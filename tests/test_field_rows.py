@@ -23,9 +23,11 @@ from floqsens import linalg
 from floqsens.cli import main
 from floqsens.config import parse_config
 from floqsens.engine import floquet_row
+from floqsens.errors import NumericalConsistencyError, locate
 from floqsens.pseudospin import two_state_grid
 from floqsens.sensors import _polarization, donor_pair_polarizations
 from floqsens.scans import compute_trace, field_rows
+from conftest import near_crossing
 
 TOL = 1e-9
 
@@ -51,12 +53,13 @@ def reference_rows(row_models, cfg, quantity):
 def check_map(cfg, quantity, rows_per_chunk):
     """Map rows against compute_trace (bitwise) and floquet_row (1e-9), with
     ``rows_per_chunk`` rows per chunk (0: a budget below one item); returns
-    the number of rows with guard fallback samples."""
+    the number of rows with a target within 1e-3 of a true crossing
+    (``near_crossing``)."""
     n_tau = cfg.tau_axis.count
     fields = cfg.field_axis.values().tolist()
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(linalg, "BLOCK_BYTES", 8 * n_tau * rows_per_chunk)
-        values, row_models, _ = field_rows(cfg, fields, (quantity,), name_rows=True)
+        values, row_models, _ = field_rows(cfg, fields, (quantity,))
     grid = values[quantity]
     assert grid.shape == (len(fields), n_tau)
     for i, field in enumerate(fields):
@@ -65,8 +68,7 @@ def check_map(cfg, quantity, rows_per_chunk):
         assert field_rows(cfg, [field], (quantity,))[1] == [row_models[i]]
     assert np.abs(grid - reference_rows(row_models, cfg, quantity)).max() <= TOL
     tau_eff = cfg.tau_axis.values() + cfg.sequence.pulse_duration
-    return sum(any(coherence_analytic(m, tau_eff, 1, return_flag=True)[1].any() for m in models)
-               for models in row_models)
+    return sum(any(near_crossing(m, tau_eff).any() for m in models) for models in row_models)
 
 
 QUANTITY = st.sampled_from(["coherence", "envelope"])
@@ -81,7 +83,7 @@ def nv_maps(draw):
     With omega_z = 0 the fields are h_u = (w_x, a), h_d = (w_x, 0); at
     a = w_x sqrt((m_u / m_d)^2 - 1) and m_u + m_d odd the cell phase is pi
     at s0 = m_d / (2 f), f = w_x / 2 pi.  The first tau lies a relative
-    1e-6..4e-5 from s0, inside ANALYTIC_GUARD; the others lie 5-30 % away.
+    1e-6..4e-5 from s0, where |cos(E/2)| < 1e-3; the others lie 5-30 % away.
     ``flat`` sets a = 0: every row then has h_u == h_d.
     """
     count = draw(st.integers(2, 13))
@@ -110,13 +112,13 @@ def nv_maps(draw):
 @given(case=nv_maps(), quantity=QUANTITY, chunk=CHUNK)
 def test_nv_rows_with_crossings(case, quantity, chunk):
     cfg, flat = case
-    flagged = check_map(cfg, quantity, chunk)
+    near = check_map(cfg, quantity, chunk)
     values, row_models, _ = field_rows(cfg, cfg.field_axis.values().tolist(), (quantity,))
     if flat:
         assert all(m.h_u == m.h_d for (m,) in row_models)
-        assert flagged == 0 and np.all(values[quantity] == 1.0)
+        assert np.all(values[quantity] == 1.0)
     else:
-        assert flagged >= 1
+        assert near >= 1
 
 
 PSEUDOFIELD = st.fixed_dictionaries({"x_rad_s": st.floats(-3e4, 3e4),
@@ -156,7 +158,7 @@ def test_donor_field_sweeps(pairs, kind, b0, span, count, quantity, chunk, n_p):
 def crossing_pairs(draw):
     """Independent pairs at fixed polarizations, one pair with a true crossing
     (w_u = m_u scale, w_d = m_d scale, m_u + m_d odd) at s0 = pi / (2 scale);
-    the first tau lies inside ANALYTIC_GUARD of it."""
+    the first tau lies where |cos(E/2)| < 1e-3."""
     m_small = draw(st.integers(1, 3))
     m_big = m_small + draw(st.sampled_from([1, 3]))
     p_big = draw(st.floats(0.1, 1.0))
@@ -201,15 +203,13 @@ CROSSING_TAUS = math.pi / 2 * (1.0 + np.array([-0.3, -2e-5, -1e-6, 1e-6, 3e-5, 0
 @settings(max_examples=60, deadline=None)
 @given(models=st.lists(MODELS, min_size=1, max_size=8), quantity=QUANTITY, n_p=N_P)
 def test_grid_rows_are_their_one_model_calls(models, quantity, n_p):
-    vals, flags = two_state_grid(models, CROSSING_TAUS, quantity, n_p)
-    for model, row, row_flags in zip(models, vals, flags):
-        one, one_flags = (coherence_analytic(model, CROSSING_TAUS, n_p, return_flag=True)
-                          if quantity == "coherence"
-                          else envelope(model, CROSSING_TAUS, return_flag=True))
+    vals = two_state_grid(models, CROSSING_TAUS, quantity, n_p)
+    for model, row in zip(models, vals):
+        one = (coherence_analytic(model, CROSSING_TAUS, n_p) if quantity == "coherence"
+               else envelope(model, CROSSING_TAUS))
         assert one.tobytes() == row.tobytes()
-        assert np.array_equal(one_flags, row_flags)
         if model.h_u == model.h_d:
-            assert np.all(row == 1.0) and not row_flags.any()
+            assert np.all(row == 1.0)
         ref = floquet_row(model.conditional(), CROSSING_TAUS, n_p, (quantity,))[quantity]
         assert np.abs(row - ref).max() <= TOL
 
@@ -256,11 +256,10 @@ def test_polarization_error_index_is_the_field_position(bad):
     assert failure.value.index == bad
 
 
-def test_fallback_error_names_its_row_in_a_later_chunk(monkeypatch):
-    # Row 4 of 6 (f = 1e4 Hz) has a true crossing at the first tau
-    # (a = w_x sqrt(3), m_u = 2, m_d = 1); with two rows per chunk it is
-    # evaluated in the third chunk.
-    import floqsens.engine as engine
+def test_grid_error_names_its_row_in_a_later_chunk(monkeypatch):
+    # Row 4 of 6 (f = 1e4 Hz) fails inside two_state_grid; with two rows per
+    # chunk it is evaluated in the third chunk, at position 0 of its chunk.
+    import floqsens.scans as scans
 
     cfg = parse_config({
         "system": {"kind": "nv", "omega_z_hz": 0.0, "a_par_hz": 1e4 * math.sqrt(3.0)},
@@ -268,14 +267,19 @@ def test_fallback_error_names_its_row_in_a_later_chunk(monkeypatch):
                  "omega_x_hz": {"start": 6e3, "stop": 1.1e4, "count": 6}}})
     fields = cfg.field_axis.values().tolist()
     assert fields[4] == 1e4
+    (bad,), = field_rows(cfg, [1e4])[1]
 
-    def synthetic(*args, **kwargs):
-        raise engine.NumericalConsistencyError("synthetic")
+    def failing_grid(models, *args):
+        if bad in models:
+            raise locate(NumericalConsistencyError("synthetic"), models.index(bad))
+        return two_state_grid(models, *args)
 
     monkeypatch.setattr(linalg, "BLOCK_BYTES", 8 * 5 * 2)
-    monkeypatch.setattr(engine, "floquet_row", synthetic)
-    with pytest.raises(engine.NumericalConsistencyError, match=r"^row 4 \(field 10000\): synthetic$"):
-        field_rows(cfg, fields, ("coherence",), name_rows=True)
+    monkeypatch.setattr(scans, "two_state_grid", failing_grid)
+    with pytest.raises(NumericalConsistencyError, match=r"^row 4 \(field 10000\): synthetic$") \
+            as failure:
+        field_rows(cfg, fields, ("coherence",))
+    assert failure.value.index == 4
 
 
 @pytest.mark.parametrize("kind, axis", [("donor_pair", "b0_tesla"), ("nv", "omega_x_hz")])

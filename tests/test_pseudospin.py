@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from floqsens import (
@@ -28,8 +28,9 @@ from floqsens import (
     unit_cell,
 )
 
+from floqsens.engine import floquet_row
 from floqsens.pseudospin import MAX_DIP_GRID
-from conftest import random_two_state
+from conftest import near_crossing, random_two_state
 
 
 def golden_section_min(f, lo, hi, rtol=1e-12):
@@ -158,13 +159,11 @@ class TestCoherence:
             assert float(coherence_analytic(model, tau + delta, 8)) == \
                 pytest.approx(ref, abs=1e-9)
 
-    def test_guard_delegates_near_crossing(self):
+    def test_true_crossing_has_no_signal(self):
         # collinear (commuting) fields have a true crossing at E(tau) = pi
         model = TwoStateModel.from_angles(1.0, 0.0, 0.5, 0.0)
         tau = math.pi / 3  # E = 2 (w_u + w_d) tau = pi exactly
-        val, flag = coherence_analytic(model, tau, 5, return_flag=True)
-        assert flag
-        assert val == pytest.approx(1.0, abs=1e-9)  # no signal at a true crossing
+        assert coherence_analytic(model, tau, 5) == 1.0
 
 
 class TestEnvelope:
@@ -388,27 +387,63 @@ def test_analytic_equals_numeric_property(tau):
     assert abs(coherence_analytic(model, tau, 7) - ref) < 1e-9
 
 
-# Relative offsets from a true level crossing, on both sides of it; the
-# closest points fall below ANALYTIC_GUARD, the farthest lie well above it.
+# Relative offsets from a true level crossing, on both sides of it; at the
+# closest points |cos(E/2)| < 1e-3, the farthest lie well away from it.
 CROSSING_OFFSETS = np.concatenate([-np.geomspace(1e-6, 1e-1, 11), np.geomspace(1e-6, 1e-1, 11)])
 
 
 @settings(max_examples=40, deadline=None)
 @given(m_u=st.integers(1, 4), m_d=st.integers(0, 3), theta_u=st.floats(-3.0, 3.0),
        theta_d=st.floats(-3.0, 3.0), scale=st.floats(0.3, 3.0), n_p=st.integers(1, 60))
-def test_analytic_matches_numeric_across_the_guard(m_u, m_d, theta_u, theta_d, scale, n_p):
+def test_analytic_matches_numeric_across_a_crossing(m_u, m_d, theta_u, theta_d, scale, n_p):
     # 2 w_u s = m_u pi and 2 w_d s = m_d pi with m_u + m_d odd put E(s) = pi
     # exactly at s = pi / (2 scale): a true crossing, where F is 0/0.
     if (m_u + m_d) % 2 == 0:
         m_d += 1
     model = TwoStateModel.from_angles(m_u * scale, theta_u, m_d * scale, theta_d)
     taus = math.pi / (2.0 * scale) * (1.0 + CROSSING_OFFSETS)
-    coh, coh_flags = coherence_analytic(model, taus, n_p, return_flag=True)
-    env, env_flags = envelope(model, taus, return_flag=True)
-    assert coh_flags.any() and not coh_flags.all()
-    assert np.array_equal(coh_flags, env_flags)
+    coh = coherence_analytic(model, taus, n_p)
+    env = envelope(model, taus)
+    near = near_crossing(model, taus)
+    assert near.any() and not near.all()
     for tau, c, e in zip(taus, coh, env):
         seq = PulseSequence(tau=float(tau), n_p=n_p)
         assert c == pytest.approx(thermal_coherence_numeric(model.conditional(), seq), abs=1e-9)
         pair = floquet_pair(*unit_cell(model.conditional(), seq))
         assert e == pytest.approx(envelope_general(pair).floor, abs=1e-9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(x=st.floats(-3.0, 3.0), z=st.floats(-3.0, 3.0), power=st.integers(0, 3),
+       swap=st.booleans(), n_p=st.integers(1, 60))
+def test_commuting_fields_give_exactly_one(x, z, power, swap, n_p):
+    # h_d = 2^power h_u points the same way exactly (h_u = h_d at power 0), so
+    # y = 0 at every tau: no signal, at the true crossings
+    # 2 (w_u + w_d) tau = (2 j + 1) pi too.
+    assume(math.hypot(x, z) > 1e-3)
+    fields = PseudoField(x, z), PseudoField(x * 2.0 ** power, z * 2.0 ** power)
+    model = TwoStateModel(*(fields[::-1] if swap else fields))
+    assert model.theta_u == model.theta_d
+    crossings = (2 * np.arange(40) + 1) * math.pi / (2 * (model.omega_u + model.omega_d))
+    taus = np.concatenate([crossings, crossings * (1 + 1e-9), np.linspace(0.01, 20.0, 200)])
+    assert np.all(coherence_analytic(model, taus, n_p) == 1.0)
+    assert np.all(envelope(model, taus) == 1.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(m_u=st.integers(1, 4), m_d=st.integers(0, 3), theta_u=st.floats(-3.0, 3.0),
+       theta_d=st.floats(-3.0, 3.0), scale=st.floats(0.3, 3.0), n_p=st.integers(1, 60))
+def test_near_crossing_matches_the_2x2_kernel(m_u, m_d, theta_u, theta_d, scale, n_p):
+    # 1e-3 <= |cos(E/2)| <= 1e-2 next to a true crossing (the construction of
+    # test_analytic_matches_numeric_across_a_crossing): there 1 - a0^2 / q
+    # would lose up to 1e-10, while F = y^2 / q keeps its precision.
+    if (m_u + m_d) % 2 == 0:
+        m_d += 1
+    model = TwoStateModel.from_angles(m_u * scale, theta_u, m_d * scale, theta_d)
+    offsets = np.geomspace(1e-5, 1e-1, 200)
+    taus = math.pi / (2.0 * scale) * (1.0 + np.concatenate([-offsets, offsets]))
+    taus = taus[near_crossing(model, taus, 1e-2) & ~near_crossing(model, taus, 1e-3)]
+    assume(taus.size)
+    ref = floquet_row(model.conditional(), taus, n_p)
+    assert np.abs(coherence_analytic(model, taus, n_p) - ref["coherence"]).max() <= 2e-11
+    assert np.abs(envelope(model, taus) - ref["envelope"]).max() <= 2e-11

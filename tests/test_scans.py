@@ -10,11 +10,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from floqsens import CapacityError, PairSet, PulseSequence, ValidationError, \
-    coherence_analytic, floquet_phase, thermal_coherence_numeric
+    floquet_phase, thermal_coherence_numeric
 from floqsens.config import parse_config
 from floqsens.engine import floquet_row
 from floqsens.scans import _json_text, compute_trace, field_rows, run_dips, run_map, \
     run_spectrum, run_trace, write_csv, write_pgm
+from conftest import near_crossing
 
 
 def pseudospin_cfg(**over):
@@ -111,9 +112,8 @@ def pair_sets_across_a_crossing(draw):
     One pair has w_u = m_u scale and w_d = m_d scale with m_u + m_d odd,
     a true crossing E(s0) = pi at s0 = pi / (2 scale) (the construction of
     the analytic-vs-numeric test in test_pseudospin).  The tau axis runs
-    from a relative offset of 1e-5..4e-5 next to s0, inside ANALYTIC_GUARD
-    (pi - E <= 2 (w_u + w_d) s0 4e-5 <= 1.4e-3), to 5-30 % away from it,
-    outside.  Closer to s0 the joint eigenvectors of the near-degenerate
+    from a relative offset of 1e-5..4e-5 next to s0, where |cos(E/2)| < 1e-3
+    (pi - E <= 2 (w_u + w_d) s0 4e-5 <= 1.4e-3), to 5-30 % away from it.  Closer to s0 the joint eigenvectors of the near-degenerate
     levels lose more than 1e-9 to rounding.
     """
     m_small = draw(st.integers(1, 4))
@@ -171,8 +171,8 @@ def test_pair_product_matches_joint_kernel(case, n_p):
     data = compute_trace(cfg)
     (models,) = field_rows(cfg, [None])[1]
     assume(joint_spectrum_is_simple(models, data.taus, index))
-    _, flags = coherence_analytic(models[index], data.taus, n_p, return_flag=True)
-    assert flags.any() and not flags.all()
+    near = near_crossing(models[index], data.taus)
+    assert near.any() and not near.all()
     joint = floquet_row(cfg.system.conditional(p_u, p_d), data.taus, n_p)
     assert np.abs(data.coherence - joint["coherence"]).max() <= 1e-9
     assert np.abs(data.envelope - joint["envelope"]).max() <= 1e-9
