@@ -23,7 +23,7 @@ from .errors import (
     SymmetryViolationError,
     ValidationError,
 )
-from .linalg import EigenSystem, eig_unitary, expm_hermitian, spin_operators
+from .linalg import EigenSystem, eig_unitary, expm_hermitian
 from .pseudospin import (
     DipRecord,
     PseudoField,
@@ -54,7 +54,7 @@ from .sensors import (
     DonorModel,
     NVModel,
     PairTarget,
-    donor_hamiltonian,
+    donor_levels,
     donor_pair_polarizations,
     donor_polarization,
     nv_two_state,

@@ -39,8 +39,7 @@ from .engine import ConditionalHamiltonians, PulseSequence, unit_cell, unitary_p
 from .errors import CapacityError, ValidationError
 from .linalg import MAX_DIM
 from .pseudospin import TwoStateModel
-from .sensors import (DonorModel, PairTarget, _polarization, donor_eigensystem,
-                      donor_electron_sz)
+from .sensors import DonorModel, PairTarget, donor_levels
 
 MAX_BATH_SPINS = 6
 
@@ -233,11 +232,10 @@ def joint_full_model(donor: DonorModel, cluster: SpinCluster,
     joint_dim = donor.dim * bath_dim
     if joint_dim > MAX_DIM:
         raise CapacityError(f"joint dimension {joint_dim} exceeds capacity")
-    energies, states = donor_eigensystem(donor, b0)
-    sz = donor_electron_sz(donor)
+    energies, pols = donor_levels(donor, b0)
     eye_bath = np.eye(bath_dim, dtype=complex)
     out = []
     for level in (donor.level_u, donor.level_d):
-        sz_exp = 0.5 * _polarization(states[:, level - 1], sz)
+        sz_exp = 0.5 * float(pols[level - 1])
         out.append(float(energies[level - 1]) * eye_bath + sz_exp * h_a + h_c)
     return ConditionalHamiltonians(h_u=out[0], h_d=out[1])

@@ -65,9 +65,9 @@ from .linalg import (
     eig_unitaries,
     eig_unitary,
     expm_hermitian,
-    UNITARITY_TOL,
     polar_unitary,
     require_hermitian,
+    require_unitary,
     unitarity_defect,
 )
 
@@ -434,15 +434,6 @@ def _require_taus(taus) -> np.ndarray:
     return taus
 
 
-def _require_unitary(cells: np.ndarray) -> None:
-    """Raise ValidationError at the index of the first cell of a stack that fails UNITARITY_TOL."""
-    defect = unitarity_defect(cells)
-    bad = np.flatnonzero(defect > UNITARITY_TOL)
-    if bad.size:
-        raise locate(ValidationError(
-            f"matrix is not unitary: defect {defect[bad[0]]:.3e} > {UNITARITY_TOL:.1e}"), bad[0])
-
-
 def _stacked_floor(t_u2: np.ndarray, t_d2: np.ndarray,
                    w_d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Envelope floor per tau from one batched eigen-solve of T_u2 = W_u W_d.
@@ -493,8 +484,8 @@ def floquet_row(ch: ConditionalHamiltonians, taus: np.ndarray, n_p: int,
     for block, w_u, w_d in _half_period_blocks(ch, taus, pulse_duration):
         t_u2, t_d2 = w_u @ w_d, w_d @ w_u
         try:
-            _require_unitary(t_u2)
-            _require_unitary(t_d2)
+            require_unitary(t_u2)
+            require_unitary(t_d2)
             if "coherence" in out:
                 p_u = unitary_power(t_u2, int(n_p))
                 p_d = unitary_power(t_d2, int(n_p))
@@ -553,7 +544,7 @@ def spectrum_scan(ch: ConditionalHamiltonians, tau_grid: np.ndarray,
     for block, w_u, w_d in _half_period_blocks(ch, taus, pulse_duration):
         cells = w_u @ w_d
         try:
-            _require_unitary(cells)
+            require_unitary(cells)
             block_phases, block_modes = eig_unitaries(cells)
         except (ValidationError, NumericalConsistencyError) as exc:  # located in the block
             i = block.start + exc.index

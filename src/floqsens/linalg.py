@@ -66,6 +66,15 @@ def require_hermitian(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     return m
 
 
+def require_unitary(cells: np.ndarray) -> None:
+    """Raise ValidationError at the index of the first matrix of a (n, D, D) stack that fails UNITARITY_TOL."""
+    defect = unitarity_defect(cells)
+    bad = np.flatnonzero(defect > UNITARITY_TOL)
+    if bad.size:
+        raise locate(ValidationError(
+            f"matrix is not unitary: defect {defect[bad[0]]:.3e} > {UNITARITY_TOL:.1e}"), bad[0])
+
+
 def block_slices(count: int, item_bytes: int):
     """Consecutive slices of range(count), each of as many items of ``item_bytes``
     as fit BLOCK_BYTES and at least one, so an item above the budget is a block."""
@@ -112,12 +121,9 @@ def eig_unitary(u: np.ndarray) -> EigenSystem:
     The one-cell call of ``eig_unitaries``, after the unitarity check
     against UNITARITY_TOL; raises ValidationError for a non-unitary matrix.
     """
-    u = require_square(u, "unitary")
-    defect = unitarity_defect(u)
-    if defect > UNITARITY_TOL:
-        raise ValidationError(
-            f"matrix is not unitary: defect {defect:.3e} > {UNITARITY_TOL:.1e}")
-    phases, modes = eig_unitaries(u[None])
+    u = require_square(u, "unitary")[None]
+    require_unitary(u)
+    phases, modes = eig_unitaries(u)
     return EigenSystem(phases=phases[0], modes=modes[0])
 
 
@@ -206,19 +212,3 @@ def polar_unitary(u: np.ndarray) -> np.ndarray:
     """Nearest unitary (polar factor) of an almost-unitary matrix, per matrix of a stack."""
     w, _, vh = np.linalg.svd(u)
     return w @ vh
-
-
-def spin_operators(s: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(Sx, Sy, Sz) for spin s in the basis m = s, s-1, ..., -s."""
-    two_s = round(2 * s)
-    if two_s < 1 or abs(2 * s - two_s) > 1e-12:
-        raise ValidationError(f"spin must be a positive half-integer, got {s}")
-    dim = two_s + 1
-    m = s - np.arange(dim)
-    sz = np.diag(m.astype(complex))
-    sp = np.zeros((dim, dim), dtype=complex)
-    for k in range(1, dim):
-        sp[k - 1, k] = np.sqrt(s * (s + 1) - m[k] * (m[k] + 1))
-    sx = (sp + sp.conj().T) / 2
-    sy = (sp - sp.conj().T) / 2j
-    return sx, sy, sz

@@ -3,22 +3,18 @@
 A map computes its rows in one ``field_rows`` call and ``compute_trace``
 is the one-field call, so a map row and the trace at its field are
 bitwise identical.  The donor polarizations of all fields come from
-batched ``eigh`` calls.  Products of independent two-state targets (the
-two-state systems and ``independent_pairs``) are evaluated in closed
-form on (rows, tau) grids, in chunks of rows of at most
-``linalg.BLOCK_BYTES`` per array, with no joint 2^k space; every other system
-goes through the engine's row kernel ``floquet_row`` once per field.  A
+the closed-form levels of ``sensors.donor_levels``.  Products of
+independent two-state targets (the two-state systems and
+``independent_pairs``) are evaluated in closed form on (rows, tau)
+grids, in chunks of rows of at most ``linalg.BLOCK_BYTES`` per array,
+with no joint 2^k space; every other system goes through the engine's row kernel ``floquet_row`` once per field.  A
 map asks only for the quantity it emits and a trace asks for both; each
 value is the same either way.  The overlay curves of a map reuse the
 models and polarizations of its rows.  The engine diagonalizes
 every dense cell with one batched eigensolver (``linalg.eig_unitaries``)
 and sums the envelope floor over whole clusters of degenerate
 eigenphases, so a floor does not depend on the eigenbasis picked inside
-a cluster.  Dense-system values differ from those of earlier versions by
-a few 1e-14, except envelope values at cells with degenerate eigenphases,
-where the earlier per-tau Schur path depended on that basis; dense-system
-files are therefore not bitwise equal to files written by earlier
-versions.
+a cluster.
 
 A run whose largest accumulated phase exceeds ``MAX_PHASE_RAD`` is
 rejected with ValidationError (CLI exit 2) before anything is written;
@@ -82,9 +78,9 @@ class TraceData:
 
 
 def _polarizations(cfg: ScanConfig, fields: list) -> list[tuple[float, float] | None]:
-    """The sensor's (P_u, P_d) at each field, from batched donor solves (None
-    for systems without a polarized sensor).  A failing field raises with
-    ``index`` set to its position."""
+    """The sensor's (P_u, P_d) at each field, from one ``donor_pair_polarizations``
+    call (None for systems without a polarized sensor).  A failing field
+    raises with ``index`` set to its position."""
     if cfg.system_kind not in ("donor_pair", "cluster3", "independent_pairs"):
         return [None] * len(fields)
     if cfg.polarizations is not None:

@@ -6,10 +6,13 @@ field in one sensor state.
 
 Donors (e.g. Si:Bi): the sensor is one ESR transition |u> -> |d> of the
 coupled electron-nuclear system H = gamma_e B0 (S_z - delta_gamma I_z)
-+ A S.I.  A detected flip-flopping nuclear pair sees h_i = (C12, 0,
-delta_a P_i) / 2, where the level polarization P_i = 2 <i|S_z|i> varies
-strongly with field.  Fields where P_u = P_d are optimal working points:
-the conditional dynamics coincide, avoided crossings narrow and the
++ A S.I.  H conserves m_S + m_I, so it splits into blocks of at most
+2 x 2 and every level has a closed-form (Breit-Rabi) energy and
+polarization (``donor_levels``); no Hamiltonian matrix is built.  A
+detected flip-flopping nuclear pair sees h_i = (C12, 0, delta_a P_i) / 2,
+where the level polarization P_i = 2 <i|S_z|i> varies strongly with
+field.  Fields where P_u = P_d are optimal working points: the
+conditional dynamics coincide, avoided crossings narrow and the
 coherence envelope collapses to a sharp dip.
 """
 
@@ -17,13 +20,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .errors import CapacityError, ValidationError, locate
-from .linalg import MAX_DIM, block_slices, spin_operators
-from .pseudospin import PseudoField, TwoStateModel
+from .linalg import MAX_DIM, block_slices
+from .pseudospin import PseudoField, TwoStateModel, bisect_roots
 
 TWO_PI = 2.0 * math.pi
 
@@ -33,10 +35,8 @@ SI_BI_HYPERFINE = TWO_PI * 1.4754e9       # rad/s
 SI_BI_NUCLEAR_SPIN = 4.5
 SI_BI_GAMMA_E = TWO_PI * 27.997e9         # rad/s per tesla
 SI_BI_DELTA_GAMMA = 2.488e-4
-# owp_locate brackets P_u - P_d = 0 on this many scan fields and refines
-# the first bracket to OWP_XTOL tesla.
+# owp_locate brackets P_u - P_d = 0 on this many scan fields.
 OWP_SCAN_POINTS = 64
-OWP_XTOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -66,8 +66,9 @@ class DonorModel:
     """Electron-nuclear donor with the sensing transition level_u -> level_d.
 
     Levels are 1-based indices into the eigenstates sorted by ascending
-    energy at the working field.  A space of 2(2I+1) > MAX_DIM raises
-    CapacityError before any operator is built.
+    energy at the working field; at B0 = 0 each level is its B0 -> 0+
+    limit (``donor_levels``).  A space of 2(2I+1) > MAX_DIM raises
+    CapacityError, and A = 0 (no electron-nuclear coupling) ValidationError.
     """
 
     hyperfine_a: float
@@ -89,28 +90,12 @@ class DonorModel:
                 raise ValidationError(f"{name} = {level} outside 1..{dim}")
         if self.level_u == self.level_d:
             raise ValidationError("transition levels must be distinct")
+        if self.hyperfine_a == 0:
+            raise ValidationError("hyperfine coupling A = 0 decouples electron and nucleus")
 
     @property
     def dim(self) -> int:
         return 2 * (round(2 * self.nuclear_spin) + 1)
-
-    @cached_property
-    def _operators(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(S_z - delta_gamma I_z, A S.I, S_z) on the 2(2I+1) space, read-only.
-
-        None depends on B0, so a model builds them once and every field
-        reuses them.
-        """
-        sx, sy, sz = spin_operators(0.5)
-        ix, iy, iz = spin_operators(self.nuclear_spin)
-        eye_e = np.eye(2, dtype=complex)
-        eye_n = np.eye(ix.shape[0], dtype=complex)
-        electron_sz = np.kron(sz, eye_n)
-        zeeman = electron_sz - self.delta_gamma * np.kron(eye_e, iz)
-        hyperfine = self.hyperfine_a * (np.kron(sx, ix) + np.kron(sy, iy) + np.kron(sz, iz))
-        for op in (zeeman, hyperfine, electron_sz):
-            op.flags.writeable = False
-        return zeeman, hyperfine, electron_sz
 
 
 def si_bi(level_u: int = 12, level_d: int = 9) -> DonorModel:
@@ -120,53 +105,63 @@ def si_bi(level_u: int = 12, level_d: int = 9) -> DonorModel:
                       level_u=level_u, level_d=level_d)
 
 
-def donor_electron_sz(d: DonorModel) -> np.ndarray:
-    """S_z of the donor electron on the full electron x nucleus space (read-only)."""
-    return d._operators[2]
+def donor_levels(d: DonorModel, b0) -> tuple[np.ndarray, np.ndarray]:
+    """Energies E (rad/s) and polarizations P = 2 <S_z> of every donor level
+    at b0: two arrays of shape b0.shape + (d.dim,), column k - 1 holding the
+    1-based level k.
 
-
-def donor_hamiltonian(d: DonorModel, b0) -> np.ndarray:
-    """H = gamma_e B0 (S_z - delta_gamma I_z) + A S.I on the 2(2I+1) space.
-
-    An array of fields gives the stack of their Hamiltonians, each equal
-    bit for bit to that of its scalar field.  A field that is not finite
-    and >= 0, or a non-finite H, raises ValidationError whose ``index`` is
-    the flat index of that field.  H is Hermitian by construction.
+    H conserves m = m_S + m_I.  The blocks m = -+(I + 1/2) hold one state,
+    |-+1/2, -+I> with P = -+1; every other block holds |+1/2, m - 1/2> and
+    |-1/2, m + 1/2>, whose diagonal has the mean -delta_gamma z m - A/4 and
+    the half-difference s = z' + A m / 2, with z = gamma_e B0 and
+    z' = z (1 + delta_gamma) / 2.  Its levels are mean -+ g with P = -+s / g
+    (Breit-Rabi), where g^2 = s^2 + A^2 ((I + 1/2)^2 - m^2) / 4
+    = x^2 + z' (z' + A m) and x = |A| (I + 1/2) / 2.  g is evaluated as
+    x + z' (z' + A m) / (g + x), which is x exactly at B0 = 0, so the
+    F = I +- 1/2 multiplets there are exactly degenerate.  Levels are
+    sorted by energy, then by the Zeeman slope dE/dB0 =
+    gamma_e ((1 + delta_gamma) P / 2 - delta_gamma m), so each level at
+    B0 = 0 is its B0 -> 0+ limit.  A field that is not finite and >= 0, or
+    one at which H overflows, raises ValidationError whose ``index`` is the
+    flat index of that field.
     """
     fields = np.asarray(b0, dtype=float)
     bad = np.flatnonzero(~(np.isfinite(fields) & (fields >= 0)))
     if bad.size:
         raise locate(ValidationError(f"magnetic field must be finite and >= 0, "
                                      f"got {float(fields.flat[bad[0]])}"), bad[0])
-    zeeman, hyperfine, _ = d._operators
-    # An overflowing field, and the inf * 0 it then meets off the Zeeman
-    # diagonal, are reported as a non-finite H, not warned about.
+    i, a, dg = d.nuclear_spin, d.hyperfine_a, d.delta_gamma
+    m = np.arange(-i - 0.5, i + 1.0)   # ascending; m[1:-1] are the 2 x 2 blocks
+    x = 0.5 * abs(a) * (i + 0.5)
+    # An overflowing field, and the inf - inf it then meets, are reported
+    # as a non-finite H, not warned about.
     with np.errstate(over="ignore", invalid="ignore"):
-        h = d.gamma_e * fields[..., None, None] * zeeman + hyperfine
-    bad = np.flatnonzero(~np.isfinite(h.view(float)).all(axis=(-2, -1)))
+        z = d.gamma_e * fields.reshape(-1, 1)
+        zh = z * (0.5 + 0.5 * dg)
+        mean = -dg * z * m - 0.25 * a
+        s = zh + 0.5 * a * m
+        g = np.hypot(s[:, 1:-1], 0.5 * a * np.sqrt((i + 0.5) ** 2 - m[1:-1] ** 2))
+        g = x + zh * ((zh + a * m[1:-1]) / (g + x))
+        p = s[:, 1:-1] / g
+        energies = np.concatenate([mean[:, :1] - s[:, :1], mean[:, 1:-1] - g,
+                                   mean[:, 1:-1] + g, mean[:, -1:] + s[:, -1:]], axis=1)
+    bad = np.flatnonzero(~np.isfinite(energies).all(axis=1))
     if bad.size:
         raise locate(ValidationError("donor Hamiltonian has non-finite entries"), bad[0])
-    return h
-
-
-def donor_eigensystem(d: DonorModel, b0) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and eigenvector columns of the donor at b0
-    (one batched ``eigh`` for an array of fields)."""
-    w, v = np.linalg.eigh(donor_hamiltonian(d, b0))
-    return w, v
-
-
-def _polarization(state: np.ndarray, sz: np.ndarray) -> float:
-    """P = 2 Re <state|S_z|state> of a normalized donor state."""
-    return 2.0 * float(np.real(np.vdot(state, sz @ state)))
+    one = np.ones_like(z)
+    pols = np.concatenate([-one, -p, p, one], axis=1)
+    slope = d.gamma_e * (0.5 * (1 + dg) * pols - dg * np.concatenate([m[:-1], m[1:]]))
+    order = np.lexsort((slope, energies), axis=-1)
+    shape = fields.shape + (d.dim,)
+    return (np.take_along_axis(energies, order, axis=-1).reshape(shape),
+            np.take_along_axis(pols, order, axis=-1).reshape(shape))
 
 
 def donor_polarization(d: DonorModel, b0: float, level: int) -> float:
-    """Polarization P = 2 <level|S_z|level> of the 1-based energy-sorted level."""
+    """Polarization P = 2 <level|S_z|level> of the 1-based level at b0."""
     if not (1 <= level <= d.dim):
         raise ValidationError(f"level {level} outside 1..{d.dim}")
-    _, v = donor_eigensystem(d, b0)
-    return _polarization(v[:, level - 1], donor_electron_sz(d))
+    return float(donor_levels(d, b0)[1][level - 1])
 
 
 @dataclass(frozen=True)
@@ -196,45 +191,39 @@ class PairTarget:
 def donor_pair_polarizations(d: DonorModel, b0):
     """(P_u, P_d) of the donor transition levels at b0: two floats, or for an
     array of fields two arrays of its shape, equal bit for bit to the scalar
-    results.  Fields are diagonalized by batched ``eigh`` in ``block_slices``
-    of the (D, D) Hamiltonians."""
+    results.  ``donor_levels`` runs on ``block_slices`` of the fields."""
     fields = np.asarray(b0, dtype=float)
     flat = fields.reshape(-1)
-    sz = donor_electron_sz(d)
-    pols = []
-    for block in block_slices(flat.size, 16 * d.dim ** 2):
+    p_u, p_d = np.empty(flat.size), np.empty(flat.size)
+    for block in block_slices(flat.size, 8 * d.dim):
         try:
-            _, v = donor_eigensystem(d, flat[block])
+            _, pols = donor_levels(d, flat[block])
         except ValidationError as exc:
             raise locate(exc, block.start + exc.index)
-        pols += [(_polarization(m[:, d.level_u - 1], sz), _polarization(m[:, d.level_d - 1], sz))
-                 for m in v]
+        p_u[block], p_d[block] = pols[:, d.level_u - 1], pols[:, d.level_d - 1]
     if fields.ndim == 0:
-        return pols[0]
-    p_u, p_d = np.array(pols).T
+        return float(p_u[0]), float(p_d[0])
     return p_u.reshape(fields.shape), p_d.reshape(fields.shape)
 
 
 def owp_locate(d: DonorModel, b0_min: float, b0_max: float) -> float | None:
-    """Field where P_u(B0) = P_d(B0), by sign-change scan plus Brent's method.
+    """Field where P_u(B0) = P_d(B0), by a sign-change scan plus bisection.
 
-    The first bracketing pair of OWP_SCAN_POINTS scan points is refined to
-    OWP_XTOL tesla.  Returns None when the polarization difference has no
+    P_u - P_d is evaluated on OWP_SCAN_POINTS scan fields in one call, and
+    its first sign change is narrowed to adjacent doubles by
+    ``bisect_roots``.  Returns None when the polarization difference has no
     sign change in the range; raises ValidationError when the transition is
     degenerate (the difference vanishes identically).
     """
-    # Imported here, not at module level: SciPy is most of a cold start.
-    from scipy.optimize import brentq
-
     if not (0 <= b0_min < b0_max):
         raise ValidationError(f"need 0 <= b0_min < b0_max, got [{b0_min}, {b0_max}]")
 
-    def dp(b0: float) -> float:
+    def dp(b0):
         p_u, p_d = donor_pair_polarizations(d, b0)
         return p_u - p_d
 
     grid = np.linspace(b0_min, b0_max, OWP_SCAN_POINTS)
-    vals = np.array([dp(b) for b in grid])
+    vals = dp(grid)
     if np.all(np.abs(vals) < 1e-12):
         raise ValidationError("polarization difference vanishes identically; "
                               "every field is a working point")
@@ -243,4 +232,4 @@ def owp_locate(d: DonorModel, b0_min: float, b0_max: float) -> float | None:
     if idx.size == 0:
         roots = np.nonzero(signs == 0)[0]
         return float(grid[roots[0]]) if roots.size else None
-    return brentq(dp, float(grid[idx[0]]), float(grid[idx[0] + 1]), xtol=OWP_XTOL)
+    return float(bisect_roots(dp, grid[idx[:1]], grid[idx[:1] + 1])[0])

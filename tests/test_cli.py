@@ -260,11 +260,10 @@ def test_coarse_spectrum_imports_scipy_where_modes_mix(tmp_path):
     assert "scipy.optimize" in result["scipy"]
 
 
-@pytest.mark.parametrize("command, config", [("dips", "donor_pair_dips.json")])
-def test_commands_that_need_scipy_import_it(tmp_path, command, config):
-    result = run_fresh(tmp_path, (command, config))
-    assert result["codes"] == [0]
-    assert "scipy.optimize" in result["scipy"]
+def test_dips_loads_no_scipy(tmp_path):
+    # Dip roots are refined by array bisection, not by SciPy's brentq.
+    result = run_fresh(tmp_path, ("dips", "donor_pair_dips.json"))
+    assert result == {"codes": [0], "scipy": []}
 
 
 @pytest.mark.parametrize("command", ["spectrum", "trace"])
@@ -283,12 +282,11 @@ def test_unresolved_eigensolve_exits_3(tmp_path, capsys, monkeypatch, command):
 @pytest.mark.parametrize("command, config", [
     ("trace", "pseudospin_trace.json"), ("map", "nv_diamond_map.json"),
     ("map", "donor_pair_map.json"), ("map", "cluster3_map.json"),
-    ("spectrum", "cluster3_spectrum.json")])
+    ("spectrum", "cluster3_spectrum.json"), ("dips", "donor_pair_dips.json")])
 def test_commands_leave_no_reference_cycles(tmp_path, command, config):
     # A command run in a long-lived process (a notebook, a sweep driver)
     # should leave nothing for the cyclic garbage collector, whose passes
-    # would otherwise land inside later commands.  Not dips: SciPy's brentq
-    # wraps the function it is given in a closure that refers to itself.
+    # would otherwise land inside later commands.
     argv = [command, "--config", str(CONFIGS / config), "--output", str(tmp_path)]
     assert main(argv) == 0
     gc.collect()

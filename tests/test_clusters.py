@@ -28,8 +28,7 @@ from floqsens import (
 )
 from floqsens.config import parse_config
 from floqsens.scans import compute_trace
-from floqsens.sensors import PairTarget, donor_eigensystem, donor_electron_sz, \
-    donor_pair_polarizations
+from floqsens.sensors import PairTarget, donor_levels, donor_pair_polarizations
 
 
 def paper_like_cluster():
@@ -380,6 +379,21 @@ class TestJointModel:
         assert thermal_coherence_numeric(ch_joint, seq) == pytest.approx(
             thermal_coherence_numeric(ch_cond, seq), abs=1e-6)
 
+    def test_zero_field_is_its_zero_plus_limit(self):
+        # At B0 = 0 the transition levels 12 and 9 are the B0 -> 0+ limits in
+        # the F = 5 and F = 4 multiplets: E = A I / 2 and -A (I + 1) / 2,
+        # P = -3/5 and 4/5, whatever basis an eigensolver would return.
+        cl = paper_like_cluster()
+        d = si_bi()
+        ch0, ch1 = joint_full_model(d, cl, 0.0), joint_full_model(d, cl, 1e-9)
+        cond = conditional_cluster_hamiltonians(cl, -0.6, 0.8)
+        eye = np.eye(8)
+        for h0, h1, h_ref, energy in ((ch0.h_u, ch1.h_u, cond.h_u, 2.25 * d.hyperfine_a),
+                                      (ch0.h_d, ch1.h_d, cond.h_d, -2.75 * d.hyperfine_a)):
+            ref = energy * eye + h_ref
+            assert np.abs(h0 - ref).max() <= 1e-12 * np.abs(ref).max()
+            assert np.abs(h1 - h0).max() <= 1e-7 * np.abs(ref).max()
+
     def test_capacity(self):
         n = 7
         cl = SpinCluster(a=np.zeros(n), c=np.zeros((n, n)))
@@ -435,13 +449,11 @@ class TestBasisBuild:
         assert ch.h_u.tobytes() == (0.5 * p_u * h_a + h_c).tobytes()
         assert ch.h_d.tobytes() == (0.5 * p_d * h_a + h_c).tobytes()
         d = si_bi()
-        energies, states = donor_eigensystem(d, b0)
-        sz = donor_electron_sz(d)
+        energies, pols = donor_levels(d, b0)
         eye = np.eye(2 ** cl.n, dtype=complex)
         ch = joint_full_model(d, cl, b0)
         for h, level in ((ch.h_u, d.level_u), (ch.h_d, d.level_d)):
-            psi = states[:, level - 1]
-            sz_exp = float(np.real(np.vdot(psi, sz @ psi)))
+            sz_exp = 0.5 * float(pols[level - 1])
             assert h.tobytes() == (float(energies[level - 1]) * eye + sz_exp * h_a
                                    + h_c).tobytes()
 

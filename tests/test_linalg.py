@@ -7,11 +7,11 @@ from scipy.optimize import linear_sum_assignment
 
 import floqsens.linalg as linalg
 from floqsens import EigenSystem, NumericalConsistencyError, ValidationError, eig_unitary, \
-    expm_hermitian, spin_operators
+    expm_hermitian
 from floqsens.linalg import PAULI_X, PAULI_Z, eig_unitaries, hermiticity_defect, \
     unitarity_defect
 
-from conftest import random_hermitian
+from conftest import random_hermitian, spin_operators
 
 
 class TestExpmHermitian:
@@ -197,6 +197,8 @@ class TestEigUnitaries:
 
 
 class TestSpinOperators:
+    """The spin operators of the kron-product donor oracle (``conftest.donor_eigh``)."""
+
     @pytest.mark.parametrize("s", [0.5, 1.0, 4.5])
     def test_commutation_and_casimir(self, s):
         sx, sy, sz = spin_operators(s)

@@ -29,7 +29,7 @@ from floqsens import (
 )
 
 from floqsens.engine import floquet_row
-from floqsens.pseudospin import MAX_DIP_GRID
+from floqsens.pseudospin import MAX_DIP_GRID, bisect_roots
 from conftest import near_crossing, random_two_state
 
 
@@ -280,6 +280,26 @@ class TestDips:
         n_p = max(1, round(math.pi / (2 * rec.delta)))
         depth = dip_depth(model, rec.tau_dip, n_p)[1]
         assert depth == pytest.approx(1 - 2 * math.sin(n_p * rec.delta) ** 2, abs=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(root=st.floats(1e-8, 1e3), slope=st.floats(1e-3, 1e3), cubic=st.floats(0.0, 1e3),
+           kind=st.sampled_from(["cubic", "tanh", "sin"]),
+           below=st.floats(1e-6, 0.5), above=st.floats(1e-6, 0.5))
+    def test_bisect_roots_match_brentq(self, root, slope, cubic, kind, below, above):
+        # On these increasing functions the bisection ends on the sign change
+        # itself, so no point has a smaller |f|.  brentq stops within its
+        # rtol of 4 eps, which can leave it a few ulp away where the
+        # bisection met an exact zero of f; otherwise the two agree to 1 ulp.
+        from scipy.optimize import brentq
+        f = {"cubic": lambda t: slope * (t - root) + cubic * (t - root) ** 3,
+             "tanh": lambda t: np.tanh(slope * (t - root)),
+             "sin": lambda t: np.sin(min(slope, 1.0) * (t - root) / root)}[kind]
+        lo, hi = root * (1 - below), root * (1 + above)
+        got = float(bisect_roots(f, [lo], [hi])[0])
+        want = brentq(lambda t: float(f(t)), lo, hi, xtol=math.ulp(lo))
+        ulps = abs(int(np.float64(got).view(np.int64)) - int(np.float64(want).view(np.int64)))
+        assert ulps <= 1 or f(got) == 0.0
+        assert abs(f(got)) <= abs(f(want))
 
     def test_contract_error_off_condition(self, rng):
         model = TwoStateModel.from_angles(1.0, 0.7, 0.6, -0.2)
