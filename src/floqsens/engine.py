@@ -13,22 +13,32 @@ one eigenphase multiset and makes each u-mode the half-period image of
 its d-partner.  Finite pulse durations keep the same product structure
 (see PulseSequence).
 
-One cell builder serves every path: ``_half_period_blocks``
-diagonalizes H_u and H_d once and yields W_u and W_d for consecutive
-blocks of a tau grid as (n_tau, D, D) arrays, each at most
-``linalg.BLOCK_BYTES``.  ``half_period_operators`` is its one-tau call,
-so a cell of ``unit_cell`` equals the matching cell of a stacked build
-bit for bit.  One eigensolver serves every path too:
-``linalg.eig_unitaries`` returns orthonormal modes of a stack of cells
-(Cayley transform and batched ``eigh``) at any phase gap, and
-``eig_unitary``, which ``floquet_pair`` calls, is its one-cell call.
-The per-tau functions (``unit_cell``, ``floquet_pair``,
-``thermal_coherence_numeric``, ``envelope_general``) work on one cell;
-the row kernel ``floquet_row`` computes only the requested quantities,
-block by block:
+One cell builder serves every path: ``_cell_blocks`` builds W_u and W_d
+for a stack of cells, each cell one (Hamiltonian pair, free interval)
+item, in consecutive blocks of at most ``linalg.BLOCK_BYTES``.
+``_half_period_blocks`` is its full-space call on one pair over a tau
+grid, ``half_period_operators`` the one-tau call of that, so a cell of
+``unit_cell`` equals the matching cell of a stacked build bit for bit.
+One eigensolver serves every path too: ``linalg.eig_unitaries`` returns
+orthonormal modes of a stack of cells (Cayley transform and batched
+``eigh``) at any phase gap, and ``eig_unitary``, which ``floquet_pair``
+calls, is its one-cell call.  The per-tau functions (``unit_cell``,
+``floquet_pair``, ``thermal_coherence_numeric``, ``envelope_general``)
+work on one full cell.
+
+The row kernel ``floquet_rows`` works on conserved sectors.  A sector
+(``ConditionalHamiltonians.sectors``) is a set of basis states that
+neither H_u nor H_d couples to the rest, found from the exact-zero
+pattern of H_u | H_d; every cell is block-diagonal in the sectors of its
+pair.  Cluster baths conserve total Iz, so D = 8 splits into sectors of
+1, 3, 3 and 1 states and D = 64 into 1, 6, 15, 20, 15, 6 and 1.  Each
+sector block of H_u and H_d is diagonalized once, the (row, sector, tau)
+cells of one sector size across all rows of a call form one stack, and
+the kernel computes only the requested quantities, block by block:
 
 * coherence from ``unitary_power`` of the stacked T_u2 and T_d2, the
   binary power that ``thermal_coherence_numeric`` applies to one cell;
+  a row's coherence is sum_b Re tr_b(P_u^dag P_d) / D over its sectors b;
 * the envelope floor from one solve of the T_u2 block: the d-partner of
   each u-mode Phi is its half-period image W_d Phi, so with
   M = Phi^dag W_d Phi the floor (2/D) sum_{l,l' same cluster} |M_ll'|^2 - 1
@@ -36,24 +46,32 @@ block by block:
   than PHASE_MATCH_TOL; summed over whole clusters the floor does not
   depend on the basis a solver picks inside one, and ``envelope_general``
   uses the same clusters.  Away from degeneracy only the diagonal
-  l = l' remains.
+  l = l' remains.  Modes of different sectors have M_ll' = 0, so a row's
+  floor is (2/D) sum_b w_b - 1 over the cluster-summed weights w_b of its
+  sectors, and a crossing between sectors is a true crossing.
 
-``spectrum_scan`` solves its T_u2 blocks the same way and tracks the
-modes from tau to tau: one batched product gives the mode overlaps of
-each cell with the one before it, a row maximum above TRACKING_OVERLAP
-is the unique best continuation of its mode, and only a tau where modes
-mix goes to SciPy's ``linear_sum_assignment``.  Every stacked cell
-passes the ``UNITARITY_TOL`` check of the per-tau path, and errors,
-those of the eigensolver included, name the failing tau
-(``errors.locate``).  The
+Sectors add up in a fixed order, so a value depends only on its own row
+and tau.
+
+``spectrum_scan`` builds full-space cells with ``_half_period_blocks``,
+solves its T_u2 blocks the same way and tracks the modes from tau to
+tau: one batched product gives the mode overlaps of each cell with the
+one before it, a row maximum above TRACKING_OVERLAP is the unique best
+continuation of its mode, and only a tau where modes mix goes to SciPy's
+``linear_sum_assignment``.  Every stacked cell passes the
+``UNITARITY_TOL`` check of the per-tau path, and errors, those of the
+eigensolver included, name the failing tau (``errors.locate``).  The
 envelope also checks the half-period identity at every tau: the residual
 ||T_d2 W_d Phi - lambda W_d Phi|| must stay below ``PHASE_MATCH_TOL``.
-The two paths agree to a few 1e-14, not bit for bit.
+The sector kernel and the per-tau path agree to a few 1e-14, not bit
+for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -131,10 +149,84 @@ class ConditionalHamiltonians:
     def dim(self) -> int:
         return self.h_u.shape[0]
 
+    @cached_property
+    def sectors(self) -> tuple[SectorStack, ...]:
+        """Basis states that H_u and H_d never connect to the rest, diagonalized once.
+
+        A sector is a connected component of the exact-zero pattern of
+        H_u | H_d, found by squaring the boolean reachability matrix until
+        it stops growing.  Cluster baths conserve total Iz, so their
+        sectors are the Iz sectors, or finer ones where a coupling is
+        exactly 0.  One ``SectorStack`` per sector size, ascending; the
+        sectors of a stack are ordered by their smallest state.
+        """
+        reach = (self.h_u != 0) | (self.h_d != 0) | np.eye(self.dim, dtype=bool)
+        reach |= reach.T
+        while True:
+            wider = reach @ reach
+            if (wider == reach).all():
+                break
+            reach = wider
+        first = reach.argmax(axis=1)  # the smallest state of each state's sector
+        size = np.bincount(first)[first]
+        by_sector = np.argsort(first, kind="stable")
+        out = []
+        for s in sorted(set(size.tolist())):
+            index = by_sector[size[by_sector] == s].reshape(-1, s)
+            block = index[:, :, None], index[:, None, :]
+            energies, modes = np.linalg.eigh(np.concatenate([self.h_u[block], self.h_d[block]]))
+            k = len(index)
+            out.append(SectorStack(index, (energies[:k], modes[:k]), (energies[k:], modes[k:])))
+        return tuple(out)
+
+    @property
+    def spectral_radius(self) -> float:
+        """Largest |eigenvalue| of H_u and H_d, from the sector eigenvalues."""
+        return max(float(np.abs(eig[0]).max())
+                   for stack in self.sectors for eig in (stack.eig_u, stack.eig_d))
+
+
+class SectorStack(NamedTuple):
+    """The k sectors of one size s of a Hamiltonian pair: ``index`` (k, s)
+    holds the states of each, ascending, and ``eig_u``, ``eig_d`` the
+    eigen-decompositions (energies (k, s), modes (k, s, s)) of H_u and H_d
+    restricted to them."""
+
+    index: np.ndarray
+    eig_u: tuple[np.ndarray, np.ndarray]
+    eig_d: tuple[np.ndarray, np.ndarray]
+
 
 def _propagators(energies: np.ndarray, vectors: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """exp(-i H t) for every t, from the eigen-decomposition of H (as expm_hermitian)."""
-    return (vectors * np.exp(-1j * energies * t[:, None])[:, None, :]) @ vectors.conj().T
+    """exp(-i H_k t_k) for each k, from the eigen-decompositions (energies[k], vectors[k])."""
+    return ((vectors * np.exp(-1j * energies * t[:, None])[:, None, :])
+            @ vectors.conj().swapaxes(-1, -2))
+
+
+def _cell_blocks(eig_u, eig_d, j: np.ndarray, t: np.ndarray, pulse: np.ndarray | None = None):
+    """Yield (block, W_u, W_d) over ``block_slices`` of the cells k, W_i as (n, d, d) arrays.
+
+    ``eig_u`` and ``eig_d`` are stacked eigen-decompositions (energies
+    (m, d), modes (m, d, d)); cell k evolves under pair j[k] for the free
+    interval t[k].  Each slice holds as many (d, d) complex cells as fit
+    BLOCK_BYTES, so for d > 64 a block of one cell exceeds it.  ``pulse``,
+    if given, sits between the two factors (see PulseSequence).
+    """
+    for block in block_slices(t.size, 16 * eig_u[1].shape[-1] ** 2):
+        pair = j[block]
+        a_u = _propagators(eig_u[0][pair], eig_u[1][pair], t[block])
+        a_d = _propagators(eig_d[0][pair], eig_d[1][pair], t[block])
+        if pulse is None:
+            w_u, w_d = a_u @ a_d, a_d @ a_u
+        else:
+            w_u, w_d = a_u @ pulse @ a_d, a_d @ pulse @ a_u
+        del a_u, a_d  # not held while the caller works on the block
+        yield block, w_u, w_d
+
+
+def _require_pulse_duration(pulse_duration: float) -> None:
+    if not np.isfinite(pulse_duration) or pulse_duration < 0:
+        raise ValidationError(f"pulse_duration must be >= 0, got {pulse_duration}")
 
 
 def _half_period_blocks(ch: ConditionalHamiltonians, taus: np.ndarray,
@@ -142,14 +234,12 @@ def _half_period_blocks(ch: ConditionalHamiltonians, taus: np.ndarray,
                         intra_pulse_hamiltonian: np.ndarray | None = None):
     """Yield (block, W_u, W_d) over consecutive slices of ``taus``, W_i as (n, D, D) arrays.
 
-    H_u and H_d are diagonalized once.  The slices are ``block_slices`` of
-    (D, D) complex cells, so for D > 64 a block of one tau exceeds
-    BLOCK_BYTES.  The free interval is tau + pulse_duration;
+    The full-space call of ``_cell_blocks``: H_u and H_d are diagonalized
+    once, and cell k is tau k.  The free interval is tau + pulse_duration;
     with an intra-pulse Hamiltonian it is tau and exp(-i H_pulse 2 delta)
     sits between the two factors (see PulseSequence).
     """
-    if not np.isfinite(pulse_duration) or pulse_duration < 0:
-        raise ValidationError(f"pulse_duration must be >= 0, got {pulse_duration}")
+    _require_pulse_duration(pulse_duration)
     pulse = None
     if intra_pulse_hamiltonian is not None:
         h_pulse = require_hermitian(intra_pulse_hamiltonian, name="intra_pulse_hamiltonian")
@@ -157,14 +247,8 @@ def _half_period_blocks(ch: ConditionalHamiltonians, taus: np.ndarray,
             raise ValidationError("intra_pulse_hamiltonian dimension does not match the bath")
         pulse = expm_hermitian(h_pulse, 2 * pulse_duration)
     t = taus if pulse is not None else taus + pulse_duration
-    eig_u, eig_d = np.linalg.eigh(ch.h_u), np.linalg.eigh(ch.h_d)
-    for block in block_slices(taus.size, 16 * ch.dim ** 2):
-        a_u = _propagators(*eig_u, t[block])
-        a_d = _propagators(*eig_d, t[block])
-        if pulse is None:
-            yield block, a_u @ a_d, a_d @ a_u
-        else:
-            yield block, a_u @ pulse @ a_d, a_d @ pulse @ a_u
+    yield from _cell_blocks(np.linalg.eigh(ch.h_u[None]), np.linalg.eigh(ch.h_d[None]),
+                            np.zeros(taus.size, dtype=int), t, pulse)
 
 
 def half_period_operators(ch: ConditionalHamiltonians,
@@ -461,18 +545,26 @@ def _stacked_floor(t_u2: np.ndarray, t_d2: np.ndarray,
     return weight * (2.0 / d) - 1.0, min_gap, residual
 
 
-def floquet_row(ch: ConditionalHamiltonians, taus: np.ndarray, n_p: int,
-                quantities: tuple[str, ...] = QUANTITIES,
-                pulse_duration: float = 0.0) -> dict[str, np.ndarray]:
-    """Requested quantities over a tau grid, from stacked cells.
+def floquet_rows(chs, taus, n_p: int, quantities: tuple[str, ...] = QUANTITIES,
+                 pulse_duration: float = 0.0) -> dict[str, np.ndarray]:
+    """Requested quantities over a tau grid for each pair of ``chs``, as (rows, tau) arrays.
 
     'coherence' is thermal_coherence_numeric and 'envelope' the floor of
-    envelope_general(floquet_pair(...)) at each tau; returns one array per
-    requested quantity, and a quantity's values do not depend on which
-    others are requested.  The envelope comes from the half-period images
-    of the T_u2 modes (``_stacked_floor``); a tau point whose half-period
-    residual exceeds PHASE_MATCH_TOL raises SymmetryViolationError.  Errors
-    name the failing grid point as 'tau[i] = ...:'.
+    envelope_general(floquet_pair(...)) at each tau.  Every cell is
+    block-diagonal in the sectors of its pair (``ConditionalHamiltonians.sectors``);
+    the cells of one sector size, over all rows, sectors and taus, form one
+    stack built by ``_cell_blocks``, in (row, tau, sector) order.  Sector b
+    of a row of dimension D adds Re tr_b(P_u^dag P_d) to D times the
+    coherence, P_i = T_i2^n_p from ``unitary_power``, and twice its
+    cluster-summed weight w_b (``_stacked_floor``) to D (floor + 1).  The
+    sectors of a row add up in the order ``sectors`` lists them, so a value
+    depends only on its own row and tau, not on the other rows or
+    quantities of the call or on the block cuts.
+
+    Every cell passes the UNITARITY_TOL check and, for the envelope, the
+    half-period residual check against PHASE_MATCH_TOL
+    (SymmetryViolationError).  An error names the first failing row (its
+    ``index``) and the first failing tau in it, as 'tau[i] = ...:'.
     """
     taus = _require_taus(taus)
     if int(n_p) != n_p or n_p < 0:
@@ -480,27 +572,79 @@ def floquet_row(ch: ConditionalHamiltonians, taus: np.ndarray, n_p: int,
     unknown = set(quantities) - set(QUANTITIES)
     if unknown:
         raise ValidationError(f"unknown quantities {sorted(unknown)}; expected {QUANTITIES}")
-    out = {q: np.empty(taus.size) for q in quantities}
-    for block, w_u, w_d in _half_period_blocks(ch, taus, pulse_duration):
-        t_u2, t_d2 = w_u @ w_d, w_d @ w_u
-        try:
-            require_unitary(t_u2)
-            require_unitary(t_d2)
-            if "coherence" in out:
-                p_u = unitary_power(t_u2, int(n_p))
-                p_d = unitary_power(t_d2, int(n_p))
-                out["coherence"][block] = np.einsum("nij,nij->n", p_u.conj(), p_d).real / ch.dim
-            if "envelope" in out:
-                out["envelope"][block], _, residual = _stacked_floor(t_u2, t_d2, w_d)
-                bad = np.flatnonzero(residual > PHASE_MATCH_TOL)
-                if bad.size:
-                    raise locate(SymmetryViolationError(
-                        f"u/d eigenphase residual {residual[bad[0]]:.3e} > "
-                        f"{PHASE_MATCH_TOL:.1e}"), bad[0])
-        except (ValidationError, NumericalConsistencyError) as exc:  # located in the block
-            i = block.start + exc.index
-            raise locate(exc, i, f"tau[{i}] = {taus[i]:g}")
+    _require_pulse_duration(pulse_duration)
+    t = taus + pulse_duration
+    # One slot per (row, sector) contribution: rows in order, each row's
+    # sectors as ch.sectors lists them; the sector stacks grouped by size.
+    groups, starts, slot = {}, [], 0
+    for i, ch in enumerate(chs):
+        starts.append(slot)
+        for stack in ch.sectors:
+            own = np.arange(slot, slot + len(stack.index))
+            groups.setdefault(stack.index.shape[1], []).append((i, stack, own))
+            slot += own.size
+    parts = {q: np.empty((slot, taus.size)) for q in quantities}
+    failures = []
+    for group in (groups[size] for size in sorted(groups)):
+        slots = np.concatenate([own for _, _, own in group])
+        rows = np.concatenate([np.full(own.size, i) for i, _, own in group])
+        eig = [np.concatenate(a)
+               for a in zip(*(stack.eig_u + stack.eig_d for _, stack, _ in group))]
+        # Cells in (row, tau, sector) order: a stable sort of (sector, tau) by row and tau.
+        order = np.argsort(np.repeat(rows * taus.size, taus.size)
+                           + np.tile(np.arange(taus.size), rows.size), kind="stable")
+        j, k = np.divmod(order, taus.size)
+        for block, w_u, w_d in _cell_blocks(eig[:2], eig[2:], j, t[k]):
+            try:
+                values = _sector_values(w_u, w_d, int(n_p), quantities)
+            except (ValidationError, NumericalConsistencyError) as exc:  # located in the block
+                c = block.start + exc.index
+                failures.append((rows[j[c]], k[c], exc))
+                break
+            for q, v in values.items():
+                parts[q][slots[j[block]], k[block]] = v
+    if failures:
+        i, tau_i, exc = min(failures, key=lambda f: f[:2])
+        raise locate(exc, i, f"tau[{tau_i}] = {taus[tau_i]:g}")
+    dims = np.array([ch.dim for ch in chs], dtype=float)[:, None]
+    out = {q: (np.add.reduceat(p, starts, axis=0) if chs else p) / dims for q, p in parts.items()}
+    if "envelope" in out:
+        out["envelope"] -= 1.0
     return out
+
+
+def _sector_values(w_u: np.ndarray, w_d: np.ndarray, n_p: int,
+                   quantities: tuple[str, ...]) -> dict[str, np.ndarray]:
+    """Per cell of a stack of d-state sector cells: Re tr(P_u^dag P_d) for
+    'coherence' and twice the cluster-summed weight, d (floor + 1), for
+    'envelope', after the unitarity and half-period checks; an error's
+    ``index`` is its cell."""
+    t_u2, t_d2 = w_u @ w_d, w_d @ w_u
+    require_unitary(t_u2)
+    require_unitary(t_d2)
+    out = {}
+    if "coherence" in quantities:
+        p_u = unitary_power(t_u2, n_p)
+        p_d = unitary_power(t_d2, n_p)
+        out["coherence"] = np.einsum("nij,nij->n", p_u.conj(), p_d).real
+    if "envelope" in quantities:
+        floor, _, residual = _stacked_floor(t_u2, t_d2, w_d)
+        bad = np.flatnonzero(residual > PHASE_MATCH_TOL)
+        if bad.size:
+            raise locate(SymmetryViolationError(
+                f"u/d eigenphase residual {residual[bad[0]]:.3e} > "
+                f"{PHASE_MATCH_TOL:.1e}"), bad[0])
+        out["envelope"] = w_u.shape[-1] * (floor + 1.0)
+    return out
+
+
+def floquet_row(ch: ConditionalHamiltonians, taus: np.ndarray, n_p: int,
+                quantities: tuple[str, ...] = QUANTITIES,
+                pulse_duration: float = 0.0) -> dict[str, np.ndarray]:
+    """Requested quantities over a tau grid for one pair: the one-row call of
+    ``floquet_rows``."""
+    return {q: v[0] for q, v in floquet_rows([ch], taus, n_p, quantities,
+                                             pulse_duration).items()}
 
 
 @dataclass(frozen=True)

@@ -226,11 +226,10 @@ def dip_positions(model: TwoStateModel, tau_max: float, n_p: int = 1) -> list[Di
     vals = cos_floquet_phase(model, grid / 2.0)
     i = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
     roots = bisect_roots(lambda t: cos_floquet_phase(model, t / 2.0), grid[i], grid[i + 1])
-    records = []
-    for j, root in enumerate(roots.tolist(), 1):
-        delta, depth = dip_depth(model, root, n_p)
-        records.append(DipRecord(tau_dip=root, harmonic_index=j, delta=delta, depth=depth))
-    return records
+    deltas, depths = dip_depth(model, roots, n_p)
+    return [DipRecord(tau_dip=root, harmonic_index=j, delta=delta, depth=depth)
+            for j, (root, delta, depth) in enumerate(
+                zip(roots.tolist(), deltas.tolist(), depths.tolist()), 1)]
 
 
 def bisect_roots(f, lo, hi) -> np.ndarray:
@@ -252,24 +251,26 @@ def bisect_roots(f, lo, hi) -> np.ndarray:
         hi[k[~up]], f_hi[k[~up]] = mid[k[~up]], f_mid[~up]
 
 
-def dip_depth(model: TwoStateModel, tau_dip: float, n_p: int) -> tuple[float, float]:
-    """``level_repulsion`` at ``tau_dip``, which must satisfy the dip
-    condition E(tau_dip/2) = pi/2 within 1e-6 rad."""
-    miss = abs(float(floquet_phase(model, tau_dip / 2.0)) - math.pi / 2.0)
-    if miss > DIP_CONDITION_TOL:
-        raise ValidationError(
-            f"tau_dip misses the dip condition E(tau/2) = pi/2 by {miss:.3e} rad")
+def dip_depth(model: TwoStateModel, tau_dip, n_p: int):
+    """``level_repulsion`` at ``tau_dip`` (vectorized), where each value must
+    satisfy the dip condition E(tau_dip/2) = pi/2 within 1e-6 rad; the first
+    that misses it raises ValidationError."""
+    miss = np.abs(np.asarray(floquet_phase(model, np.asarray(tau_dip) / 2.0)) - math.pi / 2.0)
+    bad = np.flatnonzero(miss > DIP_CONDITION_TOL)
+    if bad.size:
+        raise ValidationError(f"tau_dip misses the dip condition E(tau/2) = pi/2 by "
+                              f"{miss.flat[bad[0]]:.3e} rad")
     return level_repulsion(model, tau_dip, n_p)
 
 
-def level_repulsion(model: TwoStateModel, tau: float, n_p: int) -> tuple[float, float]:
-    """Level repulsion delta = |pi - E(tau)| and depth 1 - 2 sin^2(n_p delta)."""
+def level_repulsion(model: TwoStateModel, tau, n_p: int):
+    """Level repulsion delta = |pi - E(tau)| and depth 1 - 2 sin^2(n_p delta),
+    vectorized over tau (floats for a scalar tau)."""
     # delta = pi - E ==> cos(delta) = -cos(E); arccos near +1 keeps small
     # delta at the sqrt(eps) precision floor instead of losing it outright.
-    rhs = float(cos_floquet_phase(model, tau))
-    delta = math.acos(min(1.0, max(-1.0, -rhs)))
-    depth = 1.0 - 2.0 * math.sin(n_p * delta) ** 2
-    return delta, depth
+    delta = np.arccos(np.clip(-np.asarray(cos_floquet_phase(model, tau)), -1.0, 1.0))
+    depth = 1.0 - 2.0 * np.sin(n_p * delta) ** 2
+    return (delta, depth) if np.ndim(tau) else (float(delta), float(depth))
 
 
 def omega_average(model: TwoStateModel) -> float:

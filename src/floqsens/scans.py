@@ -7,21 +7,27 @@ the closed-form levels of ``sensors.donor_levels``.  Products of
 independent two-state targets (the two-state systems and
 ``independent_pairs``) are evaluated in closed form on (rows, tau)
 grids, in chunks of rows of at most ``linalg.BLOCK_BYTES`` per array,
-with no joint 2^k space; every other system goes through the engine's row kernel ``floquet_row`` once per field.  A
-map asks only for the quantity it emits and a trace asks for both; each
-value is the same either way.  The overlay curves of a map reuse the
-models and polarizations of its rows.  The engine diagonalizes
-every dense cell with one batched eigensolver (``linalg.eig_unitaries``)
-and sums the envelope floor over whole clusters of degenerate
-eigenphases, so a floor does not depend on the eigenbasis picked inside
-a cluster.
+with no joint 2^k space.  Every other system (``cluster3``,
+``joint_full``) goes through one call of the engine's row kernel
+``floquet_rows`` for all fields: it splits each field's cells into the
+sectors that H_u and H_d conserve (total Iz for cluster baths), stacks
+the (field, sector, tau) cells of equal sector size across fields, and
+adds the sector contributions up per field (coherence
+sum_b Re tr_b(P_u^dag P_d) / D, floor (2/D) sum_b w_b - 1).  A map asks
+only for the quantity it emits and a trace asks for both; each value is
+the same either way.  The overlay curves of a map reuse the models and
+polarizations of its rows.  The engine diagonalizes every dense cell
+with one batched eigensolver (``linalg.eig_unitaries``) and sums the
+envelope floor over whole clusters of degenerate eigenphases, so a
+floor does not depend on the eigenbasis picked inside a cluster.
 
 A run whose largest accumulated phase exceeds ``MAX_PHASE_RAD`` is
 rejected with ValidationError (CLI exit 2) before anything is written;
 past that phase cos and sin lose their significant digits.  The phase is
-the spectral radius of H_u, H_d times ``cells`` cells of length
-4 max(tau + delta): n_p cells where coherence or dip depths are
-computed, one for envelope-only rows and spectra.
+the spectral radius of H_u, H_d (on the engine's map path from their
+sector eigenvalues, ``ConditionalHamiltonians.spectral_radius``) times
+``cells`` cells of length 4 max(tau + delta): n_p cells where coherence
+or dip depths are computed, one for envelope-only rows and spectra.
 
 CSV output is UTF-8 with ``\n`` line endings and full ``%.17g``
 precision; ``write_csv`` formats each cell once, so a map formats each
@@ -48,7 +54,7 @@ from . import __version__
 from .clusters import conditional_cluster_hamiltonians, doublet_dip_estimates, \
     joint_full_model
 from .config import ScanConfig
-from .engine import QUANTITIES, ConditionalHamiltonians, floquet_row, spectrum_scan
+from .engine import QUANTITIES, ConditionalHamiltonians, floquet_rows, spectrum_scan
 from .errors import ConfigError, NumericalConsistencyError, ValidationError, locate
 from .linalg import block_slices
 from .pseudospin import TwoStateModel, avg_hamiltonian_dip, diamond_boundaries, \
@@ -132,7 +138,7 @@ def _row_hamiltonians(cfg: ScanConfig, field_value: float | None,
 
 
 def _spectral_radius(ch: ConditionalHamiltonians) -> float:
-    """Largest |eigenvalue| of H_u and H_d."""
+    """Largest |eigenvalue| of H_u and H_d; a spectrum needs no sector modes."""
     return max(float(np.abs(np.linalg.eigvalsh(h)).max()) for h in (ch.h_u, ch.h_d))
 
 
@@ -185,31 +191,38 @@ def field_rows(cfg: ScanConfig, fields: list,
     quantities or fields of the call.  Two-state targets go through
     ``_closed_form`` at the interval tau + delta (delta the pulse
     duration, as in the engine's cells), other systems through one
-    ``floquet_row`` call per field.  A row whose largest accumulated phase
-    exceeds MAX_PHASE_RAD raises ValidationError: the spectral radius
+    ``floquet_rows`` call for all fields.  A row whose largest accumulated
+    phase exceeds MAX_PHASE_RAD raises ValidationError: the spectral radius
     (max(sum_k w_u,k, sum_k w_d,k) for two-state targets) times n_p cells
     of length 4 max(tau + delta) when coherence is asked for, one cell
     otherwise.  An error's ``index`` is its row, and its message starts
-    'row i (field f): ' when that row's field is given (not None).
+    'row i (field f): ' when that row's field is given (not None).  The
+    first failing row is named: on the engine path the rows before one
+    that fails to build or exceeds the phase limit still go through the
+    kernel, which names its first failing row and tau.
     """
     taus = cfg.tau_axis.values()
     n_p = cfg.sequence.n_p
     delta = cfg.sequence.pulse_duration
     cells = n_p if "coherence" in quantities else 1
     tau_max = float(taus.max())
-    values = {q: np.empty((len(fields), taus.size)) for q in quantities}
     try:
         pols = _polarizations(cfg, fields)
         if cfg.system_kind in ("cluster3", "joint_full"):
+            chs, failure = [], None
             for i, field in enumerate(fields):
                 try:
                     ch = _row_hamiltonians(cfg, field, pols[i])
-                    _require_phase(_spectral_radius(ch), tau_max, delta, cells)
-                    row = floquet_row(ch, taus, n_p, quantities, pulse_duration=delta)
+                    _require_phase(ch.spectral_radius, tau_max, delta, cells)
                 except (ValidationError, NumericalConsistencyError) as exc:
-                    raise locate(exc, i)
-                for q in quantities:
-                    values[q][i] = row[q]
+                    failure = locate(exc, i)
+                    break
+                chs.append(ch)
+            # The rows before a failing one go through the kernel first: one
+            # of them may fail there, and the first failing row is named.
+            values = floquet_rows(chs, taus, n_p, quantities, pulse_duration=delta)
+            if failure is not None:
+                raise failure
             return values, None, pols if cfg.system_kind == "cluster3" else None
         models = []
         for i, field in enumerate(fields):
@@ -220,6 +233,7 @@ def field_rows(cfg: ScanConfig, fields: list,
             except (ValidationError, NumericalConsistencyError) as exc:
                 raise locate(exc, i)
             models.append(row_models)
+        values = {q: np.empty((len(fields), taus.size)) for q in quantities}
         for q in quantities:
             _closed_form(models, taus + delta, n_p, q, values[q])
         return values, models, None

@@ -242,6 +242,11 @@ def test_cluster3_map_loads_no_scipy(tmp_path):
     assert result == {"codes": [0], "scipy": []}
 
 
+def test_joint_full_map_loads_no_scipy(tmp_path):
+    result = run_fresh(tmp_path, ("map", "joint_full_map.json"))
+    assert result == {"codes": [0], "scipy": []}
+
+
 def test_spectrum_loads_no_scipy(tmp_path):
     # Modes of neighbouring tau that overlap clearly are matched without
     # linear_sum_assignment; on the shipped 500-tau grid they always do.
@@ -321,10 +326,11 @@ def test_trace_range_checks_its_envelope(tmp_path, capsys, monkeypatch):
     # A dense envelope outside [-1, 1] fails a trace as it fails a map.
     import floqsens.scans as scans
 
-    def drifted(ch, taus, n_p, quantities, pulse_duration=0.0):
-        return {q: np.full(len(taus), 1.1 if q == "envelope" else 1.0) for q in quantities}
+    def drifted(chs, taus, n_p, quantities, pulse_duration=0.0):
+        return {q: np.full((len(chs), len(taus)), 1.1 if q == "envelope" else 1.0)
+                for q in quantities}
 
-    monkeypatch.setattr(scans, "floquet_row", drifted)
+    monkeypatch.setattr(scans, "floquet_rows", drifted)
     outdir = tmp_path / "out"
     assert main(["trace", "--config", str(CONFIGS / "cluster3_spectrum.json"),
                  "--output", str(outdir)]) == 3
@@ -338,10 +344,10 @@ def test_trace_range_checks_its_envelope(tmp_path, capsys, monkeypatch):
 def test_nan_rows_fail_the_range_check(tmp_path, capsys, monkeypatch, command, config):
     import floqsens.scans as scans
 
-    def nan_rows(ch, taus, n_p, quantities, pulse_duration=0.0):
-        return {q: np.full(len(taus), np.nan) for q in quantities}
+    def nan_rows(chs, taus, n_p, quantities, pulse_duration=0.0):
+        return {q: np.full((len(chs), len(taus)), np.nan) for q in quantities}
 
-    monkeypatch.setattr(scans, "floquet_row", nan_rows)
+    monkeypatch.setattr(scans, "floquet_rows", nan_rows)
     outdir = tmp_path / "out"
     assert main([command, "--config", str(CONFIGS / config), "--output", str(outdir)]) == 3
     err = capsys.readouterr().err
@@ -362,3 +368,43 @@ def test_write_error_names_the_output(tmp_path, capsys):
     assert errs[0] == errs[1] == (f"file error: [Errno {errno.EISDIR}] "
                                   f"{os.strerror(errno.EISDIR)}: '{blocked}'\n")
     assert list(blocked.parent.iterdir()) == [blocked]
+
+
+def test_unitarity_failures_in_two_rows_name_the_lower_row(tmp_path, capsys, monkeypatch):
+    # One-state sector cells of rows 3 and 1 are pushed off unitarity: row 3
+    # at tau[2], row 1 at tau[6] in |uuu> and at tau[4] in |ddd>.  All of
+    # them sit in one stack; the map names row 1 and its first tau, tau[4].
+    import re
+
+    import floqsens.engine as engine
+    from floqsens.config import parse_config
+    from floqsens.scans import _polarizations, _row_hamiltonians
+
+    doc = json.loads((CONFIGS / "cluster3_map.json").read_text())
+    doc["axes"]["b0_tesla"]["count"] = 5
+    doc["axes"]["tau_s"]["count"] = 10
+    cfg = parse_config(doc)
+    fields = cfg.field_axis.values().tolist()
+    taus = cfg.tau_axis.values().tolist()
+    h_u = [_row_hamiltonians(cfg, f, p).h_u.real
+           for f, p in zip(fields, _polarizations(cfg, fields))]
+    marked = {(h_u[3][0, 0], taus[2]), (h_u[1][0, 0], taus[6]), (h_u[1][7, 7], taus[4])}
+    original = engine._propagators
+
+    def leaky(energies, vectors, t):
+        out = original(energies, vectors, t)
+        if energies.shape[1] == 1:
+            for k, cell in enumerate(zip(energies[:, 0].tolist(), t.tolist())):
+                if cell in marked:
+                    out[k] *= 1.0 + 1e-6
+        return out
+
+    monkeypatch.setattr(engine, "_propagators", leaky)
+    outdir = tmp_path / "out"
+    assert main(["map", "--config", write_cfg(tmp_path / "c.json", doc),
+                 "--output", str(outdir)]) == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(rf"config error: row 1 \(field {re.escape(f'{fields[1]:g}')}\): "
+                        rf"tau\[4\] = {re.escape(f'{taus[4]:g}')}: matrix is not unitary: "
+                        r"defect \S+ > 1\.0e-10\n", err), err
+    assert list(outdir.iterdir()) == []

@@ -292,3 +292,27 @@ def test_swept_config_without_a_field_is_a_config_error(kind, axis):
                                  axis: {"start": 0.1, "stop": 0.3, "count": 3}}})
     with pytest.raises(ConfigError, match="needs a"):
         compute_trace(cfg)
+
+
+def test_kernel_failure_of_an_earlier_row_is_named_before_a_phase_failure(monkeypatch):
+    # Row 2 (16000 T) exceeds the phase limit before the engine's kernel
+    # runs; with a negative half-period tolerance every row fails inside
+    # the kernel.  The rows before row 2 still go through it, and row 0,
+    # the first failing row, is named.
+    import floqsens.engine as engine
+    from floqsens import SymmetryViolationError
+
+    cfg = parse_config({
+        "system": {"kind": "joint_full", "donor": "si_bi",
+                   "cluster": {"a_rad_s": [180e3, 0.0, 100e3],
+                               "c_rad_s": [[0, 1e3, 2e3], [1e3, 0, 1e3], [2e3, 1e3, 0]]}},
+        "axes": {"tau_s": {"start": 2e-5, "stop": 3.2e-4, "count": 4},
+                 "b0_tesla": {"start": 0.1, "stop": 16000.0, "count": 3}}})
+    fields = cfg.field_axis.values().tolist()
+    with pytest.raises(ValidationError, match=r"^row 2 \(field 16000\): largest accumulated phase"):
+        field_rows(cfg, fields, ("envelope",))
+    monkeypatch.setattr(engine, "PHASE_MATCH_TOL", -1.0)
+    with pytest.raises(SymmetryViolationError,
+                       match=r"^row 0 \(field 0\.1\): tau\[0\] = 2e-05: u/d eigenphase") as failure:
+        field_rows(cfg, fields, ("envelope",))
+    assert failure.value.index == 0

@@ -1,7 +1,14 @@
-"""The stacked row kernel ``floquet_row`` against the per-tau engine path."""
+"""The stacked row kernel ``floquet_rows`` against the per-tau engine path.
+
+The kernel splits every cell into the sectors of its Hamiltonian pair
+(``ConditionalHamiltonians.sectors``) and stacks the cells of equal sector
+size over all rows; the per-tau oracles work on the full space.
+"""
 
 import json
+import math
 import re
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +25,10 @@ from floqsens import (
     EigenSystem,
     FloquetPair,
     NumericalConsistencyError,
+    PairSet,
+    PairTarget,
     PulseSequence,
+    SpinCluster,
     SymmetryViolationError,
     ValidationError,
     conditional_cluster_hamiltonians,
@@ -26,13 +36,16 @@ from floqsens import (
     expm_hermitian,
     floquet_pair,
     half_period_operators,
+    joint_full_model,
+    si_bi,
     spectrum_scan,
     thermal_coherence_numeric,
     unit_cell,
 )
 from floqsens.config import parse_config
-from floqsens.engine import _half_period_blocks, _stacked_floor, floquet_row
-from floqsens.scans import _polarizations, _row_hamiltonians, compute_trace, run_map, run_trace
+from floqsens.engine import _half_period_blocks, _stacked_floor, floquet_row, floquet_rows
+from floqsens.scans import (_polarizations, _row_hamiltonians, compute_trace, field_rows,
+                            run_map, run_trace)
 
 ATOL = 1e-10
 CONFIGS = Path(__file__).resolve().parents[1] / "scripts" / "configs"
@@ -363,3 +376,103 @@ def test_unresolved_eigensolve_names_the_tau_point(monkeypatch, path):
     w_u, w_d = half_period_operators(ch, PulseSequence(tau=float(taus[i]), n_p=1))
     with pytest.raises(NumericalConsistencyError):
         linalg.eig_unitaries((w_u @ w_d)[None])
+
+
+HYPERFINE = st.one_of(st.just(0.0), st.floats(-2e5, 2e5))
+FLIP_FLOP = st.one_of(st.just(0.0), st.floats(500.0, 5e3), st.floats(-5e3, -500.0))
+
+
+@st.composite
+def spin_clusters(draw):
+    """1 to 5 bath spins; a coupling drawn as exactly 0 splits sectors further."""
+    n = draw(st.integers(1, 5))
+    c = np.zeros((n, n))
+    for j, k in combinations(range(n), 2):
+        c[j, k] = c[k, j] = draw(FLIP_FLOP)
+    return SpinCluster(draw(st.lists(HYPERFINE, min_size=n, max_size=n)), c)
+
+
+def check_sectors(ch, cluster):
+    """Each sector keeps total Iz; all flip-flops nonzero give the binomial sizes."""
+    index = [row for stack in ch.sectors for row in stack.index.tolist()]
+    assert sorted(state for row in index for state in row) == list(range(ch.dim))
+    for row in index:
+        assert row == sorted(row)
+        assert len({bin(state).count("1") for state in row}) == 1
+    if np.all(cluster.c[np.triu_indices(cluster.n, 1)] != 0):
+        assert sorted(map(len, index)) == sorted(math.comb(cluster.n, k)
+                                                 for k in range(cluster.n + 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(cluster=spin_clusters(), kind=st.sampled_from(["cluster3", "joint_full"]),
+       fields=st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0),
+                                 st.floats(0.0, 0.4)), min_size=1, max_size=3),
+       taus=st.lists(st.floats(2e-5, 3e-4), min_size=1, max_size=4, unique=True),
+       n_p=st.integers(1, 100), delta=st.sampled_from([0.0, 3e-6]),
+       quantities=st.sampled_from([("coherence",), ("envelope",), ("coherence", "envelope")]))
+def test_sector_rows_match_the_per_tau_oracles(cluster, kind, fields, taus, n_p, delta,
+                                               quantities):
+    chs = [conditional_cluster_hamiltonians(cluster, p_u, p_d) if kind == "cluster3"
+           else offset_free(joint_full_model(si_bi(), cluster, b0)) for p_u, p_d, b0 in fields]
+    got = floquet_rows(chs, taus, n_p, quantities, pulse_duration=delta)
+    assert set(got) == set(quantities)
+    for i, ch in enumerate(chs):
+        check_sectors(ch, cluster)
+        want = per_tau(ch, taus, n_p, delta)
+        for quantity in quantities:
+            np.testing.assert_allclose(got[quantity][i], want[quantity], rtol=0, atol=ATOL)
+
+
+def offset_free(ch):
+    """``ch`` without the donor level energy E on its diagonal, subtracted exactly.
+
+    E 1 is a global phase of each branch and cancels in both quantities,
+    but at about 2e10 rad/s it leaves the stored Hamiltonians a phase
+    resolution of only about eps E t: both paths then miss an offset-free
+    computation by up to about 1e-7.  Every diagonal entry lies within a
+    factor 2 of the first, so the subtraction is exact.
+    """
+    eye = np.eye(ch.dim)
+    return ConditionalHamiltonians(ch.h_u - ch.h_u[0, 0].real * eye,
+                                   ch.h_d - ch.h_d[0, 0].real * eye)
+
+
+def test_joint_pair_space_is_one_sector():
+    pairs = PairSet((PairTarget(1.8e5, 1.05e3), PairTarget(-1e5, 1.05e3),
+                     PairTarget(-8e4, 2.2e3)))
+    ch = pairs.conditional(0.3, -0.5)
+    assert [stack.index.tolist() for stack in ch.sectors] == [[list(range(8))]]
+
+
+def test_degenerate_all_up_and_all_down_states():
+    # With sum_k A_k = 0 the one-state sectors |uuu> and |ddd> have equal
+    # energies under H_u and under H_d, so their cell phases coincide.
+    cluster = SpinCluster([1.2e5, -5e4, -7e4], [[0.0, 1.05e3, 2.2e3], [1.05e3, 0.0, 1.05e3],
+                                                 [2.2e3, 1.05e3, 0.0]])
+    ch = conditional_cluster_hamiltonians(cluster, 0.3, -0.5)
+    assert ch.h_u[0, 0] == ch.h_u[7, 7] and ch.h_d[0, 0] == ch.h_d[7, 7]
+    assert [stack.index.tolist() for stack in ch.sectors] == [[[0], [7]], [[1, 2, 4], [3, 5, 6]]]
+    taus = np.linspace(2e-5, 3.2e-4, 7)
+    got = floquet_row(ch, taus, 40)
+    np.testing.assert_allclose(got["envelope"], schur_floor(ch, taus), rtol=0, atol=1e-12)
+    want = per_tau(ch, taus, 40, 0.0)
+    for quantity in want:
+        np.testing.assert_allclose(got[quantity], want[quantity], rtol=0, atol=ATOL)
+
+
+@pytest.mark.parametrize("budget", [0, 100, 16 * 9 * 7, 5000, 64 * 1024])
+@pytest.mark.parametrize("kind", ["cluster3", "joint_full"])
+def test_dense_map_rows_equal_traces_at_any_block_budget(monkeypatch, kind, budget):
+    doc = cluster3_doc()
+    doc["system"]["kind"] = kind
+    doc["axes"]["b0_tesla"] = {"start": 0.10, "stop": 0.26, "count": 5}
+    cfg = parse_config(doc)
+    fields = cfg.field_axis.values().tolist()
+    traces = [compute_trace(cfg, field) for field in fields]
+    monkeypatch.setattr(linalg, "BLOCK_BYTES", budget)
+    for quantities in (("coherence",), ("envelope",), ("coherence", "envelope")):
+        values = field_rows(cfg, fields, quantities)[0]
+        for quantity in quantities:
+            want = np.array([getattr(trace, quantity) for trace in traces])
+            assert values[quantity].tobytes() == want.tobytes()

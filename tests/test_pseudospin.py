@@ -307,6 +307,23 @@ class TestDips:
         with pytest.raises(ValidationError):
             dip_depth(model, rec.tau_dip * 1.05, 10)
 
+    def test_roots_are_scored_as_their_one_root_calls(self):
+        # dip_positions scores every root in one dip_depth call; each record
+        # equals the one-root call, and among roots off the dip condition
+        # the first one fails, with its one-root message.
+        model = TwoStateModel.from_components(1.4e4, 4.2e4, 1.4e4, -2.2e4)
+        records = dip_positions(model, 2e-2, n_p=10)
+        assert len(records) > 50
+        for rec in records:
+            assert dip_depth(model, rec.tau_dip, 10) == (rec.delta, rec.depth)
+        roots = np.array([rec.tau_dip for rec in records])
+        roots[[7, 3]] *= 1.05
+        with pytest.raises(ValidationError) as one:
+            dip_depth(model, float(roots[3]), 10)
+        with pytest.raises(ValidationError) as every:
+            dip_depth(model, roots, 10)
+        assert str(every.value) == str(one.value)
+
 
 class TestAvgHamiltonian:
     def test_collinear_closed_form(self):
