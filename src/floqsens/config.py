@@ -380,7 +380,9 @@ def load_config(path: str | Path) -> ScanConfig:
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     try:
-        cfg = json.loads(path.read_text())
+        cfg = json.loads(path.read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, RecursionError) as exc:  # not UTF-8, or nested too deep
+        raise ConfigError(f"{path}: unreadable as UTF-8 JSON: {exc}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: JSON parse error at line {exc.lineno}, "
                           f"column {exc.colno}: {exc.msg}")

@@ -2,33 +2,26 @@
 
 The target precesses about one of two effective fields h_u, h_d in the
 x-z plane depending on the sensor state.  With precession frequencies
-omega_i = |h_i| / 2 and field orientations theta_i, the eigenphase of the
-CPMG cell with pulse interval s follows
+omega_i = |h_i| / 2 and field orientations theta_i, every quantity comes
+from the half cell of the CPMG cell with pulse interval s (``_half_cell``):
 
-    cos E(s) = cos(2 w_u s) cos(2 w_d s)
-               - sin(2 w_u s) sin(2 w_d s) cos(theta_u - theta_d)
+    a0 = cos(w_u s) cos(w_d s) - sin(w_u s) sin(w_d s) cos(theta_u - theta_d),
+    y = sin(w_u s) sin(w_d s) sin(theta_u - theta_d).
 
-and the bath-averaged coherence after n_p cells is
+a0 = cos E(s/2), at 2 s the paper's cos E(s); q = a0^2 + y^2 = cos^2(E(s)/2):
 
-    L = 1 - 2 F(tau) sin^2(n_p E(tau)),
-    F = (cos^2(E(tau)/2) - cos^2(E(tau/2))) / cos^2(E(tau)/2),
+    E = 2 arccos(sqrt(q)),   delta = pi - E = 2 arcsin(sqrt(q)),   F = y^2 / q.
 
+The bath-averaged coherence after n_p cells is L = 1 - 2 F sin^2(n_p E),
 an n_p-independent envelope 1 - 2 F under a fast oscillation.  Coherence
-dips sit at the roots of cos E(tau/2) = 0, where F = 1 and the dip depth
-is set by the level repulsion delta = pi - E(tau_dip).
-
-With a0 = cos(w_u s) cos(w_d s) - sin(w_u s) sin(w_d s) cos(theta_u - theta_d)
-= cos E(s/2) and y = sin(w_u s) sin(w_d s) sin(theta_u - theta_d), the
-identity cos^2(E(s)/2) = a0^2 + y^2 =: q takes the subtraction out of F:
-
-    F = y^2 / q,   E = 2 arccos(sqrt(q)),
-
-so F keeps full precision up to a true level crossing (E(tau) -> pi,
-q -> 0), where it is 0/0.  There F is 0, as in the engine, which puts
-the eigenphases +-E of a cell into one cluster once q <= CROSSING_Q.
-``two_state_grid`` evaluates these formulas for many models on one
-(models, tau) grid; ``coherence_analytic`` and ``envelope`` are its
-one-model calls.
+dips sit at the roots of a0(tau) = 0, where F = 1 and the level repulsion
+delta sets the depth 1 - 2 sin^2(n_p delta).  No form subtracts nearly
+equal numbers: delta keeps an absolute error of a few eps (1 + (w_u + w_d) s)
+and F full precision up to a true level crossing (q -> 0).  There F is
+0/0 and taken as 0, as in the engine, which puts the eigenphases +-E of
+a cell into one cluster once q <= CROSSING_Q.  ``two_state_grid`` gives
+coherence or envelope for many models on one (models, tau) grid;
+``coherence_analytic`` and ``envelope`` are its one-model calls.
 """
 
 from __future__ import annotations
@@ -40,10 +33,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import engine
-from .errors import CapacityError, NumericalConsistencyError, ValidationError, locate
+from .errors import CapacityError, ValidationError, locate
 from .linalg import PAULI_X, PAULI_Z
 
-COS_RANGE_TOL = 1e-9
 DIP_CONDITION_TOL = 1e-6
 # Largest root-bracketing grid of dip_positions (points).  Memory and the
 # root refinement grow with the grid; at this size a search finds about
@@ -126,27 +118,40 @@ class TwoStateModel:
         return engine.ConditionalHamiltonians(h_u=h_u, h_d=h_d)
 
 
-def cos_floquet_phase(model: TwoStateModel, s) -> np.ndarray | float:
-    """cos E(s) of the cell with pulse interval s; vectorized over s."""
+def _half_cell(models, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(a0, y) of the half cell of each model at each pulse interval of the
+    one-dimensional ``s``, as two (len(models), s.size) arrays."""
+    au = np.array([m.omega_u for m in models])[:, None] * s
+    ad = np.array([m.omega_d for m in models])[:, None] * s
+    turn = np.array([m.theta_u - m.theta_d for m in models])[:, None]
+    sin_sin = np.sin(au) * np.sin(ad)
+    return np.cos(au) * np.cos(ad) - sin_sin * np.cos(turn), sin_sin * np.sin(turn)
+
+
+def _cell(model: TwoStateModel, s) -> tuple[np.ndarray, np.ndarray]:
+    """``_half_cell`` of one model, shaped like ``s``; a non-finite s raises ValidationError."""
     s = np.asarray(s, dtype=float)
-    au = 2 * model.omega_u * s
-    ad = 2 * model.omega_d * s
-    k = math.cos(model.theta_u - model.theta_d)
-    rhs = np.cos(au) * np.cos(ad) - np.sin(au) * np.sin(ad) * k
-    return rhs if rhs.ndim else float(rhs)
+    if not np.all(np.isfinite(s)):
+        raise ValidationError("pulse interval must be finite")
+    return tuple(x.reshape(s.shape) for x in _half_cell([model], s.ravel()))
+
+
+def _like(s, x):
+    """``x`` (shaped like ``s``) as a float when ``s`` is a scalar."""
+    return x if np.ndim(s) else float(x)
+
+
+def cos_floquet_phase(model: TwoStateModel, s) -> np.ndarray | float:
+    """cos E(s) of the cell with pulse interval s, the a0 of interval 2 s; vectorized over s."""
+    return _like(s, _cell(model, 2.0 * np.asarray(s, dtype=float))[0])
 
 
 def floquet_phase(model: TwoStateModel, s) -> np.ndarray | float:
-    """Principal cell eigenphase E(s) in [0, pi]; vectorized over s."""
-    s_arr = np.asarray(s, dtype=float)
-    if np.any(s_arr < 0):
+    """Principal cell eigenphase E(s) = 2 arccos(sqrt(q)) in [0, pi]; vectorized over s."""
+    if np.any(np.asarray(s) < 0):
         raise ValidationError("pulse interval must be >= 0")
-    rhs = np.asarray(cos_floquet_phase(model, s_arr))
-    if np.any(np.abs(rhs) > 1.0 + COS_RANGE_TOL):
-        raise NumericalConsistencyError(
-            f"cos E left [-1, 1] by {np.abs(rhs).max() - 1.0:.3e}")
-    e = np.arccos(np.clip(rhs, -1.0, 1.0))
-    return e if np.asarray(s).ndim else float(e)
+    a0, y = _cell(model, s)
+    return _like(s, 2.0 * np.arccos(np.minimum(np.sqrt(a0 * a0 + y * y), 1.0)))
 
 
 def two_state_grid(models, tau: np.ndarray, quantity: str, n_p: int = 1) -> np.ndarray:
@@ -155,18 +160,14 @@ def two_state_grid(models, tau: np.ndarray, quantity: str, n_p: int = 1) -> np.n
     'coherence' after n_p cells or the envelope 1 - 2 F, as a
     (len(models), tau.size) array, from F = y^2 / q and E = 2 arccos(sqrt(q))
     at every sample; F is 0 where q <= CROSSING_Q.  Both lie in [-1, 1]
-    by construction (y^2 <= q).  A tau <= 0 raises ValidationError with
-    ``index`` 0.
+    by construction (y^2 <= q).  A tau that is not finite and > 0 raises
+    ValidationError with ``index`` 0.
     """
     tau = np.asarray(tau, dtype=float)
-    if np.any(tau <= 0):  # every model fails, the first one first
-        raise locate(ValidationError("pulse interval must be > 0"), 0)
-    au = np.array([m.omega_u for m in models])[:, None] * tau
-    ad = np.array([m.omega_d for m in models])[:, None] * tau
-    turn = np.array([m.theta_u - m.theta_d for m in models])[:, None]
-    sin_sin = np.sin(au) * np.sin(ad)
-    a0 = np.cos(au) * np.cos(ad) - sin_sin * np.cos(turn)
-    y2 = (sin_sin * np.sin(turn)) ** 2
+    if not np.all((tau > 0) & (tau < math.inf)):  # every model fails, the first one first
+        raise locate(ValidationError("pulse interval must be finite and > 0"), 0)
+    a0, y = _half_cell(models, tau)
+    y2 = y * y
     q = a0 * a0 + y2
     f = np.divide(y2, q, out=np.zeros_like(q), where=q > CROSSING_Q)
     if quantity == "coherence":
@@ -176,9 +177,7 @@ def two_state_grid(models, tau: np.ndarray, quantity: str, n_p: int = 1) -> np.n
 
 def _one_model(model: TwoStateModel, tau, quantity: str, n_p: int):
     """``two_state_grid`` of one model, shaped like ``tau`` (a float for a scalar)."""
-    tau_arr = np.asarray(tau, dtype=float)
-    vals = two_state_grid([model], tau_arr.ravel(), quantity, n_p).reshape(tau_arr.shape)
-    return vals if tau_arr.ndim else float(vals)
+    return _like(tau, two_state_grid([model], np.ravel(tau), quantity, n_p).reshape(np.shape(tau)))
 
 
 def coherence_analytic(model: TwoStateModel, tau, n_p: int):
@@ -203,15 +202,16 @@ class DipRecord:
 
 
 def dip_positions(model: TwoStateModel, tau_max: float, n_p: int = 1) -> list[DipRecord]:
-    """All dip locations (roots of cos E(tau/2) = 0) in (0, tau_max].
+    """All dip locations (roots of a0(tau) = cos E(tau/2) = 0) in (0, tau_max].
 
     Roots are bracketed on a scan fine enough not to skip a harmonic and
     narrowed together to adjacent doubles by ``bisect_roots``.  ``n_p``
-    only fills the depth field of each record.  A scan of more than
-    MAX_DIP_GRID points raises CapacityError.
+    only fills the depth field of each record.  A tau_max that is not
+    finite and > 0 raises ValidationError, a scan of more than
+    MAX_DIP_GRID points CapacityError.
     """
-    if tau_max <= 0:
-        raise ValidationError("tau_max must be > 0")
+    if not 0 < tau_max < math.inf:
+        raise ValidationError("tau_max must be finite and > 0")
     omega_sum = model.omega_u + model.omega_d
     if omega_sum <= 0:
         return []
@@ -223,9 +223,9 @@ def dip_positions(model: TwoStateModel, tau_max: float, n_p: int = 1) -> list[Di
     grid = grid[grid <= tau_max]
     if grid.size == 0:
         return []
-    vals = cos_floquet_phase(model, grid / 2.0)
+    vals = _half_cell([model], grid)[0][0]
     i = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
-    roots = bisect_roots(lambda t: cos_floquet_phase(model, t / 2.0), grid[i], grid[i + 1])
+    roots = bisect_roots(lambda t: _half_cell([model], t)[0][0], grid[i], grid[i + 1])
     deltas, depths = dip_depth(model, roots, n_p)
     return [DipRecord(tau_dip=root, harmonic_index=j, delta=delta, depth=depth)
             for j, (root, delta, depth) in enumerate(
@@ -253,9 +253,9 @@ def bisect_roots(f, lo, hi) -> np.ndarray:
 
 def dip_depth(model: TwoStateModel, tau_dip, n_p: int):
     """``level_repulsion`` at ``tau_dip`` (vectorized), where each value must
-    satisfy the dip condition E(tau_dip/2) = pi/2 within 1e-6 rad; the first
-    that misses it raises ValidationError."""
-    miss = np.abs(np.asarray(floquet_phase(model, np.asarray(tau_dip) / 2.0)) - math.pi / 2.0)
+    satisfy the dip condition E(tau_dip/2) = pi/2, |arcsin a0| <= DIP_CONDITION_TOL;
+    the first that misses it raises ValidationError."""
+    miss = np.arcsin(np.minimum(np.abs(_cell(model, tau_dip)[0]), 1.0))
     bad = np.flatnonzero(miss > DIP_CONDITION_TOL)
     if bad.size:
         raise ValidationError(f"tau_dip misses the dip condition E(tau/2) = pi/2 by "
@@ -264,13 +264,11 @@ def dip_depth(model: TwoStateModel, tau_dip, n_p: int):
 
 
 def level_repulsion(model: TwoStateModel, tau, n_p: int):
-    """Level repulsion delta = |pi - E(tau)| and depth 1 - 2 sin^2(n_p delta),
-    vectorized over tau (floats for a scalar tau)."""
-    # delta = pi - E ==> cos(delta) = -cos(E); arccos near +1 keeps small
-    # delta at the sqrt(eps) precision floor instead of losing it outright.
-    delta = np.arccos(np.clip(-np.asarray(cos_floquet_phase(model, tau)), -1.0, 1.0))
-    depth = 1.0 - 2.0 * np.sin(n_p * delta) ** 2
-    return (delta, depth) if np.ndim(tau) else (float(delta), float(depth))
+    """Level repulsion delta = pi - E(tau) = 2 arcsin(sqrt(q)) and depth
+    1 - 2 sin^2(n_p delta), vectorized over tau (floats for a scalar tau)."""
+    a0, y = _cell(model, tau)
+    delta = 2.0 * np.arcsin(np.minimum(np.sqrt(a0 * a0 + y * y), 1.0))
+    return _like(tau, delta), _like(tau, 1.0 - 2.0 * np.sin(n_p * delta) ** 2)
 
 
 def omega_average(model: TwoStateModel) -> float:

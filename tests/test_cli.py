@@ -42,6 +42,16 @@ class TestExitCodes:
         assert main(["trace", "--config", cfg, "--output", str(tmp_path)]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("content", [b'\xff\xfe{"system": {}}', b"[" * 10 ** 5 + b"]" * 10 ** 5],
+                             ids=["not-utf8", "nested-1e5-deep"])
+    def test_unreadable_config(self, tmp_path, capsys, content):
+        cfg = tmp_path / "c.json"
+        cfg.write_bytes(content)
+        assert main(["trace", "--config", str(cfg), "--output", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {cfg}: unreadable as UTF-8 JSON: ")
+        assert err.count("\n") == 1
+
     def test_missing_config(self, tmp_path):
         assert main(["trace", "--config", str(tmp_path / "nope.json"),
                      "--output", str(tmp_path)]) == 2
@@ -263,6 +273,14 @@ def test_coarse_spectrum_imports_scipy_where_modes_mix(tmp_path):
     result = run_fresh(tmp_path, ("spectrum", cfg))
     assert result["codes"] == [0]
     assert "scipy.optimize" in result["scipy"]
+
+
+def test_traces_load_no_scipy(tmp_path):
+    # A two-state trace and a dense cluster3 trace (the spectrum config run
+    # as a trace) take the same kernels as the maps.
+    result = run_fresh(tmp_path, ("trace", "pseudospin_trace.json"),
+                       ("trace", "cluster3_spectrum.json"))
+    assert result == {"codes": [0, 0], "scipy": []}
 
 
 def test_dips_loads_no_scipy(tmp_path):

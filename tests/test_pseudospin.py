@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -28,8 +29,9 @@ from floqsens import (
     unit_cell,
 )
 
+from floqsens import pseudospin
 from floqsens.engine import floquet_row
-from floqsens.pseudospin import MAX_DIP_GRID, bisect_roots
+from floqsens.pseudospin import MAX_DIP_GRID, bisect_roots, level_repulsion, two_state_grid
 from conftest import near_crossing, random_two_state
 
 
@@ -323,6 +325,67 @@ class TestDips:
         with pytest.raises(ValidationError) as every:
             dip_depth(model, roots, 10)
         assert str(every.value) == str(one.value)
+
+
+class TestNonFiniteTau:
+    MODEL = TwoStateModel.from_angles(1.0, 0.7, 0.6, -0.2)
+
+    @pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf, [0.4, math.nan]], ids=repr)
+    @pytest.mark.parametrize("name, args", [
+        ("envelope", ()), ("coherence_analytic", (3,)), ("floquet_phase", ()),
+        ("cos_floquet_phase", ()), ("level_repulsion", (3,)), ("dip_depth", (3,))])
+    def test_one_model_calls_reject_it(self, name, args, tau):
+        with pytest.raises(ValidationError):
+            getattr(pseudospin, name)(self.MODEL, tau, *args)
+
+    @pytest.mark.parametrize("tau_max", [math.nan, math.inf])
+    def test_dip_search_rejects_it_as_invalid_not_too_large(self, tau_max):
+        with pytest.raises(ValidationError, match="^tau_max must be finite and > 0$"):
+            dip_positions(self.MODEL, tau_max)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_grid_names_the_first_model(self, bad):
+        with pytest.raises(ValidationError, match="finite and > 0") as failure:
+            two_state_grid([self.MODEL, self.MODEL], np.array([1e-3, bad]), "envelope")
+        assert failure.value.index == 0
+
+
+def delta_mpmath(model, tau):
+    """pi - E(tau) at 50 digits from the full-angle cell formula, taking the
+    model's double omega, theta and tau as exact."""
+    with mpmath.workdps(50):
+        w_u, w_d, t = (mpmath.mpf(v) for v in (model.omega_u, model.omega_d, tau))
+        turn = mpmath.mpf(model.theta_u) - mpmath.mpf(model.theta_d)
+        cos_e = (mpmath.cos(2 * w_u * t) * mpmath.cos(2 * w_d * t)
+                 - mpmath.sin(2 * w_u * t) * mpmath.sin(2 * w_d * t) * mpmath.cos(turn))
+        return mpmath.pi - mpmath.acos(cos_e)
+
+
+@settings(max_examples=200, deadline=None)
+@given(w_u=st.floats(0.1, 10.0), w_d=st.floats(0.1, 10.0), theta_u=st.floats(-3.0, 3.0),
+       log_turn=st.floats(-12.0, 0.0), sign=st.sampled_from([-1.0, 1.0]),
+       harmonics=st.integers(1, 30))
+def test_dip_repulsion_matches_mpmath(w_u, w_d, theta_u, log_turn, sign, harmonics):
+    # Nearly parallel fields narrow the dips: delta ~ |theta_u - theta_d|
+    # down to 1e-12.  At every located dip, delta of the record and of
+    # level_repulsion and E of floquet_phase may carry only the absolute
+    # error of the half cell, a few eps (1 + (w_u + w_d) tau), however
+    # small delta is.  Turns up to 1 rad keep delta <= 2 at a dip
+    # (|y| <= sin 1), clear of the arcsin floor at delta -> pi.
+    model = TwoStateModel.from_angles(w_u, theta_u, w_d, theta_u - sign * 10.0 ** log_turn)
+    records = dip_positions(model, harmonics * math.pi / (model.omega_u + model.omega_d))
+    assume(records)
+    taus = np.array([rec.tau_dip for rec in records])
+    deltas = level_repulsion(model, taus, 1)[0]
+    phases = floquet_phase(model, taus)
+    for rec, delta, phase in zip(records, deltas, phases):
+        ref = delta_mpmath(model, rec.tau_dip)
+        tol = 4 * np.finfo(float).eps * (1 + (model.omega_u + model.omega_d) * rec.tau_dip) \
+            + 1e-12 * float(ref)
+        assert abs(rec.delta - ref) <= tol
+        assert abs(delta - ref) <= tol
+        with mpmath.workdps(50):
+            assert abs(phase - (mpmath.pi - ref)) <= tol
 
 
 class TestAvgHamiltonian:
