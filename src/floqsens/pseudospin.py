@@ -129,10 +129,11 @@ def _half_cell(models, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _cell(model: TwoStateModel, s) -> tuple[np.ndarray, np.ndarray]:
-    """``_half_cell`` of one model, shaped like ``s``; a non-finite s raises ValidationError."""
+    """``_half_cell`` of one model, shaped like ``s``; an s that is not finite
+    and >= 0 raises ValidationError."""
     s = np.asarray(s, dtype=float)
-    if not np.all(np.isfinite(s)):
-        raise ValidationError("pulse interval must be finite")
+    if not np.all(np.isfinite(s) & (s >= 0)):
+        raise ValidationError("pulse interval must be finite and >= 0")
     return tuple(x.reshape(s.shape) for x in _half_cell([model], s.ravel()))
 
 
@@ -148,8 +149,6 @@ def cos_floquet_phase(model: TwoStateModel, s) -> np.ndarray | float:
 
 def floquet_phase(model: TwoStateModel, s) -> np.ndarray | float:
     """Principal cell eigenphase E(s) = 2 arccos(sqrt(q)) in [0, pi]; vectorized over s."""
-    if np.any(np.asarray(s) < 0):
-        raise ValidationError("pulse interval must be >= 0")
     a0, y = _cell(model, s)
     return _like(s, 2.0 * np.arccos(np.minimum(np.sqrt(a0 * a0 + y * y), 1.0)))
 

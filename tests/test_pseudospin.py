@@ -330,13 +330,20 @@ class TestDips:
 class TestNonFiniteTau:
     MODEL = TwoStateModel.from_angles(1.0, 0.7, 0.6, -0.2)
 
-    @pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf, [0.4, math.nan]], ids=repr)
+    @pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf, [0.4, math.nan], -0.4],
+                             ids=repr)
     @pytest.mark.parametrize("name, args", [
         ("envelope", ()), ("coherence_analytic", (3,)), ("floquet_phase", ()),
         ("cos_floquet_phase", ()), ("level_repulsion", (3,)), ("dip_depth", (3,))])
     def test_one_model_calls_reject_it(self, name, args, tau):
         with pytest.raises(ValidationError):
             getattr(pseudospin, name)(self.MODEL, tau, *args)
+
+    def test_dip_depth_rejects_a_mirrored_dip(self):
+        # a0 is even in tau, so -tau_dip meets the dip condition: only the sign check stops it
+        rec = dip_positions(self.MODEL, 5.0)[0]
+        with pytest.raises(ValidationError, match="finite and >= 0"):
+            pseudospin.dip_depth(self.MODEL, -rec.tau_dip, 3)
 
     @pytest.mark.parametrize("tau_max", [math.nan, math.inf])
     def test_dip_search_rejects_it_as_invalid_not_too_large(self, tau_max):
