@@ -69,7 +69,7 @@ def main() -> None:
             rec = first_dip(model)
             rows.append((float(b0), rec.tau_dip, avg_hamiltonian_dip(model), rec.delta))
         write_csv(subdir / "dip_comparison.csv",
-                  ["b0_tesla", "tau_dip_s", "tau_avg_s", "delta_rad"], rows)
+                  ["b0_tesla", "tau_dip_s", "tau_avg_s", "delta_rad"], [np.array(rows).T])
         print(subdir / "dip_comparison.csv")
 
 

@@ -30,8 +30,12 @@ sector eigenvalues, ``ConditionalHamiltonians.spectral_radius``) times
 or dip depths are computed, one for envelope-only rows and spectra.
 
 CSV output is UTF-8 with ``\n`` line endings and full ``%.17g``
-precision; ``write_csv`` formats each cell once, so a map formats each
-field and each tau value once, not once per line.  Maps can also be
+precision.  Float cells are formatted by NumPy array arithmetic
+(``_format_floats``), byte for byte equal to ``'%.17g' % v``; fewer than
+FORMAT_ARRAY_MIN cells at a time, and values outside its exact range,
+take ``'%.17g'`` itself.  ``write_csv`` lays out each slice of lines as
+one byte matrix, and a map formats each field and each tau value once,
+not once per line.  Maps can also be
 emitted as binary 8-bit PGM (P5) with the documented value mapping
 round(255 (L + 1) / 2).  Every file is written to a temporary file in
 the output directory and renamed into place, so no file is ever
@@ -72,6 +76,14 @@ MIN_REPORTED_DELTA = 1e-6
 MAX_PHASE_RAD = 1e12
 # CSV float cells: 17 significant digits round-trip every double.
 FLOAT_FORMAT = "%.17g"
+# Bytes of a formatted float cell: a sign, the zeros of '0.000', 17 digits
+# and a point, and an exponent 'e-0k'.  The longest FLOAT_FORMAT of any
+# double (24 bytes) fits as well.
+CELL_BYTES = 27
+# Fewer float cells than this are formatted by FLOAT_FORMAT one by one: the
+# array path costs a fixed ~150 NumPy calls, more than Python's own
+# formatting of a few hundred values.  Either way the bytes are the same.
+FORMAT_ARRAY_MIN = 512
 
 
 @dataclass(frozen=True)
@@ -277,35 +289,146 @@ def _write_atomic(path: Path, chunks) -> None:
         tmp.unlink(missing_ok=True)
 
 
-def _template(cells) -> str:
-    """The ``%`` template of CSV cells: floats in FLOAT_FORMAT, any other cell as str()."""
-    return ",".join(FLOAT_FORMAT if isinstance(v, float) else "%s" for v in cells)
+def _halves(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp split v = hi + lo into halves of at most 26 bits, so that
+    the product of two halves is exact."""
+    c = 134217729.0 * v  # 2^27 + 1
+    hi = c - (c - v)
+    return hi, v - hi
 
 
-def write_csv(path: Path, header: list[str], rows, keys=None) -> None:
+def _scaled(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(p, e) with p + e = a 10^(16 - k) exactly, for 0 <= 16 - k <= 22.
+
+    In that range 10^(16 - k) is an exact double; p is the rounded product
+    and e its rounding error, from Dekker's two-product (no fused
+    multiply-add needed).
+    """
+    scale = np.array([float(10 ** j) for j in range(23)])[16 - k]
+    p = a * scale
+    (ah, al), (sh, sl) = _halves(a), _halves(scale)
+    return p, ((ah * sh - p) + ah * sl + al * sh) + al * sl
+
+
+def _reference_cells(x: np.ndarray) -> np.ndarray:
+    """``FLOAT_FORMAT % v`` of every value, one Python call each, as cells."""
+    text = np.array([(FLOAT_FORMAT % v).encode() for v in x.tolist()], dtype=f"S{CELL_BYTES}")
+    return text.view(np.uint8).reshape(-1, CELL_BYTES)
+
+
+def _format_floats(values: np.ndarray) -> np.ndarray:
+    """``FLOAT_FORMAT % v`` of every value, as an (n, CELL_BYTES) uint8 array
+    of ASCII cells padded with null bytes, which the writer drops.
+
+    With k = floor(log10 |x|) the 17 digits are the integer
+    N = round-half-even(|x| 10^(16 - k)) in [10^16, 10^17), exact from
+    ``_scaled``: p >= 10^16 > 2^53 is an even integer, so N = p + rint(e).
+    k comes from ``log10`` and is corrected where that is one decade off.
+    The digits are laid out as '%g' does: fixed notation for -4 <= k < 17,
+    'e-0k' otherwise, trailing zeros and a bare point dropped, '-' for a
+    negative sign.  Values with |x| outside [1e-7, 1e17) (0, -0, non-finite,
+    subnormal) and values whose k leaves [-6, 16], where 10^(16 - k) is not
+    exact, are formatted by FLOAT_FORMAT itself, and so is every value of
+    an array shorter than FORMAT_ARRAY_MIN.  No double in the exact range
+    lies within 5e-18 below a power of ten, so none rounds up to
+    N = 10^17; the doubles that do (1e-14, 1e98, ...) lie outside it.  The
+    arithmetic runs on one row per character position, so each step is one
+    long vector.
+    """
+    x = np.asarray(values, dtype=float).ravel()
+    if x.size < FORMAT_ARRAY_MIN:
+        return _reference_cells(x)
+    a = np.abs(x)
+    exact = (a >= 1e-7) & (a < 1e17)  # NaN fails too
+    a = np.where(exact, a, 1.0)
+    k = np.clip(np.floor(np.log10(a)).astype(np.int64), -6, 16)
+    p, e = _scaled(a, k)
+    low = (p < 1e16) | ((p == 1e16) & (e < 0))  # p + e < 10^16
+    high = (p > 1e17) | ((p == 1e17) & (e >= 0))
+    k = k - low + high
+    redo = (low | high) & (k >= -6) & (k <= 16)
+    if redo.any():
+        p[redo], e[redo] = _scaled(a[redo], k[redo])
+    n = p.astype(np.int64) + np.rint(e).astype(np.int64)
+    exact &= (k >= -6) & (k <= 16)
+    k[~exact] = 0
+    size = x.size
+    digits = np.empty((17, size), np.uint8)  # row j: digit j, most significant first
+    for j in range(16, -1, -1):
+        q = n // 10
+        digits[j] = n - 10 * q
+        n = q
+    rows = np.arange(22, dtype=np.uint8)[:, None]
+    last = ((digits != 0) * rows[:17]).max(axis=0)  # the last nonzero digit
+    point = np.where(k >= -4, k, 0)  # the point follows digit `point`
+    # v: rows 0-3 the zeros of '0.000', rows 4-20 the digits up to the last
+    # nonzero one or the units digit; the point goes after row `at`.
+    at = (4 + point).astype(np.uint8)
+    v = np.zeros((22, size), np.uint8)
+    v[:4] = (rows[:4] >= at) * np.uint8(ord("0"))
+    kept = rows[:17] <= np.maximum(last, point).astype(np.uint8)
+    v[4:21] = (digits + np.uint8(ord("0"))) * kept
+    cells = np.zeros((CELL_BYTES, size), np.uint8)
+    cells[0] = np.signbit(x) * np.uint8(ord("-"))
+    body = cells[1:23]
+    body[1:] = v[:21]
+    np.copyto(body, v, where=rows <= at)
+    body[at + 1, np.arange(size)] = np.where(last > point, ord("."), 0)
+    small = k < -4
+    cells[23:26] = np.array([[ord("e")], [ord("-")], [ord("0")]], np.uint8) * small
+    cells[26] = (ord("0") - k) * small
+    cells = np.ascontiguousarray(cells.T)
+    rest = np.flatnonzero(~exact)
+    if rest.size:
+        cells[rest] = _reference_cells(x[rest])
+    return cells
+
+
+def _is_float(column) -> bool:
+    return isinstance(column, np.ndarray) and column.dtype.kind == "f"
+
+
+def _lines(columns) -> np.ndarray:
+    """The bytes of the CSV lines of equal-length columns (see ``write_csv``):
+    the float columns formatted in one call, then one byte matrix of cells,
+    commas and newlines, null bytes dropped."""
+    cells = list(columns)
+    floats = [i for i, c in enumerate(cells) if _is_float(c)]
+    if floats:
+        formatted = _format_floats(np.stack([cells[i] for i in floats]))
+        for i, block in zip(floats, np.split(formatted, len(floats))):
+            cells[i] = block
+    for i, c in enumerate(cells):
+        if not (isinstance(c, np.ndarray) and c.dtype == np.uint8):
+            text = np.array([str(v).encode("utf-8") for v in c], dtype=bytes)
+            cells[i] = text.view(np.uint8).reshape(len(text), -1)
+    line = np.zeros((len(cells[0]), sum(c.shape[1] + 1 for c in cells)), np.uint8)
+    at = 0
+    for c in cells:
+        line[:, at:at + c.shape[1]] = c
+        at += c.shape[1] + 1
+        line[:, at - 1] = ord(",")
+    line[:, -1] = ord("\n")
+    return line[line != 0]
+
+
+def write_csv(path: Path, header: list[str], blocks) -> None:
     """Write a UTF-8 CSV file with ``\\n`` line endings, atomically.
 
-    A float cell is written as ``%.17g`` and any other cell as str().
-    Each line is one ``%`` template applied to one row tuple; the rows of
-    a block share their cell types, so the template is built from the
-    block's first row.  Without ``keys`` all rows form one block.  With
-    ``keys``, ``rows`` holds one block of rows per key tuple and every
-    line of a block starts with the cells of its key, formatted once into
-    the block's template.  The file is streamed one block at a time.
+    ``blocks`` yields the lines as blocks of equal-length columns.  A float
+    array is a column of ``%.17g`` cells (``_format_floats``), a uint8
+    array a column of cells it formatted before, and any other sequence a
+    column of str() cells.  Each block is laid out and written in slices
+    holding at most ``linalg.BLOCK_BYTES`` of float64 cells, so the file is
+    streamed and never held whole.
     """
-    if keys is None:
-        keys, rows = [()], [rows]
-
     def chunks():
         yield (",".join(header) + "\n").encode("utf-8")
-        for key, block in zip(keys, rows):
-            block = iter(block)
-            first = next(block, None)
-            if first is None:
-                continue
-            lead = (_template(key) % key).replace("%", "%%") + "," if key else ""
-            line = lead + _template(first) + "\n"
-            yield (line % first + "".join(map(line.__mod__, block))).encode("utf-8")
+        for columns in blocks:
+            columns = list(columns)
+            floats = sum(map(_is_float, columns))
+            for part in block_slices(len(columns[0]), 8 * max(floats, 1)):
+                yield _lines([c[part] for c in columns])
 
     _write_atomic(path, chunks())
 
@@ -357,8 +480,7 @@ def run_trace(cfg: ScanConfig, outdir: Path) -> list[Path]:
     _check_range(data.envelope, "envelope")
     out = outdir / "trace.csv"
     write_csv(out, ["tau_s", "coherence", "envelope"],
-              zip(map(float, data.taus), map(float, data.coherence),
-                  map(float, data.envelope)))
+              [(data.taus, data.coherence, data.envelope)])
     manifest = outdir / "trace_manifest.json"
     write_manifest(manifest, cfg, "trace", [out.name])
     return [out, manifest]
@@ -423,14 +545,16 @@ def run_map(cfg: ScanConfig, outdir: Path) -> list[Path]:
     files = []
     if cfg.output.format in ("csv", "both"):
         out_csv = outdir / "map.csv"
-        taus = [FLOAT_FORMAT % tau for tau in cfg.tau_axis.values().tolist()]
+        taus, fields = np.split(_format_floats(np.concatenate(
+            [cfg.tau_axis.values(), field_values])), [cfg.tau_axis.count])
         write_csv(out_csv, [cfg.field_axis.name, "tau_s", quantity],
-                  [zip(taus, row) for row in grid.tolist()],
-                  keys=[(f,) for f in field_values])
+                  ((np.repeat(fields[rows], len(taus), axis=0),
+                    np.tile(taus, (rows.stop - rows.start, 1)), grid[rows].ravel())
+                   for rows in block_slices(len(fields), 8 * len(taus))))
         files.append(out_csv)
         if overlay is not None:
             out_overlay = outdir / "map_overlay.csv"
-            write_csv(out_overlay, header, map(tuple, overlay.tolist()))
+            write_csv(out_overlay, header, [overlay.T])
             files.append(out_overlay)
     if cfg.output.format in ("pgm", "both"):
         out_pgm = outdir / "map.pgm"
@@ -453,10 +577,8 @@ def run_spectrum(cfg: ScanConfig, outdir: Path) -> list[Path]:
                          gap_threshold=cfg.output.crossing_gap)
     dim = scan.phases.shape[1]
     header = ["tau_s"] + [f"phase_{k + 1}" for k in range(dim)] + ["crossing"]
-    rows = [(tau, *phases, crossing) for tau, phases, crossing in
-            zip(scan.taus.tolist(), scan.phases.tolist(), scan.crossings.astype(int).tolist())]
     out = outdir / "spectrum.csv"
-    write_csv(out, header, rows)
+    write_csv(out, header, [(scan.taus, *scan.phases.T, scan.crossings.astype(int))])
     manifest = outdir / "spectrum_manifest.json"
     write_manifest(manifest, cfg, "spectrum", [out.name])
     return [out, manifest]
@@ -509,8 +631,11 @@ def run_dips(cfg: ScanConfig, outdir: Path) -> list[Path]:
                           f"dip estimates")
     rows = [(s - pulse, *rest) for s, *rest in rows if s - pulse > 0]
     rows.sort(key=lambda r: r[0])
+    tau, method, delta, depth, harmonic = zip(*rows) if rows else [()] * 5
     out = outdir / "dips.csv"
-    write_csv(out, ["tau_dip_s", "method", "delta_rad", "depth", "harmonic"], rows)
+    write_csv(out, ["tau_dip_s", "method", "delta_rad", "depth", "harmonic"],
+              [(np.array(tau, float), method, np.array(delta, float),
+                np.array(depth, float), harmonic)])
     manifest = outdir / "dips_manifest.json"
     write_manifest(manifest, cfg, "dips", [out.name])
     return [out, manifest]

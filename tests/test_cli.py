@@ -322,6 +322,29 @@ def test_commands_leave_no_reference_cycles(tmp_path, command, config):
     assert unreachable == 0
 
 
+def is_float(cell):
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("config", sorted(p.name for p in CONFIGS.glob("*.json")))
+def test_float_cells_of_shipped_configs_are_their_own_percent_17g(tmp_path, capsys, config):
+    # The CSV contract, independent of the writer: every command that runs on
+    # a shipped config writes each float cell as '%.17g' of its value.
+    ran = [command for command in ("map", "trace", "spectrum", "dips")
+           if main([command, "--config", str(CONFIGS / config),
+                     "--output", str(tmp_path / command)]) == 0]
+    capsys.readouterr()
+    cells = [cell for path in sorted(tmp_path.glob("*/*.csv"))
+             for line in path.read_text().splitlines()[1:] for cell in line.split(",")]
+    floats = [cell for cell in cells if is_float(cell)]
+    assert ran and floats
+    assert [cell for cell in floats if "%.17g" % float(cell) != cell] == []
+
+
 def test_overflowing_donor_field_fails_on_one_stderr_line(tmp_path):
     # gamma_e B0 overflows at B0 = 5e299 T, and inf * 0 off the Zeeman
     # diagonal would warn before the error; only a fresh interpreter shows

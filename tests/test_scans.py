@@ -13,8 +13,8 @@ from floqsens import CapacityError, PairSet, PulseSequence, ValidationError, \
     floquet_phase, thermal_coherence_numeric
 from floqsens.config import parse_config
 from floqsens.engine import floquet_row
-from floqsens.scans import _json_text, compute_trace, field_rows, run_dips, run_map, \
-    run_spectrum, run_trace, write_csv, write_pgm
+from floqsens.scans import FORMAT_ARRAY_MIN, _format_floats, _json_text, compute_trace, \
+    field_rows, run_dips, run_map, run_spectrum, run_trace, write_csv, write_pgm
 from conftest import near_crossing
 
 
@@ -307,6 +307,14 @@ def csv_tables(draw, n_kinds):
     return kinds, draw(st.lists(row, max_size=12))
 
 
+def csv_columns(kinds, rows):
+    """The rows of a csv_tables table as one block of columns: float cells
+    as a float array, any other cells as they are."""
+    columns = list(zip(*rows)) or [()] * len(kinds)
+    return [np.array(c, dtype=float) if kind in ("float", "numpy") else c
+            for kind, c in zip(kinds, columns)]
+
+
 class TestWriteCsv:
     @settings(max_examples=150, deadline=None)
     @given(table=st.integers(1, 6).flatmap(csv_tables))
@@ -314,33 +322,106 @@ class TestWriteCsv:
         kinds, rows = table
         header = [f"c{k}" for k in range(len(kinds))]
         path = tmp_path_factory.mktemp("csv") / "out.csv"
-        write_csv(path, header, rows)
+        write_csv(path, header, [csv_columns(kinds, rows)])
         assert path.read_bytes() == reference_csv(header, rows).encode("utf-8")
 
     @settings(max_examples=100, deadline=None)
     @given(keys=st.integers(1, 3).flatmap(csv_tables), body=st.integers(1, 4).flatmap(csv_tables),
            data=st.data())
     def test_keyed_blocks_match_flat_rows(self, tmp_path_factory, keys, body, data):
-        (_, key_rows), (_, rows) = keys, body
+        # Each block starts with the cells of its key, float keys formatted once.
+        (key_kinds, key_rows), (kinds, rows) = keys, body
         blocks = [data.draw(st.lists(st.sampled_from(rows), max_size=5)) if rows else []
                   for _ in key_rows]
         header = ["k"] * len(keys[0]) + ["v"] * len(body[0])
         path = tmp_path_factory.mktemp("csv") / "out.csv"
-        write_csv(path, header, [iter(b) for b in blocks], keys=key_rows)
+        write_csv(path, header, [
+            [np.repeat(_format_floats(np.array([cell])), len(block), axis=0)
+             if kind in ("float", "numpy") else [cell] * len(block)
+             for kind, cell in zip(key_kinds, key)] + csv_columns(kinds, block)
+            for key, block in zip(key_rows, blocks)])
         flat = [key + row for key, block in zip(key_rows, blocks) for row in block]
         assert path.read_bytes() == reference_csv(header, flat).encode("utf-8")
 
     def test_map_layout(self, tmp_path):
-        # run_map passes each tau preformatted and each field as a key.
+        # run_map passes the field and tau cells formatted once per map.
         taus = np.array([1e-6, 2.5e-6, 1e300])
         grid = np.array([[-0.0, 5e-324, 1.0], [np.nan, -1.0, 0.1]])
         fields = np.array([0.05, 0.30000000000000004])
         rows = [(float(f), float(t), float(grid[i, j]))
                 for i, f in enumerate(fields) for j, t in enumerate(taus)]
         write_csv(tmp_path / "a.csv", ["f", "t", "v"],
-                  [zip(["%.17g" % t for t in taus.tolist()], row) for row in grid.tolist()],
-                  keys=[(f,) for f in fields.tolist()])
+                  [(np.repeat(_format_floats(fields), len(taus), axis=0),
+                    np.tile(_format_floats(taus), (len(fields), 1)), grid.ravel())])
         assert (tmp_path / "a.csv").read_text() == reference_csv(["f", "t", "v"], rows)
+
+    def test_blocks_are_written_in_bounded_slices(self, tmp_path, monkeypatch):
+        # A block above BLOCK_BYTES of floats is laid out in several slices.
+        monkeypatch.setattr("floqsens.scans.block_slices",
+                            lambda count, item: (slice(i, min(i + 3, count))
+                                                 for i in range(0, count, 3)))
+        rows = [(0.1 * i, str(i), -1.0 / (i + 1)) for i in range(10)]
+        write_csv(tmp_path / "a.csv", ["a", "b", "c"],
+                  [csv_columns(["float", "str", "float"], rows)])
+        assert (tmp_path / "a.csv").read_text() == reference_csv(["a", "b", "c"], rows)
+
+
+def text(cells):
+    lines = np.concatenate([cells, np.full((len(cells), 1), ord("\n"), np.uint8)], axis=1)
+    return lines[lines != 0].tobytes().decode("ascii").split("\n")[:-1]
+
+
+def formatted(values):
+    """The cells of _format_floats as text, one per value, on its array path:
+    the values repeated up to FORMAT_ARRAY_MIN, the first len(values) kept."""
+    values = np.asarray(values, dtype=float)
+    cells = _format_floats(np.resize(values, max(values.size, FORMAT_ARRAY_MIN)))
+    return text(cells[:values.size])
+
+
+def power_of_ten_neighbours(k):
+    p = float(f"1e{k}")
+    return [q for v in (np.nextafter(p, 0.0), p, np.nextafter(p, np.inf)) for q in (v, -v)]
+
+
+class TestFormatFloats:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.floats(), st.sampled_from(EDGE_FLOATS),
+                              st.floats(-1.0, 1.0), st.floats(1e-300, 1e-290),
+                              st.floats(1e290, 1e300), st.floats(-1e-4, 1e-4),
+                              st.floats(1e15, 1e18)),
+                    min_size=1, max_size=64))
+    def test_matches_percent_17g(self, values):
+        assert formatted(values) == ["%.17g" % v for v in values]
+
+    def test_targeted_values(self):
+        values = [v for k in range(-8, 19) for v in power_of_ten_neighbours(k)]
+        # The fixed/exponent switches at 1e-4/1e-5 and 1e16/1e17, and where 17 digits end.
+        values += [1e-4, 9.9999999999999991e-5, 1e-5, 1.0000000000000001e-5, 1e16, 1e17,
+                   9.9999999999999984e16, 123456789012345678.0]
+        # Doubles that round up into the next decade at 17 digits.
+        values += [1e-14, 1e-70, 1e-305, 1e98, 1e220]
+        # Ties: p + e ends in .5 and rounds to even.
+        values += [1234567890123456.25, 1234567890123456.75, -1234567890123456.25]
+        values += [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, math.inf, -math.inf,
+                   math.nan, 1e-6, 1e-7, 1.7976931348623157e308]
+        assert formatted(values) == ["%.17g" % v for v in values]
+        assert formatted([0.99999999999999994, 1234567890123456.25, 1234567890123456.75]) == \
+            ["0.99999999999999989", "1234567890123456.2", "1234567890123456.8"]
+        # Fewer values than FORMAT_ARRAY_MIN take FLOAT_FORMAT one by one.
+        assert len(values) < FORMAT_ARRAY_MIN
+        assert text(_format_floats(np.array(values))) == ["%.17g" % v for v in values]
+
+    def test_random_bit_patterns(self):
+        # 2^20 doubles: half of them any bit pattern, half with an exponent
+        # from 2^-30 to 2^62, around the range [1e-7, 1e17) formatted
+        # without FLOAT_FORMAT.
+        rng = np.random.default_rng(19)
+        bits = rng.integers(0, 2 ** 64, 2 ** 20, dtype=np.uint64)
+        exponents = rng.integers(993, 1086, 2 ** 19, dtype=np.uint64)
+        bits[1::2] = (bits[1::2] & np.uint64(0x800FFFFFFFFFFFFF)) | (exponents << np.uint64(52))
+        values = bits.view(np.float64)
+        assert formatted(values) == ["%.17g" % v for v in values.tolist()]
 
 
 class TestAtomicOutput:
