@@ -13,13 +13,20 @@ one eigenphase multiset and makes each u-mode the half-period image of
 its d-partner.  Finite pulse durations keep the same product structure
 (see PulseSequence).
 
-One cell builder serves every path: ``_cell_blocks`` builds W_u and W_d
-for a stack of cells, each cell one (Hamiltonian pair, free interval)
-item, in consecutive blocks of at most ``linalg.BLOCK_BYTES``.
-``_half_period_blocks`` is its full-space call on one pair over a tau
-grid, ``half_period_operators`` the one-tau call of that, so a cell of
+The fast paths (``floquet_rows`` and ``spectrum_scan``) build every cell
+with one builder, ``_cell_blocks``, in the eigenbasis V_u of its sector's
+H_u: with X = V_u^dag V_d computed once per sector, T_u(t) is the
+diagonal D_u = exp(-i E_u t) and T_d(t) is Y = X exp(-i E_d t) X^dag, so
+W_u = D_u Y and W_d = Y D_u cost one (d, d) product per cell and a
+spectrum cell T_u2 = D_u (X exp(-2 i E_d t) X^dag) D_u costs one too.
+These cells are similar to the computational-basis ones by the
+tau-independent V_u: eigenphases, mode overlaps from tau to tau,
+Re tr(P_u^dag P_d) and the envelope floor agree in exact arithmetic.
+``_half_period_blocks`` builds the computational-basis cells of one pair
+over a tau grid on the full space, the reference the tests compare
+against, ``half_period_operators`` is its one-tau call, so a cell of
 ``unit_cell`` equals the matching cell of a stacked build bit for bit.
-One eigensolver serves every path too: ``linalg.eig_unitaries`` returns
+One eigensolver serves every path: ``linalg.eig_unitaries`` returns
 orthonormal modes of a stack of cells (Cayley transform and batched
 ``eigh``) at any phase gap, and ``eig_unitary``, which ``floquet_pair``
 calls, is its one-cell call.  The per-tau functions (``unit_cell``,
@@ -51,20 +58,24 @@ the kernel computes only the requested quantities, block by block:
   sectors, and a crossing between sectors is a true crossing.
 
 Sectors add up in a fixed order, so a value depends only on its own row
-and tau.
+and tau.  Each sector's Hamiltonians are stored less their first
+diagonal entries (c_u, c_d), a phase common to the sector: rows drop it,
+since it cancels in both quantities, and spectra add 2 (c_u + c_d) t back.
 
-``spectrum_scan`` builds full-space cells with ``_half_period_blocks``,
-solves its T_u2 blocks the same way and tracks the modes from tau to
-tau: one batched product gives the mode overlaps of each cell with the
-one before it, a row maximum above TRACKING_OVERLAP is the unique best
-continuation of its mode, and only a tau where modes mix goes to SciPy's
-``linear_sum_assignment``.  Every stacked cell passes the
+``spectrum_scan`` works on the same sectors.  The cells of all sectors of
+one size are stacked in (tau, sector) order and solved block by block,
+and each sector tracks its own modes from tau to tau: one batched product
+gives the mode overlaps of each cell with the one before it, a row
+maximum above TRACKING_OVERLAP is the unique best continuation of its
+mode, and only a cell whose modes mix goes to SciPy's
+``linear_sum_assignment``.  A crossing between sectors is a true
+crossing and needs no assignment.  Every stacked cell passes the
 ``UNITARITY_TOL`` check of the per-tau path, and errors, those of the
 eigensolver included, name the failing tau (``errors.locate``).  The
 envelope also checks the half-period identity at every tau: the residual
 ||T_d2 W_d Phi - lambda W_d Phi|| must stay below ``PHASE_MATCH_TOL``.
-The sector kernel and the per-tau path agree to a few 1e-14, not bit
-for bit.
+The sector paths and the per-tau path agree to a few 1e-14 on cluster
+baths, not bit for bit.
 """
 
 from __future__ import annotations
@@ -158,7 +169,11 @@ class ConditionalHamiltonians:
         it stops growing.  Cluster baths conserve total Iz, so their
         sectors are the Iz sectors, or finer ones where a coupling is
         exactly 0.  One ``SectorStack`` per sector size, ascending; the
-        sectors of a stack are ordered by their smallest state.
+        sectors of a stack are ordered by their smallest state.  Each
+        branch's first diagonal entry of a sector block is subtracted
+        before its ``eigh``: a phase common to the whole sector, which
+        would otherwise limit its phases to about eps |H| t (the donor level
+        energy of ``joint_full``, where the subtraction is exact).
         """
         reach = (self.h_u != 0) | (self.h_d != 0) | np.eye(self.dim, dtype=bool)
         reach |= reach.T
@@ -174,54 +189,59 @@ class ConditionalHamiltonians:
         for s in sorted(set(size.tolist())):
             index = by_sector[size[by_sector] == s].reshape(-1, s)
             block = index[:, :, None], index[:, None, :]
-            energies, modes = np.linalg.eigh(np.concatenate([self.h_u[block], self.h_d[block]]))
+            h = np.concatenate([self.h_u[block], self.h_d[block]])
+            offsets = h[:, 0, 0].real.copy()
+            h[:, np.arange(s), np.arange(s)] -= offsets[:, None]
+            energies, modes = np.linalg.eigh(h)
             k = len(index)
-            out.append(SectorStack(index, (energies[:k], modes[:k]), (energies[k:], modes[k:])))
+            out.append(SectorStack(index, energies[:k], energies[k:],
+                                   modes[:k].conj().swapaxes(-1, -2) @ modes[k:],
+                                   offsets.reshape(2, k).T))
         return tuple(out)
 
     @property
     def spectral_radius(self) -> float:
-        """Largest |eigenvalue| of H_u and H_d, from the sector eigenvalues."""
-        return max(float(np.abs(eig[0]).max())
-                   for stack in self.sectors for eig in (stack.eig_u, stack.eig_d))
+        """Largest |eigenvalue| of H_u and H_d, from the sector eigenvalues and offsets."""
+        return max(float(np.abs(energies + stack.offsets[:, b, None]).max())
+                   for stack in self.sectors
+                   for b, energies in enumerate((stack.energies_u, stack.energies_d)))
 
 
 class SectorStack(NamedTuple):
-    """The k sectors of one size s of a Hamiltonian pair: ``index`` (k, s)
-    holds the states of each, ascending, and ``eig_u``, ``eig_d`` the
-    eigen-decompositions (energies (k, s), modes (k, s, s)) of H_u and H_d
-    restricted to them."""
+    """The k sectors of one size s of a Hamiltonian pair.
+
+    ``index`` (k, s) holds the states of each sector, ascending, and
+    ``offsets`` (k, 2) the first diagonal entries (c_u, c_d) of H_u and H_d
+    there.  With H_i - c_i 1 = V_i E_i V_i^dag on a sector, ``energies_u``
+    and ``energies_d`` (k, s) are E_u and E_d and ``transfer`` (k, s, s) is
+    X = V_u^dag V_d.
+    """
 
     index: np.ndarray
-    eig_u: tuple[np.ndarray, np.ndarray]
-    eig_d: tuple[np.ndarray, np.ndarray]
+    energies_u: np.ndarray
+    energies_d: np.ndarray
+    transfer: np.ndarray
+    offsets: np.ndarray
 
 
-def _propagators(energies: np.ndarray, vectors: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """exp(-i H_k t_k) for each k, from the eigen-decompositions (energies[k], vectors[k])."""
-    return ((vectors * np.exp(-1j * energies * t[:, None])[:, None, :])
-            @ vectors.conj().swapaxes(-1, -2))
+def _cell_blocks(energies_u: np.ndarray, energies_d: np.ndarray, transfer: np.ndarray,
+                 j: np.ndarray, t: np.ndarray):
+    """Yield (block, D_u, Y) over ``block_slices`` of the cells k, in the eigenbasis of H_u.
 
-
-def _cell_blocks(eig_u, eig_d, j: np.ndarray, t: np.ndarray, pulse: np.ndarray | None = None):
-    """Yield (block, W_u, W_d) over ``block_slices`` of the cells k, W_i as (n, d, d) arrays.
-
-    ``eig_u`` and ``eig_d`` are stacked eigen-decompositions (energies
-    (m, d), modes (m, d, d)); cell k evolves under pair j[k] for the free
-    interval t[k].  Each slice holds as many (d, d) complex cells as fit
-    BLOCK_BYTES, so for d > 64 a block of one cell exceeds it.  ``pulse``,
-    if given, sits between the two factors (see PulseSequence).
+    Cell k evolves under sector pair j[k] of the stacked ``energies_u``,
+    ``energies_d`` (m, d) and ``transfer`` (m, d, d) (see SectorStack) for
+    the free interval t[k].  In the basis V_u of its pair T_u(t) is
+    diagonal, D_u = exp(-i E_u t), returned as an (n, d) array, and T_d(t)
+    is Y = X exp(-i E_d t) X^dag, (n, d, d): so W_u = D_u Y and W_d = Y D_u,
+    one product per cell.  Each slice holds as many (d, d) complex cells as
+    fit BLOCK_BYTES, so for d > 64 a block of one cell exceeds it.
     """
-    for block in block_slices(t.size, 16 * eig_u[1].shape[-1] ** 2):
+    for block in block_slices(t.size, 16 * transfer.shape[-1] ** 2):
         pair = j[block]
-        a_u = _propagators(eig_u[0][pair], eig_u[1][pair], t[block])
-        a_d = _propagators(eig_d[0][pair], eig_d[1][pair], t[block])
-        if pulse is None:
-            w_u, w_d = a_u @ a_d, a_d @ a_u
-        else:
-            w_u, w_d = a_u @ pulse @ a_d, a_d @ pulse @ a_u
-        del a_u, a_d  # not held while the caller works on the block
-        yield block, w_u, w_d
+        x = transfer[pair]
+        interval = t[block, None]
+        y = (x * np.exp(-1j * energies_d[pair] * interval)[:, None, :]) @ x.conj().swapaxes(-1, -2)
+        yield block, np.exp(-1j * energies_u[pair] * interval), y
 
 
 def _require_pulse_duration(pulse_duration: float) -> None:
@@ -234,10 +254,11 @@ def _half_period_blocks(ch: ConditionalHamiltonians, taus: np.ndarray,
                         intra_pulse_hamiltonian: np.ndarray | None = None):
     """Yield (block, W_u, W_d) over consecutive slices of ``taus``, W_i as (n, D, D) arrays.
 
-    The full-space call of ``_cell_blocks``: H_u and H_d are diagonalized
-    once, and cell k is tau k.  The free interval is tau + pulse_duration;
-    with an intra-pulse Hamiltonian it is tau and exp(-i H_pulse 2 delta)
-    sits between the two factors (see PulseSequence).
+    The computational-basis reference of the fast cells: H_u and H_d are
+    diagonalized once on the full space, and cell k is tau k.  The free
+    interval is tau + pulse_duration; with an intra-pulse Hamiltonian it is
+    tau and exp(-i H_pulse 2 delta) sits between the two factors (see
+    PulseSequence).
     """
     _require_pulse_duration(pulse_duration)
     pulse = None
@@ -247,8 +268,16 @@ def _half_period_blocks(ch: ConditionalHamiltonians, taus: np.ndarray,
             raise ValidationError("intra_pulse_hamiltonian dimension does not match the bath")
         pulse = expm_hermitian(h_pulse, 2 * pulse_duration)
     t = taus if pulse is not None else taus + pulse_duration
-    yield from _cell_blocks(np.linalg.eigh(ch.h_u[None]), np.linalg.eigh(ch.h_d[None]),
-                            np.zeros(taus.size, dtype=int), t, pulse)
+    eigs = np.linalg.eigh(ch.h_u), np.linalg.eigh(ch.h_d)
+    for block in block_slices(taus.size, 16 * ch.dim ** 2):
+        a_u, a_d = ((v * np.exp(-1j * e * t[block, None])[:, None, :]) @ v.conj().T
+                    for e, v in eigs)
+        if pulse is None:
+            w_u, w_d = a_u @ a_d, a_d @ a_u
+        else:
+            w_u, w_d = a_u @ pulse @ a_d, a_d @ pulse @ a_u
+        del a_u, a_d  # not held while the caller works on the block
+        yield block, w_u, w_d
 
 
 def half_period_operators(ch: ConditionalHamiltonians,
@@ -553,7 +582,9 @@ def floquet_rows(chs, taus, n_p: int, quantities: tuple[str, ...] = QUANTITIES,
     envelope_general(floquet_pair(...)) at each tau.  Every cell is
     block-diagonal in the sectors of its pair (``ConditionalHamiltonians.sectors``);
     the cells of one sector size, over all rows, sectors and taus, form one
-    stack built by ``_cell_blocks``, in (row, tau, sector) order.  Sector b
+    stack built by ``_cell_blocks``, in (row, tau, sector) order.  The
+    sector offsets are left out: e^{-i (c_u + c_d) t} is a phase common to
+    W_u and W_d, so it cancels in P_u^dag P_d and in |M|^2.  Sector b
     of a row of dimension D adds Re tr_b(P_u^dag P_d) to D times the
     coherence, P_i = T_i2^n_p from ``unitary_power``, and twice its
     cluster-summed weight w_b (``_stacked_floor``) to D (floor + 1).  The
@@ -588,15 +619,16 @@ def floquet_rows(chs, taus, n_p: int, quantities: tuple[str, ...] = QUANTITIES,
     for group in (groups[size] for size in sorted(groups)):
         slots = np.concatenate([own for _, _, own in group])
         rows = np.concatenate([np.full(own.size, i) for i, _, own in group])
-        eig = [np.concatenate(a)
-               for a in zip(*(stack.eig_u + stack.eig_d for _, stack, _ in group))]
+        pairs = [np.concatenate(a) for a in zip(*((stack.energies_u, stack.energies_d,
+                                                   stack.transfer) for _, stack, _ in group))]
         # Cells in (row, tau, sector) order: a stable sort of (sector, tau) by row and tau.
         order = np.argsort(np.repeat(rows * taus.size, taus.size)
                            + np.tile(np.arange(taus.size), rows.size), kind="stable")
         j, k = np.divmod(order, taus.size)
-        for block, w_u, w_d in _cell_blocks(eig[:2], eig[2:], j, t[k]):
+        for block, d_u, y in _cell_blocks(*pairs, j, t[k]):
             try:
-                values = _sector_values(w_u, w_d, int(n_p), quantities)
+                values = _sector_values(d_u[:, :, None] * y, y * d_u[:, None, :], int(n_p),
+                                        quantities)
             except (ValidationError, NumericalConsistencyError) as exc:  # located in the block
                 c = block.start + exc.index
                 failures.append((rows[j[c]], k[c], exc))
@@ -662,58 +694,98 @@ def spectrum_scan(ch: ConditionalHamiltonians, tau_grid: np.ndarray,
                   gap_threshold: float = 1e-2) -> SpectrumScan:
     """Track cell eigenphases along ascending tau, keeping trajectories smooth.
 
-    The cells T_u2 of each tau block pass the UNITARITY_TOL check and are
-    diagonalized in one ``eig_unitaries`` call.  Each cell's modes are
-    matched to the previous cell's by the assignment of largest total
-    overlap, so a column follows one Floquet state through avoided
-    crossings instead of jumping at each phase sort.  The overlaps
-    |Phi_{i-1}^dag Phi_i| of a block come from one batched product.  They
-    are the magnitudes of a unitary matrix, so when every row has an entry
-    above TRACKING_OVERLAP the row maxima lie in distinct columns, and any
-    other assignment loses at least 0.75 - sqrt(1 - 0.75^2) > 0.08 on
-    each row it changes: the argmaxes are the unique optimum.  Only a tau
-    where modes mix (some row below the threshold) calls
-    ``linear_sum_assignment``, the one place a spectrum needs SciPy.
-    ``min_gaps`` is the smallest phase gap per tau and ``crossings`` marks
-    the gaps below ``gap_threshold``.  Errors name the failing tau.
+    Every cell is block-diagonal in the sectors of ``ch``
+    (``ConditionalHamiltonians.sectors``), so each sector tracks its own
+    modes (``_sector_trajectories``) and a crossing between sectors is a
+    true crossing.  The columns are the trajectories of all sectors,
+    ascending at the first tau.  ``min_gaps`` is the smallest phase gap
+    over all D phases per tau and ``crossings`` marks the gaps below
+    ``gap_threshold``.  Errors name the first failing tau.
     """
     taus = _require_taus(tau_grid)
     if taus.size < 1 or np.any(np.diff(taus) <= 0):
         raise ValidationError("tau grid must be non-empty and strictly ascending")
-    d = ch.dim
-    phases = np.empty((taus.size, d))
-    min_gaps = np.empty(taus.size)
-    prev_modes = None
-    order = list(range(d))
-    for block, w_u, w_d in _half_period_blocks(ch, taus, pulse_duration):
-        cells = w_u @ w_d
+    _require_pulse_duration(pulse_duration)
+    t = taus + pulse_duration
+    columns, failures = [], []
+    for stack in ch.sectors:
         try:
-            require_unitary(cells)
-            block_phases, block_modes = eig_unitaries(cells)
-        except (ValidationError, NumericalConsistencyError) as exc:  # located in the block
-            i = block.start + exc.index
-            raise locate(exc, i, f"tau[{i}] = {taus[i]:g}")
-        if prev_modes is None:
-            prev_modes = block_modes[0]  # the first cell continues itself
-        # chain[k] precedes chain[k + 1], the cell of block index k.
-        chain = np.concatenate([prev_modes[None], block_modes])
-        overlaps = np.abs(chain[:-1].conj().swapaxes(-1, -2) @ chain[1:])
-        clear = (overlaps.max(axis=-1) > TRACKING_OVERLAP).all(axis=-1).tolist()
-        orders = []
-        for k, best in enumerate(overlaps.argmax(axis=-1).tolist()):
-            if clear[k]:
-                order = [best[j] for j in order]
-            else:
-                order = _assign_modes(chain[k][:, order], chain[k + 1])
-            orders.append(order)
-        phases[block] = np.take_along_axis(block_phases, np.array(orders), axis=-1)
-        prev_modes = block_modes[-1]
-        min_gaps[block] = _smallest_gap(phases[block])
+            columns.append(_sector_trajectories(stack, t))
+        except (ValidationError, NumericalConsistencyError) as exc:  # located at its tau
+            failures.append(exc)
+    if failures:
+        exc = min(failures, key=lambda f: f.index)
+        raise locate(exc, exc.index, f"tau[{exc.index}] = {taus[exc.index]:g}")
+    phases = np.concatenate(columns, axis=1)
+    phases = phases[:, np.argsort(phases[0], kind="stable")]
+    min_gaps = _smallest_gap(phases)
     return SpectrumScan(taus=taus, phases=phases,
                         crossings=min_gaps < gap_threshold, min_gaps=min_gaps)
 
 
-def _assign_modes(prev_modes: np.ndarray, modes: np.ndarray) -> list[int]:
+def _sector_trajectories(stack: SectorStack, t: np.ndarray) -> np.ndarray:
+    """Tracked eigenphases (n_tau, k s) of the cells T_u2 of the k sectors of ``stack``.
+
+    The cells of all k sectors and every free interval t are built in
+    (tau, sector) order by ``_cell_blocks``, one product each:
+    T_u2 = D_u (X exp(-2 i E_d t) X^dag) D_u.  Each block passes the
+    UNITARITY_TOL check and is diagonalized in one ``eig_unitaries`` call.
+    A sector's modes are matched to those of its cell at the previous tau
+    by the assignment of largest total overlap, so a column follows one
+    Floquet state through avoided crossings instead of jumping at each
+    phase sort.  The overlaps |Phi_{i-1}^dag Phi_i| of a block come from
+    one batched product.  They are the magnitudes of a unitary matrix, so
+    when every row has an entry above TRACKING_OVERLAP the row maxima lie
+    in distinct columns, and any other assignment loses at least
+    0.75 - sqrt(1 - 0.75^2) > 0.08 on each row it changes: the argmaxes
+    are the unique optimum.  Only a cell whose modes mix (some row below
+    the threshold) calls ``linear_sum_assignment``, the one place a
+    spectrum needs SciPy.  Columns are sector by sector, in the order of
+    the sector's phases at the first tau, with the offset phase
+    2 (c_u + c_d) t added back and folded into (-pi, pi].  An error's
+    ``index`` is its tau.
+    """
+    k, s = stack.index.shape
+    j = np.tile(np.arange(k), t.size)
+    tau_of = np.repeat(np.arange(t.size), k)
+    phases = np.empty((t.size * k, s))
+    last = np.empty((k, s, s), dtype=complex)  # the latest modes of each sector
+    orders = np.tile(np.arange(s), (k, 1))
+    for block, d_u, y in _cell_blocks(stack.energies_u, 2 * stack.energies_d, stack.transfer,
+                                      j, t[tau_of]):
+        try:
+            cells = d_u[:, :, None] * y * d_u[:, None, :]
+            require_unitary(cells)
+            block_phases, block_modes = eig_unitaries(cells)
+        except (ValidationError, NumericalConsistencyError) as exc:  # located in the block
+            raise locate(exc, tau_of[block.start + exc.index])
+        # A cell continues the one k cells before it: earlier in this block,
+        # in ``last``, or, at the first tau, itself.
+        chain = np.concatenate([last, block_modes])
+        c = np.arange(block.stop - block.start)
+        before = np.where(c >= k, c, np.where(block.start + c >= k, j[block], c + k))
+        overlaps = np.abs(chain[before].conj().swapaxes(-1, -2) @ block_modes)
+        clear = (overlaps.max(axis=-1) > TRACKING_OVERLAP).all(axis=-1)
+        best = overlaps.argmax(axis=-1)
+        # Each cell keeps its sector's order unless its modes mix or the row
+        # maxima permute them; cells c, c + k, ... of a block share a sector.
+        cell_orders = orders[j[block]]
+        for i in np.flatnonzero(~clear | (best != np.arange(s)).any(axis=-1)).tolist():
+            b = j[block.start + i]
+            if clear[i]:
+                orders[b] = best[i, orders[b]]
+            else:
+                orders[b] = _assign_modes(chain[before[i]][:, orders[b]], block_modes[i])
+            cell_orders[i::k] = orders[b]
+        phases[block] = np.take_along_axis(block_phases, cell_orders, axis=-1)
+        last[j[block][-k:]] = block_modes[-k:]
+    offsets = 2 * stack.offsets.sum(axis=1)[:, None] * t[:, None, None]
+    phases = -np.angle(np.exp(-1j * (phases.reshape(t.size, k, s) + offsets)))
+    phases[phases <= -np.pi] += 2 * np.pi
+    return phases.reshape(t.size, k * s)
+
+
+def _assign_modes(prev_modes: np.ndarray, modes: np.ndarray) -> np.ndarray:
     """Column of ``modes`` that continues each column of ``prev_modes``, by largest total overlap."""
     # Imported here, not at module level: SciPy is most of a cold start.
     from scipy.optimize import linear_sum_assignment
@@ -721,4 +793,4 @@ def _assign_modes(prev_modes: np.ndarray, modes: np.ndarray) -> list[int]:
     rows, cols = linear_sum_assignment(-np.abs(prev_modes.conj().T @ modes))
     order = np.empty(modes.shape[-1], dtype=int)
     order[rows] = cols
-    return order.tolist()
+    return order

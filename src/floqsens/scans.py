@@ -24,8 +24,8 @@ floor does not depend on the eigenbasis picked inside a cluster.
 A run whose largest accumulated phase exceeds ``MAX_PHASE_RAD`` is
 rejected with ValidationError (CLI exit 2) before anything is written;
 past that phase cos and sin lose their significant digits.  The phase is
-the spectral radius of H_u, H_d (on the engine's map path from their
-sector eigenvalues, ``ConditionalHamiltonians.spectral_radius``) times
+the spectral radius of H_u, H_d (for the engine's maps and spectra from
+their sector eigenvalues and offsets, ``ConditionalHamiltonians.spectral_radius``) times
 ``cells`` cells of length 4 max(tau + delta): n_p cells where coherence
 or dip depths are computed, one for envelope-only rows and spectra.
 
@@ -147,11 +147,6 @@ def _row_hamiltonians(cfg: ScanConfig, field_value: float | None,
     if kind == "joint_full":
         return joint_full_model(cfg.donor, cfg.system, _field_b0(cfg, field_value))
     return _two_state_models(cfg, field_value, pols)[0].conditional()
-
-
-def _spectral_radius(ch: ConditionalHamiltonians) -> float:
-    """Largest |eigenvalue| of H_u and H_d; a spectrum needs no sector modes."""
-    return max(float(np.abs(np.linalg.eigvalsh(h)).max()) for h in (ch.h_u, ch.h_d))
 
 
 def _require_phase(radius: float, tau_max: float, delta: float, cells: int) -> None:
@@ -571,7 +566,7 @@ def run_spectrum(cfg: ScanConfig, outdir: Path) -> list[Path]:
     if cfg.field_axis is not None:
         raise ConfigError("spectrum takes a single tau axis; drop the field axis")
     ch = _row_hamiltonians(cfg, None, *_polarizations(cfg, [None]))
-    _require_phase(_spectral_radius(ch), cfg.tau_axis.stop, cfg.sequence.pulse_duration, 1)
+    _require_phase(ch.spectral_radius, cfg.tau_axis.stop, cfg.sequence.pulse_duration, 1)
     scan = spectrum_scan(ch, cfg.tau_axis.values(),
                          pulse_duration=cfg.sequence.pulse_duration,
                          gap_threshold=cfg.output.crossing_gap)

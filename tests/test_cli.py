@@ -427,20 +427,22 @@ def test_unitarity_failures_in_two_rows_name_the_lower_row(tmp_path, capsys, mon
     cfg = parse_config(doc)
     fields = cfg.field_axis.values().tolist()
     taus = cfg.tau_axis.values().tolist()
-    h_u = [_row_hamiltonians(cfg, f, p).h_u.real
-           for f, p in zip(fields, _polarizations(cfg, fields))]
-    marked = {(h_u[3][0, 0], taus[2]), (h_u[1][0, 0], taus[6]), (h_u[1][7, 7], taus[4])}
-    original = engine._propagators
+    sectors = [_row_hamiltonians(cfg, f, p).sectors[0].index.tolist()
+               for f, p in zip(fields, _polarizations(cfg, fields))]
+    assert sectors == [[[0], [7]]] * len(fields)
+    # The one-state stack of the map is rows 0..4, each |uuu> then |ddd>.
+    marked = {(2 * 3, taus[2]), (2 * 1, taus[6]), (2 * 1 + 1, taus[4])}
+    original = engine._cell_blocks
 
-    def leaky(energies, vectors, t):
-        out = original(energies, vectors, t)
-        if energies.shape[1] == 1:
-            for k, cell in enumerate(zip(energies[:, 0].tolist(), t.tolist())):
-                if cell in marked:
-                    out[k] *= 1.0 + 1e-6
-        return out
+    def leaky(energies_u, energies_d, transfer, j, t):
+        for block, d_u, y in original(energies_u, energies_d, transfer, j, t):
+            if transfer.shape[-1] == 1:
+                for k, cell in enumerate(zip(j[block].tolist(), t[block].tolist())):
+                    if cell in marked:
+                        d_u[k] *= 1.0 + 1e-6
+            yield block, d_u, y
 
-    monkeypatch.setattr(engine, "_propagators", leaky)
+    monkeypatch.setattr(engine, "_cell_blocks", leaky)
     outdir = tmp_path / "out"
     assert main(["map", "--config", write_cfg(tmp_path / "c.json", doc),
                  "--output", str(outdir)]) == 2

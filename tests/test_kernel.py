@@ -16,6 +16,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 import floqsens.engine as engine
 import floqsens.linalg as linalg
@@ -32,6 +33,7 @@ from floqsens import (
     SymmetryViolationError,
     ValidationError,
     conditional_cluster_hamiltonians,
+    eig_unitary,
     envelope_general,
     expm_hermitian,
     floquet_pair,
@@ -48,6 +50,11 @@ from floqsens.scans import (_polarizations, _row_hamiltonians, compute_trace, fi
                             run_map, run_trace)
 
 ATOL = 1e-10
+# Sector spectra against the eigenphases of the full-space cell: 1e-12 plus
+# SPECTRUM_EPS ulps of the phase a cell accumulates.  The full-space cell
+# of a D = 32 joint_full bath missed the sector phases by up to 6.3 ulps.
+SPECTRUM_ATOL = 1e-12
+SPECTRUM_EPS = 16
 CONFIGS = Path(__file__).resolve().parents[1] / "scripts" / "configs"
 
 
@@ -414,24 +421,45 @@ def check_sectors(ch, cluster):
 def test_sector_rows_match_the_per_tau_oracles(cluster, kind, fields, taus, n_p, delta,
                                                quantities):
     chs = [conditional_cluster_hamiltonians(cluster, p_u, p_d) if kind == "cluster3"
-           else offset_free(joint_full_model(si_bi(), cluster, b0)) for p_u, p_d, b0 in fields]
+           else joint_full_model(si_bi(), cluster, b0) for p_u, p_d, b0 in fields]
     got = floquet_rows(chs, taus, n_p, quantities, pulse_duration=delta)
     assert set(got) == set(quantities)
     for i, ch in enumerate(chs):
         check_sectors(ch, cluster)
-        want = per_tau(ch, taus, n_p, delta)
+        want = per_tau(offset_free(ch) if kind == "joint_full" else ch, taus, n_p, delta)
         for quantity in quantities:
             np.testing.assert_allclose(got[quantity][i], want[quantity], rtol=0, atol=ATOL)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cluster=spin_clusters(), kind=st.sampled_from(["cluster3", "joint_full"]),
+       pols=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)), b0=st.floats(0.0, 0.4),
+       taus=st.lists(st.floats(2e-5, 3e-4), min_size=1, max_size=5, unique=True),
+       delta=st.sampled_from([0.0, 3e-6]))
+def test_sector_spectra_match_the_full_cell_phases(cluster, kind, pols, b0, taus, delta):
+    # Circular multisets of phases at each tau; a cell accumulates the
+    # phase 4 |H| (tau + delta).
+    ch = conditional_cluster_hamiltonians(cluster, *pols) if kind == "cluster3" \
+        else joint_full_model(si_bi(), cluster, b0)
+    taus = np.sort(taus)
+    scan = spectrum_scan(ch, taus, pulse_duration=delta)
+    for i, tau in enumerate(taus):
+        cell, _ = unit_cell(ch, PulseSequence(tau=float(tau), n_p=1, pulse_duration=delta))
+        gaps = engine._circular_gap(scan.phases[i], eig_unitary(cell).phases)
+        rows, cols = linear_sum_assignment(gaps)
+        phase = 4 * ch.spectral_radius * (tau + delta)
+        assert gaps[rows, cols].max() <= SPECTRUM_ATOL + SPECTRUM_EPS * np.finfo(float).eps * phase
 
 
 def offset_free(ch):
     """``ch`` without the donor level energy E on its diagonal, subtracted exactly.
 
     E 1 is a global phase of each branch and cancels in both quantities,
-    but at about 2e10 rad/s it leaves the stored Hamiltonians a phase
-    resolution of only about eps E t: both paths then miss an offset-free
-    computation by up to about 1e-7.  Every diagonal entry lies within a
-    factor 2 of the first, so the subtraction is exact.
+    but at about 2e10 rad/s it leaves the full-space Hamiltonians a phase
+    resolution of only about eps E t: the per-tau path then misses an
+    offset-free computation by up to about 1e-7.  The sector kernel
+    subtracts the offset of each sector itself.  Every diagonal entry lies
+    within a factor 2 of the first, so the subtraction is exact.
     """
     eye = np.eye(ch.dim)
     return ConditionalHamiltonians(ch.h_u - ch.h_u[0, 0].real * eye,

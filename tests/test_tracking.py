@@ -4,14 +4,17 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
+import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 import floqsens.engine as engine
+import floqsens.linalg as linalg
 from floqsens import ConditionalHamiltonians, SpinCluster, conditional_cluster_hamiltonians, \
-    expm_hermitian, joint_full_model, si_bi, spectrum_scan
-from floqsens.engine import TRACKING_OVERLAP, _circular_gap, _half_period_blocks, _smallest_gap
+    eig_unitary, expm_hermitian, joint_full_model, si_bi, spectrum_scan
+from floqsens.engine import TRACKING_OVERLAP, _cell_blocks, _circular_gap, _smallest_gap
 from floqsens.linalg import eig_unitaries
 from floqsens.sensors import donor_pair_polarizations
 from conftest import random_hermitian
@@ -28,25 +31,38 @@ def all_pairs_gap(phases):
 
 
 def per_tau_scan(ch, taus, pulse_duration=0.0, gap_threshold=1e-2):
-    """(phases, crossings) with one linear_sum_assignment per tau (the tracking oracle)."""
-    d = ch.dim
-    phases = np.empty((taus.size, d))
-    min_gaps = np.empty(taus.size)
-    prev_modes = None
-    order = np.arange(d)
-    for block, w_u, w_d in _half_period_blocks(ch, taus, pulse_duration):
-        block_phases, block_modes = eig_unitaries(w_u @ w_d)
-        for i, cell_phases, modes in zip(range(block.start, block.stop),
-                                         block_phases, block_modes):
-            if prev_modes is not None:
-                affinity = np.abs(prev_modes.conj().T @ modes)
-                rows, cols = linear_sum_assignment(-affinity)
-                order = np.empty(d, dtype=int)
-                order[rows] = cols
-            phases[i] = cell_phases[order]
-            prev_modes = modes[:, order]
-        min_gaps[block] = all_pairs_gap(phases[block])
-    return phases, min_gaps < gap_threshold
+    """(phases, crossings) with one linear_sum_assignment per tau and sector (the tracking oracle).
+
+    Each sector's cells T_u2 = D_u Y(2 tau) D_u come from the engine's cell
+    builder one sector at a time, so they equal the cells of the scan.
+    """
+    t = taus + pulse_duration
+    columns = []
+    for stack in ch.sectors:
+        k, s = stack.index.shape
+        for b in range(k):
+            phases = np.empty((taus.size, s))
+            prev_modes = None
+            order = np.arange(s)
+            for block, d_u, y in _cell_blocks(stack.energies_u, 2 * stack.energies_d,
+                                              stack.transfer, np.full(taus.size, b), t):
+                block_phases, block_modes = eig_unitaries(d_u[:, :, None] * y * d_u[:, None, :])
+                for i, cell_phases, modes in zip(range(block.start, block.stop),
+                                                 block_phases, block_modes):
+                    if prev_modes is not None:
+                        affinity = np.abs(prev_modes.conj().T @ modes)
+                        rows, cols = linear_sum_assignment(-affinity)
+                        order = np.empty(s, dtype=int)
+                        order[rows] = cols
+                    phases[i] = cell_phases[order]
+                    prev_modes = modes[:, order]
+            # The sector's offset phase 2 (c_u + c_d) t, folded into (-pi, pi].
+            phases = -np.angle(np.exp(-1j * (phases + 2 * stack.offsets[b].sum() * t[:, None])))
+            phases[phases <= -np.pi] += 2 * np.pi
+            columns.append(phases)
+    phases = np.concatenate(columns, axis=1)
+    phases = phases[:, np.argsort(phases[0], kind="stable")]
+    return phases, all_pairs_gap(phases) < gap_threshold
 
 
 def counting_fallbacks(monkeypatch):
@@ -102,6 +118,20 @@ def test_coarse_shipped_grid_takes_the_fallback(monkeypatch):
     assert not calls
 
 
+@pytest.mark.parametrize("budget", [0, 16 * 9 * 3, 5000])
+def test_tracking_carries_each_sector_across_blocks(monkeypatch, budget):
+    # Blocks of one cell, of three (a tau split between blocks) and of 34
+    # continue each sector from the last cell of the block before.
+    ch = conditional_cluster_hamiltonians(
+        SpinCluster([1.8e5, 0.0, 1e5], [[0.0, 1.05e3, 2.2e3], [1.05e3, 0.0, 1.05e3],
+                                        [2.2e3, 1.05e3, 0.0]]), 0.3, -0.5)
+    taus = np.linspace(2e-5, 3.2e-4, 60)
+    whole = spectrum_scan(ch, taus)
+    monkeypatch.setattr(linalg, "BLOCK_BYTES", budget)
+    assert spectrum_scan(ch, taus).phases.tobytes() == whole.phases.tobytes()
+    assert_matches_oracle(ch, taus)
+
+
 def test_degenerate_cells_match_oracle(rng):
     # Identical conditional Hamiltonians with a doubly degenerate spectrum:
     # inside a degenerate pair the solver's modes are any basis.
@@ -109,6 +139,40 @@ def test_degenerate_cells_match_oracle(rng):
     zero = np.zeros((3, 3))
     doubled = np.block([[h, zero], [zero, h]])
     assert_matches_oracle(ConditionalHamiltonians(doubled, doubled), np.linspace(0.01, 3.0, 40))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_a_crossing_between_sectors_is_a_true_crossing(monkeypatch, seed):
+    # Sector {3, 4, 5} is sector {0, 1, 2} with both Hamiltonians shifted by
+    # pi/2: its cells carry the extra phase 4 (pi/2) tau, and at tau = 1 all
+    # of its phases cross those of the other sector exactly.
+    rng = np.random.default_rng(seed)
+    a_u, a_d = random_hermitian(3, rng), random_hermitian(3, rng)
+    zero, shift = np.zeros((3, 3)), np.pi / 2 * np.eye(3)
+    ch = ConditionalHamiltonians(np.block([[a_u, zero], [zero, a_u + shift]]),
+                                 np.block([[a_d, zero], [zero, a_d + shift]]))
+    taus = np.linspace(0.5, 1.5, 201)
+    crossing = 100
+    assert taus[crossing] == 1.0
+    calls = counting_fallbacks(monkeypatch)
+    scan = spectrum_scan(ch, taus)
+    assert not calls
+    assert scan.crossings[crossing] and scan.min_gaps[crossing] < 1e-14
+    # Each column follows the eigenphases of one sector over the whole scan
+    # (an independent expm product per sector and tau), so its mode has no
+    # weight outside that sector; each sector owns three columns.
+    sectors = []
+    for h_u, h_d in ((a_u, a_d), (a_u + shift, a_d + shift)):
+        cells = [scipy.linalg.expm(-1j * h_u * tau) @ scipy.linalg.expm(-2j * h_d * tau)
+                 @ scipy.linalg.expm(-1j * h_u * tau) for tau in taus]
+        sectors.append(np.stack([eig_unitary(cell).phases for cell in cells]))
+    owners = []
+    for column in scan.phases.T:
+        owner = [b for b, phases in enumerate(sectors)
+                 if (_circular_gap(column[:, None], phases)[:, 0].min(axis=-1) < 1e-12).all()]
+        assert len(owner) == 1
+        owners += owner
+    assert sorted(owners) == [0, 0, 0, 1, 1, 1]
 
 
 @settings(max_examples=300, deadline=None)
