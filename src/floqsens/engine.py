@@ -29,9 +29,16 @@ against, ``half_period_operators`` is its one-tau call, so a cell of
 One eigensolver serves every path: ``linalg.eig_unitaries`` returns
 orthonormal modes of a stack of cells (Cayley transform and batched
 ``eigh``) at any phase gap, and ``eig_unitary``, which ``floquet_pair``
-calls, is its one-cell call.  The per-tau functions (``unit_cell``,
-``floquet_pair``, ``thermal_coherence_numeric``, ``envelope_general``)
-work on one full cell.
+calls, is its one-cell call.  A sector whose H_u and H_d blocks are real
+(every cluster3 and joint_full bath) has real V_u, V_d and X, so Y and
+D_u are complex symmetric and so is every palindromic cell built from
+them: T_u2 = D_u Y Y D_u and T_d2 = Y D_u D_u Y, and the spectrum cell
+D_u Y(2t) D_u.  Its Floquet modes can be chosen real, and the fast paths
+pass such cells as ``symmetric`` to ``eig_unitaries``, which returns real
+modes from a real ``eigh``; complex Hamiltonians and the per-tau
+full-space path keep the complex one.  The per-tau functions
+(``unit_cell``, ``floquet_pair``, ``thermal_coherence_numeric``,
+``envelope_general``) work on one full cell.
 
 The row kernel ``floquet_rows`` works on conserved sectors.  A sector
 (``ConditionalHamiltonians.sectors``) is a set of basis states that
@@ -60,7 +67,8 @@ the kernel computes only the requested quantities, block by block:
 Sectors add up in a fixed order, so a value depends only on its own row
 and tau.  Each sector's Hamiltonians are stored less their first
 diagonal entries (c_u, c_d), a phase common to the sector: rows drop it,
-since it cancels in both quantities, and spectra add 2 (c_u + c_d) t back.
+since it cancels in both quantities, and spectra add 2 (c_u + c_d) t back,
+formed exactly and reduced mod 2 pi (``_offset_phases``).
 
 ``spectrum_scan`` works on the same sectors.  The cells of all sectors of
 one size are stacked in (tau, sector) order and solved block by block,
@@ -97,6 +105,7 @@ from .linalg import (
     polar_unitary,
     require_hermitian,
     require_unitary,
+    two_product,
     unitarity_defect,
 )
 
@@ -104,6 +113,9 @@ PHASE_MATCH_TOL = 1e-8
 HALF_PERIOD_TOL = 1e-8
 POWER_DRIFT_TOL = 1e-12
 QUANTITIES = ("coherence", "envelope")
+# 2 pi as the double nearest to it plus the rest, for _offset_phases.
+TWO_PI_HI = 2 * np.pi
+TWO_PI_LO = 2.4492935982947064e-16
 # Overlap |Phi_{i-1}^dag Phi_i| above which spectrum_scan continues a mode
 # by its row maximum.  Above 1/sqrt(2) two maxima cannot share a column;
 # 0.75 leaves each row maximum ahead of any other assignment by > 0.08.
@@ -173,7 +185,9 @@ class ConditionalHamiltonians:
         branch's first diagonal entry of a sector block is subtracted
         before its ``eigh``: a phase common to the whole sector, which
         would otherwise limit its phases to about eps |H| t (the donor level
-        energy of ``joint_full``, where the subtraction is exact).
+        energy of ``joint_full``, where the subtraction is exact).  The
+        blocks of one size whose imaginary parts are all exactly zero are
+        diagonalized by a real ``eigh``, so their modes and transfer are real.
         """
         reach = (self.h_u != 0) | (self.h_d != 0) | np.eye(self.dim, dtype=bool)
         reach |= reach.T
@@ -190,6 +204,8 @@ class ConditionalHamiltonians:
             index = by_sector[size[by_sector] == s].reshape(-1, s)
             block = index[:, :, None], index[:, None, :]
             h = np.concatenate([self.h_u[block], self.h_d[block]])
+            if not h.imag.any():  # a real pair: real modes, a real transfer
+                h = h.real.copy()
             offsets = h[:, 0, 0].real.copy()
             h[:, np.arange(s), np.arange(s)] -= offsets[:, None]
             energies, modes = np.linalg.eigh(h)
@@ -214,7 +230,7 @@ class SectorStack(NamedTuple):
     ``offsets`` (k, 2) the first diagonal entries (c_u, c_d) of H_u and H_d
     there.  With H_i - c_i 1 = V_i E_i V_i^dag on a sector, ``energies_u``
     and ``energies_d`` (k, s) are E_u and E_d and ``transfer`` (k, s, s) is
-    X = V_u^dag V_d.
+    X = V_u^dag V_d, a real orthogonal array when the blocks are real.
     """
 
     index: np.ndarray
@@ -233,8 +249,9 @@ def _cell_blocks(energies_u: np.ndarray, energies_d: np.ndarray, transfer: np.nd
     the free interval t[k].  In the basis V_u of its pair T_u(t) is
     diagonal, D_u = exp(-i E_u t), returned as an (n, d) array, and T_d(t)
     is Y = X exp(-i E_d t) X^dag, (n, d, d): so W_u = D_u Y and W_d = Y D_u,
-    one product per cell.  Each slice holds as many (d, d) complex cells as
-    fit BLOCK_BYTES, so for d > 64 a block of one cell exceeds it.
+    one product per cell.  For a real X, Y is complex symmetric.  Each
+    slice holds as many (d, d) complex cells as fit BLOCK_BYTES, so for
+    d > 64 a block of one cell exceeds it.
     """
     for block in block_slices(t.size, 16 * transfer.shape[-1] ** 2):
         pair = j[block]
@@ -547,8 +564,8 @@ def _require_taus(taus) -> np.ndarray:
     return taus
 
 
-def _stacked_floor(t_u2: np.ndarray, t_d2: np.ndarray,
-                   w_d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _stacked_floor(t_u2: np.ndarray, t_d2: np.ndarray, w_d: np.ndarray,
+                   symmetric: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Envelope floor per tau from one batched eigen-solve of T_u2 = W_u W_d.
 
     T_d2 = W_d W_u maps the half-period image W_d Phi of a u-mode Phi onto
@@ -556,12 +573,13 @@ def _stacked_floor(t_u2: np.ndarray, t_d2: np.ndarray,
     M = Phi^dag W_d Phi, floor = (2/D) sum_{l,l' same cluster} |M_ll'|^2 - 1
     (``_same_cluster``; off the diagonal only in cells whose smallest
     phase gap is below PHASE_MATCH_TOL).  The modes come from
-    ``eig_unitaries`` and are orthonormal at any gap.  Returns (floor,
+    ``eig_unitaries`` (real if the cells are ``symmetric``) and are
+    orthonormal at any gap.  Returns (floor,
     smallest u-phase gap, largest residual ||T_d2 W_d Phi - lambda W_d Phi||);
     the floor equals envelope_general(floquet_pair(...)).floor.
     """
     d = t_u2.shape[-1]
-    phases, modes = eig_unitaries(t_u2)
+    phases, modes = eig_unitaries(t_u2, symmetric)
     images = w_d @ modes
     lam = np.exp(-1j * phases)
     residual = np.linalg.norm(t_d2 @ images - lam[:, None, :] * images, axis=1).max(axis=1)
@@ -625,10 +643,11 @@ def floquet_rows(chs, taus, n_p: int, quantities: tuple[str, ...] = QUANTITIES,
         order = np.argsort(np.repeat(rows * taus.size, taus.size)
                            + np.tile(np.arange(taus.size), rows.size), kind="stable")
         j, k = np.divmod(order, taus.size)
+        symmetric = not np.iscomplexobj(pairs[2])
         for block, d_u, y in _cell_blocks(*pairs, j, t[k]):
             try:
                 values = _sector_values(d_u[:, :, None] * y, y * d_u[:, None, :], int(n_p),
-                                        quantities)
+                                        quantities, symmetric)
             except (ValidationError, NumericalConsistencyError) as exc:  # located in the block
                 c = block.start + exc.index
                 failures.append((rows[j[c]], k[c], exc))
@@ -646,11 +665,12 @@ def floquet_rows(chs, taus, n_p: int, quantities: tuple[str, ...] = QUANTITIES,
 
 
 def _sector_values(w_u: np.ndarray, w_d: np.ndarray, n_p: int,
-                   quantities: tuple[str, ...]) -> dict[str, np.ndarray]:
+                   quantities: tuple[str, ...], symmetric: bool) -> dict[str, np.ndarray]:
     """Per cell of a stack of d-state sector cells: Re tr(P_u^dag P_d) for
     'coherence' and twice the cluster-summed weight, d (floor + 1), for
     'envelope', after the unitarity and half-period checks; an error's
-    ``index`` is its cell."""
+    ``index`` is its cell.  ``symmetric`` cells (from real sectors) get
+    real modes."""
     t_u2, t_d2 = w_u @ w_d, w_d @ w_u
     require_unitary(t_u2)
     require_unitary(t_d2)
@@ -660,7 +680,7 @@ def _sector_values(w_u: np.ndarray, w_d: np.ndarray, n_p: int,
         p_d = unitary_power(t_d2, n_p)
         out["coherence"] = np.einsum("nij,nij->n", p_u.conj(), p_d).real
     if "envelope" in quantities:
-        floor, _, residual = _stacked_floor(t_u2, t_d2, w_d)
+        floor, _, residual = _stacked_floor(t_u2, t_d2, w_d, symmetric)
         bad = np.flatnonzero(residual > PHASE_MATCH_TOL)
         if bad.size:
             raise locate(SymmetryViolationError(
@@ -742,21 +762,24 @@ def _sector_trajectories(stack: SectorStack, t: np.ndarray) -> np.ndarray:
     the threshold) calls ``linear_sum_assignment``, the one place a
     spectrum needs SciPy.  Columns are sector by sector, in the order of
     the sector's phases at the first tau, with the offset phase
-    2 (c_u + c_d) t added back and folded into (-pi, pi].  An error's
+    2 (c_u + c_d) t (``_offset_phases``) added back and folded into
+    (-pi, pi].  A real sector's cells are symmetric: their modes are real,
+    and so are the tracked modes and their overlap product.  An error's
     ``index`` is its tau.
     """
     k, s = stack.index.shape
     j = np.tile(np.arange(k), t.size)
     tau_of = np.repeat(np.arange(t.size), k)
     phases = np.empty((t.size * k, s))
-    last = np.empty((k, s, s), dtype=complex)  # the latest modes of each sector
+    symmetric = not np.iscomplexobj(stack.transfer)  # real modes, real overlaps
+    last = np.empty((k, s, s), dtype=stack.transfer.dtype)  # the latest modes of each sector
     orders = np.tile(np.arange(s), (k, 1))
     for block, d_u, y in _cell_blocks(stack.energies_u, 2 * stack.energies_d, stack.transfer,
                                       j, t[tau_of]):
         try:
             cells = d_u[:, :, None] * y * d_u[:, None, :]
             require_unitary(cells)
-            block_phases, block_modes = eig_unitaries(cells)
+            block_phases, block_modes = eig_unitaries(cells, symmetric)
         except (ValidationError, NumericalConsistencyError) as exc:  # located in the block
             raise locate(exc, tau_of[block.start + exc.index])
         # A cell continues the one k cells before it: earlier in this block,
@@ -779,10 +802,34 @@ def _sector_trajectories(stack: SectorStack, t: np.ndarray) -> np.ndarray:
             cell_orders[i::k] = orders[b]
         phases[block] = np.take_along_axis(block_phases, cell_orders, axis=-1)
         last[j[block][-k:]] = block_modes[-k:]
-    offsets = 2 * stack.offsets.sum(axis=1)[:, None] * t[:, None, None]
+    offsets = _offset_phases(stack.offsets, t)[:, :, None]
     phases = -np.angle(np.exp(-1j * (phases.reshape(t.size, k, s) + offsets)))
     phases[phases <= -np.pi] += 2 * np.pi
     return phases.reshape(t.size, k * s)
+
+
+def _offset_phases(offsets: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """2 (c_u + c_d) t mod 2 pi, about in [-pi, pi], as (n_tau, k) for the
+    (k, 2) ``offsets`` of a SectorStack and the (n_tau,) intervals t.
+
+    The phase reaches 3e5 rad on ``joint_full`` (the donor level energy),
+    where a plain double product is off by about 1e-11, so it is formed
+    exactly and reduced with a two-part 2 pi: c_u + c_d = c + e by
+    two-sum, 2 c t = p + q by ``two_product``, the turn count
+    n = rint(p / 2 pi), and p - n 2 pi with 2 pi = TWO_PI_HI + TWO_PI_LO
+    (Cody-Waite), n TWO_PI_HI = m + r exactly by ``two_product`` and p - m
+    exact by Sterbenz.  The result is within a few ulps of pi of the exact
+    reduction.
+    """
+    c_u, c_d = offsets[:, 0], offsets[:, 1]
+    c = c_u + c_d
+    back = c - c_u
+    e = (c_u - (c - back)) + (c_d - back)
+    t = t[:, None]
+    p, q = two_product(2 * c, t)
+    turns = np.rint(p / TWO_PI_HI)
+    m, r = two_product(turns, TWO_PI_HI)
+    return (p - m) - r + (q + 2 * e * t - turns * TWO_PI_LO)
 
 
 def _assign_modes(prev_modes: np.ndarray, modes: np.ndarray) -> np.ndarray:

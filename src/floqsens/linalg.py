@@ -1,9 +1,11 @@
 """Dense complex linear algebra for small spin systems (dim <= a few hundred).
 
-All matrices are plain complex ``numpy`` arrays.  Propagators follow the
-physics convention U = exp(-i H t) with H in rad/s and t in seconds, and
-eigenphases E are reported through U |phi> = exp(-i E) |phi| with
-E in (-pi, pi] (a tie at -pi is folded to +pi).
+All matrices are plain complex ``numpy`` arrays, except the modes of a
+complex symmetric unitary, which ``eig_unitaries`` returns real.
+Propagators follow the physics convention U = exp(-i H t) with H in rad/s
+and t in seconds, and eigenphases E are reported through
+U |phi> = exp(-i E) |phi| with E in (-pi, pi] (a tie at -pi is folded to
++pi).
 """
 
 from __future__ import annotations
@@ -83,6 +85,22 @@ def block_slices(count: int, item_bytes: int):
         yield slice(start, min(start + step, count))
 
 
+def two_product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(p, e) with p = fl(a b) and p + e = a b exactly: Dekker's two-product,
+    on Veltkamp halves of at most 26 bits, whose products are exact (no
+    fused multiply-add needed)."""
+    p = a * b
+    (ah, al), (bh, bl) = _halves(a), _halves(b)
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _halves(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp split v = hi + lo into halves of at most 26 bits."""
+    c = 134217729.0 * v  # 2^27 + 1
+    hi = c - (c - v)
+    return hi, v - hi
+
+
 def expm_hermitian(h: np.ndarray, t: float) -> np.ndarray:
     """Unitary propagator exp(-i h t) of a Hermitian generator, via eigh."""
     h = require_hermitian(h, name="generator")
@@ -127,7 +145,7 @@ def eig_unitary(u: np.ndarray) -> EigenSystem:
     return EigenSystem(phases=phases[0], modes=modes[0])
 
 
-def eig_unitaries(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def eig_unitaries(u: np.ndarray, symmetric: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Eigenphases and orthonormal modes of each unitary of an (n, D, D) stack.
 
     Returns (phases, modes) with phases (n, D) ascending in (-pi, pi] and
@@ -136,44 +154,61 @@ def eig_unitaries(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     A unitary U is normal, so its Cayley transform
     A = i (1 - U') (1 + U')^-1 with U' = e^{-i cut} U is Hermitian, with the
-    modes of U and the eigenvalues tan((E + cut) / 2), one to one in E.
+    modes of U and the eigenvalues -tan((E + cut) / 2), one to one in E.
     A batched ``eigh`` of A therefore gives orthonormal modes at any phase
     gap, degenerate clusters included, and the phases are the Rayleigh
-    quotients -arg(Phi^dag U Phi).  Every matrix is solved with cut 0
-    first; one whose transform exceeds MAX_CAYLEY_TAN (an eigenvalue within
-    about 2e-3 rad of the cut) is solved again with the cut in the middle
-    of its largest phase gap, which is at least 2 pi / D wide, up to
-    CAYLEY_RECUTS times.  A matrix still above it raises
-    NumericalConsistencyError; its ``index`` is that matrix's stack index.
+    quotients -arg(Phi^dag U Phi).  With ``symmetric`` the caller states
+    that every U is complex symmetric (U = U^T, as the palindromic cells of
+    a real Hamiltonian pair are): then U' = R + i I has commuting real
+    symmetric parts and A is real symmetric, so the ``eigh`` and the
+    Rayleigh quotients run in real arithmetic and the modes are real.  The
+    solve stays complex: the real form A = -(1 + R)^-1 I magnifies the
+    rounding of 1 + R by (1 + tan^2) / 2, not about |tan| / 2.  Every
+    matrix is solved with cut 0 first; one whose transform exceeds
+    MAX_CAYLEY_TAN (an eigenvalue within about 2e-3 rad of the cut) is
+    solved again with the cut in the middle of its largest phase gap,
+    which is at least 2 pi / D wide, up to CAYLEY_RECUTS times.  A matrix
+    still above it raises NumericalConsistencyError; its ``index`` is that
+    matrix's stack index.  A 1 x 1 matrix u has the phase -arg u and the
+    real mode 1, without a transform.
     """
-    size, modes = _cayley_eigh(u, np.zeros(len(u)))
-    phases = _rayleigh_phases(u, modes)
-    todo = np.flatnonzero(size > MAX_CAYLEY_TAN)
-    for _ in range(CAYLEY_RECUTS):
-        if not todo.size:
-            break
-        size, modes[todo] = _cayley_eigh(u[todo], np.pi - _largest_gap_middle(phases[todo]))
-        phases[todo] = _rayleigh_phases(u[todo], modes[todo])
-        todo = todo[size > MAX_CAYLEY_TAN]
-    if todo.size:
-        raise locate(NumericalConsistencyError(
-            f"Cayley transform exceeds {MAX_CAYLEY_TAN:.0e} at every cut tried"), todo[0])
+    if u.shape[-1] == 1:
+        phases = -np.angle(u[:, 0])
+        modes = np.ones(u.shape)
+    else:
+        size, modes = _cayley_eigh(u, np.zeros(len(u)), symmetric)
+        phases = _rayleigh_phases(u, modes)
+        todo = np.flatnonzero(size > MAX_CAYLEY_TAN)
+        for _ in range(CAYLEY_RECUTS):
+            if not todo.size:
+                break
+            size, modes[todo] = _cayley_eigh(u[todo], np.pi - _largest_gap_middle(phases[todo]),
+                                             symmetric)
+            phases[todo] = _rayleigh_phases(u[todo], modes[todo])
+            todo = todo[size > MAX_CAYLEY_TAN]
+        if todo.size:
+            raise locate(NumericalConsistencyError(
+                f"Cayley transform exceeds {MAX_CAYLEY_TAN:.0e} at every cut tried"), todo[0])
     phases[phases <= -np.pi] += 2 * np.pi
     order = np.argsort(phases, axis=-1, kind="stable")
     return (np.take_along_axis(phases, order, axis=-1),
             np.take_along_axis(modes, order[:, None, :], axis=-1))
 
 
-def _cayley_eigh(u: np.ndarray, cut: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _cayley_eigh(u: np.ndarray, cut: np.ndarray,
+                 symmetric: bool) -> tuple[np.ndarray, np.ndarray]:
     """Size and ``eigh`` modes of the Cayley transform of each e^{-i cut} U.
 
-    The size is the largest |tan| of the Hermitized transform, or the
-    largest entry of the transform as solved if that is larger.  An
-    eigenvalue within rounding of the cut gives 1 + U' a tiny eigenvalue
-    of arbitrary complex phase, and its huge term in the solved transform
-    can be anti-Hermitian and vanish from A.  An eigenvalue exactly on the
-    cut (-1 at cut 0) makes 1 + U' singular: size inf and unit modes, so
-    the matrix is solved again at the largest gap of its diagonal phases.
+    The transform is solved as a = (1 + U')^-1 (1 - U') and A = i a made
+    Hermitian; for a symmetric U', a = -i A with A real symmetric, so A is
+    taken as the symmetric part of -Im a and its ``eigh`` is real.  The size
+    is the largest |tan| of A, or the largest entry of the transform as
+    solved if that is larger.  An eigenvalue within rounding of the cut
+    gives 1 + U' a tiny eigenvalue of arbitrary complex phase, and its huge
+    term in the solved transform can be anti-Hermitian and vanish from A.
+    An eigenvalue exactly on the cut (-1 at cut 0) makes 1 + U' singular:
+    size inf and unit modes, so the matrix is solved again at the largest
+    gap of its diagonal phases.
     """
     eye = np.eye(u.shape[-1])
     shifted = u * np.exp(-1j * cut)[:, None, None]
@@ -189,14 +224,21 @@ def _cayley_eigh(u: np.ndarray, cut: np.ndarray) -> tuple[np.ndarray, np.ndarray
     size = np.abs(a).max(axis=(-2, -1))
     singular = ~np.isfinite(size)
     a[singular] = 0.0
-    tans, modes = np.linalg.eigh(0.5j * (a - a.conj().swapaxes(-1, -2)))
+    if symmetric:
+        tans, modes = np.linalg.eigh(-0.5 * (a.imag + a.imag.swapaxes(-1, -2)))
+    else:
+        tans, modes = np.linalg.eigh(0.5j * (a - a.conj().swapaxes(-1, -2)))
     modes[singular] = eye
     return np.maximum(size, np.abs(tans).max(axis=-1)), modes
 
 
 def _rayleigh_phases(u: np.ndarray, modes: np.ndarray) -> np.ndarray:
-    """-arg(Phi^dag U Phi) for every mode column Phi of a (n, D, D) stack."""
-    return -np.angle(np.einsum("nil,nil->nl", modes.conj(), u @ modes))
+    """-arg(Phi^dag U Phi) for every mode column Phi of a (n, D, D) stack;
+    real modes take Phi^T Re(U) Phi and Phi^T Im(U) Phi in real arithmetic."""
+    if np.iscomplexobj(modes):
+        return -np.angle(np.einsum("nil,nil->nl", modes.conj(), u @ modes))
+    return -np.arctan2(np.einsum("nil,nil->nl", modes, u.imag @ modes),
+                       np.einsum("nil,nil->nl", modes, u.real @ modes))
 
 
 def _largest_gap_middle(phases: np.ndarray) -> np.ndarray:

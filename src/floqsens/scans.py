@@ -60,7 +60,7 @@ from .clusters import conditional_cluster_hamiltonians, doublet_dip_estimates, \
 from .config import ScanConfig
 from .engine import QUANTITIES, ConditionalHamiltonians, floquet_rows, spectrum_scan
 from .errors import ConfigError, NumericalConsistencyError, ValidationError, locate
-from .linalg import block_slices
+from .linalg import block_slices, two_product
 from .pseudospin import TwoStateModel, avg_hamiltonian_dip, diamond_boundaries, \
     dip_positions, level_repulsion, two_state_grid
 from .sensors import NVModel, donor_pair_polarizations, nv_two_state
@@ -284,25 +284,13 @@ def _write_atomic(path: Path, chunks) -> None:
         tmp.unlink(missing_ok=True)
 
 
-def _halves(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Veltkamp split v = hi + lo into halves of at most 26 bits, so that
-    the product of two halves is exact."""
-    c = 134217729.0 * v  # 2^27 + 1
-    hi = c - (c - v)
-    return hi, v - hi
-
-
 def _scaled(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(p, e) with p + e = a 10^(16 - k) exactly, for 0 <= 16 - k <= 22.
 
     In that range 10^(16 - k) is an exact double; p is the rounded product
-    and e its rounding error, from Dekker's two-product (no fused
-    multiply-add needed).
+    and e its rounding error (``linalg.two_product``).
     """
-    scale = np.array([float(10 ** j) for j in range(23)])[16 - k]
-    p = a * scale
-    (ah, al), (sh, sl) = _halves(a), _halves(scale)
-    return p, ((ah * sh - p) + ah * sl + al * sh) + al * sl
+    return two_product(a, np.array([float(10 ** j) for j in range(23)])[16 - k])
 
 
 def _reference_cells(x: np.ndarray) -> np.ndarray:

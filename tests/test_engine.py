@@ -283,9 +283,11 @@ class TestEnvelope:
         assert pair.pairing.tolist() == [1, 0]
         assert envelope_general(pair).floor == pytest.approx(1.0, abs=1e-12)
         assert coherence_floquet(pair, 3) == pytest.approx(1.0, abs=1e-12)
-        floor, _, residual = _stacked_floor(t_u2[None], t_d2[None], w_d[None])
-        assert floor[0] == pytest.approx(1.0, abs=1e-12)
-        assert residual[0] < 1e-9
+        # Diagonal cells are symmetric: both eigensolver paths apply.
+        for symmetric in (False, True):
+            floor, _, residual = _stacked_floor(t_u2[None], t_d2[None], w_d[None], symmetric)
+            assert floor[0] == pytest.approx(1.0, abs=1e-12)
+            assert residual[0] < 1e-9
 
 
 @settings(max_examples=40, deadline=None)

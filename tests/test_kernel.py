@@ -11,6 +11,7 @@ import re
 from itertools import combinations
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -46,6 +47,7 @@ from floqsens import (
 )
 from floqsens.config import parse_config
 from floqsens.engine import _half_period_blocks, _stacked_floor, floquet_row, floquet_rows
+from floqsens.linalg import eig_unitaries
 from floqsens.scans import (_polarizations, _row_hamiltonians, compute_trace, field_rows,
                             run_map, run_trace)
 
@@ -193,12 +195,12 @@ def test_floor_does_not_see_rotations_inside_a_cluster(seed, monkeypatch):
     _, w_u, w_d = next(_half_period_blocks(ch, taus))
     original = engine.eig_unitaries
 
-    def rotated(cells):
-        phases, modes = original(cells)
+    def rotated(cells, symmetric):
+        phases, modes = original(cells, symmetric)
         return phases, np.stack([rotate_in_clusters(p, m, rng) for p, m in zip(phases, modes)])
 
     monkeypatch.setattr(engine, "eig_unitaries", rotated)
-    floor, _, residual = _stacked_floor(w_u @ w_d, w_d @ w_u, w_d)
+    floor, _, residual = _stacked_floor(w_u @ w_d, w_d @ w_u, w_d, False)
     np.testing.assert_allclose(floor, want, rtol=0, atol=1e-12)
     assert residual.max() < 1e-12
     for k in range(taus.size):
@@ -307,10 +309,10 @@ def test_corrupted_half_period_names_the_tau_point(rng, monkeypatch):
     kick = expm_hermitian(random_hermitian(4, rng), 1e-3)
     original = engine._stacked_floor
 
-    def corrupted(t_u2, t_d2, w_d):
+    def corrupted(t_u2, t_d2, w_d, symmetric):
         w_d = w_d.copy()
         w_d[1] = w_d[1] @ kick
-        return original(t_u2, t_d2, w_d)
+        return original(t_u2, t_d2, w_d, symmetric)
 
     monkeypatch.setattr(engine, "_stacked_floor", corrupted)
     with pytest.raises(SymmetryViolationError, match=r"^tau\[1\] = 0\.7: u/d eigenphase"):
@@ -449,6 +451,127 @@ def test_sector_spectra_match_the_full_cell_phases(cluster, kind, pols, b0, taus
         rows, cols = linear_sum_assignment(gaps)
         phase = 4 * ch.spectral_radius * (tau + delta)
         assert gaps[rows, cols].max() <= SPECTRUM_ATOL + SPECTRUM_EPS * np.finfo(float).eps * phase
+
+
+@st.composite
+def real_sector_cells(draw):
+    """(W_u, W_d, near_pi) for the cells of one random real sector pair, d <= 8.
+
+    The pair comes from ``ConditionalHamiltonians.sectors`` of real
+    symmetric H_u and H_d with every entry nonzero, so it is one sector
+    with a real transfer, and W_u = D_u Y and W_d = Y D_u come from the
+    engine's cell builder.  'degenerate' pairs are kron(a, J) and kron(b, J)
+    with J the 2 x 2 all-ones matrix: v (x) (1, -1) lies in the kernel of
+    both, so the cells have a d/2-fold eigenphase 0.  'near_pi' turns both
+    half periods by a common phase that puts one cell eigenphase within
+    1e-3 rad of +-pi, where the first Cayley solve must be re-cut.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["generic", "degenerate", "near_pi"]))
+    if kind == "degenerate":
+        half = draw(st.integers(1, 4))
+        h_u, h_d = (np.kron(random_hermitian(half, rng, real=True) + 3.0, np.ones((2, 2)))
+                    for _ in range(2))
+    else:
+        dim = draw(st.integers(1, 8))
+        h_u, h_d = (random_hermitian(dim, rng, real=True) + 3.0 for _ in range(2))
+    (stack,) = ConditionalHamiltonians(h_u, h_d).sectors
+    assert not np.iscomplexobj(stack.transfer)
+    taus = rng.uniform(0.05, 2.0, 6)
+    _, d_u, y = next(engine._cell_blocks(stack.energies_u, stack.energies_d, stack.transfer,
+                                         np.zeros(taus.size, dtype=int), taus))
+    w_u, w_d = d_u[:, :, None] * y, y * d_u[:, None, :]
+    if kind == "near_pi":
+        phases, _ = eig_unitaries(w_u @ w_d)
+        miss = draw(st.sampled_from([0.0, 1e-16, 1e-12, 1e-8]) | st.floats(0.0, 1e-3)) \
+            * draw(st.sampled_from([-1.0, 1.0]))
+        turn = np.exp(-0.5j * (np.pi + miss - phases[:, 0]))[:, None, None]
+        w_u, w_d = w_u * turn, w_d * turn
+    return w_u, w_d, kind == "near_pi"
+
+
+@settings(max_examples=200, deadline=None)
+@given(cells=real_sector_cells())
+def test_real_sector_cells_solve_alike_in_real_and_complex_arithmetic(cells):
+    # The real eigh of the symmetric cells against the complex eigh of the
+    # same cells: phases and cluster-summed envelope floors to 1e-12.
+    w_u, w_d, near_pi = cells
+    t_u2, t_d2 = w_u @ w_d, w_d @ w_u
+    assert np.abs(t_u2 - t_u2.swapaxes(-1, -2)).max() < 1e-14
+    if near_pi and t_u2.shape[-1] > 1:
+        size, _ = linalg._cayley_eigh(t_u2, np.zeros(len(t_u2)), True)
+        assert (size > linalg.MAX_CAYLEY_TAN).all()
+    real_phases, real_modes = eig_unitaries(t_u2, True)
+    phases, _ = eig_unitaries(t_u2)
+    assert not np.iscomplexobj(real_modes)
+    d = t_u2.shape[-1]
+    assert np.abs(real_modes.swapaxes(-1, -2) @ real_modes - np.eye(d)).max() <= 1e-13
+    for got, want in zip(real_phases, phases):
+        gaps = engine._circular_gap(got, want)
+        rows, cols = linear_sum_assignment(gaps)
+        assert gaps[rows, cols].max() <= 1e-12
+    real_floor, _, residual = _stacked_floor(t_u2, t_d2, w_d, True)
+    floor, _, _ = _stacked_floor(t_u2, t_d2, w_d, False)
+    np.testing.assert_allclose(real_floor, floor, rtol=0, atol=1e-12)
+    assert residual.max() <= 1e-12
+
+
+def mpmath_sector_phases(h_u, h_d, t):
+    """Eigenphases in (-pi, pi] of T_u(t) T_d(2t) T_u(t) for real symmetric double
+    blocks, from 40-digit mpmath (the offsets on the diagonal included)."""
+    with mpmath.workdps(40):
+        def propagator(h, time):
+            energies, modes = mpmath.eigsy(mpmath.matrix(h.real.tolist()))
+            phase = mpmath.diag([mpmath.exp(-1j * energies[k] * time) for k in range(len(h))])
+            return modes * phase * modes.T
+        half = propagator(h_u, mpmath.mpf(t))
+        values = mpmath.eig(half * propagator(h_d, 2 * mpmath.mpf(t)) * half)[0]
+        return [float(-mpmath.arg(v)) for v in values]
+
+
+@settings(max_examples=200, deadline=None)
+@given(c_u=st.floats(-3e10, 3e10), c_d=st.floats(-3e10, 3e10),
+       t=st.lists(st.floats(0.0, 1e-2), min_size=1, max_size=4))
+def test_offset_phase_is_the_exact_reduction(c_u, c_d, t):
+    # 2 (c_u + c_d) t mod 2 pi against 40-digit mpmath, with the sum and the
+    # product of the doubles taken exactly: a few ulps of pi, at any size.
+    got = engine._offset_phases(np.array([[c_u, c_d]]), np.array(t))[:, 0]
+    with mpmath.workdps(40):
+        for value, time in zip(got, t):
+            exact = 2 * (mpmath.mpf(c_u) + mpmath.mpf(c_d)) * mpmath.mpf(time)
+            miss = mpmath.mpf(value) - exact
+            miss -= 2 * mpmath.pi * mpmath.nint(miss / (2 * mpmath.pi))
+            assert abs(miss) <= 4 * np.finfo(float).eps * np.pi
+            assert abs(value) <= np.pi + 1e-12
+
+
+def test_joint_full_spectrum_phases_match_mpmath():
+    # The sector offset phase 2 (c_u + c_d) t reaches 3e5 rad here.  As a
+    # plain double product it put the phases up to 5.2e-11 off 40-digit
+    # values; formed exactly and reduced by a two-part 2 pi they lie within
+    # 3.3e-15.  The plain product itself must miss by ten times more.
+    cfg = parse_config(json.loads((CONFIGS / "joint_full_spectrum.json").read_text()))
+    ch = _row_hamiltonians(cfg, None, *_polarizations(cfg, [None]))
+    t = cfg.tau_axis.values() + cfg.sequence.pulse_duration
+    picks = [0, 100, 300, 458, 499]
+    scan = spectrum_scan(ch, t[picks])
+    worst = plain = 0.0
+    for row, i in enumerate(picks):
+        want = []
+        for stack in ch.sectors:
+            for index, (c_u, c_d) in zip(stack.index, stack.offsets):
+                block = np.ix_(index, index)
+                want += mpmath_sector_phases(ch.h_u[block], ch.h_d[block], t[i])
+                with mpmath.workdps(40):
+                    exact = 2 * (mpmath.mpf(c_u) + mpmath.mpf(c_d)) * mpmath.mpf(t[i])
+                    miss = mpmath.mpf(2 * (c_u + c_d) * t[i]) - exact
+                    plain = max(plain, abs(float(miss - 2 * mpmath.pi * mpmath.nint(
+                        miss / (2 * mpmath.pi)))))
+        gaps = engine._circular_gap(scan.phases[row], np.array(want))
+        rows, cols = linear_sum_assignment(gaps)
+        worst = max(worst, gaps[rows, cols].max())
+    assert worst <= 1e-13
+    assert 10 * worst <= plain
 
 
 def offset_free(ch):

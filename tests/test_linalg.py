@@ -189,6 +189,25 @@ class TestEigUnitaries:
             assert es.phases.tobytes() == phases[k].tobytes()
             assert es.modes.tobytes() == modes[k].tobytes()
 
+    @pytest.mark.parametrize("symmetric", [False, True])
+    def test_one_state_cells_are_their_own_phase(self, symmetric):
+        # A 1 x 1 cell u has the phase -arg u, folded into (-pi, pi], and the
+        # mode 1, bit for bit; where the transform of the general path
+        # solves at cut 0 it gives the same bits.
+        values = np.concatenate([np.exp(-1j * np.linspace(-np.pi, np.pi, 101)),
+                                 [1.0, -1.0, 1j, -1j, complex(-1.0, -0.0), complex(-1.0, 1e-300),
+                                  np.exp(-1j * np.nextafter(np.pi, 0))]])
+        u = values[:, None, None]
+        phases, modes = eig_unitaries(u, symmetric)
+        want = -np.angle(values)
+        want[want <= -np.pi] += 2 * np.pi
+        assert phases[:, 0].tobytes() == want.tobytes()
+        assert modes.dtype == float and np.all(modes == 1.0)
+        size, general = linalg._cayley_eigh(u, np.zeros(len(u)), symmetric)
+        solved = size <= linalg.MAX_CAYLEY_TAN
+        assert solved.sum() > 90 and np.all(general[solved] == 1.0)
+        assert linalg._rayleigh_phases(u, general)[solved].tobytes() == phases[solved].tobytes()
+
     def test_unresolved_cut_raises(self, rng, monkeypatch):
         monkeypatch.setattr(linalg, "MAX_CAYLEY_TAN", 0.0)
         cells = np.stack([expm_hermitian(random_hermitian(3, rng), 0.8) for _ in range(2)])

@@ -14,7 +14,8 @@ import floqsens.engine as engine
 import floqsens.linalg as linalg
 from floqsens import ConditionalHamiltonians, SpinCluster, conditional_cluster_hamiltonians, \
     eig_unitary, expm_hermitian, joint_full_model, si_bi, spectrum_scan
-from floqsens.engine import TRACKING_OVERLAP, _cell_blocks, _circular_gap, _smallest_gap
+from floqsens.engine import TRACKING_OVERLAP, _cell_blocks, _circular_gap, _offset_phases, \
+    _smallest_gap
 from floqsens.linalg import eig_unitaries
 from floqsens.sensors import donor_pair_polarizations
 from conftest import random_hermitian
@@ -34,19 +35,25 @@ def per_tau_scan(ch, taus, pulse_duration=0.0, gap_threshold=1e-2):
     """(phases, crossings) with one linear_sum_assignment per tau and sector (the tracking oracle).
 
     Each sector's cells T_u2 = D_u Y(2 tau) D_u come from the engine's cell
-    builder one sector at a time, so they equal the cells of the scan.
+    builder one sector at a time and are solved as the scan solves them
+    (real arithmetic for a real sector), and the offset phase is the
+    engine's reduction (checked against mpmath in test_kernel), so the
+    phases equal the scan's wherever the tracking agrees.
     """
     t = taus + pulse_duration
     columns = []
     for stack in ch.sectors:
         k, s = stack.index.shape
+        symmetric = not np.iscomplexobj(stack.transfer)
+        offsets = _offset_phases(stack.offsets, t)
         for b in range(k):
             phases = np.empty((taus.size, s))
             prev_modes = None
             order = np.arange(s)
             for block, d_u, y in _cell_blocks(stack.energies_u, 2 * stack.energies_d,
                                               stack.transfer, np.full(taus.size, b), t):
-                block_phases, block_modes = eig_unitaries(d_u[:, :, None] * y * d_u[:, None, :])
+                block_phases, block_modes = eig_unitaries(d_u[:, :, None] * y * d_u[:, None, :],
+                                                          symmetric)
                 for i, cell_phases, modes in zip(range(block.start, block.stop),
                                                  block_phases, block_modes):
                     if prev_modes is not None:
@@ -57,7 +64,7 @@ def per_tau_scan(ch, taus, pulse_duration=0.0, gap_threshold=1e-2):
                     phases[i] = cell_phases[order]
                     prev_modes = modes[:, order]
             # The sector's offset phase 2 (c_u + c_d) t, folded into (-pi, pi].
-            phases = -np.angle(np.exp(-1j * (phases + 2 * stack.offsets[b].sum() * t[:, None])))
+            phases = -np.angle(np.exp(-1j * (phases + offsets[:, b, None])))
             phases[phases <= -np.pi] += 2 * np.pi
             columns.append(phases)
     phases = np.concatenate(columns, axis=1)
