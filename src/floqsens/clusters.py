@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -46,7 +47,12 @@ MAX_BATH_SPINS = 6
 
 @dataclass(frozen=True)
 class SpinCluster:
-    """n spin-1/2 bath spins: hyperfine couplings a[k] and dipolar matrix c[j,k]."""
+    """n spin-1/2 bath spins: hyperfine couplings a[k] and dipolar matrix c[j,k].
+
+    ``operators`` builds the cluster's bath operators on first use and keeps
+    them, so every Hamiltonian of one cluster (one per field row of a map)
+    shares one build.
+    """
 
     a: np.ndarray
     c: np.ndarray
@@ -73,6 +79,14 @@ class SpinCluster:
     def delta(self, j: int, k: int) -> float:
         """Flip-flop energy cost Delta_jk = A_j - A_k (0-based indices)."""
         return float(self.a[j] - self.a[k])
+
+    @cached_property
+    def operators(self) -> tuple[np.ndarray, np.ndarray]:
+        """(hyperfine, dipolar) from ``_bath_operators``, built once and read-only."""
+        out = _bath_operators(self)
+        for m in out:
+            m.flags.writeable = False
+        return out
 
 
 def _basis(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -109,7 +123,7 @@ def _bath_operators(cluster: SpinCluster) -> tuple[np.ndarray, np.ndarray]:
 def conditional_cluster_hamiltonians(cluster: SpinCluster, p_u: float,
                                      p_d: float) -> ConditionalHamiltonians:
     """State-conditional bath Hamiltonians for the given sensor polarizations."""
-    h_a, h_c = _bath_operators(cluster)
+    h_a, h_c = cluster.operators
     return ConditionalHamiltonians(h_u=0.5 * p_u * h_a + h_c,
                                    h_d=0.5 * p_d * h_a + h_c)
 
@@ -227,7 +241,7 @@ def joint_full_model(donor: DonorModel, cluster: SpinCluster,
     transition, H_i = <i|H_total|i>, so the polarizations emerge from the
     diagonalization instead of being imposed.
     """
-    h_a, h_c = _bath_operators(cluster)
+    h_a, h_c = cluster.operators
     bath_dim = h_a.shape[0]
     joint_dim = donor.dim * bath_dim
     if joint_dim > MAX_DIM:

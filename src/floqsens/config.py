@@ -353,6 +353,8 @@ def parse_config(cfg: dict) -> ScanConfig:
     output = OutputSpec(quantity=quantity, format=fmt,
                         crossing_gap=_number(out_obj, "crossing_gap_rad", "output",
                                              default=1e-2))
+    if output.crossing_gap < 0:
+        raise ConfigError("output.crossing_gap_rad must be >= 0")
 
     resolved = {
         "system": {"kind": kind},

@@ -19,6 +19,8 @@ H_u: with X = V_u^dag V_d computed once per sector, T_u(t) is the
 diagonal D_u = exp(-i E_u t) and T_d(t) is Y = X exp(-i E_d t) X^dag, so
 W_u = D_u Y and W_d = Y D_u cost one (d, d) product per cell and a
 spectrum cell T_u2 = D_u (X exp(-2 i E_d t) X^dag) D_u costs one too.
+For a real X that product is two real ones, (X cos) X^T and
+(X (-sin)) X^T, the real and imaginary parts of Y (``_real_matmul``).
 These cells are similar to the computational-basis ones by the
 tau-independent V_u: eigenphases, mode overlaps from tau to tau,
 Re tr(P_u^dag P_d) and the envelope floor agree in exact arithmetic.
@@ -48,7 +50,11 @@ pair.  Cluster baths conserve total Iz, so D = 8 splits into sectors of
 1, 3, 3 and 1 states and D = 64 into 1, 6, 15, 20, 15, 6 and 1.  Each
 sector block of H_u and H_d is diagonalized once, the (row, sector, tau)
 cells of one sector size across all rows of a call form one stack, and
-the kernel computes only the requested quantities, block by block:
+the kernel computes only the requested quantities, block by block.  A
+one-state sector needs none of this: its block of H - c is exactly
+[[0]], so its cell is exactly 1, it adds exactly ``ONE_STATE_VALUES``
+(1 to D times the coherence, 2 to D (floor + 1)) and no check can fail
+on it; spectra give it its offset phase (below).  The others get
 
 * coherence from ``unitary_power`` of the stacked T_u2 and T_d2, the
   binary power that ``thermal_coherence_numeric`` applies to one cell;
@@ -113,6 +119,9 @@ PHASE_MATCH_TOL = 1e-8
 HALF_PERIOD_TOL = 1e-8
 POWER_DRIFT_TOL = 1e-12
 QUANTITIES = ("coherence", "envelope")
+# What _sector_values gives on a one-state cell, which is exactly 1:
+# Re tr(1^dag 1) = 1 and d (floor + 1) = 2 (its weight |1|^2 counted twice).
+ONE_STATE_VALUES = {"coherence": 1.0, "envelope": 2.0}
 # 2 pi as the double nearest to it plus the rest, for _offset_phases.
 TWO_PI_HI = 2 * np.pi
 TWO_PI_LO = 2.4492935982947064e-16
@@ -188,6 +197,8 @@ class ConditionalHamiltonians:
         energy of ``joint_full``, where the subtraction is exact).  The
         blocks of one size whose imaginary parts are all exactly zero are
         diagonalized by a real ``eigh``, so their modes and transfer are real.
+        A one-state block less its entry is exactly [[0]]: energy 0 and the
+        real mode 1, what ``eigh`` returns for it, without the call.
         """
         reach = (self.h_u != 0) | (self.h_d != 0) | np.eye(self.dim, dtype=bool)
         reach |= reach.T
@@ -204,12 +215,16 @@ class ConditionalHamiltonians:
             index = by_sector[size[by_sector] == s].reshape(-1, s)
             block = index[:, :, None], index[:, None, :]
             h = np.concatenate([self.h_u[block], self.h_d[block]])
+            k = len(index)
+            offsets = h[:, 0, 0].real.copy()
+            if s == 1:  # H - c is exactly [[0]]: energy 0, mode 1
+                out.append(SectorStack(index, np.zeros((k, 1)), np.zeros((k, 1)),
+                                       np.ones((k, 1, 1)), offsets.reshape(2, k).T))
+                continue
             if not h.imag.any():  # a real pair: real modes, a real transfer
                 h = h.real.copy()
-            offsets = h[:, 0, 0].real.copy()
             h[:, np.arange(s), np.arange(s)] -= offsets[:, None]
             energies, modes = np.linalg.eigh(h)
-            k = len(index)
             out.append(SectorStack(index, energies[:k], energies[k:],
                                    modes[:k].conj().swapaxes(-1, -2) @ modes[k:],
                                    offsets.reshape(2, k).T))
@@ -249,7 +264,9 @@ def _cell_blocks(energies_u: np.ndarray, energies_d: np.ndarray, transfer: np.nd
     the free interval t[k].  In the basis V_u of its pair T_u(t) is
     diagonal, D_u = exp(-i E_u t), returned as an (n, d) array, and T_d(t)
     is Y = X exp(-i E_d t) X^dag, (n, d, d): so W_u = D_u Y and W_d = Y D_u,
-    one product per cell.  For a real X, Y is complex symmetric.  Each
+    one product per cell.  For a real X, Y is complex symmetric, and its
+    real and imaginary parts are two real products (X cos) X^T and
+    (X (-sin)) X^T of the parts of exp(-i E_d t) (``_real_matmul``).  Each
     slice holds as many (d, d) complex cells as fit BLOCK_BYTES, so for
     d > 64 a block of one cell exceeds it.
     """
@@ -257,8 +274,27 @@ def _cell_blocks(energies_u: np.ndarray, energies_d: np.ndarray, transfer: np.nd
         pair = j[block]
         x = transfer[pair]
         interval = t[block, None]
-        y = (x * np.exp(-1j * energies_d[pair] * interval)[:, None, :]) @ x.conj().swapaxes(-1, -2)
+        phase = np.exp(-1j * energies_d[pair] * interval)[:, None, :]
+        if np.iscomplexobj(x):
+            y = (x * phase) @ x.conj().swapaxes(-1, -2)
+        else:
+            y = _real_matmul(x * phase.real, x * phase.imag, x.swapaxes(-1, -2))
         yield block, np.exp(-1j * energies_u[pair] * interval), y
+
+
+def _real_matmul(re: np.ndarray, im: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(re + i im) @ b of real arrays as two real products.
+
+    They sum the same terms as the complex product with b's zero imaginary
+    part, at about a third of its cost on 3 x 3 cells.  Where the BLAS
+    orders both sums alike they give its bits: for every size up to 16
+    with OpenBLAS 0.3.31 (Haswell kernels); some larger sizes (17-20,
+    25-28, ...) round differently in the last bit.
+    """
+    out = np.empty(re.shape[:-1] + b.shape[-1:], dtype=complex)
+    out.real = re @ b
+    out.imag = im @ b
+    return out
 
 
 def _require_pulse_duration(pulse_duration: float) -> None:
@@ -573,21 +609,24 @@ def _stacked_floor(t_u2: np.ndarray, t_d2: np.ndarray, w_d: np.ndarray,
     M = Phi^dag W_d Phi, floor = (2/D) sum_{l,l' same cluster} |M_ll'|^2 - 1
     (``_same_cluster``; off the diagonal only in cells whose smallest
     phase gap is below PHASE_MATCH_TOL).  The modes come from
-    ``eig_unitaries`` (real if the cells are ``symmetric``) and are
-    orthonormal at any gap.  Returns (floor,
+    ``eig_unitaries`` (real if the cells are ``symmetric``, and then
+    W_d Phi is two real products) and are orthonormal at any gap.  Returns (floor,
     smallest u-phase gap, largest residual ||T_d2 W_d Phi - lambda W_d Phi||);
     the floor equals envelope_general(floquet_pair(...)).floor.
     """
     d = t_u2.shape[-1]
     phases, modes = eig_unitaries(t_u2, symmetric)
-    images = w_d @ modes
+    if np.iscomplexobj(modes):
+        bra, images = modes.conj(), w_d @ modes
+    else:
+        bra, images = modes, _real_matmul(w_d.real, w_d.imag, modes)
     lam = np.exp(-1j * phases)
     residual = np.linalg.norm(t_d2 @ images - lam[:, None, :] * images, axis=1).max(axis=1)
-    weight = (np.abs(np.einsum("nil,nil->nl", modes.conj(), images)) ** 2).sum(axis=1)
+    weight = (np.abs(np.einsum("nil,nil->nl", bra, images)) ** 2).sum(axis=1)
     min_gap = _smallest_gap(phases)
     clustered = np.flatnonzero(min_gap < PHASE_MATCH_TOL)
     if clustered.size:
-        m = modes[clustered].conj().swapaxes(-1, -2) @ images[clustered]
+        m = bra[clustered].swapaxes(-1, -2) @ images[clustered]
         weight[clustered] = (np.abs(m) ** 2 * _same_cluster(phases[clustered])).sum(axis=(1, 2))
     return weight * (2.0 / d) - 1.0, min_gap, residual
 
@@ -608,9 +647,10 @@ def floquet_rows(chs, taus, n_p: int, quantities: tuple[str, ...] = QUANTITIES,
     cluster-summed weight w_b (``_stacked_floor``) to D (floor + 1).  The
     sectors of a row add up in the order ``sectors`` lists them, so a value
     depends only on its own row and tau, not on the other rows or
-    quantities of the call or on the block cuts.
+    quantities of the call or on the block cuts.  A one-state sector's
+    cell is exactly 1: it adds ``ONE_STATE_VALUES`` with no cell built.
 
-    Every cell passes the UNITARITY_TOL check and, for the envelope, the
+    Every cell built passes the UNITARITY_TOL check and, for the envelope, the
     half-period residual check against PHASE_MATCH_TOL
     (SymmetryViolationError).  An error names the first failing row (its
     ``index``) and the first failing tau in it, as 'tau[i] = ...:'.
@@ -634,8 +674,12 @@ def floquet_rows(chs, taus, n_p: int, quantities: tuple[str, ...] = QUANTITIES,
             slot += own.size
     parts = {q: np.empty((slot, taus.size)) for q in quantities}
     failures = []
-    for group in (groups[size] for size in sorted(groups)):
+    for size, group in sorted(groups.items()):
         slots = np.concatenate([own for _, _, own in group])
+        if size == 1:  # every cell is exactly 1 (see ONE_STATE_VALUES)
+            for q in quantities:
+                parts[q][slots] = ONE_STATE_VALUES[q]
+            continue
         rows = np.concatenate([np.full(own.size, i) for i, _, own in group])
         pairs = [np.concatenate(a) for a in zip(*((stack.energies_u, stack.energies_d,
                                                    stack.transfer) for _, stack, _ in group))]
@@ -726,6 +770,8 @@ def spectrum_scan(ch: ConditionalHamiltonians, tau_grid: np.ndarray,
     if taus.size < 1 or np.any(np.diff(taus) <= 0):
         raise ValidationError("tau grid must be non-empty and strictly ascending")
     _require_pulse_duration(pulse_duration)
+    if not gap_threshold >= 0:
+        raise ValidationError(f"gap_threshold must be >= 0, got {gap_threshold}")
     t = taus + pulse_duration
     columns, failures = [], []
     for stack in ch.sectors:
@@ -764,10 +810,14 @@ def _sector_trajectories(stack: SectorStack, t: np.ndarray) -> np.ndarray:
     the sector's phases at the first tau, with the offset phase
     2 (c_u + c_d) t (``_offset_phases``) added back and folded into
     (-pi, pi].  A real sector's cells are symmetric: their modes are real,
-    and so are the tracked modes and their overlap product.  An error's
-    ``index`` is its tau.
+    and so are the tracked modes and their overlap product.  A one-state
+    sector's cells are exactly 1, of phase -0, so its column is its folded
+    offset phase, with no cell built.  An error's ``index`` is its tau.
     """
     k, s = stack.index.shape
+    offsets = _offset_phases(stack.offsets, t)[:, :, None]
+    if s == 1:  # every cell is exactly 1, of phase -0: the offsets alone
+        return _fold(offsets).reshape(t.size, k)
     j = np.tile(np.arange(k), t.size)
     tau_of = np.repeat(np.arange(t.size), k)
     phases = np.empty((t.size * k, s))
@@ -787,7 +837,8 @@ def _sector_trajectories(stack: SectorStack, t: np.ndarray) -> np.ndarray:
         chain = np.concatenate([last, block_modes])
         c = np.arange(block.stop - block.start)
         before = np.where(c >= k, c, np.where(block.start + c >= k, j[block], c + k))
-        overlaps = np.abs(chain[before].conj().swapaxes(-1, -2) @ block_modes)
+        bra = chain[before].swapaxes(-1, -2)
+        overlaps = np.abs((bra if symmetric else bra.conj()) @ block_modes)
         clear = (overlaps.max(axis=-1) > TRACKING_OVERLAP).all(axis=-1)
         best = overlaps.argmax(axis=-1)
         # Each cell keeps its sector's order unless its modes mix or the row
@@ -802,10 +853,14 @@ def _sector_trajectories(stack: SectorStack, t: np.ndarray) -> np.ndarray:
             cell_orders[i::k] = orders[b]
         phases[block] = np.take_along_axis(block_phases, cell_orders, axis=-1)
         last[j[block][-k:]] = block_modes[-k:]
-    offsets = _offset_phases(stack.offsets, t)[:, :, None]
-    phases = -np.angle(np.exp(-1j * (phases.reshape(t.size, k, s) + offsets)))
-    phases[phases <= -np.pi] += 2 * np.pi
-    return phases.reshape(t.size, k * s)
+    return _fold(phases.reshape(t.size, k, s) + offsets).reshape(t.size, k * s)
+
+
+def _fold(phases: np.ndarray) -> np.ndarray:
+    """Phases folded into (-pi, pi] through the unit circle."""
+    folded = -np.angle(np.exp(-1j * phases))
+    folded[folded <= -np.pi] += 2 * np.pi
+    return folded
 
 
 def _offset_phases(offsets: np.ndarray, t: np.ndarray) -> np.ndarray:

@@ -210,8 +210,8 @@ def _cayley_eigh(u: np.ndarray, cut: np.ndarray,
     size inf and unit modes, so the matrix is solved again at the largest
     gap of its diagonal phases.
     """
-    eye = np.eye(u.shape[-1])
-    shifted = u * np.exp(-1j * cut)[:, None, None]
+    eye = np.eye(u.shape[-1])  # with every cut 0, U' is U itself
+    shifted = u * np.exp(-1j * cut)[:, None, None] if cut.any() else u
     try:
         a = np.linalg.solve(eye + shifted, eye - shifted)
     except np.linalg.LinAlgError:

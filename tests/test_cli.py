@@ -52,6 +52,16 @@ class TestExitCodes:
         assert err.startswith(f"config error: {cfg}: unreadable as UTF-8 JSON: ")
         assert err.count("\n") == 1
 
+    def test_negative_crossing_gap(self, tmp_path, capsys):
+        # Below 0 no gap could flag a crossing; the load rejects it.
+        doc = pseudospin_doc()
+        doc["output"] = {"crossing_gap_rad": -1}
+        cfg = write_cfg(tmp_path / "c.json", doc)
+        outdir = tmp_path / "out"
+        assert main(["spectrum", "--config", cfg, "--output", str(outdir)]) == 2
+        assert capsys.readouterr().err == "config error: output.crossing_gap_rad must be >= 0\n"
+        assert not outdir.exists()
+
     def test_missing_config(self, tmp_path):
         assert main(["trace", "--config", str(tmp_path / "nope.json"),
                      "--output", str(tmp_path)]) == 2
@@ -412,9 +422,10 @@ def test_write_error_names_the_output(tmp_path, capsys):
 
 
 def test_unitarity_failures_in_two_rows_name_the_lower_row(tmp_path, capsys, monkeypatch):
-    # One-state sector cells of rows 3 and 1 are pushed off unitarity: row 3
-    # at tau[2], row 1 at tau[6] in |uuu> and at tau[4] in |ddd>.  All of
-    # them sit in one stack; the map names row 1 and its first tau, tau[4].
+    # Three-state sector cells of rows 3 and 1 are pushed off unitarity:
+    # row 3 at tau[2], row 1 at tau[6] in its first sector and at tau[4] in
+    # its second.  All of them sit in one stack; the map names row 1 and its
+    # first tau, tau[4].
     import re
 
     import floqsens.engine as engine
@@ -427,16 +438,17 @@ def test_unitarity_failures_in_two_rows_name_the_lower_row(tmp_path, capsys, mon
     cfg = parse_config(doc)
     fields = cfg.field_axis.values().tolist()
     taus = cfg.tau_axis.values().tolist()
-    sectors = [_row_hamiltonians(cfg, f, p).sectors[0].index.tolist()
+    sectors = [_row_hamiltonians(cfg, f, p).sectors[1].index.tolist()
                for f, p in zip(fields, _polarizations(cfg, fields))]
-    assert sectors == [[[0], [7]]] * len(fields)
-    # The one-state stack of the map is rows 0..4, each |uuu> then |ddd>.
+    assert sectors == [[[1, 2, 4], [3, 5, 6]]] * len(fields)
+    # The three-state stack of the map is rows 0..4, each total Iz = +1/2
+    # then -1/2.
     marked = {(2 * 3, taus[2]), (2 * 1, taus[6]), (2 * 1 + 1, taus[4])}
     original = engine._cell_blocks
 
     def leaky(energies_u, energies_d, transfer, j, t):
         for block, d_u, y in original(energies_u, energies_d, transfer, j, t):
-            if transfer.shape[-1] == 1:
+            if transfer.shape[-1] == 3:
                 for k, cell in enumerate(zip(j[block].tolist(), t[block].tolist())):
                     if cell in marked:
                         d_u[k] *= 1.0 + 1e-6

@@ -1,10 +1,12 @@
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import floqsens.clusters as clusters_module
 from floqsens import (
     CapacityError,
     PairSet,
@@ -113,8 +115,9 @@ class TestConditionalHamiltonians:
     def test_capacity_limit(self):
         n = 7
         cl = SpinCluster(a=np.zeros(n), c=np.zeros((n, n)))
-        with pytest.raises(CapacityError):
-            conditional_cluster_hamiltonians(cl, 1.0, -1.0)
+        for _ in range(2):  # a failed build is not cached
+            with pytest.raises(CapacityError, match=r"^bath of 7 spins exceeds maximum 6$"):
+                conditional_cluster_hamiltonians(cl, 1.0, -1.0)
 
     def test_cyclic_identity(self, rng):
         a = rng.uniform(-2e5, 2e5, size=3)
@@ -456,6 +459,29 @@ class TestBasisBuild:
             sz_exp = 0.5 * float(pols[level - 1])
             assert h.tobytes() == (float(energies[level - 1]) * eye + sz_exp * h_a
                                    + h_c).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(cl=clusters(), p_u=polarization, p_d=polarization, b0=st.floats(0.0, 1.0))
+    def test_operators_are_built_once_per_cluster(self, cl, p_u, p_d, b0):
+        # The cached operators equal a fresh build, no Hamiltonian of the
+        # cluster builds them again, and each is the build-per-call
+        # expression bit for bit.
+        fresh = clusters_module._bath_operators(cl)
+        assert [m.tobytes() for m in cl.operators] == [m.tobytes() for m in fresh]
+        assert not any(m.flags.writeable for m in cl.operators)
+        h_a, h_c = fresh
+        d = si_bi()
+        energies, pols = donor_levels(d, b0)
+        eye = np.eye(2 ** cl.n, dtype=complex)
+        with mock.patch.object(clusters_module, "_bath_operators", None):
+            chs = [conditional_cluster_hamiltonians(cl, p, p_d) for p in (p_u, p_d)]
+            ch = joint_full_model(d, cl, b0)
+        for p, cond in zip((p_u, p_d), chs):
+            assert cond.h_u.tobytes() == (0.5 * p * h_a + h_c).tobytes()
+            assert cond.h_d.tobytes() == (0.5 * p_d * h_a + h_c).tobytes()
+        for h, level in ((ch.h_u, d.level_u), (ch.h_d, d.level_d)):
+            want = float(energies[level - 1]) * eye + 0.5 * float(pols[level - 1]) * h_a + h_c
+            assert h.tobytes() == want.tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(pairs=st.lists(st.tuples(couplings, couplings.filter(bool)), min_size=1, max_size=8),

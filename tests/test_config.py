@@ -116,6 +116,16 @@ class TestValidation:
         with pytest.raises(ConfigError, match="n_p"):
             parse_config(raw)
 
+    @pytest.mark.parametrize("block, key", [("sequence", "pulse_duration_s"),
+                                            ("output", "crossing_gap_rad")])
+    def test_negative_lengths_rejected(self, block, key):
+        raw = minimal_pseudospin()
+        raw[block] = {key: -1}
+        with pytest.raises(ConfigError, match=rf"^{block}\.{key} must be >= 0$"):
+            parse_config(raw)
+        raw[block] = {key: 0}
+        parse_config(raw)
+
     def test_bad_quantity(self):
         raw = minimal_pseudospin()
         raw["output"] = {"quantity": "phase"}

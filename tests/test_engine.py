@@ -347,6 +347,13 @@ class TestSpectrumScan:
         near = np.abs(np.angle(np.exp(1j * (lines - np.pi)))) < 0.02
         assert np.all(scan.crossings[near])
 
+    @pytest.mark.parametrize("threshold", [-1e-2, float("nan")])
+    def test_gap_threshold_must_be_non_negative(self, threshold):
+        from floqsens import TwoStateModel
+        ch = TwoStateModel.from_components(0.0, 2.0, 0.0, 1.2).conditional()
+        with pytest.raises(ValidationError, match="gap_threshold must be >= 0"):
+            spectrum_scan(ch, np.linspace(0.01, 2.5, 10), gap_threshold=threshold)
+
     def test_trajectory_continuity(self, rng):
         ch = random_conditional(4, rng)
         taus = np.linspace(0.02, 1.2, 300)

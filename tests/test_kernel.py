@@ -392,9 +392,9 @@ FLIP_FLOP = st.one_of(st.just(0.0), st.floats(500.0, 5e3), st.floats(-5e3, -500.
 
 
 @st.composite
-def spin_clusters(draw):
-    """1 to 5 bath spins; a coupling drawn as exactly 0 splits sectors further."""
-    n = draw(st.integers(1, 5))
+def spin_clusters(draw, max_spins=5):
+    """1 to ``max_spins`` bath spins; a coupling drawn as exactly 0 splits sectors further."""
+    n = draw(st.integers(1, max_spins))
     c = np.zeros((n, n))
     for j, k in combinations(range(n), 2):
         c[j, k] = c[k, j] = draw(FLIP_FLOP)
@@ -627,3 +627,95 @@ def test_dense_map_rows_equal_traces_at_any_block_budget(monkeypatch, kind, budg
         for quantity in quantities:
             want = np.array([getattr(trace, quantity) for trace in traces])
             assert values[quantity].tobytes() == want.tobytes()
+
+
+def sign_free_bits(a):
+    """The bits of a complex array with -0.0 read as +0.0.  The two products
+    can differ in the sign of an exact zero; 1 +- U in the Cayley solve and
+    |.| in every check and quantity wash it out, so no output value moves."""
+    return (a.view(float) + 0.0).view(np.int64)
+
+
+def cluster_pair(cluster, kind, pols, b0):
+    return conditional_cluster_hamiltonians(cluster, *pols) if kind == "cluster3" \
+        else joint_full_model(si_bi(), cluster, b0)
+
+
+def sector_cells(stack, t):
+    """(j, t) of every (tau, sector) cell of a SectorStack, as the spectrum orders them."""
+    k = len(stack.index)
+    return np.tile(np.arange(k), t.size), np.repeat(t, k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cluster=spin_clusters(max_spins=4), kind=st.sampled_from(["cluster3", "joint_full"]),
+       pols=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)), b0=st.floats(0.0, 0.4),
+       taus=st.lists(st.floats(2e-5, 3e-4), min_size=1, max_size=5),
+       delta=st.sampled_from([0.0, 3e-6]))
+def test_real_transfer_products_keep_the_complex_product_bits(cluster, kind, pols, b0, taus,
+                                                              delta):
+    # Y = X e^{-i E_d t} X^T of a real X as two real products equals the
+    # complex product (x e) @ x^T bit for bit, for the row cells (E_d) and the
+    # spectrum cells (2 E_d); so do the half-period images W_d Phi of the
+    # real modes of the row cells.
+    ch = cluster_pair(cluster, kind, pols, b0)
+    t = np.array(taus) + delta
+    for stack in ch.sectors[1:]:
+        assert not np.iscomplexobj(stack.transfer)
+        j, tt = sector_cells(stack, t)
+        for energies_d in (stack.energies_d, 2 * stack.energies_d):
+            for block, d_u, y in engine._cell_blocks(stack.energies_u, energies_d,
+                                                     stack.transfer, j, tt):
+                x = stack.transfer[j[block]]
+                phase = np.exp(-1j * energies_d[j[block]] * tt[block, None])[:, None, :]
+                want = (x * phase) @ x.conj().swapaxes(-1, -2)
+                assert np.array_equal(sign_free_bits(y), sign_free_bits(want))
+                if energies_d is stack.energies_d:
+                    w_d = y * d_u[:, None, :]
+                    _, modes = eig_unitaries((d_u[:, :, None] * y) @ w_d, True)
+                    images = engine._real_matmul(w_d.real, w_d.imag, modes)
+                    assert np.array_equal(sign_free_bits(images), sign_free_bits(w_d @ modes))
+
+
+@settings(max_examples=60, deadline=None)
+@given(cluster=spin_clusters(max_spins=4), kind=st.sampled_from(["cluster3", "joint_full"]),
+       pols=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)), b0=st.floats(0.0, 0.4),
+       taus=st.lists(st.floats(2e-5, 3e-4), min_size=1, max_size=5, unique=True),
+       delta=st.sampled_from([0.0, 3e-6]), n_p=st.integers(0, 100))
+def test_one_state_sectors_take_the_general_path_values(cluster, kind, pols, b0, taus, delta,
+                                                        n_p):
+    # The closed forms of a one-state sector against the general path on the
+    # cells _cell_blocks builds for it, bit for bit: the stack ``sectors``
+    # gives without eigh, the row values ONE_STATE_VALUES and the tracked
+    # spectrum phases (the folded offset phases).
+    ch = cluster_pair(cluster, kind, pols, b0)
+    stack = ch.sectors[0]  # |u...u> and |d...d> at least
+    k, s = stack.index.shape
+    assert s == 1 and k >= 2
+    blocks = np.stack([ch.h_u, ch.h_d])[:, stack.index[:, 0], stack.index[:, 0]]
+    energies, modes = np.linalg.eigh((blocks - blocks.real)[..., None, None])
+    assert stack.offsets.tobytes() == blocks.real.T.copy().tobytes()
+    assert energies.tobytes() == np.concatenate([stack.energies_u, stack.energies_d]).tobytes()
+    assert (modes[0].conj() * modes[1]).real.tobytes() == stack.transfer.tobytes()
+
+    t = np.sort(taus) + delta
+    j, tt = sector_cells(stack, t)
+    for _, d_u, y in engine._cell_blocks(stack.energies_u, stack.energies_d, stack.transfer,
+                                         j, tt):
+        values = engine._sector_values(d_u[:, :, None] * y, y * d_u[:, None, :], n_p,
+                                       engine.QUANTITIES, True)
+        for q, v in values.items():
+            assert v.tobytes() == np.full(len(v), engine.ONE_STATE_VALUES[q]).tobytes()
+
+    phases = np.empty(t.size * k)
+    for block, d_u, y in engine._cell_blocks(stack.energies_u, 2 * stack.energies_d,
+                                             stack.transfer, j, tt):
+        cells = d_u[:, :, None] * y * d_u[:, None, :]
+        linalg.require_unitary(cells)
+        phases[block] = eig_unitaries(cells, True)[0][:, 0]
+    # A one-state sector has one mode, so tracking keeps it; the offset is
+    # added and the sum folded into (-pi, pi] as for every sector.
+    want = -np.angle(np.exp(-1j * (phases.reshape(t.size, k)
+                                   + engine._offset_phases(stack.offsets, t))))
+    want[want <= -np.pi] += 2 * np.pi
+    assert engine._sector_trajectories(stack, t).tobytes() == want.tobytes()
