@@ -341,6 +341,9 @@ def parse_config(cfg: dict) -> ScanConfig:
                                                    "sequence", default=0.0))
     if sequence.pulse_duration < 0:
         raise ConfigError("sequence.pulse_duration_s must be >= 0")
+    if not math.isfinite(tau_axis.stop + sequence.pulse_duration):  # the longest interval
+        raise ConfigError(f"tau_s stop {tau_axis.stop:g} + sequence.pulse_duration_s "
+                          f"{sequence.pulse_duration:g} overflows")
 
     out_obj = cfg.get("output", {})
     _require_keys(out_obj, {"quantity", "format", "crossing_gap_rad"}, set(), "output")

@@ -19,8 +19,16 @@ H_u: with X = V_u^dag V_d computed once per sector, T_u(t) is the
 diagonal D_u = exp(-i E_u t) and T_d(t) is Y = X exp(-i E_d t) X^dag, so
 W_u = D_u Y and W_d = Y D_u cost one (d, d) product per cell and a
 spectrum cell T_u2 = D_u (X exp(-2 i E_d t) X^dag) D_u costs one too.
-For a real X that product is two real ones, (X cos) X^T and
-(X (-sin)) X^T, the real and imaginary parts of Y (``_real_matmul``).
+Every stacked product of the sector kernels (Y, T_u2 = W_u W_d,
+T_d2 = W_d W_u, the grams of the unitarity checks, the half-period
+images W_d Phi, the residual T_d2 W_d Phi and the squarings and
+multiplies of ``unitary_power``) is a ``linalg.matmul``: for a real X,
+Y is two real products, (X cos) X^T and (X (-sin)) X^T, and a complex
+product of cells of at most ``linalg.SMALL_PRODUCT_DIM`` states is one
+real product of the realified right operand, not a complex BLAS call
+per cell.  ``unit_cell`` keeps a @ b, and full-space cells of more than
+SMALL_PRODUCT_DIM states (D = 8 for a 3-cluster) stay on a @ b in
+``unitary_power`` too, so the per-tau reference products are NumPy's.
 These cells are similar to the computational-basis ones by the
 tau-independent V_u: eigenphases, mode overlaps from tau to tau,
 Re tr(P_u^dag P_d) and the envelope floor agree in exact arithmetic.
@@ -108,6 +116,7 @@ from .linalg import (
     eig_unitaries,
     eig_unitary,
     expm_hermitian,
+    matmul,
     polar_unitary,
     require_hermitian,
     require_unitary,
@@ -266,7 +275,7 @@ def _cell_blocks(energies_u: np.ndarray, energies_d: np.ndarray, transfer: np.nd
     is Y = X exp(-i E_d t) X^dag, (n, d, d): so W_u = D_u Y and W_d = Y D_u,
     one product per cell.  For a real X, Y is complex symmetric, and its
     real and imaginary parts are two real products (X cos) X^T and
-    (X (-sin)) X^T of the parts of exp(-i E_d t) (``_real_matmul``).  Each
+    (X (-sin)) X^T of the parts of exp(-i E_d t) (``linalg.matmul``).  Each
     slice holds as many (d, d) complex cells as fit BLOCK_BYTES, so for
     d > 64 a block of one cell exceeds it.
     """
@@ -275,26 +284,9 @@ def _cell_blocks(energies_u: np.ndarray, energies_d: np.ndarray, transfer: np.nd
         x = transfer[pair]
         interval = t[block, None]
         phase = np.exp(-1j * energies_d[pair] * interval)[:, None, :]
-        if np.iscomplexobj(x):
-            y = (x * phase) @ x.conj().swapaxes(-1, -2)
-        else:
-            y = _real_matmul(x * phase.real, x * phase.imag, x.swapaxes(-1, -2))
+        y = matmul(x * phase, x.conj().swapaxes(-1, -2) if np.iscomplexobj(x)
+                   else x.swapaxes(-1, -2))
         yield block, np.exp(-1j * energies_u[pair] * interval), y
-
-
-def _real_matmul(re: np.ndarray, im: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(re + i im) @ b of real arrays as two real products.
-
-    They sum the same terms as the complex product with b's zero imaginary
-    part, at about a third of its cost on 3 x 3 cells.  Where the BLAS
-    orders both sums alike they give its bits: for every size up to 16
-    with OpenBLAS 0.3.31 (Haswell kernels); some larger sizes (17-20,
-    25-28, ...) round differently in the last bit.
-    """
-    out = np.empty(re.shape[:-1] + b.shape[-1:], dtype=complex)
-    out.real = re @ b
-    out.imag = im @ b
-    return out
 
 
 def _require_pulse_duration(pulse_duration: float) -> None:
@@ -320,7 +312,7 @@ def _half_period_blocks(ch: ConditionalHamiltonians, taus: np.ndarray,
         if h_pulse.shape != ch.h_u.shape:
             raise ValidationError("intra_pulse_hamiltonian dimension does not match the bath")
         pulse = expm_hermitian(h_pulse, 2 * pulse_duration)
-    t = taus if pulse is not None else taus + pulse_duration
+    t = taus if pulse is not None else _free_intervals(taus, pulse_duration)
     eigs = np.linalg.eigh(ch.h_u), np.linalg.eigh(ch.h_d)
     for block in block_slices(taus.size, 16 * ch.dim ** 2):
         a_u, a_d = ((v * np.exp(-1j * e * t[block, None])[:, None, :]) @ v.conj().T
@@ -481,9 +473,11 @@ def half_period_check(ch: ConditionalHamiltonians, seq: PulseSequence,
 def unitary_power(u: np.ndarray, n: int) -> np.ndarray:
     """U^n by binary exponentiation, of one matrix or of each matrix of a (..., D, D) stack.
 
+    Each squaring and multiply is a ``linalg.matmul`` of the whole stack.
     A squared base whose unitarity defect exceeds POWER_DRIFT_TOL is
-    replaced by its polar factor.  Only the drifted matrices of a stack are
-    touched, so every matrix gets the same bits as a call on it alone.
+    replaced by its polar factor.  ``matmul`` computes each matrix from its
+    own operands and only the drifted matrices of a stack are touched, so
+    every matrix gets the same bits as a call on it alone.
     """
     if n < 0:
         raise ValidationError("negative powers are not used here")
@@ -491,10 +485,10 @@ def unitary_power(u: np.ndarray, n: int) -> np.ndarray:
     result = None
     while n:
         if n & 1:
-            result = base if result is None else result @ base
+            result = base if result is None else matmul(result, base)
         n >>= 1
         if n:
-            base = base @ base
+            base = matmul(base, base)
             drifted = unitarity_defect(base) > POWER_DRIFT_TOL
             if drifted.any():
                 base[drifted] = polar_unitary(base[drifted])
@@ -600,6 +594,21 @@ def _require_taus(taus) -> np.ndarray:
     return taus
 
 
+def _free_intervals(taus: np.ndarray, pulse_duration: float) -> np.ndarray:
+    """The free intervals tau + pulse_duration of a tau grid, after the
+    pulse_duration check.  A sum that overflows raises ValidationError at
+    its tau, without a NumPy warning."""
+    _require_pulse_duration(pulse_duration)
+    with np.errstate(over="ignore"):
+        t = taus + pulse_duration
+    bad = np.flatnonzero(~np.isfinite(t))
+    if bad.size:
+        i = bad[0]
+        raise locate(ValidationError(f"tau + pulse_duration {pulse_duration:g} overflows"), i,
+                     f"tau[{i}] = {taus[i]:g}")
+    return t
+
+
 def _stacked_floor(t_u2: np.ndarray, t_d2: np.ndarray, w_d: np.ndarray,
                    symmetric: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Envelope floor per tau from one batched eigen-solve of T_u2 = W_u W_d.
@@ -610,18 +619,18 @@ def _stacked_floor(t_u2: np.ndarray, t_d2: np.ndarray, w_d: np.ndarray,
     (``_same_cluster``; off the diagonal only in cells whose smallest
     phase gap is below PHASE_MATCH_TOL).  The modes come from
     ``eig_unitaries`` (real if the cells are ``symmetric``, and then
-    W_d Phi is two real products) and are orthonormal at any gap.  Returns (floor,
-    smallest u-phase gap, largest residual ||T_d2 W_d Phi - lambda W_d Phi||);
-    the floor equals envelope_general(floquet_pair(...)).floor.
+    W_d Phi is two real products of ``matmul``) and are orthonormal at any
+    gap.  Returns (floor, smallest u-phase gap, largest residual
+    ||T_d2 W_d Phi - lambda W_d Phi||); the floor equals
+    envelope_general(floquet_pair(...)).floor.
     """
     d = t_u2.shape[-1]
     phases, modes = eig_unitaries(t_u2, symmetric)
-    if np.iscomplexobj(modes):
-        bra, images = modes.conj(), w_d @ modes
-    else:
-        bra, images = modes, _real_matmul(w_d.real, w_d.imag, modes)
+    bra = modes.conj() if np.iscomplexobj(modes) else modes
+    images = matmul(w_d, modes)
     lam = np.exp(-1j * phases)
-    residual = np.linalg.norm(t_d2 @ images - lam[:, None, :] * images, axis=1).max(axis=1)
+    residual = np.linalg.norm(matmul(t_d2, images) - lam[:, None, :] * images,
+                              axis=1).max(axis=1)
     weight = (np.abs(np.einsum("nil,nil->nl", bra, images)) ** 2).sum(axis=1)
     min_gap = _smallest_gap(phases)
     clustered = np.flatnonzero(min_gap < PHASE_MATCH_TOL)
@@ -652,8 +661,11 @@ def floquet_rows(chs, taus, n_p: int, quantities: tuple[str, ...] = QUANTITIES,
 
     Every cell built passes the UNITARITY_TOL check and, for the envelope, the
     half-period residual check against PHASE_MATCH_TOL
-    (SymmetryViolationError).  An error names the first failing row (its
-    ``index``) and the first failing tau in it, as 'tau[i] = ...:'.
+    (SymmetryViolationError); a NaN defect or residual fails them.  An
+    error names the first failing row (its ``index``) and the first
+    failing tau in it, as 'tau[i] = ...:'.  A tau + pulse_duration that
+    overflows raises ValidationError at its tau (``index`` that tau)
+    before any row.
     """
     taus = _require_taus(taus)
     if int(n_p) != n_p or n_p < 0:
@@ -661,8 +673,7 @@ def floquet_rows(chs, taus, n_p: int, quantities: tuple[str, ...] = QUANTITIES,
     unknown = set(quantities) - set(QUANTITIES)
     if unknown:
         raise ValidationError(f"unknown quantities {sorted(unknown)}; expected {QUANTITIES}")
-    _require_pulse_duration(pulse_duration)
-    t = taus + pulse_duration
+    t = _free_intervals(taus, pulse_duration)
     # One slot per (row, sector) contribution: rows in order, each row's
     # sectors as ch.sectors lists them; the sector stacks grouped by size.
     groups, starts, slot = {}, [], 0
@@ -715,7 +726,7 @@ def _sector_values(w_u: np.ndarray, w_d: np.ndarray, n_p: int,
     'envelope', after the unitarity and half-period checks; an error's
     ``index`` is its cell.  ``symmetric`` cells (from real sectors) get
     real modes."""
-    t_u2, t_d2 = w_u @ w_d, w_d @ w_u
+    t_u2, t_d2 = matmul(w_u, w_d), matmul(w_d, w_u)
     require_unitary(t_u2)
     require_unitary(t_d2)
     out = {}
@@ -725,7 +736,7 @@ def _sector_values(w_u: np.ndarray, w_d: np.ndarray, n_p: int,
         out["coherence"] = np.einsum("nij,nij->n", p_u.conj(), p_d).real
     if "envelope" in quantities:
         floor, _, residual = _stacked_floor(t_u2, t_d2, w_d, symmetric)
-        bad = np.flatnonzero(residual > PHASE_MATCH_TOL)
+        bad = np.flatnonzero(~(residual <= PHASE_MATCH_TOL))  # NaN fails too
         if bad.size:
             raise locate(SymmetryViolationError(
                 f"u/d eigenphase residual {residual[bad[0]]:.3e} > "
@@ -769,10 +780,9 @@ def spectrum_scan(ch: ConditionalHamiltonians, tau_grid: np.ndarray,
     taus = _require_taus(tau_grid)
     if taus.size < 1 or np.any(np.diff(taus) <= 0):
         raise ValidationError("tau grid must be non-empty and strictly ascending")
-    _require_pulse_duration(pulse_duration)
     if not gap_threshold >= 0:
         raise ValidationError(f"gap_threshold must be >= 0, got {gap_threshold}")
-    t = taus + pulse_duration
+    t = _free_intervals(taus, pulse_duration)
     columns, failures = [], []
     for stack in ch.sectors:
         try:

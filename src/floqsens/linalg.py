@@ -5,7 +5,11 @@ complex symmetric unitary, which ``eig_unitaries`` returns real.
 Propagators follow the physics convention U = exp(-i H t) with H in rad/s
 and t in seconds, and eigenphases E are reported through
 U |phi> = exp(-i E) |phi| with E in (-pi, pi] (a tie at -pi is folded to
-+pi).
++pi).  Every stacked product of the engine's sector kernels, and the gram
+of ``unitarity_defect``, goes through ``matmul``: two real products for a
+real right operand, one real product of the realified operand for complex
+cells of 2 to SMALL_PRODUCT_DIM states, where NumPy's per-cell complex
+BLAS call costs most, and a @ b otherwise.
 """
 
 from __future__ import annotations
@@ -34,6 +38,14 @@ CAYLEY_RECUTS = 3
 # blocks.  At 64 KiB the stacks stay in cache and peak memory within about
 # 0.5 MB of the per-tau path; larger blocks measured no faster on D = 8 and 16.
 BLOCK_BYTES = 64 * 1024
+# Largest inner dimension d of a complex stacked product that ``matmul`` runs
+# as one real product.  NumPy hands each complex d x d product of a stack to
+# the BLAS zgemm, whose fixed cost per call dominates small cells.  On one
+# block of BLOCK_BYTES the real product won both the plain and the gram form
+# for 2 <= d <= 7 in every run of scripts/product_crossover.py, and lost the
+# gram from d = 8 on (OpenBLAS 0.3.31, Haswell kernels, one thread; see
+# README).  At d = 1 NumPy skips the BLAS and a @ b is fastest.
+SMALL_PRODUCT_DIM = 7
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -44,9 +56,51 @@ def hermiticity_defect(m: np.ndarray) -> float:
     return float(np.abs(m - m.conj().T).max())
 
 
+def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b of (..., d, k) and (..., k, m) stacks, by the cheapest product for their types.
+
+    * A real b and a complex a: the real and imaginary parts of a times b,
+      two real products that sum the terms of the complex product.
+    * Both complex with 2 <= k <= SMALL_PRODUCT_DIM: one real product of
+      a viewed as (..., d, 2k) pairs (Re, Im) and the realified b of
+      (..., 2k, 2m), whose entry b_lj is the block [[Re, Im], [-Im, Re]]
+      (rows 2l and 2l + 1 are the pairs of b_l and i b_l); its
+      (..., d, 2m) result is the (Re, Im) pairs of a @ b.  It sums the
+      same products as the complex one, in the BLAS's order, so the two
+      differ by rounding alone.
+    * Anything else: a @ b.
+
+    Each matrix of a stack is computed from its own operands alone, so a
+    stacked call gives every matrix the bits of a call on it alone.
+    """
+    if not np.iscomplexobj(b):
+        if not np.iscomplexobj(a):
+            return a @ b
+        out = np.empty(a.shape[:-1] + b.shape[-1:], dtype=complex)
+        out.real = a.real @ b
+        out.imag = a.imag @ b
+        return out
+    if np.iscomplexobj(a) and 2 <= b.shape[-2] <= SMALL_PRODUCT_DIM:
+        return _realified_matmul(a, b)
+    return a @ b
+
+
+def _realified_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b of complex stacks as one real product (see ``matmul``); the rows
+    i b_l come from one complex multiply, exact but for the sign of a zero."""
+    k, m = b.shape[-2:]
+    real = np.empty(b.shape[:-1] + (2, m), dtype=complex)  # rows b_l and i b_l
+    real[..., 0, :] = b
+    np.multiply(b, 1j, out=real[..., 1, :])
+    real = real.view(float).reshape(b.shape[:-2] + (2 * k, 2 * m))
+    return (np.ascontiguousarray(a).view(float) @ real).view(complex)
+
+
 def unitarity_defect(u: np.ndarray) -> float | np.ndarray:
-    """Max elementwise magnitude of U U^dagger - 1, per matrix of a (..., D, D) stack."""
-    gram = u @ u.conj().swapaxes(-1, -2)
+    """Max elementwise magnitude of U U^dagger - 1, per matrix of a (..., D, D)
+    stack; the gram U U^dagger is a ``matmul`` product, and a non-finite
+    entry gives a NaN or inf defect."""
+    gram = matmul(u, u.conj().swapaxes(-1, -2))
     return np.abs(gram - np.eye(u.shape[-1])).max(axis=(-2, -1))
 
 
@@ -69,9 +123,10 @@ def require_hermitian(m: np.ndarray, name: str = "matrix") -> np.ndarray:
 
 
 def require_unitary(cells: np.ndarray) -> None:
-    """Raise ValidationError at the index of the first matrix of a (n, D, D) stack that fails UNITARITY_TOL."""
+    """Raise ValidationError at the index of the first matrix of a (n, D, D) stack
+    that fails UNITARITY_TOL; a NaN defect fails."""
     defect = unitarity_defect(cells)
-    bad = np.flatnonzero(defect > UNITARITY_TOL)
+    bad = np.flatnonzero(~(defect <= UNITARITY_TOL))
     if bad.size:
         raise locate(ValidationError(
             f"matrix is not unitary: defect {defect[bad[0]]:.3e} > {UNITARITY_TOL:.1e}"), bad[0])

@@ -286,11 +286,12 @@ def test_coarse_spectrum_imports_scipy_where_modes_mix(tmp_path):
 
 
 def test_traces_load_no_scipy(tmp_path):
-    # A two-state trace and a dense cluster3 trace (the spectrum config run
-    # as a trace) take the same kernels as the maps.
+    # A two-state trace and dense cluster3 traces (the spectrum config run
+    # as a trace, and the dense-coherence trace config) take the same
+    # kernels as the maps.
     result = run_fresh(tmp_path, ("trace", "pseudospin_trace.json"),
-                       ("trace", "cluster3_spectrum.json"))
-    assert result == {"codes": [0, 0], "scipy": []}
+                       ("trace", "cluster3_spectrum.json"), ("trace", "cluster3_trace.json"))
+    assert result == {"codes": [0, 0, 0], "scipy": []}
 
 
 def test_dips_loads_no_scipy(tmp_path):
@@ -371,6 +372,30 @@ def test_overflowing_donor_field_fails_on_one_stderr_line(tmp_path):
     assert proc.returncode == 2
     assert proc.stderr == ("config error: row 1 (field 5e+299): donor Hamiltonian has "
                            "non-finite entries\n")
+
+
+@pytest.mark.parametrize("command", ["trace", "map", "spectrum"])
+def test_overflowing_interval_fails_on_one_stderr_line(tmp_path, command):
+    # tau + pulse_duration overflows at the tau_s stop.  NumPy warned at the
+    # sum (an error under -W error::RuntimeWarning) and the phase check then
+    # read a NaN phase; the load names the overflow instead.
+    doc = {"system": {"kind": "cluster3", "donor": "si_bi",
+                      "cluster": {"a_rad_s": [0.0] * 3, "c_rad_s": [[0.0] * 3] * 3}},
+           "sequence": {"pulse_duration_s": 1e308},
+           "axes": {"tau_s": {"start": 1e-6, "stop": 1e308, "count": 5}}}
+    if command == "map":
+        doc["axes"]["b0_tesla"] = {"start": 0.1, "stop": 0.2, "count": 2}
+    else:
+        doc["system"]["b0_tesla"] = 0.15
+    cfg = write_cfg(tmp_path / "c.json", doc)
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "floqsens.cli", command,
+         "--config", cfg, "--output", str(tmp_path / "out")],
+        capture_output=True, text=True, env=child_env())
+    assert proc.returncode == 2
+    assert proc.stderr == ("config error: tau_s stop 1e+308 + sequence.pulse_duration_s "
+                           "1e+308 overflows\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_trace_range_checks_its_envelope(tmp_path, capsys, monkeypatch):

@@ -23,7 +23,9 @@ from floqsens import (
     thermal_coherence_numeric,
     unit_cell,
 )
-from floqsens.engine import _stacked_floor, unitary_power
+import floqsens.engine as engine
+from floqsens import SpinCluster, conditional_cluster_hamiltonians
+from floqsens.engine import _stacked_floor, floquet_rows, unitary_power
 
 from conftest import random_hermitian
 
@@ -362,3 +364,53 @@ class TestSpectrumScan:
         step = np.abs(np.diff(scan.phases, axis=0))
         step = np.minimum(step, 2 * np.pi - step)
         assert np.median(step) < 0.05
+
+
+def shipped_cluster(couplings=1.0):
+    """The cluster3 pair of the shipped configs (sectors of 1, 3, 3 and 1
+    states); with couplings 0 every sector holds one state."""
+    c = couplings * np.array([[0.0, 1050.0, 2200.0], [1050.0, 0.0, 1050.0],
+                              [2200.0, 1050.0, 0.0]])
+    return conditional_cluster_hamiltonians(SpinCluster([180e3, 0.0, 100e3], c), 0.6, -0.4)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestNonFiniteCells:
+    @pytest.mark.parametrize("couplings", [1.0, 0.0], ids=["three-state", "one-state"])
+    @pytest.mark.parametrize("call", ["floquet_rows", "spectrum_scan"])
+    def test_overflowing_interval_is_rejected_at_its_tau(self, couplings, call):
+        # tau + delta overflows from tau[1] on; the first such tau is named,
+        # without a NumPy overflow warning, also where every sector holds one
+        # state and no cell is built.
+        ch = shipped_cluster(couplings)
+        taus = np.array([1e-5, 1e308, 1.5e308])
+        with pytest.raises(ValidationError, match=r"^tau\[1\] = 1e\+308: tau \+ "
+                                                  r"pulse_duration 1e\+308 overflows$") as info:
+            if call == "floquet_rows":
+                floquet_rows([ch], taus, 100, pulse_duration=1e308)
+            else:
+                spectrum_scan(ch, taus, pulse_duration=1e308)
+        assert info.value.index == 1
+
+    def test_overflowing_interval_of_one_cell(self):
+        seq = PulseSequence(tau=1e308, n_p=1, pulse_duration=1e308)
+        with pytest.raises(ValidationError, match="overflows"):
+            unit_cell(shipped_cluster(), seq)
+
+    def test_nan_residual_fails_the_half_period_check(self, monkeypatch):
+        # Modes that are NaN at tau[1] give a NaN residual there, which
+        # fails the check as a residual above PHASE_MATCH_TOL would.
+        solve = engine.eig_unitaries
+
+        def nan_at_one(u, symmetric=False):
+            phases, modes = solve(u, symmetric)
+            modes[1] = np.nan
+            return phases, modes
+
+        monkeypatch.setattr(engine, "eig_unitaries", nan_at_one)
+        ch = conditional_cluster_hamiltonians(SpinCluster([180e3, 0.0], [[0.0, 1050.0],
+                                                                         [1050.0, 0.0]]), 0.6, -0.4)
+        assert [stack.index.shape[1] for stack in ch.sectors] == [1, 2]
+        with pytest.raises(SymmetryViolationError, match=r"^tau\[1\] = 0\.0002: u/d eigenphase "
+                                                         r"residual nan > 1\.0e-08$"):
+            floquet_rows([ch], np.array([1e-4, 2e-4, 3e-4]), 100, ("envelope",))

@@ -215,6 +215,121 @@ class TestEigUnitaries:
             eig_unitaries(cells)
 
 
+LAYOUTS = ("contiguous", "transposed", "conjugate-transposed", "strided", "zeros")
+EPS = np.finfo(float).eps
+
+
+def complex_stack(rng, shape, layout, scale):
+    """A complex (n, r, c) stack in one of LAYOUTS, entries of magnitude about ``scale``.
+
+    "transposed" and "conjugate-transposed" are swapped views of a
+    contiguous stack (the gram's right operand is the latter), "strided"
+    takes every other row and column of a larger one, and "zeros" is
+    contiguous with about a third of its entries exactly 0.
+    """
+    def draw(s):
+        return scale * (rng.standard_normal(s) + 1j * rng.standard_normal(s))
+
+    n, r, c = shape
+    if layout == "transposed":
+        return draw((n, c, r)).swapaxes(-1, -2)
+    if layout == "conjugate-transposed":
+        return draw((n, c, r)).conj().swapaxes(-1, -2)
+    if layout == "strided":
+        return draw((n, 2 * r, 2 * c))[:, ::2, ::2]
+    x = draw(shape)
+    if layout == "zeros":
+        x[rng.random(shape) < 1 / 3] = 0.0
+    return x
+
+
+@st.composite
+def product_operands(draw, real_b=False):
+    """(a, b) of shapes (n, r, k) and (n, k, m) with k from 1 to SMALL_PRODUCT_DIM + 2."""
+    top = linalg.SMALL_PRODUCT_DIM + 2
+    n, k = draw(st.integers(0, 5)), draw(st.integers(1, top))
+    r, m = draw(st.integers(1, top)), draw(st.integers(1, top))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    scale_a, scale_b = (2.0 ** draw(st.integers(-30, 30)) for _ in range(2))
+    a = complex_stack(rng, (n, r, k), draw(st.sampled_from(LAYOUTS)), scale_a)
+    b = complex_stack(rng, (n, k, m), draw(st.sampled_from(LAYOUTS)), scale_b)
+    return a, (np.ascontiguousarray(b.real) if real_b else b)
+
+
+def realified(b):
+    """The (n, 2k, 2m) real form of b, entry b_lj the block [[Re, Im], [-Im, Re]],
+    built independently of ``linalg.matmul``."""
+    re, im = b.real, b.imag
+    blocks = np.stack([np.stack([re, im], axis=-1), np.stack([-im, re], axis=-1)], axis=-3)
+    n, k, _, m, _ = blocks.shape
+    return blocks.reshape(n, 2 * k, 2 * m)
+
+
+class TestMatmul:
+    @settings(max_examples=300, deadline=None)
+    @given(operands=product_operands())
+    def test_agrees_with_the_complex_product(self, operands):
+        # Both sum the same terms; each part of an entry is within
+        # gamma_2k sum_l |a_il| |b_lj| of the exact product, whatever the
+        # order of the sums, so the two differ by at most twice that.
+        a, b = operands
+        got = linalg.matmul(a, b)
+        want = a @ b
+        assert got.shape == want.shape and got.dtype == complex
+        k = a.shape[-1]
+        bound = 4 * k * EPS * (np.abs(a) @ np.abs(b))
+        assert np.all(np.abs(got.real - want.real) <= bound)
+        assert np.all(np.abs(got.imag - want.imag) <= bound)
+
+    @settings(max_examples=200, deadline=None)
+    @given(operands=product_operands())
+    def test_small_complex_products_are_one_real_product(self, operands):
+        # At or below the crossover the result is the real product of the
+        # (Re, Im) pairs of a with the realified b, bit for bit up to the
+        # sign of a zero; above it, and at k = 1, it is a @ b itself.
+        a, b = operands
+        got = linalg.matmul(a, b)
+        if 2 <= a.shape[-1] <= linalg.SMALL_PRODUCT_DIM:
+            want = (np.ascontiguousarray(a).view(float) @ realified(b)).view(complex)
+            assert np.array_equal(got, want)
+        else:
+            assert got.tobytes() == (a @ b).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(operands=product_operands(real_b=True))
+    def test_real_right_operand_takes_two_real_products(self, operands):
+        # The products of the real and imaginary parts of a, as the engine
+        # formed them before ``matmul`` served every stacked product.
+        a, b = operands
+        want = np.empty(a.shape[:-1] + b.shape[-1:], dtype=complex)
+        want.real = a.real @ b
+        want.imag = a.imag @ b
+        assert linalg.matmul(a, b).tobytes() == want.tobytes()
+        assert linalg.matmul(a.real, b).tobytes() == (a.real @ b).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(operands=product_operands(), real_b=st.booleans())
+    def test_stacked_call_equals_per_matrix_calls(self, operands, real_b):
+        a, b = operands
+        if real_b:
+            b = np.ascontiguousarray(b.real)
+        stacked = linalg.matmul(a, b)
+        for i in range(len(a)):
+            assert stacked[i].tobytes() == linalg.matmul(a[i], b[i]).tobytes()
+            assert stacked[i].tobytes() == linalg.matmul(a[i:i + 1], b[i:i + 1])[0].tobytes()
+
+    def test_non_finite_gram_fails_the_unitarity_check(self):
+        cells = np.stack([np.eye(3, dtype=complex)] * 3)
+        cells[1, 0, 2] = np.nan
+        assert np.isnan(unitarity_defect(cells)[1])
+        with pytest.raises(ValidationError, match="defect nan") as info:
+            linalg.require_unitary(cells)
+        assert info.value.index == 1
+        with pytest.raises(ValidationError, match="defect nan") as info:
+            linalg.require_unitary(np.full((2, 3, 3), np.nan + 0j))
+        assert info.value.index == 0
+
+
 class TestSpinOperators:
     """The spin operators of the kron-product donor oracle (``conftest.donor_eigh``)."""
 
