@@ -2,19 +2,8 @@
 
 from .engine import (
     ConditionalHamiltonians,
-    EnvelopeTerms,
-    FloquetPair,
-    PulseSequence,
     SpectrumScan,
-    coherence_floquet,
-    coherence_numeric,
-    envelope_general,
-    floquet_pair,
-    half_period_check,
-    half_period_operators,
     spectrum_scan,
-    thermal_coherence_numeric,
-    unit_cell,
 )
 from .errors import (
     CapacityError,
@@ -23,7 +12,7 @@ from .errors import (
     SymmetryViolationError,
     ValidationError,
 )
-from .linalg import EigenSystem, eig_unitary, expm_hermitian
+from .linalg import expm_hermitian
 from .pseudospin import (
     DipRecord,
     PseudoField,
@@ -37,14 +26,12 @@ from .pseudospin import (
     dip_positions,
     envelope,
     floquet_phase,
-    omega_average,
     regime_classify,
 )
 from .clusters import (
     DipEstimate,
     PairSet,
     SpinCluster,
-    basis_state_coherences,
     conditional_cluster_hamiltonians,
     doublet_dip_estimates,
     joint_full_model,
@@ -56,7 +43,6 @@ from .sensors import (
     PairTarget,
     donor_levels,
     donor_pair_polarizations,
-    donor_polarization,
     nv_two_state,
     owp_locate,
     si_bi,

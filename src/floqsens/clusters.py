@@ -36,7 +36,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .engine import ConditionalHamiltonians, PulseSequence, unit_cell, unitary_power
+from .engine import ConditionalHamiltonians
 from .errors import CapacityError, ValidationError
 from .linalg import MAX_DIM
 from .pseudospin import TwoStateModel
@@ -166,14 +166,6 @@ class PairSet:
                 h[idx ^ (1 << (k - 1 - site)), idx] += 0.5 * f.x
             out.append(h.astype(complex))
         return ConditionalHamiltonians(h_u=out[0], h_d=out[1])
-
-
-def basis_state_coherences(ch: ConditionalHamiltonians, seq: PulseSequence) -> np.ndarray:
-    """Complex coherence of each computational basis state individually."""
-    t_u2, t_d2 = unit_cell(ch, seq)
-    p_u = unitary_power(t_u2, seq.n_p)
-    p_d = unitary_power(t_d2, seq.n_p)
-    return np.diag(p_u.conj().T @ p_d).copy()
 
 
 def secular_quasienergies(cluster: SpinCluster, p_u: float, p_d: float) -> np.ndarray:

@@ -10,45 +10,35 @@ where T_i(t) = exp(-i H_i t).  Both factor through the half-period
 operators W_u = T_u(tau) T_d(tau) and W_d = T_d(tau) T_u(tau) as
 T_u2 = W_u W_d and T_d2 = W_d W_u, which forces the two cells to share
 one eigenphase multiset and makes each u-mode the half-period image of
-its d-partner.  Finite pulse durations keep the same product structure
-(see PulseSequence).
+its d-partner.  A finite pi pulse of half-width delta, during which the
+bath keeps evolving under its conditional Hamiltonian (flip at the pulse
+midpoint), makes the cell the ideal cell at the free interval tau + delta.
 
-The fast paths (``floquet_rows`` and ``spectrum_scan``) build every cell
+Both kernels (``floquet_rows`` and ``spectrum_scan``) build every cell
 with one builder, ``_cell_blocks``, in the eigenbasis V_u of its sector's
 H_u: with X = V_u^dag V_d computed once per sector, T_u(t) is the
 diagonal D_u = exp(-i E_u t) and T_d(t) is Y = X exp(-i E_d t) X^dag, so
 W_u = D_u Y and W_d = Y D_u cost one (d, d) product per cell and a
 spectrum cell T_u2 = D_u (X exp(-2 i E_d t) X^dag) D_u costs one too.
-Every stacked product of the sector kernels (Y, T_u2 = W_u W_d,
-T_d2 = W_d W_u, the grams of the unitarity checks, the half-period
-images W_d Phi, the residual T_d2 W_d Phi and the squarings and
-multiplies of ``unitary_power``) is a ``linalg.matmul``: for a real X,
-Y is two real products, (X cos) X^T and (X (-sin)) X^T, and a complex
-product of cells of at most ``linalg.SMALL_PRODUCT_DIM`` states is one
-real product of the realified right operand, not a complex BLAS call
-per cell.  ``unit_cell`` keeps a @ b, and full-space cells of more than
-SMALL_PRODUCT_DIM states (D = 8 for a 3-cluster) stay on a @ b in
-``unitary_power`` too, so the per-tau reference products are NumPy's.
-These cells are similar to the computational-basis ones by the
-tau-independent V_u: eigenphases, mode overlaps from tau to tau,
-Re tr(P_u^dag P_d) and the envelope floor agree in exact arithmetic.
-``_half_period_blocks`` builds the computational-basis cells of one pair
-over a tau grid on the full space, the reference the tests compare
-against, ``half_period_operators`` is its one-tau call, so a cell of
-``unit_cell`` equals the matching cell of a stacked build bit for bit.
-One eigensolver serves every path: ``linalg.eig_unitaries`` returns
-orthonormal modes of a stack of cells (Cayley transform and batched
-``eigh``) at any phase gap, and ``eig_unitary``, which ``floquet_pair``
-calls, is its one-cell call.  A sector whose H_u and H_d blocks are real
-(every cluster3 and joint_full bath) has real V_u, V_d and X, so Y and
-D_u are complex symmetric and so is every palindromic cell built from
-them: T_u2 = D_u Y Y D_u and T_d2 = Y D_u D_u Y, and the spectrum cell
-D_u Y(2t) D_u.  Its Floquet modes can be chosen real, and the fast paths
-pass such cells as ``symmetric`` to ``eig_unitaries``, which returns real
-modes from a real ``eigh``; complex Hamiltonians and the per-tau
-full-space path keep the complex one.  The per-tau functions
-(``unit_cell``, ``floquet_pair``, ``thermal_coherence_numeric``,
-``envelope_general``) work on one full cell.
+Every stacked product of the kernels (Y, T_u2 = W_u W_d, T_d2 = W_d W_u,
+the grams of the unitarity checks, the half-period images W_d Phi, the
+residual T_d2 W_d Phi and the squarings and multiplies of
+``unitary_power``) is a ``linalg.matmul``: for a real X, Y is two real
+products, (X cos) X^T and (X (-sin)) X^T, and a complex product of cells
+of at most ``linalg.SMALL_PRODUCT_DIM`` states is one real product of the
+realified right operand, not a complex BLAS call per cell.  These cells
+are similar to the computational-basis ones by the tau-independent V_u:
+eigenphases, mode overlaps from tau to tau, Re tr(P_u^dag P_d) and the
+envelope floor agree in exact arithmetic.  One eigensolver serves both
+kernels: ``linalg.eig_unitaries`` returns orthonormal modes of a stack of
+cells (Cayley transform and batched ``eigh``) at any phase gap.  A sector
+whose H_u and H_d blocks are real (every cluster3 and joint_full bath)
+has real V_u, V_d and X, so Y and D_u are complex symmetric and so is
+every palindromic cell built from them: T_u2 = D_u Y Y D_u and
+T_d2 = Y D_u D_u Y, and the spectrum cell D_u Y(2t) D_u.  Its Floquet
+modes can be chosen real, and the kernels pass such cells as
+``symmetric`` to ``eig_unitaries``, which returns real modes from a real
+``eigh``; complex Hamiltonians keep the complex one.
 
 The row kernel ``floquet_rows`` works on conserved sectors.  A sector
 (``ConditionalHamiltonians.sectors``) is a set of basis states that
@@ -65,18 +55,18 @@ one-state sector needs none of this: its block of H - c is exactly
 on it; spectra give it its offset phase (below).  The others get
 
 * coherence from ``unitary_power`` of the stacked T_u2 and T_d2, the
-  binary power that ``thermal_coherence_numeric`` applies to one cell;
-  a row's coherence is sum_b Re tr_b(P_u^dag P_d) / D over its sectors b;
+  binary power P_i = T_i2^n_p; a row's coherence is
+  sum_b Re tr_b(P_u^dag P_d) / D over its sectors b;
 * the envelope floor from one solve of the T_u2 block: the d-partner of
   each u-mode Phi is its half-period image W_d Phi, so with
   M = Phi^dag W_d Phi the floor (2/D) sum_{l,l' same cluster} |M_ll'|^2 - 1
   needs no mode pairing.  A cluster is a chain of eigenphases closer
   than PHASE_MATCH_TOL; summed over whole clusters the floor does not
-  depend on the basis a solver picks inside one, and ``envelope_general``
-  uses the same clusters.  Away from degeneracy only the diagonal
-  l = l' remains.  Modes of different sectors have M_ll' = 0, so a row's
-  floor is (2/D) sum_b w_b - 1 over the cluster-summed weights w_b of its
-  sectors, and a crossing between sectors is a true crossing.
+  depend on the basis a solver picks inside one.  Away from degeneracy
+  only the diagonal l = l' remains.  Modes of different sectors have
+  M_ll' = 0, so a row's floor is (2/D) sum_b w_b - 1 over the
+  cluster-summed weights w_b of its sectors, and a crossing between
+  sectors is a true crossing.
 
 Sectors add up in a fixed order, so a value depends only on its own row
 and tau.  Each sector's Hamiltonians are stored less their first
@@ -91,18 +81,17 @@ gives the mode overlaps of each cell with the one before it, a row
 maximum above TRACKING_OVERLAP is the unique best continuation of its
 mode, and only a cell whose modes mix goes to SciPy's
 ``linear_sum_assignment``.  A crossing between sectors is a true
-crossing and needs no assignment.  Every stacked cell passes the
-``UNITARITY_TOL`` check of the per-tau path, and errors, those of the
-eigensolver included, name the failing tau (``errors.locate``).  The
-envelope also checks the half-period identity at every tau: the residual
+crossing and needs no assignment; the smallest gap a spectrum reports is
+the one inside a sector, where phases repel.  Every stacked cell passes
+the ``UNITARITY_TOL`` check, and errors, those of the eigensolver
+included, name the failing tau (``errors.locate``).  The envelope also
+checks the half-period identity at every tau: the residual
 ||T_d2 W_d Phi - lambda W_d Phi|| must stay below ``PHASE_MATCH_TOL``.
-The sector paths and the per-tau path agree to a few 1e-14 on cluster
-baths, not bit for bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -110,12 +99,8 @@ import numpy as np
 
 from .errors import NumericalConsistencyError, SymmetryViolationError, ValidationError, locate
 from .linalg import (
-    DEGENERACY_TOL,
-    EigenSystem,
     block_slices,
     eig_unitaries,
-    eig_unitary,
-    expm_hermitian,
     matmul,
     polar_unitary,
     require_hermitian,
@@ -125,7 +110,6 @@ from .linalg import (
 )
 
 PHASE_MATCH_TOL = 1e-8
-HALF_PERIOD_TOL = 1e-8
 POWER_DRIFT_TOL = 1e-12
 QUANTITIES = ("coherence", "envelope")
 # What _sector_values gives on a one-state cell, which is exactly 1:
@@ -138,36 +122,6 @@ TWO_PI_LO = 2.4492935982947064e-16
 # by its row maximum.  Above 1/sqrt(2) two maxima cannot share a column;
 # 0.75 leaves each row maximum ahead of any other assignment by > 0.08.
 TRACKING_OVERLAP = 0.75
-
-
-@dataclass(frozen=True)
-class PulseSequence:
-    """CPMG cell description: interval tau, n_p cell repetitions (2 n_p pulses).
-
-    ``pulse_duration`` is the half-width delta of each finite pi pulse, so a
-    cell lasts 4 (tau + pulse_duration).  Without an intra-pulse Hamiltonian
-    the bath keeps evolving under its conditional Hamiltonian through the
-    pulse window (flip taken at the pulse midpoint), which makes the cell
-    identical to an ideal cell at interval tau + delta.  Supplying
-    ``intra_pulse_hamiltonian`` instead inserts exp(-i H_pulse 2 delta) as
-    the bath evolution during each pulse window; the pulse is still a pi
-    flip of the sensor, the override only concerns the bath.
-    """
-
-    tau: float
-    n_p: int
-    pulse_duration: float = 0.0
-    intra_pulse_hamiltonian: np.ndarray | None = None
-
-    def __post_init__(self):
-        if not np.isfinite(self.tau) or self.tau <= 0:
-            raise ValidationError(f"pulse interval tau must be > 0, got {self.tau}")
-        if int(self.n_p) != self.n_p or self.n_p < 0:
-            raise ValidationError(f"n_p must be a non-negative integer, got {self.n_p}")
-
-    @property
-    def total_time(self) -> float:
-        return 4.0 * self.n_p * (self.tau + self.pulse_duration)
 
 
 @dataclass(frozen=True)
@@ -289,66 +243,10 @@ def _cell_blocks(energies_u: np.ndarray, energies_d: np.ndarray, transfer: np.nd
         yield block, np.exp(-1j * energies_u[pair] * interval), y
 
 
-def _require_pulse_duration(pulse_duration: float) -> None:
-    if not np.isfinite(pulse_duration) or pulse_duration < 0:
-        raise ValidationError(f"pulse_duration must be >= 0, got {pulse_duration}")
-
-
-def _half_period_blocks(ch: ConditionalHamiltonians, taus: np.ndarray,
-                        pulse_duration: float = 0.0,
-                        intra_pulse_hamiltonian: np.ndarray | None = None):
-    """Yield (block, W_u, W_d) over consecutive slices of ``taus``, W_i as (n, D, D) arrays.
-
-    The computational-basis reference of the fast cells: H_u and H_d are
-    diagonalized once on the full space, and cell k is tau k.  The free
-    interval is tau + pulse_duration; with an intra-pulse Hamiltonian it is
-    tau and exp(-i H_pulse 2 delta) sits between the two factors (see
-    PulseSequence).
-    """
-    _require_pulse_duration(pulse_duration)
-    pulse = None
-    if intra_pulse_hamiltonian is not None:
-        h_pulse = require_hermitian(intra_pulse_hamiltonian, name="intra_pulse_hamiltonian")
-        if h_pulse.shape != ch.h_u.shape:
-            raise ValidationError("intra_pulse_hamiltonian dimension does not match the bath")
-        pulse = expm_hermitian(h_pulse, 2 * pulse_duration)
-    t = taus if pulse is not None else _free_intervals(taus, pulse_duration)
-    eigs = np.linalg.eigh(ch.h_u), np.linalg.eigh(ch.h_d)
-    for block in block_slices(taus.size, 16 * ch.dim ** 2):
-        a_u, a_d = ((v * np.exp(-1j * e * t[block, None])[:, None, :]) @ v.conj().T
-                    for e, v in eigs)
-        if pulse is None:
-            w_u, w_d = a_u @ a_d, a_d @ a_u
-        else:
-            w_u, w_d = a_u @ pulse @ a_d, a_d @ pulse @ a_u
-        del a_u, a_d  # not held while the caller works on the block
-        yield block, w_u, w_d
-
-
-def half_period_operators(ch: ConditionalHamiltonians,
-                          seq: PulseSequence) -> tuple[np.ndarray, np.ndarray]:
-    """(W_u, W_d) with cell propagators T_u2 = W_u W_d and T_d2 = W_d W_u."""
-    _, w_u, w_d = next(_half_period_blocks(ch, np.array([seq.tau]), seq.pulse_duration,
-                                           seq.intra_pulse_hamiltonian))
-    return w_u[0], w_d[0]
-
-
-def unit_cell(ch: ConditionalHamiltonians,
-              seq: PulseSequence) -> tuple[np.ndarray, np.ndarray]:
-    """One-period propagators (T_u2, T_d2) of the CPMG cell."""
-    w_u, w_d = half_period_operators(ch, seq)
-    return w_u @ w_d, w_d @ w_u
-
-
 def _circular_distance(diff: np.ndarray) -> np.ndarray:
     """Distance on the circle of phases whose difference is ``diff``."""
     diff = np.abs(diff) % (2 * np.pi)
     return np.minimum(diff, 2 * np.pi - diff)
-
-
-def _circular_gap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pairwise distance of phases a[..., i], b[..., j] on the circle."""
-    return _circular_distance(a[..., :, None] - b[..., None, :])
 
 
 def _smallest_gap(phases: np.ndarray) -> np.ndarray:
@@ -356,7 +254,7 @@ def _smallest_gap(phases: np.ndarray) -> np.ndarray:
 
     Only neighbours of the sorted phases, and the last and first across
     the cut, can be closest: a rounded difference grows with the distance
-    of its operands, so with the ``_circular_gap`` arithmetic per pair the
+    of its operands, so with the ``_circular_distance`` of each pair the
     result equals the minimum over all pairs bit for bit.  A row of a
     single phase has no gap: inf.
     """
@@ -383,95 +281,8 @@ def _same_cluster(phases: np.ndarray) -> np.ndarray:
     return label[..., :, None] == label[..., None, :]
 
 
-@dataclass(frozen=True)
-class FloquetPair:
-    """Matched eigen-systems of the two cell propagators.
-
-    ``pairing[l]`` is the index of the d-mode sharing the phase of u-mode l;
-    within a degenerate phase cluster the assignment maximizes the mode
-    overlap.  ``overlaps[lp, l]`` is <Phi_d,lp | Phi_u,l>.
-    """
-
-    spectrum_u: EigenSystem
-    spectrum_d: EigenSystem
-    pairing: np.ndarray
-    overlaps: np.ndarray = field(repr=False)
-
-    @property
-    def dim(self) -> int:
-        return self.spectrum_u.dim
-
-    @property
-    def phases(self) -> np.ndarray:
-        return self.spectrum_u.phases
-
-
-def floquet_pair(t_u2: np.ndarray, t_d2: np.ndarray) -> FloquetPair:
-    """Diagonalize both cells and match modes by phase, then by overlap.
-
-    Raises SymmetryViolationError if the eigenphase multisets disagree by
-    more than PHASE_MATCH_TOL on the unit circle (an invalid cell pair).
-    """
-    # Imported here, not at module level: SciPy is most of a cold start.
-    from scipy.optimize import linear_sum_assignment
-
-    su = eig_unitary(t_u2)
-    sd = eig_unitary(t_d2)
-    overlaps = sd.modes.conj().T @ su.modes
-    gaps = _circular_gap(su.phases, sd.phases)
-    # Phase agreement dominates the assignment; |overlap| breaks degenerate ties.
-    cost = gaps / PHASE_MATCH_TOL - np.abs(overlaps.T)
-    rows, cols = linear_sum_assignment(cost)
-    pairing = np.empty(su.dim, dtype=int)
-    pairing[rows] = cols
-    matched = gaps[np.arange(su.dim), pairing]
-    if matched.max() > PHASE_MATCH_TOL:
-        raise SymmetryViolationError(
-            f"u/d eigenphase multisets differ by {matched.max():.3e} > {PHASE_MATCH_TOL:.1e}")
-    return FloquetPair(spectrum_u=su, spectrum_d=sd, pairing=pairing, overlaps=overlaps)
-
-
-def half_period_check(ch: ConditionalHamiltonians, seq: PulseSequence,
-                      pair: FloquetPair) -> float:
-    """Verify W_d maps each u-mode onto its paired d-mode (up to a phase).
-
-    Returns the largest residual || W_d phi_u - e^{i mu} phi_d || over all
-    modes.  Also checks, to HALF_PERIOD_TOL, that the two transfer phases of
-    each mode pair add up to the cell eigenphase (mod 2 pi).  Modes closer
-    than DEGENERACY_TOL to another phase are exempt from the per-mode
-    residual (only the subspace is well-defined there).
-    """
-    w_u, w_d = half_period_operators(ch, seq)
-    phases = pair.spectrum_u.phases
-    worst = 0.0
-    worst_isolated = 0.0
-    for l in range(pair.dim):
-        phi_u = pair.spectrum_u.modes[:, l]
-        phi_d = pair.spectrum_d.modes[:, pair.pairing[l]]
-        v = w_d @ phi_u
-        amp_d = np.vdot(phi_d, v)
-        residual = float(np.linalg.norm(v - (amp_d / max(abs(amp_d), 1e-300)) * phi_d))
-        w = w_u @ phi_d
-        amp_u = np.vdot(phi_u, w)
-        mu_sum = -(np.angle(amp_d) + np.angle(amp_u))
-        phase_err = np.abs(np.exp(1j * (mu_sum - phases[l])) - 1.0)
-        gap = np.delete(_circular_gap(phases[l:l + 1], phases)[0], l)
-        isolated = gap.min() > DEGENERACY_TOL if pair.dim > 1 else True
-        worst = max(worst, residual)
-        if isolated:
-            worst_isolated = max(worst_isolated, residual)
-            if phase_err > HALF_PERIOD_TOL:
-                raise SymmetryViolationError(
-                    f"half-period transfer phases of mode {l} miss the eigenphase "
-                    f"by {phase_err:.3e}")
-    if worst_isolated > HALF_PERIOD_TOL:
-        raise SymmetryViolationError(f"half-period residual {worst_isolated:.3e} > "
-                                     f"{HALF_PERIOD_TOL:.1e} on an isolated mode")
-    return worst
-
-
 def unitary_power(u: np.ndarray, n: int) -> np.ndarray:
-    """U^n by binary exponentiation, of one matrix or of each matrix of a (..., D, D) stack.
+    """U^n of each matrix of an (m, D, D) stack, by binary exponentiation.
 
     Each squaring and multiply is a ``linalg.matmul`` of the whole stack.
     A squared base whose unitarity defect exceeds POWER_DRIFT_TOL is
@@ -481,8 +292,7 @@ def unitary_power(u: np.ndarray, n: int) -> np.ndarray:
     """
     if n < 0:
         raise ValidationError("negative powers are not used here")
-    base = u.reshape(-1, *u.shape[-2:])
-    result = None
+    base, result = u, None
     while n:
         if n & 1:
             result = base if result is None else matmul(result, base)
@@ -493,92 +303,8 @@ def unitary_power(u: np.ndarray, n: int) -> np.ndarray:
             if drifted.any():
                 base[drifted] = polar_unitary(base[drifted])
     if result is None:
-        result = np.broadcast_to(np.eye(u.shape[-1], dtype=complex), base.shape).copy()
-    return result.reshape(u.shape)
-
-
-def coherence_numeric(ch: ConditionalHamiltonians, seq: PulseSequence,
-                      initial_state: np.ndarray) -> complex:
-    """Overlap of the two conditionally evolved bath branches, <B_u|B_d>."""
-    b0 = np.asarray(initial_state, dtype=complex).ravel()
-    if b0.shape[0] != ch.dim:
-        raise ValidationError(f"initial state length {b0.shape[0]} != bath dim {ch.dim}")
-    norm = np.linalg.norm(b0)
-    if abs(norm - 1.0) > 1e-10:
-        raise ValidationError(f"initial state must be unit norm, got {norm}")
-    t_u2, t_d2 = unit_cell(ch, seq)
-    b_u = unitary_power(t_u2, seq.n_p) @ b0
-    b_d = unitary_power(t_d2, seq.n_p) @ b0
-    val = complex(np.vdot(b_u, b_d))
-    if abs(val) > 1.0 + 1e-8:
-        raise NumericalConsistencyError(f"coherence magnitude drifted to {abs(val)}")
-    return val
-
-
-def thermal_coherence_numeric(ch: ConditionalHamiltonians, seq: PulseSequence) -> float:
-    """Infinite-temperature bath average, (1/D) Re tr[(T_u2^n)^dag T_d2^n]."""
-    t_u2, t_d2 = unit_cell(ch, seq)
-    p_u = unitary_power(t_u2, seq.n_p)
-    p_d = unitary_power(t_d2, seq.n_p)
-    return float(np.trace(p_u.conj().T @ p_d).real) / ch.dim
-
-
-def coherence_floquet(pair: FloquetPair, n_p: int,
-                      imag_tol: float | None = None) -> float:
-    """Bath-averaged coherence from phases and mode overlaps alone.
-
-    <L> = (1/D) sum_{l,l'} e^{i n_p (E_l - E_l')} |<Phi_d,l'|Phi_u,l>|^2,
-    returned as the real part.  The imaginary part vanishes identically
-    only for D = 2; for larger baths it is merely small at weak coupling,
-    so the consistency check is opt-in: pass ``imag_tol`` to enforce it.
-    """
-    phase_factors = np.exp(1j * n_p * pair.spectrum_u.phases)
-    weights = np.abs(pair.overlaps[pair.pairing]) ** 2
-    val = complex(phase_factors.conj() @ (weights @ phase_factors)) / pair.dim
-    if imag_tol is not None and abs(val.imag) > imag_tol:
-        raise NumericalConsistencyError(
-            f"imaginary coherence residue {abs(val.imag):.3e} > {imag_tol:.1e}")
-    return float(val.real)
-
-
-@dataclass(frozen=True)
-class EnvelopeTerms:
-    """Pairwise decomposition <L> = 1 - sum_k coeff_k sin^2(n_p gap_k / 2).
-
-    One term per unordered mode pair (l, l'); ``coefficients`` already carry
-    the 2/D bath-average weight so that ``reconstruct`` reproduces the
-    phase-overlap coherence exactly.  ``floor`` (1 - sum of coefficients) is
-    the pulse-number-independent lower bound of the coherence.
-    """
-
-    coefficients: np.ndarray
-    phase_gaps: np.ndarray
-
-    @property
-    def floor(self) -> float:
-        return 1.0 - float(self.coefficients.sum())
-
-    def reconstruct(self, n_p: int) -> float:
-        osc = np.sin(n_p * self.phase_gaps / 2.0) ** 2
-        return 1.0 - float(self.coefficients @ osc)
-
-
-def envelope_general(pair: FloquetPair) -> EnvelopeTerms:
-    """Pulse-number-independent envelope terms of a Floquet pair.
-
-    A pair of modes in one phase cluster (``_same_cluster``) gets
-    coefficient 0: its overlap depends on the basis the solver picked
-    inside the cluster, and its sin^2 term vanishes with the phase gap.
-    The floor is then (2/D) sum_{l,l' same cluster} |<Phi_d,l'|Phi_u,l>|^2
-    - 1 over paired modes, the same for every basis of a cluster.
-    """
-    d = pair.dim
-    weights = np.abs(pair.overlaps[pair.pairing]) ** 2
-    idx_l, idx_lp = np.triu_indices(d, k=1)
-    coeff = (weights[idx_lp, idx_l] + weights[idx_l, idx_lp]) * (2.0 / d)
-    coeff[_same_cluster(pair.spectrum_u.phases)[idx_l, idx_lp]] = 0.0
-    gaps = pair.spectrum_u.phases[idx_l] - pair.spectrum_u.phases[idx_lp]
-    return EnvelopeTerms(coefficients=coeff, phase_gaps=gaps)
+        result = np.broadcast_to(np.eye(u.shape[-1], dtype=complex), u.shape).copy()
+    return result
 
 
 def _require_taus(taus) -> np.ndarray:
@@ -598,7 +324,8 @@ def _free_intervals(taus: np.ndarray, pulse_duration: float) -> np.ndarray:
     """The free intervals tau + pulse_duration of a tau grid, after the
     pulse_duration check.  A sum that overflows raises ValidationError at
     its tau, without a NumPy warning."""
-    _require_pulse_duration(pulse_duration)
+    if not np.isfinite(pulse_duration) or pulse_duration < 0:
+        raise ValidationError(f"pulse_duration must be >= 0, got {pulse_duration}")
     with np.errstate(over="ignore"):
         t = taus + pulse_duration
     bad = np.flatnonzero(~np.isfinite(t))
@@ -621,8 +348,7 @@ def _stacked_floor(t_u2: np.ndarray, t_d2: np.ndarray, w_d: np.ndarray,
     ``eig_unitaries`` (real if the cells are ``symmetric``, and then
     W_d Phi is two real products of ``matmul``) and are orthonormal at any
     gap.  Returns (floor, smallest u-phase gap, largest residual
-    ||T_d2 W_d Phi - lambda W_d Phi||); the floor equals
-    envelope_general(floquet_pair(...)).floor.
+    ||T_d2 W_d Phi - lambda W_d Phi||).
     """
     d = t_u2.shape[-1]
     phases, modes = eig_unitaries(t_u2, symmetric)
@@ -644,10 +370,11 @@ def floquet_rows(chs, taus, n_p: int, quantities: tuple[str, ...] = QUANTITIES,
                  pulse_duration: float = 0.0) -> dict[str, np.ndarray]:
     """Requested quantities over a tau grid for each pair of ``chs``, as (rows, tau) arrays.
 
-    'coherence' is thermal_coherence_numeric and 'envelope' the floor of
-    envelope_general(floquet_pair(...)) at each tau.  Every cell is
-    block-diagonal in the sectors of its pair (``ConditionalHamiltonians.sectors``);
-    the cells of one sector size, over all rows, sectors and taus, form one
+    'coherence' is the bath-averaged (1/D) Re tr[(T_u2^n_p)^dag T_d2^n_p]
+    and 'envelope' the n_p-independent floor of its Floquet expansion at
+    each tau (see the module docstring).  Every cell is block-diagonal in
+    the sectors of its pair (``ConditionalHamiltonians.sectors``); the
+    cells of one sector size, over all rows, sectors and taus, form one
     stack built by ``_cell_blocks``, in (row, tau, sector) order.  The
     sector offsets are left out: e^{-i (c_u + c_d) t} is a phase common to
     W_u and W_d, so it cancels in P_u^dag P_d and in |M|^2.  Sector b
@@ -745,22 +472,13 @@ def _sector_values(w_u: np.ndarray, w_d: np.ndarray, n_p: int,
     return out
 
 
-def floquet_row(ch: ConditionalHamiltonians, taus: np.ndarray, n_p: int,
-                quantities: tuple[str, ...] = QUANTITIES,
-                pulse_duration: float = 0.0) -> dict[str, np.ndarray]:
-    """Requested quantities over a tau grid for one pair: the one-row call of
-    ``floquet_rows``."""
-    return {q: v[0] for q, v in floquet_rows([ch], taus, n_p, quantities,
-                                             pulse_duration).items()}
-
-
 @dataclass(frozen=True)
 class SpectrumScan:
     """Continuity-ordered eigenphase trajectories over a pulse-interval grid."""
 
     taus: np.ndarray
     phases: np.ndarray       # shape (n_tau, D), column = one trajectory
-    crossings: np.ndarray    # bool per tau: some pair gap below threshold
+    crossings: np.ndarray    # bool per tau: some gap inside a sector below threshold
     min_gaps: np.ndarray
 
 
@@ -773,9 +491,11 @@ def spectrum_scan(ch: ConditionalHamiltonians, tau_grid: np.ndarray,
     (``ConditionalHamiltonians.sectors``), so each sector tracks its own
     modes (``_sector_trajectories``) and a crossing between sectors is a
     true crossing.  The columns are the trajectories of all sectors,
-    ascending at the first tau.  ``min_gaps`` is the smallest phase gap
-    over all D phases per tau and ``crossings`` marks the gaps below
-    ``gap_threshold``.  Errors name the first failing tau.
+    ascending at the first tau.  ``min_gaps`` is the smallest gap between
+    two phases of one sector per tau (inf if every sector holds one
+    state): phases of different sectors cross without repelling, so only
+    a gap inside a sector marks an avoided crossing.  ``crossings`` marks
+    the gaps below ``gap_threshold``.  Errors name the first failing tau.
     """
     taus = _require_taus(tau_grid)
     if taus.size < 1 or np.any(np.diff(taus) <= 0):
@@ -783,18 +503,18 @@ def spectrum_scan(ch: ConditionalHamiltonians, tau_grid: np.ndarray,
     if not gap_threshold >= 0:
         raise ValidationError(f"gap_threshold must be >= 0, got {gap_threshold}")
     t = _free_intervals(taus, pulse_duration)
-    columns, failures = [], []
+    sectors, failures = [], []  # (n_tau, k, s) phases per sector size
     for stack in ch.sectors:
         try:
-            columns.append(_sector_trajectories(stack, t))
+            sectors.append(_sector_trajectories(stack, t).reshape(t.size, *stack.index.shape))
         except (ValidationError, NumericalConsistencyError) as exc:  # located at its tau
             failures.append(exc)
     if failures:
         exc = min(failures, key=lambda f: f.index)
         raise locate(exc, exc.index, f"tau[{exc.index}] = {taus[exc.index]:g}")
-    phases = np.concatenate(columns, axis=1)
+    phases = np.concatenate([p.reshape(t.size, -1) for p in sectors], axis=1)
     phases = phases[:, np.argsort(phases[0], kind="stable")]
-    min_gaps = _smallest_gap(phases)
+    min_gaps = np.min([_smallest_gap(p).min(axis=1) for p in sectors], axis=0)
     return SpectrumScan(taus=taus, phases=phases,
                         crossings=min_gaps < gap_threshold, min_gaps=min_gaps)
 

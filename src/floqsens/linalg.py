@@ -14,8 +14,6 @@ BLAS call costs most, and a @ b otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import NumericalConsistencyError, ValidationError, locate
@@ -23,7 +21,6 @@ from .errors import NumericalConsistencyError, ValidationError, locate
 MAX_DIM = 4096
 HERMITICITY_TOL = 1e-12
 UNITARITY_TOL = 1e-10
-DEGENERACY_TOL = 1e-9
 # Largest Cayley eigenvalue |tan((E + cut) / 2)| accepted by eig_unitaries:
 # above it an eigenphase lies within about 2e-3 rad of the cut, and the
 # absolute error eps |A| of eigh starts to mix modes of the other phases.
@@ -35,8 +32,8 @@ MAX_CAYLEY_TAN = 1e3
 CAYLEY_RECUTS = 3
 # Byte budget of one array of a batched kernel (a stack of cells or donor
 # Hamiltonians, or a (rows, tau) grid); longer batches are processed in
-# blocks.  At 64 KiB the stacks stay in cache and peak memory within about
-# 0.5 MB of the per-tau path; larger blocks measured no faster on D = 8 and 16.
+# blocks.  At 64 KiB the stacks stay in cache; larger blocks measured no
+# faster on D = 8 and 16.
 BLOCK_BYTES = 64 * 1024
 # Largest inner dimension d of a complex stacked product that ``matmul`` runs
 # as one real product.  NumPy hands each complex d x d product of a stack to
@@ -157,7 +154,8 @@ def _halves(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def expm_hermitian(h: np.ndarray, t: float) -> np.ndarray:
-    """Unitary propagator exp(-i h t) of a Hermitian generator, via eigh."""
+    """Unitary propagator exp(-i h t) of a Hermitian generator, via eigh (the
+    benchmark's per-layer counters read this name)."""
     h = require_hermitian(h, name="generator")
     if not np.isfinite(t) or t < 0:
         raise ValidationError(f"evolution time must be finite and >= 0, got {t}")
@@ -165,47 +163,13 @@ def expm_hermitian(h: np.ndarray, t: float) -> np.ndarray:
     return (v * np.exp(-1j * w * t)) @ v.conj().T
 
 
-@dataclass(frozen=True)
-class EigenSystem:
-    """Eigenphases (ascending, in (-pi, pi]) and orthonormal modes of a unitary.
-
-    Column l of ``modes`` belongs to ``phases[l]``; the matrix reconstructs as
-    U = modes @ diag(exp(-i phases)) @ modes^dagger.
-    """
-
-    phases: np.ndarray
-    modes: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.modes.shape[0]
-
-    def eigenvalues(self) -> np.ndarray:
-        return np.exp(-1j * self.phases)
-
-    def reconstruction_defect(self, u: np.ndarray) -> float:
-        rebuilt = (self.modes * np.exp(-1j * self.phases)) @ self.modes.conj().T
-        return float(np.abs(rebuilt - u).max())
-
-
-def eig_unitary(u: np.ndarray) -> EigenSystem:
-    """Eigenphases and orthonormal modes of one unitary matrix.
-
-    The one-cell call of ``eig_unitaries``, after the unitarity check
-    against UNITARITY_TOL; raises ValidationError for a non-unitary matrix.
-    """
-    u = require_square(u, "unitary")[None]
-    require_unitary(u)
-    phases, modes = eig_unitaries(u)
-    return EigenSystem(phases=phases[0], modes=modes[0])
-
-
 def eig_unitaries(u: np.ndarray, symmetric: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Eigenphases and orthonormal modes of each unitary of an (n, D, D) stack.
 
     Returns (phases, modes) with phases (n, D) ascending in (-pi, pi] and
-    column l of modes[k] belonging to phases[k, l], as in EigenSystem.
-    Unitarity is the caller's check.
+    column l of modes[k] belonging to phases[k, l], so that
+    U_k = modes[k] diag(exp(-i phases[k])) modes[k]^dag.  Unitarity is the
+    caller's check (``require_unitary``).
 
     A unitary U is normal, so its Cayley transform
     A = i (1 - U') (1 + U')^-1 with U' = e^{-i cut} U is Hermitian, with the

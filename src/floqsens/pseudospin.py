@@ -270,19 +270,13 @@ def level_repulsion(model: TwoStateModel, tau, n_p: int):
     return _like(tau, delta), _like(tau, 1.0 - 2.0 * np.sin(n_p * delta) ** 2)
 
 
-def omega_average(model: TwoStateModel) -> float:
-    """Precession frequency of the time-averaged field, half |(h_u + h_d)/2|."""
-    x_avg = 0.5 * (model.h_u.x + model.h_d.x)
-    z_avg = 0.5 * (model.h_u.z + model.h_d.z)
-    return 0.5 * math.hypot(x_avg, z_avg)
-
-
 def avg_hamiltonian_dip(model: TwoStateModel) -> float:
     """First-dip estimate from the time-averaged Hamiltonian.
 
     tau_bar = pi / (2 sqrt(w_u^2 + w_d^2 + 2 w_u w_d cos(theta_u - theta_d))),
-    algebraically identical to pi / (4 omega_average) when both fields share
-    the transverse component.
+    algebraically identical to pi / (4 Omega), Omega = |h_u + h_d| / 4 the
+    precession frequency of the time-averaged field, when both fields
+    share the transverse component.
     """
     w_u, w_d = model.omega_u, model.omega_d
     k = math.cos(model.theta_u - model.theta_d)

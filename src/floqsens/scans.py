@@ -58,7 +58,8 @@ from . import __version__
 from .clusters import conditional_cluster_hamiltonians, doublet_dip_estimates, \
     joint_full_model
 from .config import ScanConfig
-from .engine import QUANTITIES, ConditionalHamiltonians, floquet_rows, spectrum_scan
+from .engine import QUANTITIES, ConditionalHamiltonians, _free_intervals, floquet_rows, \
+    spectrum_scan
 from .errors import ConfigError, NumericalConsistencyError, ValidationError, locate
 from .linalg import block_slices, two_product
 from .pseudospin import TwoStateModel, avg_hamiltonian_dip, diamond_boundaries, \
@@ -206,11 +207,14 @@ def field_rows(cfg: ScanConfig, fields: list,
     'row i (field f): ' when that row's field is given (not None).  The
     first failing row is named: on the engine path the rows before one
     that fails to build or exceeds the phase limit still go through the
-    kernel, which names its first failing row and tau.
+    kernel, which names its first failing row and tau.  A tau + delta that
+    overflows is a grid error, raised before any row: its message names the
+    tau, and its ``index`` is that tau.
     """
     taus = cfg.tau_axis.values()
     n_p = cfg.sequence.n_p
     delta = cfg.sequence.pulse_duration
+    tau_eff = _free_intervals(taus, delta)
     cells = n_p if "coherence" in quantities else 1
     tau_max = float(taus.max())
     try:
@@ -242,7 +246,7 @@ def field_rows(cfg: ScanConfig, fields: list,
             models.append(row_models)
         values = {q: np.empty((len(fields), taus.size)) for q in quantities}
         for q in quantities:
-            _closed_form(models, taus + delta, n_p, q, values[q])
+            _closed_form(models, tau_eff, n_p, q, values[q])
         return values, models, None
     except (ValidationError, NumericalConsistencyError) as exc:
         i = getattr(exc, "index", 0)  # without an index (no field given) every row fails

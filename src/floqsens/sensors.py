@@ -157,13 +157,6 @@ def donor_levels(d: DonorModel, b0) -> tuple[np.ndarray, np.ndarray]:
             np.take_along_axis(pols, order, axis=-1).reshape(shape))
 
 
-def donor_polarization(d: DonorModel, b0: float, level: int) -> float:
-    """Polarization P = 2 <level|S_z|level> of the 1-based level at b0."""
-    if not (1 <= level <= d.dim):
-        raise ValidationError(f"level {level} outside 1..{d.dim}")
-    return float(donor_levels(d, b0)[1][level - 1])
-
-
 @dataclass(frozen=True)
 class PairTarget:
     """Flip-flopping nuclear pair: hyperfine detuning and dipolar coupling (rad/s)."""

@@ -13,10 +13,11 @@ import pytest
 
 import floqsens as fs
 from floqsens.cli import main as cli_main
-from floqsens.engine import _circular_gap
+from floqsens.engine import _stacked_floor, floquet_rows
 from floqsens.sensors import donor_pair_polarizations
 
-from conftest import random_hermitian
+from conftest import (floquet_sum, matched_gap, oracle_basis_coherences, oracle_cells,
+                      oracle_powers, random_hermitian, schur_floquet, schur_modes)
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:
@@ -48,15 +49,12 @@ def test_criterion_1_analytic_numeric_equivalence():
         ch = model.conditional()
         scale = max(model.omega_u + model.omega_d, 0.2)
         taus = np.linspace(0.3, 6.0, 50) / scale
-        analytic = {n_p: np.asarray(fs.coherence_analytic(model, taus, n_p))
-                    for n_p in pulse_counts}
-        for j, tau in enumerate(taus):
-            t_u2, t_d2 = fs.unit_cell(ch, fs.PulseSequence(tau=float(tau), n_p=1))
-            for n_p in pulse_counts:
-                p_u = np.linalg.matrix_power(t_u2, n_p)
-                p_d = np.linalg.matrix_power(t_d2, n_p)
-                ref = float(np.trace(p_u.conj().T @ p_d).real) / 2.0
-                worst = max(worst, abs(analytic[n_p][j] - ref))
+        w_u, w_d = oracle_cells(ch.h_u, ch.h_d, taus)
+        for n_p in pulse_counts:
+            p_u, p_d = oracle_powers(w_u, w_d, n_p)
+            ref = np.einsum("nij,nij->n", p_u.conj(), p_d).real / 2.0
+            analytic = np.asarray(fs.coherence_analytic(model, taus, n_p))
+            worst = max(worst, float(np.abs(analytic - ref).max()))
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-9 and elapsed < 10.0
     report(1, ok, f"200 models x 50 tau x 3 n_p: max |analytic - numeric| = "
@@ -73,21 +71,21 @@ def test_criterion_2_cell_eigenphase_symmetry():
         ch = fs.ConditionalHamiltonians(random_hermitian(dim, rng),
                                         random_hermitian(dim, rng))
         tau = float(rng.uniform(0.05, 1.5))
-        for seq in (fs.PulseSequence(tau=tau, n_p=1),
-                    fs.PulseSequence(tau=tau, n_p=1, pulse_duration=0.1 * tau,
-                                     intra_pulse_hamiltonian=np.zeros((dim, dim)))):
-            pair = fs.floquet_pair(*fs.unit_cell(ch, seq))
-            gaps = _circular_gap(pair.spectrum_u.phases, pair.spectrum_d.phases)
-            matched = gaps[np.arange(dim), pair.pairing].max()
-            residual = fs.half_period_check(ch, seq, pair)
+        # Oracle cells, ideal and with a finite pulse whose window holds the
+        # bath still; the residual ||T_d2 W_d Phi - lambda W_d Phi|| is the
+        # engine's half-period check on them.
+        for w_u, w_d in (oracle_cells(ch.h_u, ch.h_d, [tau]),
+                         oracle_cells(ch.h_u, ch.h_d, [tau], 0.1 * tau, np.zeros((dim, dim)))):
+            t_u2, t_d2 = w_u @ w_d, w_d @ w_u
+            matched = matched_gap(schur_modes(t_u2)[0][0], schur_modes(t_d2)[0][0])
+            residual = _stacked_floor(t_u2, t_d2, w_d, False)[2][0]
             worst_gap = max(worst_gap, float(matched))
-            worst_residual = max(worst_residual, residual)
+            worst_residual = max(worst_residual, float(residual))
             count += 1
     ok = worst_gap < 1e-12 and worst_residual < 1e-10
     report(2, ok, f"{count} cells (ideal + finite pulses, D in {{2,4,8}}): max "
                   f"phase-multiset gap {worst_gap:.2e} (< 1e-12), max half-period "
-                  f"residual {worst_residual:.2e} (< 1e-10), transfer-phase sums "
-                  f"verified at 1e-8")
+                  f"residual {worst_residual:.2e} (< 1e-10)")
 
 
 def test_criterion_3_dip_condition():
@@ -154,7 +152,8 @@ def test_criterion_4_avg_hamiltonian_identity_and_regimes():
             tau_bar = fs.avg_hamiltonian_dip(model)
         except fs.ValidationError:
             continue
-        ref = math.pi / (4.0 * fs.omega_average(model))
+        omega = math.hypot(model.h_u.x + model.h_d.x, model.h_u.z + model.h_d.z) / 4
+        ref = math.pi / (4.0 * omega)
         worst_id = max(worst_id, abs(tau_bar - ref) / ref)
         count += 1
 
@@ -276,14 +275,10 @@ def test_criterion_7_cluster_doublets():
     # desk-scale (tau, B0) envelope map around the first doublet
     fields = np.linspace(0.10, 0.26, 100)
     tau_grid = np.linspace(9.0e-5, 3.0e-4, 100)
-    grid = np.empty((fields.size, tau_grid.size))
-    for i, b0 in enumerate(fields):
-        p_u, p_d = donor_pair_polarizations(donor, float(b0))
-        ch = fs.conditional_cluster_hamiltonians(cl, p_u, p_d)
-        for j, tau in enumerate(tau_grid):
-            pair = fs.floquet_pair(*fs.unit_cell(ch, fs.PulseSequence(tau=float(tau), n_p=1)))
-            grid[i, j] = fs.envelope_general(pair).floor
-    assert np.isfinite(grid).all()
+    chs = [fs.conditional_cluster_hamiltonians(cl, *donor_pair_polarizations(donor, float(b0)))
+           for b0 in fields]
+    grid = floquet_rows(chs, tau_grid, 1, ("envelope",))["envelope"]
+    assert grid.shape == (100, 100) and np.isfinite(grid).all()
 
     # refined minima vs secular doublet estimates across the sweep
     worst = 0.0
@@ -294,17 +289,14 @@ def test_criterion_7_cluster_doublets():
         est = sorted(r.tau for r in fs.doublet_dip_estimates(cl, p_u, p_d)
                      if r.pair == (1, 2))
         local = np.linspace(0.93 * est[0], 1.07 * est[1], 1500)
-        env = np.empty(local.size)
-        for j, tau in enumerate(local):
-            pair = fs.floquet_pair(*fs.unit_cell(ch, fs.PulseSequence(tau=float(tau), n_p=1)))
-            env[j] = fs.envelope_general(pair).floor
+        env = floquet_rows([ch], local, 1, ("envelope",))["envelope"][0]
         mins = [j for j in range(1, local.size - 1)
                 if env[j] < env[j - 1] and env[j] <= env[j + 1]]
         mins = sorted(mins, key=lambda j: env[j])[:2]
         located = sorted(local[j] for j in mins)
         assert len(located) == 2, f"doublet unresolved at B0 = {b0}"
         worst = max(worst, max(abs(a - b) / a for a, b in zip(located, est)))
-        vals = fs.basis_state_coherences(ch, fs.PulseSequence(tau=est[0], n_p=n_p))
+        vals = oracle_basis_coherences(*oracle_cells(ch.h_u, ch.h_d, [est[0]]), n_p)[0]
         min_stretched = min(min_stretched, float(vals[0].real), float(vals[-1].real))
     elapsed = time.perf_counter() - t0
     ok = worst < 0.05 and min_stretched > 0.99 and elapsed < 300.0
@@ -315,34 +307,23 @@ def test_criterion_7_cluster_doublets():
 
 
 def test_criterion_8_envelope_pulse_number_independence():
+    # The kernel's floor under n_p = 10 and 40, and its coherence against the
+    # oracle's Floquet expansion sum_{l,l'} e^{i n_p (E_l - E_l')} |M_ll'|^2 / D.
     rng = np.random.default_rng(808)
     worst = 0.0
     checked = 0
-    for _ in range(25):  # D = 2
-        model = random_model(rng)
-        tau = float(rng.uniform(0.1, 2.0))
+    chs = [random_model(rng).conditional() for _ in range(25)]  # D = 2
+    chs += [fs.ConditionalHamiltonians(random_hermitian(8, rng), random_hermitian(8, rng))
+            for _ in range(25)]  # D = 8
+    for ch in chs:
+        tau = float(rng.uniform(0.1, 2.0 if ch.dim == 2 else 1.0))
+        phases, m, _ = schur_floquet(*oracle_cells(ch.h_u, ch.h_d, [tau]))
         envs = []
         for n_p in (10, 40):
-            seq = fs.PulseSequence(tau=tau, n_p=n_p)
-            pair = fs.floquet_pair(*fs.unit_cell(model.conditional(), seq))
-            terms = fs.envelope_general(pair)
-            envs.append(terms.floor)
-            ref = fs.thermal_coherence_numeric(model.conditional(), seq)
-            assert abs(terms.reconstruct(n_p) - ref) < 1e-9
-        worst = max(worst, abs(envs[0] - envs[1]))
-        checked += 1
-    for _ in range(25):  # D = 8
-        ch = fs.ConditionalHamiltonians(random_hermitian(8, rng),
-                                        random_hermitian(8, rng))
-        tau = float(rng.uniform(0.1, 1.0))
-        envs = []
-        for n_p in (10, 40):
-            seq = fs.PulseSequence(tau=tau, n_p=n_p)
-            pair = fs.floquet_pair(*fs.unit_cell(ch, seq))
-            terms = fs.envelope_general(pair)
-            envs.append(terms.floor)
-            ref = fs.thermal_coherence_numeric(ch, seq)
-            assert abs(terms.reconstruct(n_p) - ref) < 1e-9
+            values = floquet_rows([ch], [tau], n_p)
+            envs.append(values["envelope"][0, 0])
+            ref = floquet_sum(phases[0], m[0], n_p)
+            assert abs(values["coherence"][0, 0] - ref) < 1e-9
         worst = max(worst, abs(envs[0] - envs[1]))
         checked += 1
     ok = worst < 1e-9

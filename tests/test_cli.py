@@ -1,3 +1,4 @@
+import ast
 import errno
 import gc
 import json
@@ -300,10 +301,34 @@ def test_dips_loads_no_scipy(tmp_path):
     assert result == {"codes": [0], "scipy": []}
 
 
+def test_the_library_imports_scipy_in_one_place():
+    # The only SciPy import of floqsens is linear_sum_assignment inside
+    # engine._assign_modes, and a bare import of the package loads no SciPy.
+    imports = []
+    for path in sorted(Path(floqsens.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {id(node): fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+                 for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(m.split(".")[0] == "scipy" for m in modules):
+                imports.append(f"{path.stem}.{owner.get(id(node), '<module>')}")
+    assert imports == ["engine._assign_modes"]
+    code = "import sys, floqsens; print('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=child_env())
+    assert proc.returncode == 0 and proc.stdout.strip() == "False", proc.stderr
+
+
 @pytest.mark.parametrize("command", ["spectrum", "trace"])
 def test_unresolved_eigensolve_exits_3(tmp_path, capsys, monkeypatch, command):
     # With the Cayley bound at 1 the shipped cluster3 cells fail in a later
-    # tau block, in spectrum_scan (spectrum) and in floquet_row (trace).
+    # tau block, in spectrum_scan (spectrum) and in floquet_rows (trace).
     monkeypatch.setattr(floqsens.linalg, "MAX_CAYLEY_TAN", 1.0)
     outdir = tmp_path / "out"
     assert main([command, "--config", str(CONFIGS / "cluster3_spectrum.json"),

@@ -11,26 +11,28 @@ from floqsens import (
     CapacityError,
     PairSet,
     PseudoField,
-    PulseSequence,
     SpinCluster,
     TwoStateModel,
     ValidationError,
-    basis_state_coherences,
     coherence_analytic,
-    coherence_floquet,
     conditional_cluster_hamiltonians,
     doublet_dip_estimates,
-    envelope_general,
-    floquet_pair,
     joint_full_model,
     secular_quasienergies,
     si_bi,
-    thermal_coherence_numeric,
-    unit_cell,
+    spectrum_scan,
 )
 from floqsens.config import parse_config
+from floqsens.engine import floquet_rows
 from floqsens.scans import compute_trace
 from floqsens.sensors import PairTarget, donor_levels, donor_pair_polarizations
+
+from conftest import floquet_sum, oracle_basis_coherences, oracle_cells, schur_floquet
+
+
+def kernel_row(ch, taus, n_p, quantity="coherence"):
+    """One quantity of the one-row ``floquet_rows`` call over ``taus``."""
+    return floquet_rows([ch], np.atleast_1d(taus), n_p, (quantity,))[quantity][0]
 
 
 def paper_like_cluster():
@@ -68,9 +70,7 @@ class TestConditionalHamiltonians:
                          c=np.zeros((3, 3)))
         ch = conditional_cluster_hamiltonians(cl, 0.6, -0.3)
         assert np.abs(ch.h_u - np.diag(np.diag(ch.h_u))).max() == 0.0
-        for tau in (1e-5, 7e-5):
-            val = thermal_coherence_numeric(ch, PulseSequence(tau=tau, n_p=25))
-            assert val == pytest.approx(1.0, abs=1e-12)
+        assert np.abs(kernel_row(ch, [1e-5, 7e-5], 25) - 1.0).max() <= 1e-12
 
     def test_two_spin_block_reduces_to_pseudospin(self):
         delta_a, c12 = 1.7e5, 2.1e3
@@ -94,12 +94,10 @@ class TestConditionalHamiltonians:
         ch = conditional_cluster_hamiltonians(cl, p_u, p_d)
         model = TwoStateModel(h_u=PseudoField(c12 / 2, delta_a * p_u / 2),
                               h_d=PseudoField(c12 / 2, delta_a * p_d / 2))
-        for tau in np.linspace(2e-6, 6e-5, 23):
-            seq = PulseSequence(tau=float(tau), n_p=12)
-            got = thermal_coherence_numeric(ch, seq)
-            # the two frozen aligned basis states contribute unity each
-            want = 0.5 * (1.0 + float(coherence_analytic(model, float(tau), 12)))
-            assert got == pytest.approx(want, abs=1e-8)
+        taus = np.linspace(2e-6, 6e-5, 23)
+        # the two frozen aligned basis states contribute unity each
+        want = 0.5 * (1.0 + np.asarray(coherence_analytic(model, taus, 12)))
+        np.testing.assert_allclose(kernel_row(ch, taus, 12), want, rtol=0, atol=1e-8)
 
     def test_subspace_block_structure(self, rng):
         cl = paper_like_cluster()
@@ -130,10 +128,9 @@ class TestConditionalHamiltonians:
         for p_u, p_d in ((0.3, -0.7), (0.5, -0.5), (0.4, 0.1)):
             ch = conditional_cluster_hamiltonians(cl, p_u, p_d)
             ch_shift = conditional_cluster_hamiltonians(shifted, p_u, p_d)
-            for tau in (1.2e-5, 3.4e-5):
-                seq = PulseSequence(tau=tau, n_p=30)
-                assert thermal_coherence_numeric(ch, seq) == pytest.approx(
-                    thermal_coherence_numeric(ch_shift, seq), abs=1e-9)
+            taus = [1.2e-5, 3.4e-5]
+            np.testing.assert_allclose(kernel_row(ch, taus, 30), kernel_row(ch_shift, taus, 30),
+                                       rtol=0, atol=1e-9)
 
     def test_validation(self):
         with pytest.raises(ValidationError):
@@ -148,11 +145,11 @@ class TestThermalCoherence:
         np.fill_diagonal(c, 0.0)
         cl = SpinCluster(a=a, c=c)
         ch = conditional_cluster_hamiltonians(cl, 0.52, -0.33)
-        for tau in (8e-6, 2.4e-5):
-            seq = PulseSequence(tau=tau, n_p=14)
-            pair = floquet_pair(*unit_cell(ch, seq))
-            assert thermal_coherence_numeric(ch, seq) == pytest.approx(
-                coherence_floquet(pair, 14), abs=1e-9)
+        # the kernel against the oracle's Floquet expansion
+        taus = [8e-6, 2.4e-5]
+        for got, phases, m in zip(kernel_row(ch, taus, 14),
+                                  *schur_floquet(*oracle_cells(ch.h_u, ch.h_d, taus))[:2]):
+            assert got == pytest.approx(floquet_sum(phases, m, 14), abs=1e-9)
 
     def test_stretched_states_stay_coherent(self):
         cl = paper_like_cluster()
@@ -160,7 +157,7 @@ class TestThermalCoherence:
         ch = conditional_cluster_hamiltonians(cl, p_u, p_d)
         est = doublet_dip_estimates(cl, p_u, p_d)
         tau = est[0].tau
-        vals = basis_state_coherences(ch, PulseSequence(tau=tau, n_p=100))
+        vals = oracle_basis_coherences(*oracle_cells(ch.h_u, ch.h_d, [tau]), 100)[0]
         # |up,up,up> and |down,down,down> are the first and last basis states
         assert vals[0].real > 0.99
         assert vals[-1].real > 0.99
@@ -173,11 +170,9 @@ class TestThermalCoherence:
                if r.pair == (1, 2)}
         sectors = {+1: [1, 2, 4], -1: [3, 5, 6]}  # basis indices by total Iz sign
         taus = np.linspace(0.93 * min(est.values()), 1.07 * max(est.values()), 800)
+        vals = oracle_basis_coherences(*oracle_cells(ch.h_u, ch.h_d, taus), 100).real
         for sign, idx in sectors.items():
-            prof = []
-            for tau in taus:
-                vals = basis_state_coherences(ch, PulseSequence(tau=float(tau), n_p=100))
-                prof.append(np.mean([vals[i].real for i in idx]))
+            prof = vals[:, idx].mean(axis=1)
             tau_min = taus[int(np.argmin(prof))]
             assert abs(tau_min - est[sign]) / est[sign] < 0.02
             assert abs(tau_min - est[-sign]) > abs(tau_min - est[sign])
@@ -185,12 +180,11 @@ class TestThermalCoherence:
     def test_pair_tensor_cell_phases_are_signed_sums(self):
         # each traceless 2x2 cell contributes +-E_k; the joint cell phases
         # are exactly the eight signed sums (mod 2 pi)
-        from floqsens import eig_unitary, floquet_phase, unit_cell as cell
+        from floqsens import floquet_phase
         ps = PairSet.from_cluster(paper_like_cluster())
         p_u, p_d = 0.45, -0.2
         tau = 2.7e-5
-        ch = ps.conditional(p_u, p_d)
-        got = np.sort(eig_unitary(cell(ch, PulseSequence(tau=tau, n_p=1))[0]).phases)
+        got = np.sort(spectrum_scan(ps.conditional(p_u, p_d), [tau]).phases[0])
         single = [float(floquet_phase(m, tau)) for m in ps.two_state_models(p_u, p_d)]
         sums = []
         for s1 in (+1, -1):
@@ -210,9 +204,9 @@ class TestThermalCoherence:
         p_u, p_d = donor_pair_polarizations(donor, b_owp + 0.003)
         ch = conditional_cluster_hamiltonians(cl, p_u, p_d)
         ps = PairSet.from_cluster(cl)
-        for tau in (3e-5, 6e-5):
-            pair = floquet_pair(*unit_cell(ch, PulseSequence(tau=tau, n_p=1)))
-            gaps = np.abs(envelope_general(pair).phase_gaps)
+        scan = spectrum_scan(ch, [3e-5, 6e-5])
+        for tau, phases in zip(scan.taus, scan.phases):
+            gaps = np.abs(phases[:, None] - phases[None, :])[np.triu_indices(phases.size, 1)]
             ising_scale = 2 * np.abs(cl.c).sum() / 2 * tau
             for model in ps.two_state_models(p_u, p_d):
                 target = 2 * float(floquet_phase(model, tau))
@@ -228,9 +222,8 @@ class TestThermalCoherence:
         ps = PairSet.from_cluster(cl)
         first = min(r.tau for r in doublet_dip_estimates(cl, p_u, p_d))
         product = pairs_trace(ps, p_u, p_d, (5e-6, 0.9 * first, 18), 20)
-        for tau, coh in zip(product.taus, product.coherence):
-            seq = PulseSequence(tau=float(tau), n_p=20)
-            assert thermal_coherence_numeric(ch, seq) == pytest.approx(coh, abs=5e-3)
+        np.testing.assert_allclose(kernel_row(ch, product.taus, 20), product.coherence,
+                                   rtol=0, atol=5e-3)
 
 
 class TestSecularEstimates:
@@ -290,10 +283,7 @@ class TestSecularEstimates:
                             if r.pair == (1, 2))
         lo, hi = 0.9 * min(first_pair), 1.1 * max(first_pair)
         taus = np.linspace(lo, hi, 3001)
-        env = np.empty(taus.size)
-        for i, tau in enumerate(taus):
-            pair = floquet_pair(*unit_cell(ch, PulseSequence(tau=float(tau), n_p=1)))
-            env[i] = envelope_general(pair).floor
+        env = kernel_row(ch, taus, 1, "envelope")
         mins = [i for i in range(1, taus.size - 1)
                 if env[i] < env[i - 1] and env[i] <= env[i + 1]]
         mins = sorted(mins, key=lambda i: env[i])[:2]
@@ -322,9 +312,8 @@ class TestIndependentPairs:
     def test_product_equals_joint_tensor_model(self):
         ps = PairSet.from_cluster(paper_like_cluster())
         p_u, p_d = 0.45, -0.3
-        seq = PulseSequence(tau=3.1e-5, n_p=20)
         product = pairs_trace(ps, p_u, p_d, (3.1e-5, 5e-5, 2), 20).coherence[0]
-        joint = thermal_coherence_numeric(ps.conditional(p_u, p_d), seq)
+        joint = kernel_row(ps.conditional(p_u, p_d), 3.1e-5, 20)[0]
         assert product == pytest.approx(joint, abs=1e-9)
 
     def test_no_doublets_in_pair_decomposition(self):
@@ -354,8 +343,7 @@ class TestJointModel:
         diff = ch.h_u - ch.h_d
         off = diff - np.eye(8) * diff[0, 0]
         assert np.abs(off).max() < 1e-6
-        val = thermal_coherence_numeric(ch, PulseSequence(tau=2e-5, n_p=40))
-        assert val == pytest.approx(1.0, abs=1e-10)
+        assert kernel_row(ch, 2e-5, 40)[0] == pytest.approx(1.0, abs=1e-10)
 
     def test_high_field_reduces_to_imposed_polarizations(self):
         cl = paper_like_cluster()
@@ -378,9 +366,8 @@ class TestJointModel:
         ch_joint = joint_full_model(d, cl, b0)
         p_u, p_d = donor_pair_polarizations(d, b0)
         ch_cond = conditional_cluster_hamiltonians(cl, p_u, p_d)
-        seq = PulseSequence(tau=5.4e-5, n_p=100)
-        assert thermal_coherence_numeric(ch_joint, seq) == pytest.approx(
-            thermal_coherence_numeric(ch_cond, seq), abs=1e-6)
+        assert kernel_row(ch_joint, 5.4e-5, 100)[0] == pytest.approx(
+            kernel_row(ch_cond, 5.4e-5, 100)[0], abs=1e-6)
 
     def test_zero_field_is_its_zero_plus_limit(self):
         # At B0 = 0 the transition levels 12 and 9 are the B0 -> 0+ limits in

@@ -3,13 +3,14 @@
 A map is computed by ``scans.field_rows`` on whole (field, tau) grids, in
 chunks of rows; a trace is its one-field call.  Each map row must equal
 ``compute_trace`` at its field bit for bit, and must match direct 2x2
-propagation (``floquet_row`` on each two-state target, combined as the
+propagation (``floquet_rows`` on each two-state target, combined as the
 product) to 1e-9.  The block budget ``linalg.BLOCK_BYTES`` is shrunk so that
 row counts do not divide into whole chunks, or to 0, below one item of
 every batched kernel (row chunks, donor polarizations, engine cells), which
 then takes one item per block.
 """
 
+import dataclasses
 import json
 import math
 
@@ -22,7 +23,7 @@ from floqsens import ConfigError, TwoStateModel, ValidationError, coherence_anal
 from floqsens import linalg
 from floqsens.cli import main
 from floqsens.config import parse_config
-from floqsens.engine import floquet_row
+from floqsens.engine import floquet_rows
 from floqsens.errors import NumericalConsistencyError, locate
 from floqsens.pseudospin import two_state_grid
 from floqsens.sensors import donor_pair_polarizations
@@ -33,12 +34,12 @@ TOL = 1e-9
 
 
 def reference_rows(row_models, cfg, quantity):
-    """Each row from floquet_row on the 2x2 cell of every two-state target."""
+    """Each row from floquet_rows on the 2x2 cell of every two-state target."""
     tau_eff = cfg.tau_axis.values() + cfg.sequence.pulse_duration
     n_p = cfg.sequence.n_p
     out = []
     for models in row_models:
-        parts = [floquet_row(m.conditional(), tau_eff, n_p, (quantity,))[quantity]
+        parts = [floquet_rows([m.conditional()], tau_eff, n_p, (quantity,))[quantity][0]
                  for m in models]
         if quantity == "coherence":
             out.append(np.prod(parts, axis=0))
@@ -51,7 +52,7 @@ def reference_rows(row_models, cfg, quantity):
 
 
 def check_map(cfg, quantity, rows_per_chunk):
-    """Map rows against compute_trace (bitwise) and floquet_row (1e-9), with
+    """Map rows against compute_trace (bitwise) and floquet_rows (1e-9), with
     ``rows_per_chunk`` rows per chunk (0: a budget below one item); returns
     the number of rows with a target within 1e-3 of a true crossing
     (``near_crossing``)."""
@@ -210,7 +211,7 @@ def test_grid_rows_are_their_one_model_calls(models, quantity, n_p):
         assert one.tobytes() == row.tobytes()
         if model.h_u == model.h_d:
             assert np.all(row == 1.0)
-        ref = floquet_row(model.conditional(), CROSSING_TAUS, n_p, (quantity,))[quantity]
+        ref = floquet_rows([model.conditional()], CROSSING_TAUS, n_p, (quantity,))[quantity][0]
         assert np.abs(row - ref).max() <= TOL
 
 
@@ -316,3 +317,25 @@ def test_kernel_failure_of_an_earlier_row_is_named_before_a_phase_failure(monkey
                        match=r"^row 0 \(field 0\.1\): tau\[0\] = 2e-05: u/d eigenphase") as failure:
         field_rows(cfg, fields, ("envelope",))
     assert failure.value.index == 0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("system", [
+    {"kind": "cluster3", "donor": "si_bi", "b0_tesla": 0.15,
+     "cluster": {"a_rad_s": [180e3, 0.0, 100e3],
+                 "c_rad_s": [[0, 1e3, 2e3], [1e3, 0, 1e3], [2e3, 1e3, 0]]}},
+    {"kind": "pseudospin", "h_u": {"x_rad_s": 1e4, "z_rad_s": 3e4},
+     "h_d": {"x_rad_s": 1e4, "z_rad_s": -2e4}}], ids=["engine", "closed-form"])
+def test_overflowing_interval_is_a_grid_error_at_its_tau(system):
+    # parse_config rejects a tau_s stop whose sum with the pulse duration
+    # overflows, so the config is built past it.  The failing sum is one of
+    # the tau grid, before any row: it names its tau, not a row.
+    cfg = parse_config({"system": system,
+                        "axes": {"tau_s": {"start": 2e-6, "stop": 3.5e-4, "count": 5}}})
+    cfg = dataclasses.replace(
+        cfg, tau_axis=dataclasses.replace(cfg.tau_axis, start=1e307, stop=1e308),
+        sequence=dataclasses.replace(cfg.sequence, pulse_duration=1e308))
+    with pytest.raises(ValidationError, match=r"^tau\[4\] = 1e\+308: tau \+ pulse_duration "
+                                              r"1e\+308 overflows$") as failure:
+        compute_trace(cfg)
+    assert failure.value.index == 4

@@ -1,8 +1,9 @@
-"""The stacked row kernel ``floquet_rows`` against the per-tau engine path.
+"""The stacked row kernel ``floquet_rows`` against the full-space oracle.
 
 The kernel splits every cell into the sectors of its Hamiltonian pair
 (``ConditionalHamiltonians.sectors``) and stacks the cells of equal sector
-size over all rows; the per-tau oracles work on the full space.
+size over all rows; the SciPy oracle of ``conftest`` works on the full
+space, one expm product per tau.
 """
 
 import json
@@ -15,38 +16,29 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.optimize import linear_sum_assignment
 
 import floqsens.engine as engine
 import floqsens.linalg as linalg
-from conftest import random_hermitian
+from conftest import (circular_gap, matched_gap, oracle_cells, oracle_coherence,
+                      random_hermitian, schur_floor, schur_modes)
 from floqsens import (
     ConditionalHamiltonians,
-    EigenSystem,
-    FloquetPair,
     NumericalConsistencyError,
     PairSet,
     PairTarget,
-    PulseSequence,
     SpinCluster,
     SymmetryViolationError,
     ValidationError,
     conditional_cluster_hamiltonians,
-    eig_unitary,
-    envelope_general,
     expm_hermitian,
-    floquet_pair,
-    half_period_operators,
     joint_full_model,
     si_bi,
     spectrum_scan,
-    thermal_coherence_numeric,
-    unit_cell,
 )
 from floqsens.config import parse_config
-from floqsens.engine import _half_period_blocks, _stacked_floor, floquet_row, floquet_rows
+from floqsens.engine import _stacked_floor, floquet_rows
 from floqsens.linalg import eig_unitaries
 from floqsens.scans import (_polarizations, _row_hamiltonians, compute_trace, field_rows,
                             run_map, run_trace)
@@ -60,33 +52,16 @@ SPECTRUM_EPS = 16
 CONFIGS = Path(__file__).resolve().parents[1] / "scripts" / "configs"
 
 
-def per_tau(ch, taus, n_p, pulse_duration):
-    """Both quantities at each tau, one PulseSequence at a time."""
-    coh, env = [], []
-    for tau in taus:
-        seq = PulseSequence(tau=float(tau), n_p=n_p, pulse_duration=pulse_duration)
-        coh.append(thermal_coherence_numeric(ch, seq))
-        env.append(envelope_general(floquet_pair(*unit_cell(ch, seq))).floor)
-    return {"coherence": np.array(coh), "envelope": np.array(env)}
+def oracle_row(ch, taus, n_p, pulse_duration=0.0):
+    """Both quantities at each tau from the full-space oracle cells."""
+    w_u, w_d = oracle_cells(ch.h_u, ch.h_d, taus, pulse_duration)
+    return {"coherence": oracle_coherence(w_u, w_d, n_p), "envelope": schur_floor(w_u, w_d)}
 
 
-def schur_floor(ch, taus, pulse_duration=0.0):
-    """Envelope floor per tau from the Schur vectors of T_u2 (the independent oracle).
-
-    floor = (2/D) sum |Phi_l^dag W_d Phi_l'|^2 - 1 over mode pairs whose
-    cell eigenvalues lie within 1e-8 of each other; inside such a cluster
-    the Schur vectors are an arbitrary basis, and the sum does not see it.
-    """
-    floors = []
-    for tau in taus:
-        w_u, w_d = half_period_operators(
-            ch, PulseSequence(tau=float(tau), n_p=1, pulse_duration=pulse_duration))
-        t, q = scipy.linalg.schur(w_u @ w_d, output="complex")
-        lam = np.diag(t)
-        same = np.abs(lam[:, None] - lam[None, :]) < 1e-8
-        overlaps = q.conj().T @ w_d @ q
-        floors.append(2.0 / lam.size * (np.abs(overlaps) ** 2)[same].sum() - 1.0)
-    return np.array(floors)
+def kernel_row(ch, taus, n_p, quantities=engine.QUANTITIES, pulse_duration=0.0):
+    """The one-row call of ``floquet_rows``."""
+    return {q: v[0] for q, v in floquet_rows([ch], taus, n_p, quantities,
+                                             pulse_duration).items()}
 
 
 def rotate_in_clusters(phases, modes, rng):
@@ -107,12 +82,9 @@ def doubled(rng, dim=3):
                                    np.block([[a_d, zero], [zero, a_d]]))
 
 
-def stacked_cells(ch, taus, pulse_duration=0.0, intra_pulse_hamiltonian=None):
-    """(T_u2, T_d2) as (n_tau, D, D) arrays, joined from every block of the cell builder."""
-    blocks = list(_half_period_blocks(ch, np.asarray(taus), pulse_duration,
-                                      intra_pulse_hamiltonian))
-    w_u = np.concatenate([w for _, w, _ in blocks])
-    w_d = np.concatenate([w for _, _, w in blocks])
+def stacked_cells(ch, taus):
+    """(T_u2, T_d2) of the oracle as (n_tau, D, D) arrays."""
+    w_u, w_d = oracle_cells(ch.h_u, ch.h_d, taus)
     return w_u @ w_d, w_d @ w_u
 
 
@@ -141,35 +113,54 @@ def test_row_kernel_matches_per_tau_path(dim, seed, taus, n_p, pulse_duration, q
     rng = np.random.default_rng(seed)
     ch = ConditionalHamiltonians(random_hermitian(dim, rng), random_hermitian(dim, rng))
     taus = np.sort(taus)
-    got = floquet_row(ch, taus, n_p, quantities, pulse_duration=pulse_duration)
-    want = per_tau(ch, taus, n_p, pulse_duration)
+    got = kernel_row(ch, taus, n_p, quantities, pulse_duration=pulse_duration)
+    want = oracle_row(ch, taus, n_p, pulse_duration)
     assert set(got) == set(quantities)
     for quantity in quantities:
         np.testing.assert_allclose(got[quantity], want[quantity], rtol=0, atol=ATOL)
 
 
+@settings(max_examples=60, deadline=None)
+@given(dim=st.sampled_from([2, 3, 4]), seed=st.integers(0, 2 ** 32 - 1),
+       taus=st.lists(st.floats(0.05, 1.0), min_size=1, max_size=4, unique=True),
+       n_p=st.integers(1, 4))
+def test_short_rows_match_the_oracle_to_rounding(dim, seed, taus, n_p):
+    # A few short cells whose phases lie 0.05 rad apart or more: the kernel
+    # and the oracle agree to about 1e-14 (6.8e-14 at worst in 3000 random
+    # rows), so an error of 1e-12 in one sector's value cannot hide under
+    # the tolerance.
+    rng = np.random.default_rng(seed)
+    ch = ConditionalHamiltonians(random_hermitian(dim, rng), random_hermitian(dim, rng))
+    w_u, w_d = oracle_cells(ch.h_u, ch.h_d, taus)
+    phases = schur_modes(w_u @ w_d)[0]
+    assume(all(circular_gap(p, p)[np.triu_indices(dim, 1)].min() >= 0.05 for p in phases))
+    got = kernel_row(ch, taus, n_p)
+    assert np.abs(got["coherence"] - oracle_coherence(w_u, w_d, n_p)).max() <= 2e-13
+    assert np.abs(got["envelope"] - schur_floor(w_u, w_d)).max() <= 2e-13
+
+
 def test_quantity_values_do_not_depend_on_the_request(rng):
     ch = ConditionalHamiltonians(random_hermitian(8, rng), random_hermitian(8, rng))
     taus = np.linspace(0.05, 2.0, 40)
-    both = floquet_row(ch, taus, 30)
+    both = kernel_row(ch, taus, 30)
     for quantity in ("coherence", "envelope"):
-        alone = floquet_row(ch, taus, 30, (quantity,))
+        alone = kernel_row(ch, taus, 30, (quantity,))
         assert alone[quantity].tobytes() == both[quantity].tobytes()
 
 
 def test_degenerate_phases_match_the_schur_oracle(rng):
     ch = doubled(rng)
     taus = np.array([0.1, 0.7, 1.3])
-    want = schur_floor(ch, taus, 0.05)
-    got = floquet_row(ch, taus, 12, ("envelope",), pulse_duration=0.05)["envelope"]
-    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(per_tau(ch, taus, 12, 0.05)["envelope"], want, rtol=0, atol=1e-12)
+    want = oracle_row(ch, taus, 12, 0.05)
+    got = kernel_row(ch, taus, 12, pulse_duration=0.05)
+    np.testing.assert_allclose(got["envelope"], want["envelope"], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(got["coherence"], want["coherence"], rtol=0, atol=ATOL)
 
 
 def test_symmetric_cluster3_envelope_does_not_depend_on_the_basis():
     # Two equal hyperfine couplings and equal flip-flops: every cell of the
-    # tau axis has degenerate eigenphases.  The per-tau Schur path paired
-    # arbitrary bases inside the clusters and read up to 2.4e-2 off.
+    # tau axis has degenerate eigenphases.  Pairing arbitrary bases inside
+    # the clusters read up to 2.4e-2 off.
     cfg = parse_config({
         "system": {"kind": "cluster3", "p_u": 0.3, "p_d": -0.5,
                    "cluster": {"a_rad_s": [1e5, 1e5, 0.0],
@@ -179,9 +170,7 @@ def test_symmetric_cluster3_envelope_does_not_depend_on_the_basis():
         "axes": {"tau_s": {"start": 2e-5, "stop": 3.2e-4, "count": 300}}})
     data = compute_trace(cfg)
     ch = conditional_cluster_hamiltonians(cfg.system, 0.3, -0.5)
-    want = schur_floor(ch, data.taus)
-    np.testing.assert_allclose(data.envelope, want, rtol=0, atol=1e-12)
-    oracle = per_tau(ch, data.taus, 100, 0.0)
+    oracle = oracle_row(ch, data.taus, 100, 0.0)
     np.testing.assert_allclose(data.envelope, oracle["envelope"], rtol=0, atol=1e-12)
     np.testing.assert_allclose(data.coherence, oracle["coherence"], rtol=0, atol=ATOL)
 
@@ -191,8 +180,8 @@ def test_floor_does_not_see_rotations_inside_a_cluster(seed, monkeypatch):
     rng = np.random.default_rng(seed)
     ch = doubled(rng, dim=2 + seed % 3)
     taus = np.array([0.3, 0.9, 1.6])
-    want = schur_floor(ch, taus)
-    _, w_u, w_d = next(_half_period_blocks(ch, taus))
+    w_u, w_d = oracle_cells(ch.h_u, ch.h_d, taus)
+    want = schur_floor(w_u, w_d)
     original = engine.eig_unitaries
 
     def rotated(cells, symmetric):
@@ -203,13 +192,6 @@ def test_floor_does_not_see_rotations_inside_a_cluster(seed, monkeypatch):
     floor, _, residual = _stacked_floor(w_u @ w_d, w_d @ w_u, w_d, False)
     np.testing.assert_allclose(floor, want, rtol=0, atol=1e-12)
     assert residual.max() < 1e-12
-    for k in range(taus.size):
-        pair = floquet_pair(w_u[k] @ w_d[k], w_d[k] @ w_u[k])
-        su = pair.spectrum_u
-        modes = rotate_in_clusters(su.phases, su.modes, rng)
-        turned = FloquetPair(EigenSystem(su.phases, modes), pair.spectrum_d, pair.pairing,
-                             pair.spectrum_d.modes.conj().T @ modes)
-        assert envelope_general(turned).floor == pytest.approx(want[k], abs=1e-12)
 
 
 @pytest.mark.parametrize("dim", [2, 8, 16])
@@ -223,10 +205,10 @@ def test_forced_power_drift_is_corrected_matrix_by_matrix(rng, monkeypatch, dim,
     calls = count_calls(monkeypatch, "polar_unitary")
     stacked = engine.unitary_power(t_u2, n)
     assert len(calls) == max(n.bit_length() - 1, 0)
-    per_matrix = np.stack([engine.unitary_power(cell, n) for cell in t_u2])
+    per_matrix = np.concatenate([engine.unitary_power(cell[None], n) for cell in t_u2])
     assert stacked.tobytes() == per_matrix.tobytes()
-    got = floquet_row(ch, taus, n, ("coherence",))["coherence"]
-    np.testing.assert_allclose(got, per_tau(ch, taus, n, 0.0)["coherence"], rtol=0, atol=ATOL)
+    got = kernel_row(ch, taus, n, ("coherence",))["coherence"]
+    np.testing.assert_allclose(got, oracle_row(ch, taus, n, 0.0)["coherence"], rtol=0, atol=ATOL)
 
 
 def test_power_drift_re_unitarizes_only_the_drifted_matrices(rng, monkeypatch):
@@ -236,7 +218,7 @@ def test_power_drift_re_unitarizes_only_the_drifted_matrices(rng, monkeypatch):
     calls = count_calls(monkeypatch, "polar_unitary")
     stacked = engine.unitary_power(cells, 40)
     assert calls and all(len(args[0]) == 1 for args in calls)
-    per_matrix = np.stack([engine.unitary_power(cell, 40) for cell in cells])
+    per_matrix = np.concatenate([engine.unitary_power(cell[None], 40) for cell in cells])
     assert stacked.tobytes() == per_matrix.tobytes()
 
 
@@ -244,63 +226,67 @@ def test_long_rows_are_built_in_blocks(rng):
     dim = 16
     ch = ConditionalHamiltonians(random_hermitian(dim, rng), random_hermitian(dim, rng))
     taus = np.linspace(0.05, 2.0, 150)
-    blocks = [block for block, _, _ in _half_period_blocks(ch, taus)]
+    (stack,) = ch.sectors
+    blocks = [block for block, _, _ in engine._cell_blocks(
+        stack.energies_u, stack.energies_d, stack.transfer, np.zeros(150, dtype=int), taus)]
     assert len(blocks) > 1
     assert max(b.stop - b.start for b in blocks) * 16 * dim ** 2 <= linalg.BLOCK_BYTES
     assert [i for b in blocks for i in range(150)[b]] == list(range(150))
-    want = per_tau(ch, taus[::37], 20, 0.0)
-    got = floquet_row(ch, taus, 20)
+    want = oracle_row(ch, taus[::37], 20, 0.0)
+    got = kernel_row(ch, taus, 20)
     for quantity in want:
         np.testing.assert_allclose(got[quantity][::37], want[quantity], rtol=0, atol=ATOL)
 
 
 def test_cells_match_unit_cell_with_intra_pulse_hamiltonian(rng):
-    # Both builds share their code, so the reference is an independent
-    # scipy.linalg.expm product: T_u2 = T_u T_pi T_d T_d T_pi T_u.
+    # The oracle stacks its pulse factor like a scipy.linalg.expm product
+    # per tau, T_u2 = T_u T_pi T_d T_d T_pi T_u; a pulse factor of 1 is the
+    # ideal cell at tau, which the kernel's cells share their phases with.
     ch = ConditionalHamiltonians(random_hermitian(4, rng), random_hermitian(4, rng))
     h_pulse = random_hermitian(4, rng)
     taus = np.array([0.05, 0.3, 0.7, 1.1, 2.4])
     t_pi = scipy.linalg.expm(-1j * h_pulse * 0.04)
-    t_u2, t_d2 = stacked_cells(ch, taus, 0.02, h_pulse)
+    w_u, w_d = oracle_cells(ch.h_u, ch.h_d, taus, 0.02, h_pulse)
+    r_u, r_d = oracle_cells(ch.h_u, ch.h_d, taus, 0.02, np.zeros((4, 4)))
+    scan = spectrum_scan(ch, taus)
     for k, tau in enumerate(taus):
         t_u = scipy.linalg.expm(-1j * ch.h_u * tau)
         t_d = scipy.linalg.expm(-1j * ch.h_d * tau)
-        ref_u = t_u @ t_pi @ t_d @ t_d @ t_pi @ t_u
-        ref_d = t_d @ t_pi @ t_u @ t_u @ t_pi @ t_d
-        seq = PulseSequence(tau=tau, n_p=1, pulse_duration=0.02,
-                            intra_pulse_hamiltonian=h_pulse)
-        for got_u, got_d in ((t_u2[k], t_d2[k]), unit_cell(ch, seq)):
-            np.testing.assert_allclose(got_u, ref_u, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(got_d, ref_d, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(w_u[k] @ w_d[k], t_u @ t_pi @ t_d @ t_d @ t_pi @ t_u,
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(w_d[k] @ w_u[k], t_d @ t_pi @ t_u @ t_u @ t_pi @ t_d,
+                                   rtol=0, atol=1e-12)
+        assert matched_gap(scan.phases[k], schur_modes(r_u[k] @ r_d[k])[0]) < 1e-12
 
 
 @pytest.mark.parametrize("dim", [2, 8, 16])
 @pytest.mark.parametrize("pulse", ["ideal", "delta", "intra_pulse"])
 def test_unit_cell_equals_the_stacked_cell_bit_for_bit(rng, dim, pulse):
+    # A one-tau call gives the bits of the same tau in a stacked call.  With
+    # 'intra_pulse' the stacked call takes the pulse window into the free
+    # interval itself, tau + delta with delta 0, which is the same cell.
     ch = ConditionalHamiltonians(random_hermitian(dim, rng), random_hermitian(dim, rng))
     delta = 0.0 if pulse == "ideal" else 0.03
-    h_pulse = random_hermitian(dim, rng) if pulse == "intra_pulse" else None
-    taus = np.sort(rng.uniform(0.01, 3.0, 300))
-    t_u2, t_d2 = stacked_cells(ch, taus, delta, h_pulse)
-    for k, tau in enumerate(taus):
-        seq = PulseSequence(tau=float(tau), n_p=1, pulse_duration=delta,
-                            intra_pulse_hamiltonian=h_pulse)
-        ref_u, ref_d = unit_cell(ch, seq)
-        assert ref_u.tobytes() == t_u2[k].tobytes()
-        assert ref_d.tobytes() == t_d2[k].tobytes()
+    taus = np.sort(rng.uniform(0.01, 3.0, 40))
+    stacked = (kernel_row(ch, taus + delta, 5) if pulse == "intra_pulse"
+               else kernel_row(ch, taus, 5, pulse_duration=delta))
+    for k in range(taus.size):
+        one = kernel_row(ch, taus[k:k + 1], 5, pulse_duration=delta)
+        for q, v in one.items():
+            assert v.tobytes() == stacked[q][k:k + 1].tobytes()
 
 
 def test_errors_name_the_tau_point(rng, monkeypatch):
     ch = ConditionalHamiltonians(random_hermitian(4, rng), random_hermitian(4, rng))
     with pytest.raises(ValidationError, match=r"^tau\[2\] = -1: "):
-        floquet_row(ch, [0.1, 0.2, -1.0], 5)
+        kernel_row(ch, [0.1, 0.2, -1.0], 5)
     with pytest.raises(ValidationError, match="n_p must be"):
-        floquet_row(ch, [0.1], -1)
+        kernel_row(ch, [0.1], -1)
     with pytest.raises(ValidationError, match="unknown quantities"):
-        floquet_row(ch, [0.1], 5, ("phase",))
+        kernel_row(ch, [0.1], 5, ("phase",))
     monkeypatch.setattr(engine, "PHASE_MATCH_TOL", -1.0)
     with pytest.raises(SymmetryViolationError, match=r"^tau\[0\] = 0\.1: u/d eigenphase"):
-        floquet_row(ch, [0.1, 0.2], 5, ("envelope",))
+        kernel_row(ch, [0.1, 0.2], 5, ("envelope",))
 
 
 def test_corrupted_half_period_names_the_tau_point(rng, monkeypatch):
@@ -316,7 +302,7 @@ def test_corrupted_half_period_names_the_tau_point(rng, monkeypatch):
 
     monkeypatch.setattr(engine, "_stacked_floor", corrupted)
     with pytest.raises(SymmetryViolationError, match=r"^tau\[1\] = 0\.7: u/d eigenphase"):
-        floquet_row(ch, [0.1, 0.7, 1.3], 5, ("envelope",))
+        kernel_row(ch, [0.1, 0.7, 1.3], 5, ("envelope",))
 
 
 def cluster3_doc(**system):
@@ -375,16 +361,16 @@ def test_unresolved_eigensolve_names_the_tau_point(monkeypatch, path):
         if path == "spectrum_scan":
             spectrum_scan(ch, taus)
         else:
-            floquet_row(ch, taus, 1, ("envelope",))
+            kernel_row(ch, taus, 1, ("envelope",))
     named = re.fullmatch(r"tau\[(\d+)\] = (\S+): Cayley transform exceeds 1e\+00 at every "
                          r"cut tried", str(failure.value))
     assert named, str(failure.value)
     i = int(named[1])
     assert i >= linalg.BLOCK_BYTES // (16 * ch.dim ** 2)
     assert named[2] == f"{taus[i]:g}"
-    w_u, w_d = half_period_operators(ch, PulseSequence(tau=float(taus[i]), n_p=1))
+    w_u, w_d = oracle_cells(ch.h_u, ch.h_d, taus[i:i + 1])
     with pytest.raises(NumericalConsistencyError):
-        linalg.eig_unitaries((w_u @ w_d)[None])
+        linalg.eig_unitaries(w_u @ w_d)
 
 
 HYPERFINE = st.one_of(st.just(0.0), st.floats(-2e5, 2e5))
@@ -428,7 +414,7 @@ def test_sector_rows_match_the_per_tau_oracles(cluster, kind, fields, taus, n_p,
     assert set(got) == set(quantities)
     for i, ch in enumerate(chs):
         check_sectors(ch, cluster)
-        want = per_tau(offset_free(ch) if kind == "joint_full" else ch, taus, n_p, delta)
+        want = oracle_row(offset_free(ch) if kind == "joint_full" else ch, taus, n_p, delta)
         for quantity in quantities:
             np.testing.assert_allclose(got[quantity][i], want[quantity], rtol=0, atol=ATOL)
 
@@ -445,12 +431,11 @@ def test_sector_spectra_match_the_full_cell_phases(cluster, kind, pols, b0, taus
         else joint_full_model(si_bi(), cluster, b0)
     taus = np.sort(taus)
     scan = spectrum_scan(ch, taus, pulse_duration=delta)
-    for i, tau in enumerate(taus):
-        cell, _ = unit_cell(ch, PulseSequence(tau=float(tau), n_p=1, pulse_duration=delta))
-        gaps = engine._circular_gap(scan.phases[i], eig_unitary(cell).phases)
-        rows, cols = linear_sum_assignment(gaps)
+    w_u, w_d = oracle_cells(ch.h_u, ch.h_d, taus, delta)
+    for i, (tau, phases) in enumerate(zip(taus, schur_modes(w_u @ w_d)[0])):
         phase = 4 * ch.spectral_radius * (tau + delta)
-        assert gaps[rows, cols].max() <= SPECTRUM_ATOL + SPECTRUM_EPS * np.finfo(float).eps * phase
+        assert matched_gap(scan.phases[i], phases) <= (SPECTRUM_ATOL + SPECTRUM_EPS
+                                                       * np.finfo(float).eps * phase)
 
 
 @st.composite
@@ -507,9 +492,7 @@ def test_real_sector_cells_solve_alike_in_real_and_complex_arithmetic(cells):
     d = t_u2.shape[-1]
     assert np.abs(real_modes.swapaxes(-1, -2) @ real_modes - np.eye(d)).max() <= 1e-13
     for got, want in zip(real_phases, phases):
-        gaps = engine._circular_gap(got, want)
-        rows, cols = linear_sum_assignment(gaps)
-        assert gaps[rows, cols].max() <= 1e-12
+        assert matched_gap(got, want) <= 1e-12
     real_floor, _, residual = _stacked_floor(t_u2, t_d2, w_d, True)
     floor, _, _ = _stacked_floor(t_u2, t_d2, w_d, False)
     np.testing.assert_allclose(real_floor, floor, rtol=0, atol=1e-12)
@@ -567,9 +550,7 @@ def test_joint_full_spectrum_phases_match_mpmath():
                     miss = mpmath.mpf(2 * (c_u + c_d) * t[i]) - exact
                     plain = max(plain, abs(float(miss - 2 * mpmath.pi * mpmath.nint(
                         miss / (2 * mpmath.pi)))))
-        gaps = engine._circular_gap(scan.phases[row], np.array(want))
-        rows, cols = linear_sum_assignment(gaps)
-        worst = max(worst, gaps[rows, cols].max())
+        worst = max(worst, matched_gap(scan.phases[row], np.array(want)))
     assert worst <= 1e-13
     assert 10 * worst <= plain
 
@@ -579,7 +560,7 @@ def offset_free(ch):
 
     E 1 is a global phase of each branch and cancels in both quantities,
     but at about 2e10 rad/s it leaves the full-space Hamiltonians a phase
-    resolution of only about eps E t: the per-tau path then misses an
+    resolution of only about eps E t: full-space cells then miss an
     offset-free computation by up to about 1e-7.  The sector kernel
     subtracts the offset of each sector itself.  Every diagonal entry lies
     within a factor 2 of the first, so the subtraction is exact.
@@ -605,9 +586,9 @@ def test_degenerate_all_up_and_all_down_states():
     assert ch.h_u[0, 0] == ch.h_u[7, 7] and ch.h_d[0, 0] == ch.h_d[7, 7]
     assert [stack.index.tolist() for stack in ch.sectors] == [[[0], [7]], [[1, 2, 4], [3, 5, 6]]]
     taus = np.linspace(2e-5, 3.2e-4, 7)
-    got = floquet_row(ch, taus, 40)
-    np.testing.assert_allclose(got["envelope"], schur_floor(ch, taus), rtol=0, atol=1e-12)
-    want = per_tau(ch, taus, 40, 0.0)
+    got = kernel_row(ch, taus, 40)
+    want = oracle_row(ch, taus, 40, 0.0)
+    np.testing.assert_allclose(got["envelope"], want["envelope"], rtol=0, atol=1e-12)
     for quantity in want:
         np.testing.assert_allclose(got[quantity], want[quantity], rtol=0, atol=ATOL)
 

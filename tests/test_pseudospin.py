@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from floqsens import (
     CapacityError,
     PseudoField,
-    PulseSequence,
     Regime,
     TwoStateModel,
     ValidationError,
@@ -20,19 +19,27 @@ from floqsens import (
     dip_depth,
     dip_positions,
     envelope,
-    envelope_general,
-    floquet_pair,
     floquet_phase,
-    omega_average,
     regime_classify,
-    thermal_coherence_numeric,
-    unit_cell,
 )
 
 from floqsens import pseudospin
-from floqsens.engine import floquet_row
+from floqsens.engine import floquet_rows
 from floqsens.pseudospin import MAX_DIP_GRID, bisect_roots, level_repulsion, two_state_grid
-from conftest import near_crossing, random_two_state
+from conftest import (near_crossing, oracle_cells, oracle_coherence, random_two_state,
+                      schur_floor, schur_modes)
+
+
+def oracle_cell(model, taus, pulse_duration=0.0):
+    """Half periods (W_u, W_d) of the full-space oracle for a two-state model."""
+    ch = model.conditional()
+    return oracle_cells(ch.h_u, ch.h_d, np.atleast_1d(taus), pulse_duration)
+
+
+def cell_phases(model, tau):
+    """Ascending Schur eigenphases (-E, +E) of the oracle cell T_u2 at tau."""
+    w_u, w_d = oracle_cell(model, tau)
+    return np.sort(schur_modes(w_u @ w_d)[0][0])
 
 
 def golden_section_min(f, lo, hi, rtol=1e-12):
@@ -65,17 +72,14 @@ class TestFloquetPhase:
     def test_matches_cell_eigenphase(self):
         model = TwoStateModel.from_angles(0.6, 0.9, 1.1, 0.2)
         s = 0.5
-        pair = floquet_pair(*unit_cell(model.conditional(), PulseSequence(tau=s, n_p=1)))
-        assert floquet_phase(model, s) == pytest.approx(pair.phases[1], abs=1e-12)
+        assert floquet_phase(model, s) == pytest.approx(cell_phases(model, s)[1], abs=1e-12)
 
     def test_random_models_match_cell(self, rng):
         for _ in range(25):
             model = random_two_state(rng)
             s = rng.uniform(0.05, 2.0)
-            pair = floquet_pair(*unit_cell(model.conditional(),
-                                           PulseSequence(tau=s, n_p=1)))
             assert floquet_phase(model, s) == pytest.approx(
-                abs(pair.phases[1]), abs=1e-10)
+                abs(cell_phases(model, s)[1]), abs=1e-10)
 
     def test_small_tau_linearity(self, rng):
         for _ in range(10):
@@ -114,8 +118,7 @@ class TestCoherence:
             model = random_two_state(rng)
             tau = rng.uniform(0.05, 3.0)
             val = coherence_analytic(model, tau, 10)
-            seq = PulseSequence(tau=tau, n_p=10)
-            ref = thermal_coherence_numeric(model.conditional(), seq)
+            ref = oracle_coherence(*oracle_cell(model, tau), 10)[0]
             worst = max(worst, abs(val - ref))
         assert worst < 1e-9
 
@@ -156,8 +159,8 @@ class TestCoherence:
             model = random_two_state(rng)
             tau = rng.uniform(0.2, 1.5)
             delta = rng.uniform(0.01, 0.2)
-            seq = PulseSequence(tau=tau, n_p=8, pulse_duration=delta)
-            ref = thermal_coherence_numeric(model.conditional(), seq)
+            ref = floquet_rows([model.conditional()], [tau], 8, ("coherence",),
+                               pulse_duration=delta)["coherence"][0, 0]
             assert float(coherence_analytic(model, tau + delta, 8)) == \
                 pytest.approx(ref, abs=1e-9)
 
@@ -208,12 +211,8 @@ class TestEnvelope:
             tau = rng.uniform(0.1, 2.5)
             if abs(math.cos(floquet_phase(model, tau) / 2)) < 1e-3:
                 continue
-            pair = floquet_pair(*unit_cell(model.conditional(),
-                                           PulseSequence(tau=tau, n_p=1)))
-            # mode with phase -E comes first (ascending), +E second
-            overlap = abs(np.vdot(pair.spectrum_d.modes[:, 0],
-                                  pair.spectrum_u.modes[:, 1])) ** 2
-            assert envelope(model, tau) == pytest.approx(1 - 2 * overlap, abs=1e-8)
+            want = schur_floor(*oracle_cell(model, tau))[0]
+            assert envelope(model, tau) == pytest.approx(want, abs=1e-8)
 
 
 class TestDips:
@@ -402,15 +401,16 @@ class TestAvgHamiltonian:
         assert avg_hamiltonian_dip(model) == pytest.approx(want, rel=1e-12)
 
     def test_pseudofield_identity(self, rng):
-        # exact algebraic identity tau_bar = pi / (4 omega_average)
+        # exact algebraic identity tau_bar = pi / (4 Omega), with Omega half
+        # the magnitude of the averaged field (h_u + h_d) / 2
         for _ in range(1000):
             model = random_two_state(rng)
             try:
                 tau_bar = avg_hamiltonian_dip(model)
             except ValidationError:
                 continue
-            assert tau_bar == pytest.approx(math.pi / (4 * omega_average(model)),
-                                            rel=1e-12)
+            omega = math.hypot(model.h_u.x + model.h_d.x, model.h_u.z + model.h_d.z) / 4
+            assert tau_bar == pytest.approx(math.pi / (4 * omega), rel=1e-12)
 
     def test_divergence_error(self):
         model = TwoStateModel.from_components(0.5, 0.5, -0.5, -0.5)
@@ -489,8 +489,7 @@ def test_coherence_in_range_property(x_u, z_u, x_d, z_d, tau, n_p):
 @given(tau=st.floats(0.05, 2.0))
 def test_analytic_equals_numeric_property(tau):
     model = TwoStateModel.from_components(0.9, -0.3, 0.2, 1.4)
-    seq = PulseSequence(tau=tau, n_p=7)
-    ref = thermal_coherence_numeric(model.conditional(), seq)
+    ref = oracle_coherence(*oracle_cell(model, tau), 7)[0]
     assert abs(coherence_analytic(model, tau, 7) - ref) < 1e-9
 
 
@@ -513,11 +512,9 @@ def test_analytic_matches_numeric_across_a_crossing(m_u, m_d, theta_u, theta_d, 
     env = envelope(model, taus)
     near = near_crossing(model, taus)
     assert near.any() and not near.all()
-    for tau, c, e in zip(taus, coh, env):
-        seq = PulseSequence(tau=float(tau), n_p=n_p)
-        assert c == pytest.approx(thermal_coherence_numeric(model.conditional(), seq), abs=1e-9)
-        pair = floquet_pair(*unit_cell(model.conditional(), seq))
-        assert e == pytest.approx(envelope_general(pair).floor, abs=1e-9)
+    w_u, w_d = oracle_cell(model, taus)
+    np.testing.assert_allclose(coh, oracle_coherence(w_u, w_d, n_p), rtol=0, atol=1e-9)
+    np.testing.assert_allclose(env, schur_floor(w_u, w_d), rtol=0, atol=1e-9)
 
 
 @settings(max_examples=40, deadline=None)
@@ -551,6 +548,6 @@ def test_near_crossing_matches_the_2x2_kernel(m_u, m_d, theta_u, theta_d, scale,
     taus = math.pi / (2.0 * scale) * (1.0 + np.concatenate([-offsets, offsets]))
     taus = taus[near_crossing(model, taus, 1e-2) & ~near_crossing(model, taus, 1e-3)]
     assume(taus.size)
-    ref = floquet_row(model.conditional(), taus, n_p)
+    ref = {q: v[0] for q, v in floquet_rows([model.conditional()], taus, n_p).items()}
     assert np.abs(coherence_analytic(model, taus, n_p) - ref["coherence"]).max() <= 2e-11
     assert np.abs(envelope(model, taus) - ref["envelope"]).max() <= 2e-11

@@ -9,13 +9,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from floqsens import CapacityError, PairSet, PulseSequence, ValidationError, \
-    floquet_phase, thermal_coherence_numeric
+from floqsens import CapacityError, PairSet, ValidationError, floquet_phase
 from floqsens.config import parse_config
-from floqsens.engine import floquet_row
+from floqsens.engine import floquet_rows
 from floqsens.scans import FORMAT_ARRAY_MIN, _format_floats, _json_text, compute_trace, \
     field_rows, run_dips, run_map, run_spectrum, run_trace, write_csv, write_pgm
-from conftest import near_crossing
+from conftest import near_crossing, oracle_cells, oracle_coherence
 
 
 def pseudospin_cfg(**over):
@@ -52,10 +51,9 @@ class TestTrace:
         cfg = pseudospin_cfg()
         data = compute_trace(cfg)
         model = cfg.system
-        for tau, coh in zip(data.taus[::7], data.coherence[::7]):
-            seq = PulseSequence(tau=float(tau), n_p=10)
-            ref = thermal_coherence_numeric(model.conditional(), seq)
-            assert coh == pytest.approx(ref, abs=1e-9)
+        ch = model.conditional()
+        ref = oracle_coherence(*oracle_cells(ch.h_u, ch.h_d, data.taus[::7]), 10)
+        np.testing.assert_allclose(data.coherence[::7], ref, rtol=0, atol=1e-9)
 
     def test_trace_rejects_field_axis(self, tmp_path):
         cfg = pseudospin_cfg(axes={
@@ -173,7 +171,8 @@ def test_pair_product_matches_joint_kernel(case, n_p):
     assume(joint_spectrum_is_simple(models, data.taus, index))
     near = near_crossing(models[index], data.taus)
     assert near.any() and not near.all()
-    joint = floquet_row(cfg.system.conditional(p_u, p_d), data.taus, n_p)
+    joint = {q: v[0] for q, v in floquet_rows([cfg.system.conditional(p_u, p_d)], data.taus,
+                                               n_p).items()}
     assert np.abs(data.coherence - joint["coherence"]).max() <= 1e-9
     assert np.abs(data.envelope - joint["envelope"]).max() <= 1e-9
 
@@ -191,7 +190,8 @@ def test_coincident_pair_levels_give_the_product_floor(tau):
         "sequence": {"n_p": 1}, "axes": {"tau_s": {"start": tau, "stop": 1.001 * tau,
                                                    "count": 2}}})
     data = compute_trace(cfg)
-    joint = floquet_row(cfg.system.conditional(p_u, p_d), data.taus, 1)
+    joint = {q: v[0] for q, v in floquet_rows([cfg.system.conditional(p_u, p_d)], data.taus,
+                                               1).items()}
     assert np.abs(data.envelope - joint["envelope"]).max() <= 1e-12
 
 

@@ -13,19 +13,18 @@ from scipy.optimize import linear_sum_assignment
 import floqsens.engine as engine
 import floqsens.linalg as linalg
 from floqsens import ConditionalHamiltonians, SpinCluster, conditional_cluster_hamiltonians, \
-    eig_unitary, expm_hermitian, joint_full_model, si_bi, spectrum_scan
-from floqsens.engine import TRACKING_OVERLAP, _cell_blocks, _circular_gap, _offset_phases, \
-    _smallest_gap
+    expm_hermitian, joint_full_model, si_bi, spectrum_scan
+from floqsens.engine import TRACKING_OVERLAP, _cell_blocks, _offset_phases, _smallest_gap
 from floqsens.linalg import eig_unitaries
 from floqsens.sensors import donor_pair_polarizations
-from conftest import random_hermitian
+from conftest import circular_gap, random_hermitian, schur_modes
 
 CONFIGS = Path(__file__).resolve().parents[1] / "scripts" / "configs"
 
 
 def all_pairs_gap(phases):
     """Smallest circular gap over every pair of phases (the O(D^2) oracle)."""
-    gaps = _circular_gap(phases, phases)
+    gaps = circular_gap(phases, phases)
     d = phases.shape[-1]
     gaps[..., np.arange(d), np.arange(d)] = np.inf
     return gaps.min(axis=(-2, -1))
@@ -33,6 +32,9 @@ def all_pairs_gap(phases):
 
 def per_tau_scan(ch, taus, pulse_duration=0.0, gap_threshold=1e-2):
     """(phases, crossings) with one linear_sum_assignment per tau and sector (the tracking oracle).
+
+    A tau is a crossing where two phases of one sector lie closer than
+    ``gap_threshold``; phases of different sectors do not repel.
 
     Each sector's cells T_u2 = D_u Y(2 tau) D_u come from the engine's cell
     builder one sector at a time and are solved as the scan solves them
@@ -67,9 +69,10 @@ def per_tau_scan(ch, taus, pulse_duration=0.0, gap_threshold=1e-2):
             phases = -np.angle(np.exp(-1j * (phases + offsets[:, b, None])))
             phases[phases <= -np.pi] += 2 * np.pi
             columns.append(phases)
+    min_gaps = np.min([all_pairs_gap(phases) for phases in columns], axis=0)
     phases = np.concatenate(columns, axis=1)
     phases = phases[:, np.argsort(phases[0], kind="stable")]
-    return phases, all_pairs_gap(phases) < gap_threshold
+    return phases, min_gaps < gap_threshold
 
 
 def counting_fallbacks(monkeypatch):
@@ -164,7 +167,10 @@ def test_a_crossing_between_sectors_is_a_true_crossing(monkeypatch, seed):
     calls = counting_fallbacks(monkeypatch)
     scan = spectrum_scan(ch, taus)
     assert not calls
-    assert scan.crossings[crossing] and scan.min_gaps[crossing] < 1e-14
+    # The phases of the two sectors meet, but only a gap inside a sector
+    # counts toward min_gaps and the crossing flag.
+    assert all_pairs_gap(scan.phases[crossing]) < 1e-14
+    assert scan.min_gaps[crossing] > 1e-3 and not scan.crossings[crossing]
     # Each column follows the eigenphases of one sector over the whole scan
     # (an independent expm product per sector and tau), so its mode has no
     # weight outside that sector; each sector owns three columns.
@@ -172,11 +178,11 @@ def test_a_crossing_between_sectors_is_a_true_crossing(monkeypatch, seed):
     for h_u, h_d in ((a_u, a_d), (a_u + shift, a_d + shift)):
         cells = [scipy.linalg.expm(-1j * h_u * tau) @ scipy.linalg.expm(-2j * h_d * tau)
                  @ scipy.linalg.expm(-1j * h_u * tau) for tau in taus]
-        sectors.append(np.stack([eig_unitary(cell).phases for cell in cells]))
+        sectors.append(schur_modes(np.stack(cells))[0])
     owners = []
     for column in scan.phases.T:
         owner = [b for b, phases in enumerate(sectors)
-                 if (_circular_gap(column[:, None], phases)[:, 0].min(axis=-1) < 1e-12).all()]
+                 if (circular_gap(column[:, None], phases)[:, 0].min(axis=-1) < 1e-12).all()]
         assert len(owner) == 1
         owners += owner
     assert sorted(owners) == [0, 0, 0, 1, 1, 1]
