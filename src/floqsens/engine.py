@@ -22,8 +22,8 @@ W_u = D_u Y and W_d = Y D_u cost one (d, d) product per cell and a
 spectrum cell T_u2 = D_u (X exp(-2 i E_d t) X^dag) D_u costs one too.
 Every stacked product of the kernels (Y, T_u2 = W_u W_d, T_d2 = W_d W_u,
 the grams of the unitarity checks, the half-period images W_d Phi, the
-residual T_d2 W_d Phi and the squarings and multiplies of
-``unitary_power``) is a ``linalg.matmul``: for a real X, Y is two real
+residual T_d2 W_d Phi and the overlaps M = Phi^dag W_d Phi of the
+coherence) is a ``linalg.matmul``: for a real X, Y is two real
 products, (X cos) X^T and (X (-sin)) X^T, and a complex product of cells
 of at most ``linalg.SMALL_PRODUCT_DIM`` states is one real product of the
 realified right operand, not a complex BLAS call per cell.  These cells
@@ -52,21 +52,22 @@ the kernel computes only the requested quantities, block by block.  A
 one-state sector needs none of this: its block of H - c is exactly
 [[0]], so its cell is exactly 1, it adds exactly ``ONE_STATE_VALUES``
 (1 to D times the coherence, 2 to D (floor + 1)) and no check can fail
-on it; spectra give it its offset phase (below).  The others get
+on it; spectra give it its offset phase (below).  The others get both
+quantities from one solve of the T_u2 block, T_u2 = Phi e^{-i E} Phi^dag.
+The d-partner of each u-mode Phi is its half-period image W_d Phi, so
+with M = Phi^dag W_d Phi no mode pairing is needed for
 
-* coherence from ``unitary_power`` of the stacked T_u2 and T_d2, the
-  binary power P_i = T_i2^n_p; a row's coherence is
-  sum_b Re tr_b(P_u^dag P_d) / D over its sectors b;
-* the envelope floor from one solve of the T_u2 block: the d-partner of
-  each u-mode Phi is its half-period image W_d Phi, so with
-  M = Phi^dag W_d Phi the floor (2/D) sum_{l,l' same cluster} |M_ll'|^2 - 1
-  needs no mode pairing.  A cluster is a chain of eigenphases closer
-  than PHASE_MATCH_TOL; summed over whole clusters the floor does not
-  depend on the basis a solver picks inside one.  Away from degeneracy
-  only the diagonal l = l' remains.  Modes of different sectors have
-  M_ll' = 0, so a row's floor is (2/D) sum_b w_b - 1 over the
-  cluster-summed weights w_b of its sectors, and a crossing between
-  sectors is a true crossing.
+* the coherence, the paper's Floquet expansion of
+  Re tr_b(P_u^dag P_d) = Re sum_{l,l'} e^{i n_p (E_l - E_l')} |M_ll'|^2
+  with P_i = T_i2^n_p, at the cost of one solve for any n_p; a row's
+  coherence is the sum over its sectors b, divided by D;
+* the envelope floor (2/D) sum_{l,l' same cluster} |M_ll'|^2 - 1.  A
+  cluster is a chain of eigenphases closer than PHASE_MATCH_TOL; summed
+  over whole clusters the floor does not depend on the basis a solver
+  picks inside one.  Away from degeneracy only the diagonal l = l'
+  remains.  Modes of different sectors have M_ll' = 0, so a row's floor
+  is (2/D) sum_b w_b - 1 over the cluster-summed weights w_b of its
+  sectors, and a crossing between sectors is a true crossing.
 
 Sectors add up in a fixed order, so a value depends only on its own row
 and tau.  Each sector's Hamiltonians are stored less their first
@@ -84,8 +85,8 @@ mode, and only a cell whose modes mix goes to SciPy's
 crossing and needs no assignment; the smallest gap a spectrum reports is
 the one inside a sector, where phases repel.  Every stacked cell passes
 the ``UNITARITY_TOL`` check, and errors, those of the eigensolver
-included, name the failing tau (``errors.locate``).  The envelope also
-checks the half-period identity at every tau: the residual
+included, name the failing tau (``errors.locate``).  Both row quantities
+stand on the half-period identity, checked at every tau: the residual
 ||T_d2 W_d Phi - lambda W_d Phi|| must stay below ``PHASE_MATCH_TOL``.
 """
 
@@ -102,15 +103,12 @@ from .linalg import (
     block_slices,
     eig_unitaries,
     matmul,
-    polar_unitary,
     require_hermitian,
     require_unitary,
     two_product,
-    unitarity_defect,
 )
 
 PHASE_MATCH_TOL = 1e-8
-POWER_DRIFT_TOL = 1e-12
 QUANTITIES = ("coherence", "envelope")
 # What _sector_values gives on a one-state cell, which is exactly 1:
 # Re tr(1^dag 1) = 1 and d (floor + 1) = 2 (its weight |1|^2 counted twice).
@@ -281,32 +279,6 @@ def _same_cluster(phases: np.ndarray) -> np.ndarray:
     return label[..., :, None] == label[..., None, :]
 
 
-def unitary_power(u: np.ndarray, n: int) -> np.ndarray:
-    """U^n of each matrix of an (m, D, D) stack, by binary exponentiation.
-
-    Each squaring and multiply is a ``linalg.matmul`` of the whole stack.
-    A squared base whose unitarity defect exceeds POWER_DRIFT_TOL is
-    replaced by its polar factor.  ``matmul`` computes each matrix from its
-    own operands and only the drifted matrices of a stack are touched, so
-    every matrix gets the same bits as a call on it alone.
-    """
-    if n < 0:
-        raise ValidationError("negative powers are not used here")
-    base, result = u, None
-    while n:
-        if n & 1:
-            result = base if result is None else matmul(result, base)
-        n >>= 1
-        if n:
-            base = matmul(base, base)
-            drifted = unitarity_defect(base) > POWER_DRIFT_TOL
-            if drifted.any():
-                base[drifted] = polar_unitary(base[drifted])
-    if result is None:
-        result = np.broadcast_to(np.eye(u.shape[-1], dtype=complex), u.shape).copy()
-    return result
-
-
 def _require_taus(taus) -> np.ndarray:
     """A one-dimensional grid of finite, positive pulse intervals."""
     taus = np.asarray(taus, dtype=float)
@@ -336,36 +308,6 @@ def _free_intervals(taus: np.ndarray, pulse_duration: float) -> np.ndarray:
     return t
 
 
-def _stacked_floor(t_u2: np.ndarray, t_d2: np.ndarray, w_d: np.ndarray,
-                   symmetric: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Envelope floor per tau from one batched eigen-solve of T_u2 = W_u W_d.
-
-    T_d2 = W_d W_u maps the half-period image W_d Phi of a u-mode Phi onto
-    lambda W_d Phi, so W_d Phi is the d-partner of Phi and, with
-    M = Phi^dag W_d Phi, floor = (2/D) sum_{l,l' same cluster} |M_ll'|^2 - 1
-    (``_same_cluster``; off the diagonal only in cells whose smallest
-    phase gap is below PHASE_MATCH_TOL).  The modes come from
-    ``eig_unitaries`` (real if the cells are ``symmetric``, and then
-    W_d Phi is two real products of ``matmul``) and are orthonormal at any
-    gap.  Returns (floor, smallest u-phase gap, largest residual
-    ||T_d2 W_d Phi - lambda W_d Phi||).
-    """
-    d = t_u2.shape[-1]
-    phases, modes = eig_unitaries(t_u2, symmetric)
-    bra = modes.conj() if np.iscomplexobj(modes) else modes
-    images = matmul(w_d, modes)
-    lam = np.exp(-1j * phases)
-    residual = np.linalg.norm(matmul(t_d2, images) - lam[:, None, :] * images,
-                              axis=1).max(axis=1)
-    weight = (np.abs(np.einsum("nil,nil->nl", bra, images)) ** 2).sum(axis=1)
-    min_gap = _smallest_gap(phases)
-    clustered = np.flatnonzero(min_gap < PHASE_MATCH_TOL)
-    if clustered.size:
-        m = bra[clustered].swapaxes(-1, -2) @ images[clustered]
-        weight[clustered] = (np.abs(m) ** 2 * _same_cluster(phases[clustered])).sum(axis=(1, 2))
-    return weight * (2.0 / d) - 1.0, min_gap, residual
-
-
 def floquet_rows(chs, taus, n_p: int, quantities: tuple[str, ...] = QUANTITIES,
                  pulse_duration: float = 0.0) -> dict[str, np.ndarray]:
     """Requested quantities over a tau grid for each pair of ``chs``, as (rows, tau) arrays.
@@ -379,24 +321,24 @@ def floquet_rows(chs, taus, n_p: int, quantities: tuple[str, ...] = QUANTITIES,
     sector offsets are left out: e^{-i (c_u + c_d) t} is a phase common to
     W_u and W_d, so it cancels in P_u^dag P_d and in |M|^2.  Sector b
     of a row of dimension D adds Re tr_b(P_u^dag P_d) to D times the
-    coherence, P_i = T_i2^n_p from ``unitary_power``, and twice its
-    cluster-summed weight w_b (``_stacked_floor``) to D (floor + 1).  The
+    coherence, P_i = T_i2^n_p, and twice its cluster-summed weight w_b to
+    D (floor + 1), both from one solve (``_sector_values``).  The
     sectors of a row add up in the order ``sectors`` lists them, so a value
     depends only on its own row and tau, not on the other rows or
     quantities of the call or on the block cuts.  A one-state sector's
     cell is exactly 1: it adds ``ONE_STATE_VALUES`` with no cell built.
 
-    Every cell built passes the UNITARITY_TOL check and, for the envelope, the
-    half-period residual check against PHASE_MATCH_TOL
-    (SymmetryViolationError); a NaN defect or residual fails them.  An
-    error names the first failing row (its ``index``) and the first
-    failing tau in it, as 'tau[i] = ...:'.  A tau + pulse_duration that
-    overflows raises ValidationError at its tau (``index`` that tau)
-    before any row.
+    n_p must be a positive integer.  Every cell built passes the
+    UNITARITY_TOL check and the half-period residual check against
+    PHASE_MATCH_TOL (SymmetryViolationError); a NaN defect or residual
+    fails them.  An error names the first failing row (its ``index``) and
+    the first failing tau in it, as 'tau[i] = ...:'.  A tau +
+    pulse_duration that overflows raises ValidationError at its tau
+    (``index`` that tau) before any row.
     """
     taus = _require_taus(taus)
-    if int(n_p) != n_p or n_p < 0:
-        raise ValidationError(f"n_p must be a non-negative integer, got {n_p}")
+    if int(n_p) != n_p or n_p < 1:
+        raise ValidationError(f"n_p must be a positive integer, got {n_p}")
     unknown = set(quantities) - set(QUANTITIES)
     if unknown:
         raise ValidationError(f"unknown quantities {sorted(unknown)}; expected {QUANTITIES}")
@@ -450,26 +392,58 @@ def _sector_values(w_u: np.ndarray, w_d: np.ndarray, n_p: int,
                    quantities: tuple[str, ...], symmetric: bool) -> dict[str, np.ndarray]:
     """Per cell of a stack of d-state sector cells: Re tr(P_u^dag P_d) for
     'coherence' and twice the cluster-summed weight, d (floor + 1), for
-    'envelope', after the unitarity and half-period checks; an error's
-    ``index`` is its cell.  ``symmetric`` cells (from real sectors) get
-    real modes."""
+    'envelope', both from the one solve of ``_floquet_modes``, after the
+    unitarity and half-period checks; an error's ``index`` is its cell.
+
+    With M = Phi^dag W_d Phi and c = e^{i n_p E}, Re tr(P_u^dag P_d) =
+    Re sum_{l,l'} conj(c_l) |M_ll'|^2 c_l' for any orthonormal eigenbasis
+    Phi of T_u2, because T_d2 = W_d T_u2 W_d^dag: a rotation inside an
+    exactly degenerate cluster leaves each block sum of |M|^2 unchanged.
+    The envelope needs only the diagonal of M, and the whole M only in a
+    cell whose smallest phase gap is below PHASE_MATCH_TOL."""
     t_u2, t_d2 = matmul(w_u, w_d), matmul(w_d, w_u)
     require_unitary(t_u2)
     require_unitary(t_d2)
+    phases, bra, images, residual = _floquet_modes(t_u2, t_d2, w_d, symmetric)
+    bad = np.flatnonzero(~(residual <= PHASE_MATCH_TOL))  # NaN fails too
+    if bad.size:
+        raise locate(SymmetryViolationError(
+            f"u/d eigenphase residual {residual[bad[0]]:.3e} > "
+            f"{PHASE_MATCH_TOL:.1e}"), bad[0])
     out = {}
     if "coherence" in quantities:
-        p_u = unitary_power(t_u2, n_p)
-        p_d = unitary_power(t_d2, n_p)
-        out["coherence"] = np.einsum("nij,nij->n", p_u.conj(), p_d).real
+        # |M|^2 transposed, which leaves the real part of the sum unchanged
+        weights = np.abs(matmul(images.swapaxes(-1, -2), bra)) ** 2
+        turn = np.exp(1j * (n_p * phases))
+        out["coherence"] = np.einsum("nl,nlm,nm->n", turn.conj(), weights, turn).real
     if "envelope" in quantities:
-        floor, _, residual = _stacked_floor(t_u2, t_d2, w_d, symmetric)
-        bad = np.flatnonzero(~(residual <= PHASE_MATCH_TOL))  # NaN fails too
-        if bad.size:
-            raise locate(SymmetryViolationError(
-                f"u/d eigenphase residual {residual[bad[0]]:.3e} > "
-                f"{PHASE_MATCH_TOL:.1e}"), bad[0])
-        out["envelope"] = w_u.shape[-1] * (floor + 1.0)
+        d = w_u.shape[-1]
+        weight = (np.abs(np.einsum("nil,nil->nl", bra, images)) ** 2).sum(axis=1)
+        clustered = np.flatnonzero(_smallest_gap(phases) < PHASE_MATCH_TOL)
+        if clustered.size:
+            m = bra[clustered].swapaxes(-1, -2) @ images[clustered]
+            weight[clustered] = (np.abs(m) ** 2 * _same_cluster(phases[clustered])).sum(axis=(1, 2))
+        floor = weight * (2.0 / d) - 1.0
+        out["envelope"] = d * (floor + 1.0)
     return out
+
+
+def _floquet_modes(t_u2: np.ndarray, t_d2: np.ndarray, w_d: np.ndarray,
+                   symmetric: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(E, conj(Phi), W_d Phi, residual) from one batched eigen-solve of T_u2 = W_u W_d.
+
+    T_d2 = W_d W_u maps the half-period image W_d Phi of a u-mode Phi onto
+    lambda W_d Phi, so W_d Phi is the d-partner of Phi; the residual is the
+    largest ||T_d2 W_d Phi - lambda W_d Phi|| per cell.  The modes come from
+    ``eig_unitaries`` (real if the cells are ``symmetric``, and then W_d Phi
+    is two real products of ``matmul``) and are orthonormal at any gap.
+    """
+    phases, modes = eig_unitaries(t_u2, symmetric)
+    images = matmul(w_d, modes)
+    lam = np.exp(-1j * phases)
+    residual = np.linalg.norm(matmul(t_d2, images) - lam[:, None, :] * images,
+                              axis=1).max(axis=1)
+    return phases, modes.conj() if np.iscomplexobj(modes) else modes, images, residual
 
 
 @dataclass(frozen=True)

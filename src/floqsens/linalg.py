@@ -267,9 +267,3 @@ def _largest_gap_middle(phases: np.ndarray) -> np.ndarray:
     k = gaps.argmax(axis=-1)
     rows = np.arange(len(phases))
     return ordered[rows, k] + gaps[rows, k] / 2
-
-
-def polar_unitary(u: np.ndarray) -> np.ndarray:
-    """Nearest unitary (polar factor) of an almost-unitary matrix, per matrix of a stack."""
-    w, _, vh = np.linalg.svd(u)
-    return w @ vh

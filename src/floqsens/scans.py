@@ -17,9 +17,11 @@ sum_b Re tr_b(P_u^dag P_d) / D, floor (2/D) sum_b w_b - 1).  A map asks
 only for the quantity it emits and a trace asks for both; each value is
 the same either way.  The overlay curves of a map reuse the models and
 polarizations of its rows.  The engine diagonalizes every dense cell
-with one batched eigensolver (``linalg.eig_unitaries``) and sums the
-envelope floor over whole clusters of degenerate eigenphases, so a
-floor does not depend on the eigenbasis picked inside a cluster.
+once, with one batched eigensolver (``linalg.eig_unitaries``), and takes
+both quantities from that solve: the coherence from the Floquet
+expansion in its modes at any n_p, the envelope floor summed over whole
+clusters of degenerate eigenphases.  Neither depends on the eigenbasis
+picked inside a cluster.
 
 A run whose largest accumulated phase exceeds ``MAX_PHASE_RAD`` is
 rejected with ValidationError (CLI exit 2) before anything is written;

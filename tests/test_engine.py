@@ -16,7 +16,7 @@ from floqsens import (
 )
 import floqsens.engine as engine
 from floqsens import SpinCluster, conditional_cluster_hamiltonians
-from floqsens.engine import _sector_values, _stacked_floor, floquet_rows, unitary_power
+from floqsens.engine import _floquet_modes, _sector_values, floquet_rows
 from floqsens.linalg import eig_unitaries
 
 from conftest import (floquet_sum, matched_gap, oracle_cells, oracle_coherence, oracle_powers,
@@ -42,6 +42,18 @@ def kernel_cells(ch, taus):
     _, d_u, y = next(engine._cell_blocks(stack.energies_u, stack.energies_d, stack.transfer,
                                          np.zeros(len(taus), dtype=int), np.asarray(taus)))
     return d_u[:, :, None] * y, y * d_u[:, None, :]
+
+
+def half_period_residual(w_u, w_d):
+    """The engine's largest ||T_d2 W_d Phi - lambda W_d Phi|| per cell, from its one
+    solve of T_u2 = W_u W_d, with T_d2 = W_d W_u."""
+    return _floquet_modes(w_u @ w_d, w_d @ w_u, w_d, False)[3]
+
+
+def floor(w_u, w_d):
+    """The engine's envelope floor per cell, from d (floor + 1) of ``_sector_values``."""
+    d = w_u.shape[-1]
+    return _sector_values(w_u, w_d, 1, ("envelope",), False)["envelope"] / d - 1.0
 
 
 def offset_free_cells(ch, taus, pulse_duration=0.0):
@@ -144,35 +156,33 @@ class TestFloquetPair:
         # cells of unrelated Hamiltonians fail the half-period residual
         u1 = expm_hermitian(random_hermitian(3, rng), 0.4)[None]
         u2 = expm_hermitian(random_hermitian(3, rng), 0.4)[None]
-        _, _, residual = _stacked_floor(u1, u2, u2, False)
-        assert residual[0] > engine.PHASE_MATCH_TOL
+        assert _floquet_modes(u1, u2, u2, False)[3][0] > engine.PHASE_MATCH_TOL
         w_u, w_d = kernel_cells(random_conditional(3, rng), [0.4])
-        assert _stacked_floor(w_u @ w_d, w_d @ w_u, w_d, False)[2][0] < 1e-12
+        assert half_period_residual(w_u, w_d)[0] < 1e-12
 
 
 class TestHalfPeriod:
     def test_equal_hamiltonians_zero_residual(self, rng):
         h = random_hermitian(4, rng)
         w_u, w_d = oracle_cells(h, h, [0.4])
-        assert _stacked_floor(w_u @ w_d, w_d @ w_u, w_d, False)[2][0] < 1e-12
+        assert half_period_residual(w_u, w_d)[0] < 1e-12
 
     def test_random_two_level(self, rng):
         for _ in range(20):
             ch = random_conditional(2, rng)
             w_u, w_d = oracle_cells(ch.h_u, ch.h_d, [rng.uniform(0.1, 1.0)])
-            floor, _, residual = _stacked_floor(w_u @ w_d, w_d @ w_u, w_d, False)
-            assert residual[0] < 1e-10
-            assert floor[0] == pytest.approx(schur_floor(w_u, w_d)[0], abs=1e-12)
+            assert half_period_residual(w_u, w_d)[0] < 1e-10
+            assert floor(w_u, w_d)[0] == pytest.approx(schur_floor(w_u, w_d)[0], abs=1e-12)
 
     def test_finite_pulse_with_trivial_pulse_operator(self, rng):
         for _ in range(5):
             ch = random_conditional(8, rng)
             tau = rng.uniform(0.1, 0.8)
             w_u, w_d = oracle_cells(ch.h_u, ch.h_d, [tau], 0.07, np.zeros((8, 8)))
-            floor, _, residual = _stacked_floor(w_u @ w_d, w_d @ w_u, w_d, False)
-            assert residual[0] < 1e-10
+            assert half_period_residual(w_u, w_d)[0] < 1e-10
             # a pulse factor of 1: the bath rests through the pulse window
-            assert row(ch, tau, 1, "envelope")[0] == pytest.approx(floor[0], abs=1e-10)
+            assert row(ch, tau, 1, "envelope")[0] == pytest.approx(floor(w_u, w_d)[0],
+                                                                   abs=1e-10)
 
     def test_factorization_consistency(self, rng):
         # the kernels' half periods in the H_u eigenbasis share the eigenphases
@@ -184,21 +194,13 @@ class TestHalfPeriod:
             assert matched_gap(schur_modes(kernel)[0][0], schur_modes(oracle)[0][0]) < 1e-12
 
 
-class TestUnitaryPower:
-    def test_matches_naive_power(self, rng):
-        u = expm_hermitian(random_hermitian(3, rng), 0.8)[None]
-        naive = np.linalg.matrix_power(u, 37)
-        assert np.abs(unitary_power(u, 37) - naive).max() < 1e-10
-
-    def test_zero_power(self, rng):
-        u = expm_hermitian(random_hermitian(3, rng), 0.8)[None]
-        assert np.array_equal(unitary_power(u, 0), np.eye(3)[None])
-
-
 class TestCoherence:
     def test_zero_repetitions(self, rng):
+        # parse_config takes n_p >= 1 only; the kernel rejects 0 as well
         ch = random_conditional(4, rng)
-        assert row(ch, 0.5, 0, "coherence")[0] == 1.0
+        for n_p in (0, 2.5):
+            with pytest.raises(ValidationError, match="n_p must be a positive integer"):
+                row(ch, 0.5, n_p, "coherence")
 
     def test_equal_hamiltonians_unit_coherence(self, rng):
         h = random_hermitian(4, rng)
@@ -288,21 +290,20 @@ class TestEnvelope:
         t_u2 = np.diag(np.exp(-1j * np.array([np.pi - 1e-10, 2.4])))
         t_d2 = np.diag(np.exp(-1j * np.array([-np.pi + 1e-10, 2.4])))
         w_d = np.diag(np.exp(-1j * np.array([np.pi - 1e-10, -np.pi + 1e-10])))
-        values = _sector_values((t_u2 @ w_d.conj().T)[None], w_d[None], 3, engine.QUANTITIES,
-                                False)
-        assert values["coherence"][0] == pytest.approx(2.0, abs=1e-12)
         # Diagonal cells are symmetric: both eigensolver paths apply.
         for symmetric in (False, True):
-            floor, _, residual = _stacked_floor(t_u2[None], t_d2[None], w_d[None], symmetric)
-            assert floor[0] == pytest.approx(1.0, abs=1e-12)
-            assert residual[0] < 1e-9
+            assert _floquet_modes(t_u2[None], t_d2[None], w_d[None], symmetric)[3][0] < 1e-9
+            values = _sector_values((t_u2 @ w_d.conj().T)[None], w_d[None], 3,
+                                    engine.QUANTITIES, symmetric)
+            assert values["envelope"][0] / 2 - 1 == pytest.approx(1.0, abs=1e-12)
+            assert values["coherence"][0] == pytest.approx(2.0, abs=1e-12)
 
 
 @settings(max_examples=40, deadline=None)
 @given(dim=st.sampled_from([4, 8, 16]), seed=st.integers(0, 2 ** 32 - 1),
-       tau=st.floats(0.01, 3.0), n_p=st.integers(0, 200))
+       tau=st.floats(0.01, 3.0), n_p=st.integers(1, 200))
 def test_coherence_floquet_matches_thermal_numeric(dim, seed, tau, n_p):
-    # the oracle's Floquet expansion against the kernel's cell powers
+    # the oracle's Floquet expansion on Schur modes against the kernel's on Cayley modes
     rng = np.random.default_rng(seed)
     ch = ConditionalHamiltonians(random_hermitian(dim, rng), random_hermitian(dim, rng))
     phases, m, _ = schur_floquet(*oracle_cells(ch.h_u, ch.h_d, [tau]))

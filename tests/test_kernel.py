@@ -38,7 +38,7 @@ from floqsens import (
     spectrum_scan,
 )
 from floqsens.config import parse_config
-from floqsens.engine import _stacked_floor, floquet_rows
+from floqsens.engine import floquet_rows
 from floqsens.linalg import eig_unitaries
 from floqsens.scans import (_polarizations, _row_hamiltonians, compute_trace, field_rows,
                             run_map, run_trace)
@@ -80,25 +80,6 @@ def doubled(rng, dim=3):
     zero = np.zeros((dim, dim))
     return ConditionalHamiltonians(np.block([[a_u, zero], [zero, a_u]]),
                                    np.block([[a_d, zero], [zero, a_d]]))
-
-
-def stacked_cells(ch, taus):
-    """(T_u2, T_d2) of the oracle as (n_tau, D, D) arrays."""
-    w_u, w_d = oracle_cells(ch.h_u, ch.h_d, taus)
-    return w_u @ w_d, w_d @ w_u
-
-
-def count_calls(monkeypatch, name):
-    """Count the engine's calls of one of its module-level functions."""
-    calls = []
-    original = getattr(engine, name)
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(engine, name, counted)
-    return calls
 
 
 @settings(max_examples=60, deadline=None)
@@ -177,11 +158,16 @@ def test_symmetric_cluster3_envelope_does_not_depend_on_the_basis():
 
 @pytest.mark.parametrize("seed", range(5))
 def test_floor_does_not_see_rotations_inside_a_cluster(seed, monkeypatch):
+    # Both quantities from modes mixed at random inside every cluster of
+    # equal phases: the floor within 1e-12 of the Schur oracle, the coherence
+    # at n_p = 100 and 10^4 within ATOL of matrix powers, and each within
+    # 1e-13 of the values from the unrotated modes.
     rng = np.random.default_rng(seed)
     ch = doubled(rng, dim=2 + seed % 3)
     taus = np.array([0.3, 0.9, 1.6])
     w_u, w_d = oracle_cells(ch.h_u, ch.h_d, taus)
-    want = schur_floor(w_u, w_d)
+    plain = {n_p: engine._sector_values(w_u, w_d, n_p, engine.QUANTITIES, False)
+             for n_p in (100, 10 ** 4)}
     original = engine.eig_unitaries
 
     def rotated(cells, symmetric):
@@ -189,37 +175,26 @@ def test_floor_does_not_see_rotations_inside_a_cluster(seed, monkeypatch):
         return phases, np.stack([rotate_in_clusters(p, m, rng) for p, m in zip(phases, modes)])
 
     monkeypatch.setattr(engine, "eig_unitaries", rotated)
-    floor, _, residual = _stacked_floor(w_u @ w_d, w_d @ w_u, w_d, False)
-    np.testing.assert_allclose(floor, want, rtol=0, atol=1e-12)
-    assert residual.max() < 1e-12
+    assert engine._floquet_modes(w_u @ w_d, w_d @ w_u, w_d, False)[3].max() < 1e-12
+    for n_p, unrotated in plain.items():
+        got = engine._sector_values(w_u, w_d, n_p, engine.QUANTITIES, False)
+        want = oracle_row(ch, taus, n_p)
+        np.testing.assert_allclose(got["envelope"] / ch.dim - 1.0, want["envelope"], rtol=0,
+                                   atol=1e-12)
+        np.testing.assert_allclose(got["coherence"] / ch.dim, want["coherence"], rtol=0,
+                                   atol=ATOL)
+        for q, v in got.items():
+            np.testing.assert_allclose(v / ch.dim, unrotated[q] / ch.dim, rtol=0, atol=1e-13)
 
 
 @pytest.mark.parametrize("dim", [2, 8, 16])
-@pytest.mark.parametrize("n", [0, 1, 50, 257])
-def test_forced_power_drift_is_corrected_matrix_by_matrix(rng, monkeypatch, dim, n):
-    # With POWER_DRIFT_TOL = 0 every squared base counts as drifted.
+@pytest.mark.parametrize("n", [1, 50, 257])
+def test_forced_power_drift_is_corrected_matrix_by_matrix(rng, dim, n):
+    # The kernel's coherence from Floquet modes against matrix powers.
     ch = ConditionalHamiltonians(random_hermitian(dim, rng), random_hermitian(dim, rng))
     taus = np.array([0.2, 0.9, 1.7])
-    t_u2, _ = stacked_cells(ch, taus)
-    monkeypatch.setattr(engine, "POWER_DRIFT_TOL", 0.0)
-    calls = count_calls(monkeypatch, "polar_unitary")
-    stacked = engine.unitary_power(t_u2, n)
-    assert len(calls) == max(n.bit_length() - 1, 0)
-    per_matrix = np.concatenate([engine.unitary_power(cell[None], n) for cell in t_u2])
-    assert stacked.tobytes() == per_matrix.tobytes()
     got = kernel_row(ch, taus, n, ("coherence",))["coherence"]
     np.testing.assert_allclose(got, oracle_row(ch, taus, n, 0.0)["coherence"], rtol=0, atol=ATOL)
-
-
-def test_power_drift_re_unitarizes_only_the_drifted_matrices(rng, monkeypatch):
-    ch = ConditionalHamiltonians(random_hermitian(4, rng), random_hermitian(4, rng))
-    cells, _ = stacked_cells(ch, [0.3, 1.1])
-    cells[1] *= 1.0 + 1e-9
-    calls = count_calls(monkeypatch, "polar_unitary")
-    stacked = engine.unitary_power(cells, 40)
-    assert calls and all(len(args[0]) == 1 for args in calls)
-    per_matrix = np.concatenate([engine.unitary_power(cell[None], 40) for cell in cells])
-    assert stacked.tobytes() == per_matrix.tobytes()
 
 
 def test_long_rows_are_built_in_blocks(rng):
@@ -289,20 +264,23 @@ def test_errors_name_the_tau_point(rng, monkeypatch):
         kernel_row(ch, [0.1, 0.2], 5, ("envelope",))
 
 
-def test_corrupted_half_period_names_the_tau_point(rng, monkeypatch):
-    # A W_d rotated at one tau no longer satisfies T_d2 = W_d W_u there.
+@pytest.mark.parametrize("quantities", [("coherence",), ("envelope",)],
+                         ids=["coherence", "envelope"])
+def test_corrupted_half_period_names_the_tau_point(rng, monkeypatch, quantities):
+    # A W_d rotated at one tau no longer satisfies T_d2 = W_d W_u there, and
+    # its images are no d-modes: both quantities stand on that check.
     ch = ConditionalHamiltonians(random_hermitian(4, rng), random_hermitian(4, rng))
     kick = expm_hermitian(random_hermitian(4, rng), 1e-3)
-    original = engine._stacked_floor
+    original = engine._floquet_modes
 
     def corrupted(t_u2, t_d2, w_d, symmetric):
         w_d = w_d.copy()
         w_d[1] = w_d[1] @ kick
         return original(t_u2, t_d2, w_d, symmetric)
 
-    monkeypatch.setattr(engine, "_stacked_floor", corrupted)
+    monkeypatch.setattr(engine, "_floquet_modes", corrupted)
     with pytest.raises(SymmetryViolationError, match=r"^tau\[1\] = 0\.7: u/d eigenphase"):
-        kernel_row(ch, [0.1, 0.7, 1.3], 5, ("envelope",))
+        kernel_row(ch, [0.1, 0.7, 1.3], 5, quantities)
 
 
 def cluster3_doc(**system):
@@ -493,10 +471,42 @@ def test_real_sector_cells_solve_alike_in_real_and_complex_arithmetic(cells):
     assert np.abs(real_modes.swapaxes(-1, -2) @ real_modes - np.eye(d)).max() <= 1e-13
     for got, want in zip(real_phases, phases):
         assert matched_gap(got, want) <= 1e-12
-    real_floor, _, residual = _stacked_floor(t_u2, t_d2, w_d, True)
-    floor, _, _ = _stacked_floor(t_u2, t_d2, w_d, False)
-    np.testing.assert_allclose(real_floor, floor, rtol=0, atol=1e-12)
-    assert residual.max() <= 1e-12
+    assert engine._floquet_modes(t_u2, t_d2, w_d, True)[3].max() <= 1e-12
+    real, complex_ = (engine._sector_values(w_u, w_d, 1, ("envelope",), symmetric)["envelope"]
+                      for symmetric in (True, False))
+    np.testing.assert_allclose(real / d, complex_ / d, rtol=0, atol=1e-12)  # the floors
+
+
+@st.composite
+def complex_sector_cells(draw):
+    """(W_u, W_d) for the cells of one random complex sector pair, 2 <= d <= 8,
+    from the engine's cell builder."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    dim = draw(st.integers(2, 8))
+    (stack,) = ConditionalHamiltonians(random_hermitian(dim, rng),
+                                       random_hermitian(dim, rng)).sectors
+    taus = rng.uniform(0.05, 2.0, 6)
+    _, d_u, y = next(engine._cell_blocks(stack.energies_u, stack.energies_d, stack.transfer,
+                                         np.zeros(taus.size, dtype=int), taus))
+    return d_u[:, :, None] * y, y * d_u[:, None, :]
+
+
+@settings(max_examples=200, deadline=None)
+@given(real=real_sector_cells(), complex_cells=complex_sector_cells(),
+       n_p=st.sampled_from([1, 100, 10 ** 4]) | st.integers(1, 10 ** 4))
+def test_sector_coherence_matches_matrix_powers(real, complex_cells, n_p):
+    # Coherence from the Floquet modes of generic, degenerate and near-pi
+    # real sectors (real and complex eigensolver) and of complex sectors,
+    # against np.linalg.matrix_power of the same cells.  A phase error dE
+    # moves the coherence by at most 2 n_p dE; with dE up to 32 eps the
+    # bound is 1e-13 + 64 eps n_p, 1.4e-10 at n_p = 10^4.  The largest miss
+    # seen in 5500 draws was 31 eps n_p.
+    for w_u, w_d, paths in ((real[0], real[1], (True, False)), (*complex_cells, (False,))):
+        want = oracle_coherence(w_u, w_d, n_p)
+        for symmetric in paths:
+            got = engine._sector_values(w_u, w_d, n_p, ("coherence",), symmetric)["coherence"]
+            assert np.abs(got / w_u.shape[-1] - want).max() <= (
+                1e-13 + 64 * np.finfo(float).eps * n_p)
 
 
 def mpmath_sector_phases(h_u, h_d, t):
