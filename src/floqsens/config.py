@@ -49,6 +49,18 @@ def _require_keys(obj: Any, allowed: set[str], required: set[str], where: str):
         raise ConfigError(f"missing key(s) {sorted(missing)} in {where}")
 
 
+def _floats(val, what: str) -> np.ndarray:
+    """A JSON number, or nested lists of them, as float64: the one numeric read
+    of a config.  An integer beyond the double range (1 followed by 400 zeros
+    is valid JSON) or a non-number raises ConfigError naming ``what``."""
+    try:
+        return np.asarray(val, dtype=float)
+    except OverflowError:
+        raise ConfigError(f"{what} is beyond the double range") from None
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{what} must be numeric: {exc}") from None
+
+
 def _number(obj: dict, key: str, where: str, default=None):
     if key not in obj:
         if default is None:
@@ -57,13 +69,15 @@ def _number(obj: dict, key: str, where: str, default=None):
     val = obj[key]
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise ConfigError(f"'{key}' in {where} must be a number, got {val!r}")
+    val = float(_floats(val, f"'{key}' in {where}"))
     if not math.isfinite(val):
         raise ConfigError(f"'{key}' in {where} must be finite")
-    return float(val)
+    return val
 
 
 def _integer(obj: dict, key: str, where: str, default=None) -> int:
-    """A JSON integer; a bool, a float such as 12.7 or 12.0 and a string are rejected."""
+    """A JSON integer within the double range, so no later stage overflows on
+    it; a bool, a float such as 12.7 or 12.0 and a string are rejected."""
     if key not in obj:
         if default is None:
             raise ConfigError(f"missing '{key}' in {where}")
@@ -71,6 +85,7 @@ def _integer(obj: dict, key: str, where: str, default=None) -> int:
     val = obj[key]
     if isinstance(val, bool) or not isinstance(val, int):
         raise ConfigError(f"'{key}' in {where} must be an integer, got {val!r}")
+    _floats(val, f"'{key}' in {where}")
     return val
 
 
@@ -200,12 +215,8 @@ def _parse_cluster(obj: dict, where: str) -> SpinCluster:
     a_key, c_key = a_keys.pop(), c_keys.pop()
     scale_a = TWO_PI if a_key == "a_hz" else 1.0
     scale_c = TWO_PI if c_key == "c_hz" else 1.0
-    try:
-        a = scale_a * np.asarray(obj[a_key], dtype=float)
-        c = scale_c * np.asarray(obj[c_key], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"cluster couplings in {where} must be numeric arrays: {exc}")
-    return SpinCluster(a=a, c=c)
+    return SpinCluster(a=scale_a * _floats(obj[a_key], f"'{a_key}' in {where}"),
+                       c=scale_c * _floats(obj[c_key], f"'{c_key}' in {where}"))
 
 
 def _parse_sensor(sys_obj: dict, where: str, field_swept: bool
@@ -391,4 +402,6 @@ def load_config(path: str | Path) -> ScanConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: JSON parse error at line {exc.lineno}, "
                           f"column {exc.colno}: {exc.msg}")
+    except ValueError as exc:  # an integer literal of more digits than int() reads
+        raise ConfigError(f"{path}: unreadable as JSON: {exc}")
     return parse_config(cfg)

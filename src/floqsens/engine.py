@@ -14,80 +14,55 @@ its d-partner.  A finite pi pulse of half-width delta, during which the
 bath keeps evolving under its conditional Hamiltonian (flip at the pulse
 midpoint), makes the cell the ideal cell at the free interval tau + delta.
 
-Both kernels (``floquet_rows`` and ``spectrum_scan``) build every cell
-with one builder, ``_cell_blocks``, in the eigenbasis V_u of its sector's
-H_u: with X = V_u^dag V_d computed once per sector, T_u(t) is the
-diagonal D_u = exp(-i E_u t) and T_d(t) is Y = X exp(-i E_d t) X^dag, so
-W_u = D_u Y and W_d = Y D_u cost one (d, d) product per cell and a
-spectrum cell T_u2 = D_u (X exp(-2 i E_d t) X^dag) D_u costs one too.
-Every stacked product of the kernels (Y, T_u2 = W_u W_d, T_d2 = W_d W_u,
-the grams of the unitarity checks, the half-period images W_d Phi, the
-residual T_d2 W_d Phi and the overlaps M = Phi^dag W_d Phi of the
-coherence) is a ``linalg.matmul``: for a real X, Y is two real
-products, (X cos) X^T and (X (-sin)) X^T, and a complex product of cells
-of at most ``linalg.SMALL_PRODUCT_DIM`` states is one real product of the
-realified right operand, not a complex BLAS call per cell.  These cells
-are similar to the computational-basis ones by the tau-independent V_u:
-eigenphases, mode overlaps from tau to tau, Re tr(P_u^dag P_d) and the
-envelope floor agree in exact arithmetic.  One eigensolver serves both
-kernels: ``linalg.eig_unitaries`` returns orthonormal modes of a stack of
-cells (Cayley transform and batched ``eigh``) at any phase gap.  A sector
-whose H_u and H_d blocks are real (every cluster3 and joint_full bath)
-has real V_u, V_d and X, so Y and D_u are complex symmetric and so is
-every palindromic cell built from them: T_u2 = D_u Y Y D_u and
-T_d2 = Y D_u D_u Y, and the spectrum cell D_u Y(2t) D_u.  Its Floquet
-modes can be chosen real, and the kernels pass such cells as
-``symmetric`` to ``eig_unitaries``, which returns real modes from a real
-``eigh``; complex Hamiltonians keep the complex one.
+Every cell is block-diagonal in the conserved sectors of its pair
+(``ConditionalHamiltonians.sectors``), sets of basis states that neither
+H_u nor H_d couples to the rest.  Cluster baths conserve total Iz, so
+D = 8 splits into sectors of 1, 3, 3 and 1 states and D = 64 into 1, 6,
+15, 20, 15, 6 and 1.  Each sector block is diagonalized once and stored
+less its first diagonal entries (c_u, c_d), a phase common to the
+sector: rows drop it, since it cancels in both quantities, and spectra
+add 2 (c_u + c_d) t back, formed exactly and reduced mod 2 pi
+(``_offset_phases``).  A one-state sector needs no cell: less its entry
+its block is exactly [[0]], so its cell is exactly 1.
 
-The row kernel ``floquet_rows`` works on conserved sectors.  A sector
-(``ConditionalHamiltonians.sectors``) is a set of basis states that
-neither H_u nor H_d couples to the rest, found from the exact-zero
-pattern of H_u | H_d; every cell is block-diagonal in the sectors of its
-pair.  Cluster baths conserve total Iz, so D = 8 splits into sectors of
-1, 3, 3 and 1 states and D = 64 into 1, 6, 15, 20, 15, 6 and 1.  Each
-sector block of H_u and H_d is diagonalized once, the (row, sector, tau)
-cells of one sector size across all rows of a call form one stack, and
-the kernel computes only the requested quantities, block by block.  A
-one-state sector needs none of this: its block of H - c is exactly
-[[0]], so its cell is exactly 1, it adds exactly ``ONE_STATE_VALUES``
-(1 to D times the coherence, 2 to D (floor + 1)) and no check can fail
-on it; spectra give it its offset phase (below).  The others get both
-quantities from one solve of the T_u2 block, T_u2 = Phi e^{-i E} Phi^dag.
-The d-partner of each u-mode Phi is its half-period image W_d Phi, so
-with M = Phi^dag W_d Phi no mode pairing is needed for
+Both kernels, ``floquet_rows`` (coherence and envelope of many pairs)
+and ``spectrum_scan`` (the tracked eigenphases of one pair), run one
+loop, ``_solve_cells``.  It stacks the cells of each sector size above 1
+over all rows in (row, tau, sector) order, so the cell of a sector at the
+previous tau lies as many cells back as its row has sectors of that
+size; a spectrum is the one-row case.  Per block of ``_cell_blocks`` it
+forms the kernel's cells, checks them against ``UNITARITY_TOL``, solves
+them in one ``eig_unitaries`` call and hands the modes to the kernel;
+an error of any of these steps names the first failing row and tau.
+``_cell_blocks`` works in the eigenbasis V_u of a sector's H_u: with
+X = V_u^dag V_d, T_u(t) is the diagonal D_u = exp(-i E_u t) and T_d(t)
+is Y = X exp(-i E_d t) X^dag, one product per cell.  The kernels differ
+only in their cells and in what they take from the modes:
 
-* the coherence, the paper's Floquet expansion of
+* A row cell is W_u = D_u Y and W_d = Y D_u, solved as T_u2 = W_u W_d,
+  and T_d2 = W_d W_u is checked too.  The d-partner of a u-mode Phi is its
+  half-period image W_d Phi (the residual ||T_d2 W_d Phi - lambda W_d Phi||
+  must stay below PHASE_MATCH_TOL), so with M = Phi^dag W_d Phi no mode
+  pairing is needed for the coherence, the paper's Floquet expansion
   Re tr_b(P_u^dag P_d) = Re sum_{l,l'} e^{i n_p (E_l - E_l')} |M_ll'|^2
-  with P_i = T_i2^n_p, at the cost of one solve for any n_p; a row's
-  coherence is the sum over its sectors b, divided by D;
-* the envelope floor (2/D) sum_{l,l' same cluster} |M_ll'|^2 - 1.  A
-  cluster is a chain of eigenphases closer than PHASE_MATCH_TOL; summed
-  over whole clusters the floor does not depend on the basis a solver
-  picks inside one.  Away from degeneracy only the diagonal l = l'
-  remains.  Modes of different sectors have M_ll' = 0, so a row's floor
-  is (2/D) sum_b w_b - 1 over the cluster-summed weights w_b of its
-  sectors, and a crossing between sectors is a true crossing.
+  with P_i = T_i2^n_p, or for the envelope floor
+  (2/D) sum_{l,l' same cluster} |M_ll'|^2 - 1.  A cluster is a chain of
+  eigenphases closer than PHASE_MATCH_TOL; summed over whole clusters the
+  floor does not depend on the basis a solver picks inside one.  Modes
+  of different sectors have M_ll' = 0, so a row adds its sectors up in a
+  fixed order, and a value depends only on its own row and tau.
+* A spectrum cell is D_u Y(2t) D_u.  Each sector continues its modes
+  from its cell at the previous tau by their largest overlaps, and only
+  a cell whose modes mix goes to SciPy's ``linear_sum_assignment``.  A
+  crossing between sectors is a true crossing, so the smallest gap a
+  spectrum reports is the one inside a sector, where phases repel.
 
-Sectors add up in a fixed order, so a value depends only on its own row
-and tau.  Each sector's Hamiltonians are stored less their first
-diagonal entries (c_u, c_d), a phase common to the sector: rows drop it,
-since it cancels in both quantities, and spectra add 2 (c_u + c_d) t back,
-formed exactly and reduced mod 2 pi (``_offset_phases``).
-
-``spectrum_scan`` works on the same sectors.  The cells of all sectors of
-one size are stacked in (tau, sector) order and solved block by block,
-and each sector tracks its own modes from tau to tau: one batched product
-gives the mode overlaps of each cell with the one before it, a row
-maximum above TRACKING_OVERLAP is the unique best continuation of its
-mode, and only a cell whose modes mix goes to SciPy's
-``linear_sum_assignment``.  A crossing between sectors is a true
-crossing and needs no assignment; the smallest gap a spectrum reports is
-the one inside a sector, where phases repel.  Every stacked cell passes
-the ``UNITARITY_TOL`` check, and errors, those of the eigensolver
-included, name the failing tau (``errors.locate``).  Both row quantities
-stand on the half-period identity, checked at every tau: the residual
-||T_d2 W_d Phi - lambda W_d Phi|| must stay below ``PHASE_MATCH_TOL``.
+Every stacked product (Y, the cells, the grams of the unitarity checks,
+W_d Phi, T_d2 W_d Phi and M) is a ``linalg.matmul``.  A sector whose H_u
+and H_d blocks are real (every cluster3 and joint_full bath) has a real
+X, so Y and D_u are complex symmetric and so is every palindromic cell
+built from them; the loop solves such cells as ``symmetric``, and
+``eig_unitaries`` returns their modes real from a real ``eigh``.
 """
 
 from __future__ import annotations
@@ -308,31 +283,78 @@ def _free_intervals(taus: np.ndarray, pulse_duration: float) -> np.ndarray:
     return t
 
 
+def _solve_cells(rows, t: np.ndarray, product, consume):
+    """Solve the sector cells of ``rows`` over the free intervals t, block by block.
+
+    ``rows`` holds one ``ConditionalHamiltonians.sectors`` tuple per row.
+    A slot is one (row, sector) of them: rows in order, each row's sectors
+    in the order of its stacks.  The stacks of each sector size above 1
+    over all rows are one stream of cells in (row, tau, sector) order: a
+    cell at a tau after the first finds its slot at the previous tau k_r
+    cells before it, k_r the number of sectors of that size in its row.
+    For each block of ``_cell_blocks``, ``product(D_u, Y)`` returns
+    (cells, kept); the cells pass the UNITARITY_TOL check and one
+    ``eig_unitaries`` solve (``symmetric`` for real transfers), and
+    ``consume(slot, tau, phases, modes, kept)`` takes the modes, with the
+    slot and tau index of each cell.  An error of the product, the check,
+    the solve or the consumer carries the index of its cell in the block;
+    the stream stops there.  Returns the first failing (row, tau) over all
+    streams as (row, tau, error), or None.
+    """
+    groups, slot = {}, 0
+    for i, sectors in enumerate(rows):
+        for stack in sectors:
+            k, s = stack.index.shape
+            if s > 1:
+                groups.setdefault(s, []).append((i, stack, np.arange(slot, slot + k)))
+            slot += k
+    failures = []
+    for _, group in sorted(groups.items()):
+        slots = np.concatenate([own for _, _, own in group])
+        row_of = np.concatenate([np.full(own.size, i) for i, _, own in group])
+        pairs = [np.concatenate(a) for a in zip(*((stack.energies_u, stack.energies_d,
+                                                   stack.transfer) for _, stack, _ in group))]
+        # Cells in (row, tau, sector) order: a stable sort of (sector, tau) by row and tau.
+        order = np.argsort(np.repeat(row_of * t.size, t.size)
+                           + np.tile(np.arange(t.size), row_of.size), kind="stable")
+        j, tau = np.divmod(order, t.size)
+        symmetric = not np.iscomplexobj(pairs[2])
+        for block, d_u, y in _cell_blocks(*pairs, j, t[tau]):
+            try:
+                cells, kept = product(d_u, y)
+                require_unitary(cells)
+                phases, modes = eig_unitaries(cells, symmetric)
+                consume(slots[j[block]], tau[block], phases, modes, kept)
+            except (ValidationError, NumericalConsistencyError) as exc:  # located in the block
+                c = block.start + exc.index
+                failures.append((row_of[j[c]], tau[c], exc))
+                break
+    return min(failures, key=lambda f: f[:2], default=None)
+
+
 def floquet_rows(chs, taus, n_p: int, quantities: tuple[str, ...] = QUANTITIES,
                  pulse_duration: float = 0.0) -> dict[str, np.ndarray]:
     """Requested quantities over a tau grid for each pair of ``chs``, as (rows, tau) arrays.
 
     'coherence' is the bath-averaged (1/D) Re tr[(T_u2^n_p)^dag T_d2^n_p]
     and 'envelope' the n_p-independent floor of its Floquet expansion at
-    each tau (see the module docstring).  Every cell is block-diagonal in
-    the sectors of its pair (``ConditionalHamiltonians.sectors``); the
-    cells of one sector size, over all rows, sectors and taus, form one
-    stack built by ``_cell_blocks``, in (row, tau, sector) order.  The
-    sector offsets are left out: e^{-i (c_u + c_d) t} is a phase common to
-    W_u and W_d, so it cancels in P_u^dag P_d and in |M|^2.  Sector b
-    of a row of dimension D adds Re tr_b(P_u^dag P_d) to D times the
-    coherence, P_i = T_i2^n_p, and twice its cluster-summed weight w_b to
-    D (floor + 1), both from one solve (``_sector_values``).  The
-    sectors of a row add up in the order ``sectors`` lists them, so a value
-    depends only on its own row and tau, not on the other rows or
-    quantities of the call or on the block cuts.  A one-state sector's
-    cell is exactly 1: it adds ``ONE_STATE_VALUES`` with no cell built.
+    each tau (see the module docstring).  The cells of all rows go through
+    ``_solve_cells``; the sector offsets are left out, since
+    e^{-i (c_u + c_d) t} is a phase common to W_u and W_d and cancels in
+    P_u^dag P_d and in |M|^2.  Sector b of a row of dimension D adds
+    Re tr_b(P_u^dag P_d) to D times the coherence, P_i = T_i2^n_p, and twice
+    its cluster-summed weight w_b to D (floor + 1), both from one solve
+    (``_sector_values``).  The sectors of a row add up in the order
+    ``sectors`` lists them, so a value depends only on its own row and tau,
+    not on the other rows or quantities of the call or on the block cuts.
+    A one-state sector's cell is exactly 1: it adds ``ONE_STATE_VALUES``
+    with no cell built.
 
     n_p must be a positive integer.  Every cell built passes the
-    UNITARITY_TOL check and the half-period residual check against
-    PHASE_MATCH_TOL (SymmetryViolationError); a NaN defect or residual
-    fails them.  An error names the first failing row (its ``index``) and
-    the first failing tau in it, as 'tau[i] = ...:'.  A tau +
+    UNITARITY_TOL check of T_u2 and T_d2 and the half-period residual check
+    against PHASE_MATCH_TOL (SymmetryViolationError); a NaN defect or
+    residual fails them.  An error names the first failing row (its
+    ``index``) and the first failing tau in it, as 'tau[i] = ...:'.  A tau +
     pulse_duration that overflows raises ValidationError at its tau
     (``index`` that tau) before any row.
     """
@@ -343,57 +365,43 @@ def floquet_rows(chs, taus, n_p: int, quantities: tuple[str, ...] = QUANTITIES,
     if unknown:
         raise ValidationError(f"unknown quantities {sorted(unknown)}; expected {QUANTITIES}")
     t = _free_intervals(taus, pulse_duration)
-    # One slot per (row, sector) contribution: rows in order, each row's
-    # sectors as ch.sectors lists them; the sector stacks grouped by size.
-    groups, starts, slot = {}, [], 0
-    for i, ch in enumerate(chs):
-        starts.append(slot)
-        for stack in ch.sectors:
-            own = np.arange(slot, slot + len(stack.index))
-            groups.setdefault(stack.index.shape[1], []).append((i, stack, own))
-            slot += own.size
-    parts = {q: np.empty((slot, taus.size)) for q in quantities}
-    failures = []
-    for size, group in sorted(groups.items()):
-        slots = np.concatenate([own for _, _, own in group])
-        if size == 1:  # every cell is exactly 1 (see ONE_STATE_VALUES)
-            for q in quantities:
-                parts[q][slots] = ONE_STATE_VALUES[q]
-            continue
-        rows = np.concatenate([np.full(own.size, i) for i, _, own in group])
-        pairs = [np.concatenate(a) for a in zip(*((stack.energies_u, stack.energies_d,
-                                                   stack.transfer) for _, stack, _ in group))]
-        # Cells in (row, tau, sector) order: a stable sort of (sector, tau) by row and tau.
-        order = np.argsort(np.repeat(rows * taus.size, taus.size)
-                           + np.tile(np.arange(taus.size), rows.size), kind="stable")
-        j, k = np.divmod(order, taus.size)
-        symmetric = not np.iscomplexobj(pairs[2])
-        for block, d_u, y in _cell_blocks(*pairs, j, t[k]):
-            try:
-                values = _sector_values(d_u[:, :, None] * y, y * d_u[:, None, :], int(n_p),
-                                        quantities, symmetric)
-            except (ValidationError, NumericalConsistencyError) as exc:  # located in the block
-                c = block.start + exc.index
-                failures.append((rows[j[c]], k[c], exc))
-                break
-            for q, v in values.items():
-                parts[q][slots[j[block]], k[block]] = v
-    if failures:
-        i, tau_i, exc = min(failures, key=lambda f: f[:2])
+    # One slot per (row, sector), as _solve_cells numbers them.
+    sizes = np.array([stack.index.shape[1] for ch in chs for stack in ch.sectors
+                      for _ in stack.index], dtype=int)
+    counts = [sum(len(stack.index) for stack in ch.sectors) for ch in chs]
+    parts = {q: np.empty((sizes.size, taus.size)) for q in quantities}
+    for q in quantities:  # every one-state cell is exactly 1 (see ONE_STATE_VALUES)
+        parts[q][sizes == 1] = ONE_STATE_VALUES[q]
+
+    def cells(d_u, y):
+        w_u, w_d = d_u[:, :, None] * y, y * d_u[:, None, :]
+        t_d2 = matmul(w_d, w_u)
+        require_unitary(t_d2)
+        return matmul(w_u, w_d), (w_d, t_d2)
+
+    def values(slot, tau, phases, modes, kept):
+        for q, v in _sector_values(phases, modes, *kept, int(n_p), quantities).items():
+            parts[q][slot, tau] = v
+
+    failure = _solve_cells([ch.sectors for ch in chs], t, cells, values)
+    if failure:
+        i, tau_i, exc = failure
         raise locate(exc, i, f"tau[{tau_i}] = {taus[tau_i]:g}")
     dims = np.array([ch.dim for ch in chs], dtype=float)[:, None]
+    starts = np.cumsum([0] + counts[:-1])
     out = {q: (np.add.reduceat(p, starts, axis=0) if chs else p) / dims for q, p in parts.items()}
     if "envelope" in out:
         out["envelope"] -= 1.0
     return out
 
 
-def _sector_values(w_u: np.ndarray, w_d: np.ndarray, n_p: int,
-                   quantities: tuple[str, ...], symmetric: bool) -> dict[str, np.ndarray]:
-    """Per cell of a stack of d-state sector cells: Re tr(P_u^dag P_d) for
-    'coherence' and twice the cluster-summed weight, d (floor + 1), for
-    'envelope', both from the one solve of ``_floquet_modes``, after the
-    unitarity and half-period checks; an error's ``index`` is its cell.
+def _sector_values(phases: np.ndarray, modes: np.ndarray, w_d: np.ndarray, t_d2: np.ndarray,
+                   n_p: int, quantities: tuple[str, ...]) -> dict[str, np.ndarray]:
+    """Per cell of a stack of d-state sector cells, from the eigenphases E and
+    modes Phi of its T_u2 = W_u W_d: Re tr(P_u^dag P_d) for 'coherence' and
+    twice the cluster-summed weight, d (floor + 1), for 'envelope', after
+    the half-period check of ``_floquet_modes``; an error's ``index`` is its
+    cell.
 
     With M = Phi^dag W_d Phi and c = e^{i n_p E}, Re tr(P_u^dag P_d) =
     Re sum_{l,l'} conj(c_l) |M_ll'|^2 c_l' for any orthonormal eigenbasis
@@ -401,10 +409,7 @@ def _sector_values(w_u: np.ndarray, w_d: np.ndarray, n_p: int,
     exactly degenerate cluster leaves each block sum of |M|^2 unchanged.
     The envelope needs only the diagonal of M, and the whole M only in a
     cell whose smallest phase gap is below PHASE_MATCH_TOL."""
-    t_u2, t_d2 = matmul(w_u, w_d), matmul(w_d, w_u)
-    require_unitary(t_u2)
-    require_unitary(t_d2)
-    phases, bra, images, residual = _floquet_modes(t_u2, t_d2, w_d, symmetric)
+    bra, images, residual = _floquet_modes(phases, modes, w_d, t_d2)
     bad = np.flatnonzero(~(residual <= PHASE_MATCH_TOL))  # NaN fails too
     if bad.size:
         raise locate(SymmetryViolationError(
@@ -417,7 +422,7 @@ def _sector_values(w_u: np.ndarray, w_d: np.ndarray, n_p: int,
         turn = np.exp(1j * (n_p * phases))
         out["coherence"] = np.einsum("nl,nlm,nm->n", turn.conj(), weights, turn).real
     if "envelope" in quantities:
-        d = w_u.shape[-1]
+        d = w_d.shape[-1]
         weight = (np.abs(np.einsum("nil,nil->nl", bra, images)) ** 2).sum(axis=1)
         clustered = np.flatnonzero(_smallest_gap(phases) < PHASE_MATCH_TOL)
         if clustered.size:
@@ -428,22 +433,21 @@ def _sector_values(w_u: np.ndarray, w_d: np.ndarray, n_p: int,
     return out
 
 
-def _floquet_modes(t_u2: np.ndarray, t_d2: np.ndarray, w_d: np.ndarray,
-                   symmetric: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(E, conj(Phi), W_d Phi, residual) from one batched eigen-solve of T_u2 = W_u W_d.
+def _floquet_modes(phases: np.ndarray, modes: np.ndarray, w_d: np.ndarray,
+                   t_d2: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(conj(Phi), W_d Phi, residual) for the eigenphases E and modes Phi of
+    each T_u2 = W_u W_d of a stack.
 
     T_d2 = W_d W_u maps the half-period image W_d Phi of a u-mode Phi onto
     lambda W_d Phi, so W_d Phi is the d-partner of Phi; the residual is the
-    largest ||T_d2 W_d Phi - lambda W_d Phi|| per cell.  The modes come from
-    ``eig_unitaries`` (real if the cells are ``symmetric``, and then W_d Phi
-    is two real products of ``matmul``) and are orthonormal at any gap.
+    largest ||T_d2 W_d Phi - lambda W_d Phi|| per cell.  Real modes (of
+    ``symmetric`` cells) make W_d Phi two real products of ``matmul``.
     """
-    phases, modes = eig_unitaries(t_u2, symmetric)
     images = matmul(w_d, modes)
     lam = np.exp(-1j * phases)
     residual = np.linalg.norm(matmul(t_d2, images) - lam[:, None, :] * images,
                               axis=1).max(axis=1)
-    return phases, modes.conj() if np.iscomplexobj(modes) else modes, images, residual
+    return modes.conj() if np.iscomplexobj(modes) else modes, images, residual
 
 
 @dataclass(frozen=True)
@@ -461,15 +465,32 @@ def spectrum_scan(ch: ConditionalHamiltonians, tau_grid: np.ndarray,
                   gap_threshold: float = 1e-2) -> SpectrumScan:
     """Track cell eigenphases along ascending tau, keeping trajectories smooth.
 
-    Every cell is block-diagonal in the sectors of ``ch``
-    (``ConditionalHamiltonians.sectors``), so each sector tracks its own
-    modes (``_sector_trajectories``) and a crossing between sectors is a
-    true crossing.  The columns are the trajectories of all sectors,
-    ascending at the first tau.  ``min_gaps`` is the smallest gap between
-    two phases of one sector per tau (inf if every sector holds one
-    state): phases of different sectors cross without repelling, so only
-    a gap inside a sector marks an avoided crossing.  ``crossings`` marks
-    the gaps below ``gap_threshold``.  Errors name the first failing tau.
+    The cells T_u2 = D_u (X exp(-2 i E_d t) X^dag) D_u of every sector of
+    ``ch`` go through ``_solve_cells`` as its one row, and each sector
+    tracks its own modes, so a crossing between sectors is a true
+    crossing.  A sector's modes are matched to those of its cell at the
+    previous tau by the assignment of largest total overlap, so a column
+    follows one Floquet state through avoided crossings instead of jumping
+    at each phase sort.  The overlaps |Phi_{i-1}^dag Phi_i| of a block come
+    from one batched product.  They are the magnitudes of a unitary matrix,
+    so when every row has an entry above TRACKING_OVERLAP the row maxima
+    lie in distinct columns, and any other assignment loses at least
+    0.75 - sqrt(1 - 0.75^2) > 0.08 on each row it changes: the argmaxes are
+    the unique optimum.  Only a cell whose modes mix (some row below the
+    threshold) calls ``linear_sum_assignment``, the one place a spectrum
+    needs SciPy.  A real sector's modes are real, and so is their overlap
+    product.  Each phase gets its sector's offset phase 2 (c_u + c_d) t
+    (``_offset_phases``) back and is folded into (-pi, pi]; a one-state
+    sector's cells are exactly 1, of phase -0, so its phase is its folded
+    offset phase, with no cell built.
+
+    The columns are the trajectories of all sectors, ascending at the first
+    tau.  ``min_gaps`` is the smallest gap between two phases of one
+    sector per tau (inf if every sector holds one state): phases of
+    different sectors cross without repelling, so only a gap inside a
+    sector marks an avoided crossing.  ``crossings`` marks the gaps below
+    ``gap_threshold``.  An error names the first failing tau, its
+    ``index``.
     """
     taus = _require_taus(tau_grid)
     if taus.size < 1 or np.any(np.diff(taus) <= 0):
@@ -477,87 +498,54 @@ def spectrum_scan(ch: ConditionalHamiltonians, tau_grid: np.ndarray,
     if not gap_threshold >= 0:
         raise ValidationError(f"gap_threshold must be >= 0, got {gap_threshold}")
     t = _free_intervals(taus, pulse_duration)
-    sectors, failures = [], []  # (n_tau, k, s) phases per sector size
+    # Per sector size (one stack each): the first slot, the tracked phases
+    # (n_tau, k, s), the latest modes of each sector and its column order.
+    tracks, slot = {}, 0
     for stack in ch.sectors:
-        try:
-            sectors.append(_sector_trajectories(stack, t).reshape(t.size, *stack.index.shape))
-        except (ValidationError, NumericalConsistencyError) as exc:  # located at its tau
-            failures.append(exc)
-    if failures:
-        exc = min(failures, key=lambda f: f.index)
-        raise locate(exc, exc.index, f"tau[{exc.index}] = {taus[exc.index]:g}")
-    phases = np.concatenate([p.reshape(t.size, -1) for p in sectors], axis=1)
-    phases = phases[:, np.argsort(phases[0], kind="stable")]
-    min_gaps = np.min([_smallest_gap(p).min(axis=1) for p in sectors], axis=0)
-    return SpectrumScan(taus=taus, phases=phases,
-                        crossings=min_gaps < gap_threshold, min_gaps=min_gaps)
+        k, s = stack.index.shape
+        tracks[s] = (slot, np.full((t.size, k, s), -0.0),
+                     np.empty((k, s, s), dtype=stack.transfer.dtype), np.tile(np.arange(s), (k, 1)))
+        slot += k
 
-
-def _sector_trajectories(stack: SectorStack, t: np.ndarray) -> np.ndarray:
-    """Tracked eigenphases (n_tau, k s) of the cells T_u2 of the k sectors of ``stack``.
-
-    The cells of all k sectors and every free interval t are built in
-    (tau, sector) order by ``_cell_blocks``, one product each:
-    T_u2 = D_u (X exp(-2 i E_d t) X^dag) D_u.  Each block passes the
-    UNITARITY_TOL check and is diagonalized in one ``eig_unitaries`` call.
-    A sector's modes are matched to those of its cell at the previous tau
-    by the assignment of largest total overlap, so a column follows one
-    Floquet state through avoided crossings instead of jumping at each
-    phase sort.  The overlaps |Phi_{i-1}^dag Phi_i| of a block come from
-    one batched product.  They are the magnitudes of a unitary matrix, so
-    when every row has an entry above TRACKING_OVERLAP the row maxima lie
-    in distinct columns, and any other assignment loses at least
-    0.75 - sqrt(1 - 0.75^2) > 0.08 on each row it changes: the argmaxes
-    are the unique optimum.  Only a cell whose modes mix (some row below
-    the threshold) calls ``linear_sum_assignment``, the one place a
-    spectrum needs SciPy.  Columns are sector by sector, in the order of
-    the sector's phases at the first tau, with the offset phase
-    2 (c_u + c_d) t (``_offset_phases``) added back and folded into
-    (-pi, pi].  A real sector's cells are symmetric: their modes are real,
-    and so are the tracked modes and their overlap product.  A one-state
-    sector's cells are exactly 1, of phase -0, so its column is its folded
-    offset phase, with no cell built.  An error's ``index`` is its tau.
-    """
-    k, s = stack.index.shape
-    offsets = _offset_phases(stack.offsets, t)[:, :, None]
-    if s == 1:  # every cell is exactly 1, of phase -0: the offsets alone
-        return _fold(offsets).reshape(t.size, k)
-    j = np.tile(np.arange(k), t.size)
-    tau_of = np.repeat(np.arange(t.size), k)
-    phases = np.empty((t.size * k, s))
-    symmetric = not np.iscomplexobj(stack.transfer)  # real modes, real overlaps
-    last = np.empty((k, s, s), dtype=stack.transfer.dtype)  # the latest modes of each sector
-    orders = np.tile(np.arange(s), (k, 1))
-    for block, d_u, y in _cell_blocks(stack.energies_u, 2 * stack.energies_d, stack.transfer,
-                                      j, t[tau_of]):
-        try:
-            cells = d_u[:, :, None] * y * d_u[:, None, :]
-            require_unitary(cells)
-            block_phases, block_modes = eig_unitaries(cells, symmetric)
-        except (ValidationError, NumericalConsistencyError) as exc:  # located in the block
-            raise locate(exc, tau_of[block.start + exc.index])
+    def track(slot, tau, block_phases, block_modes, _):
+        first, phases, last, orders = tracks[block_modes.shape[-1]]
+        k, s = orders.shape
+        j = slot - first
         # A cell continues the one k cells before it: earlier in this block,
         # in ``last``, or, at the first tau, itself.
         chain = np.concatenate([last, block_modes])
-        c = np.arange(block.stop - block.start)
-        before = np.where(c >= k, c, np.where(block.start + c >= k, j[block], c + k))
+        c = np.arange(j.size)
+        before = np.where(c >= k, c, np.where(tau > 0, j, c + k))
         bra = chain[before].swapaxes(-1, -2)
-        overlaps = np.abs((bra if symmetric else bra.conj()) @ block_modes)
+        overlaps = np.abs((bra.conj() if np.iscomplexobj(bra) else bra) @ block_modes)
         clear = (overlaps.max(axis=-1) > TRACKING_OVERLAP).all(axis=-1)
         best = overlaps.argmax(axis=-1)
         # Each cell keeps its sector's order unless its modes mix or the row
         # maxima permute them; cells c, c + k, ... of a block share a sector.
-        cell_orders = orders[j[block]]
+        cell_orders = orders[j]
         for i in np.flatnonzero(~clear | (best != np.arange(s)).any(axis=-1)).tolist():
-            b = j[block.start + i]
+            b = j[i]
             if clear[i]:
                 orders[b] = best[i, orders[b]]
             else:
                 orders[b] = _assign_modes(chain[before[i]][:, orders[b]], block_modes[i])
             cell_orders[i::k] = orders[b]
-        phases[block] = np.take_along_axis(block_phases, cell_orders, axis=-1)
-        last[j[block][-k:]] = block_modes[-k:]
-    return _fold(phases.reshape(t.size, k, s) + offsets).reshape(t.size, k * s)
+        phases[tau, j] = np.take_along_axis(block_phases, cell_orders, axis=-1)
+        last[j[-k:]] = block_modes[-k:]
+
+    failure = _solve_cells([tuple(stack._replace(energies_d=2 * stack.energies_d)
+                                  for stack in ch.sectors)], t,
+                           lambda d_u, y: (d_u[:, :, None] * y * d_u[:, None, :], None), track)
+    if failure:
+        _, tau_i, exc = failure
+        raise locate(exc, tau_i, f"tau[{tau_i}] = {taus[tau_i]:g}")
+    sectors = [_fold(tracks[stack.index.shape[1]][1] + _offset_phases(stack.offsets, t)[:, :, None])
+               for stack in ch.sectors]
+    phases = np.concatenate([p.reshape(t.size, -1) for p in sectors], axis=1)
+    phases = phases[:, np.argsort(phases[0], kind="stable")]
+    min_gaps = np.min([_smallest_gap(p).min(axis=1) for p in sectors], axis=0)
+    return SpectrumScan(taus=taus, phases=phases,
+                        crossings=min_gaps < gap_threshold, min_gaps=min_gaps)
 
 
 def _fold(phases: np.ndarray) -> np.ndarray:

@@ -155,3 +155,19 @@ def matched_gap(a, b):
     gaps = circular_gap(a, b)
     rows, cols = linear_sum_assignment(gaps)
     return gaps[rows, cols].max()
+
+
+def kernel_residual(t_u2, t_d2, w_d, symmetric=False):
+    """The row kernel's half-period residual ||T_d2 W_d Phi - lambda W_d Phi|| per
+    cell, for the modes of its one ``eig_unitaries`` solve of T_u2."""
+    import floqsens.engine as engine
+    return engine._floquet_modes(*engine.eig_unitaries(t_u2, symmetric), w_d, t_d2)[2]
+
+
+def kernel_sector_values(w_u, w_d, n_p, quantities, symmetric=False):
+    """The row kernel's per-cell values of the sector cells (W_u, W_d), d times
+    a row's values, from its one ``eig_unitaries`` solve of T_u2 = W_u W_d."""
+    import floqsens.engine as engine
+    from floqsens.linalg import matmul
+    phases, modes = engine.eig_unitaries(matmul(w_u, w_d), symmetric)
+    return engine._sector_values(phases, modes, w_d, matmul(w_d, w_u), n_p, quantities)

@@ -13,12 +13,12 @@ import pytest
 
 import floqsens as fs
 from floqsens.cli import main as cli_main
-from floqsens.engine import _floquet_modes, floquet_rows
+from floqsens.engine import floquet_rows
 from floqsens.sensors import donor_pair_polarizations
 
-from conftest import (floquet_sum, matched_gap, oracle_basis_coherences, oracle_cells,
-                      oracle_powers, random_hermitian, schur_floor, schur_floquet,
-                      schur_modes)
+from conftest import (floquet_sum, kernel_residual, matched_gap, oracle_basis_coherences,
+                      oracle_cells, oracle_powers, random_hermitian, schur_floor,
+                      schur_floquet, schur_modes)
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:
@@ -79,7 +79,7 @@ def test_criterion_2_cell_eigenphase_symmetry():
                          oracle_cells(ch.h_u, ch.h_d, [tau], 0.1 * tau, np.zeros((dim, dim)))):
             t_u2, t_d2 = w_u @ w_d, w_d @ w_u
             matched = matched_gap(schur_modes(t_u2)[0][0], schur_modes(t_d2)[0][0])
-            residual = _floquet_modes(t_u2, t_d2, w_d, False)[3][0]
+            residual = kernel_residual(t_u2, t_d2, w_d)[0]
             worst_gap = max(worst_gap, float(matched))
             worst_residual = max(worst_residual, float(residual))
             count += 1

@@ -1,14 +1,21 @@
 import ast
+import contextlib
+import copy
 import errno
 import gc
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import floqsens
 from floqsens.cli import main
@@ -421,6 +428,105 @@ def test_overflowing_interval_fails_on_one_stderr_line(tmp_path, command):
     assert proc.stderr == ("config error: tau_s stop 1e+308 + sequence.pulse_duration_s "
                            "1e+308 overflows\n")
     assert not (tmp_path / "out").exists()
+
+
+HUGE = 10 ** 400  # a valid JSON integer literal beyond the double range
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("config, path, key", [
+    ("cluster3_map", ("axes", "b0_tesla", "stop"), "'stop' in b0_tesla"),
+    ("cluster3_map", ("system", "cluster", "c_rad_s", 0, 1),
+     "'c_rad_s' in system (cluster3).cluster"),
+    ("cluster3_trace", ("sequence", "n_p"), "'n_p' in sequence"),
+    ("donor_pair_dips", ("sequence", "n_p"), "'n_p' in sequence"),
+    ("cluster3_map", ("axes", "tau_s", "count"), "'count' in axes.tau_s"),
+], ids=["b0_stop", "c_rad_s", "trace_n_p", "dips_n_p", "tau_count"])
+def test_integer_beyond_double_range_fails_on_one_stderr_line(tmp_path, capsys, config, path,
+                                                              key):
+    # The load converted such a number to float only where a later stage
+    # did, and that raised OverflowError; now every numeric read names it.
+    doc = json.loads((CONFIGS / f"{config}.json").read_text())
+    parent = doc
+    for step in path[:-1]:
+        parent = parent[step]
+    parent[path[-1]] = HUGE
+    outdir = tmp_path / "out"
+    command = config.rsplit("_", 1)[1]
+    assert main([command, "--config", write_cfg(tmp_path / "c.json", doc),
+                 "--output", str(outdir)]) == 2
+    assert capsys.readouterr().err == f"config error: {key} is beyond the double range\n"
+    assert not outdir.exists()
+
+
+DELETE = object()
+MUTATIONS = (0, -1, 1e-320, 1e308, 2 ** 63, HUGE, "x", None, True, [], {}, DELETE)
+# Axis counts that are not a mutated leaf are cut to this, for time.
+COUNT_CAP = 6
+
+
+def leaf_paths(doc, path=()):
+    """Paths of the scalar leaves of a JSON document, list entries included."""
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        return [path]
+    return [leaf for key, value in items for leaf in leaf_paths(value, path + (key,))]
+
+
+@st.composite
+def mutated_configs(draw):
+    """(command, document): a shipped config with 1 or 2 leaves replaced by one
+    of MUTATIONS or deleted, and every other axis count cut to COUNT_CAP."""
+    name = draw(st.sampled_from(sorted(p.stem for p in CONFIGS.glob("*.json"))))
+    doc = json.loads((CONFIGS / f"{name}.json").read_text())
+    paths = draw(st.lists(st.sampled_from(leaf_paths(doc)), min_size=1, max_size=2,
+                          unique=True))
+    for axis in doc["axes"].values():
+        axis["count"] = min(axis["count"], COUNT_CAP)
+    # Later list entries first, so a deletion does not shift the other path.
+    for path in sorted(paths, reverse=True):
+        parent = doc
+        for step in path[:-1]:
+            parent = parent[step]
+        value = draw(st.sampled_from(MUTATIONS))
+        if value is DELETE:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = copy.deepcopy(value)
+    return name.rsplit("_", 1)[1], doc
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=mutated_configs())
+def test_mutated_shipped_configs_keep_the_exit_code_contract(case):
+    """Every failure of a hostile config is exit 2, 3 or 4 with one stderr line.
+
+    Leaves of the 9 shipped configs are replaced by zero, negative, subnormal,
+    huge and out-of-range numbers, wrong types, or deleted.  For time, every
+    axis count that is not a mutated leaf is cut to COUNT_CAP points; a
+    mutated count can still be 2^63, which exceeds MAX_GRID_POINTS and must
+    exit 4.  No NumPy RuntimeWarning may be raised, a success writes nothing
+    to stderr, and a failure leaves no data file or manifest behind.
+    """
+    command, doc = case
+    with tempfile.TemporaryDirectory() as tmp:
+        outdir = Path(tmp) / "out"
+        err = io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main([command, "--config", write_cfg(Path(tmp) / "c.json", doc),
+                         "--output", str(outdir)])
+        written = [p.name for p in outdir.rglob("*") if p.is_file()] if outdir.exists() else []
+    assert code in (0, 2, 3, 4)
+    if code == 0:
+        assert err.getvalue() == ""
+    else:
+        assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n"), err.getvalue()
+        assert written == []
 
 
 def test_trace_range_checks_its_envelope(tmp_path, capsys, monkeypatch):

@@ -249,6 +249,14 @@ class TestLoad:
         with pytest.raises(ConfigError, match="not found"):
             load_config(tmp_path / "nope.json")
 
+    def test_integer_of_more_digits_than_int_reads(self, tmp_path):
+        # Valid JSON, but json.loads raises a plain ValueError past the
+        # interpreter's limit on digits converted to int (4300 by default).
+        path = tmp_path / "long.json"
+        path.write_text('{"sequence": {"n_p": ' + "1" * 5000 + "}}")
+        with pytest.raises(ConfigError, match="unreadable as JSON"):
+            load_config(path)
+
     def test_round_trip(self, tmp_path):
         path = tmp_path / "ok.json"
         path.write_text(json.dumps(minimal_pseudospin()))

@@ -16,11 +16,12 @@ from floqsens import (
 )
 import floqsens.engine as engine
 from floqsens import SpinCluster, conditional_cluster_hamiltonians
-from floqsens.engine import _floquet_modes, _sector_values, floquet_rows
+from floqsens.engine import floquet_rows
 from floqsens.linalg import eig_unitaries
 
-from conftest import (floquet_sum, matched_gap, oracle_cells, oracle_coherence, oracle_powers,
-                      random_hermitian, schur_floor, schur_floquet, schur_modes)
+from conftest import (floquet_sum, kernel_residual, kernel_sector_values, matched_gap,
+                      oracle_cells, oracle_coherence, oracle_powers, random_hermitian,
+                      schur_floor, schur_floquet, schur_modes)
 
 
 def random_conditional(dim, rng, real=False):
@@ -47,13 +48,13 @@ def kernel_cells(ch, taus):
 def half_period_residual(w_u, w_d):
     """The engine's largest ||T_d2 W_d Phi - lambda W_d Phi|| per cell, from its one
     solve of T_u2 = W_u W_d, with T_d2 = W_d W_u."""
-    return _floquet_modes(w_u @ w_d, w_d @ w_u, w_d, False)[3]
+    return kernel_residual(w_u @ w_d, w_d @ w_u, w_d)
 
 
 def floor(w_u, w_d):
     """The engine's envelope floor per cell, from d (floor + 1) of ``_sector_values``."""
     d = w_u.shape[-1]
-    return _sector_values(w_u, w_d, 1, ("envelope",), False)["envelope"] / d - 1.0
+    return kernel_sector_values(w_u, w_d, 1, ("envelope",))["envelope"] / d - 1.0
 
 
 def offset_free_cells(ch, taus, pulse_duration=0.0):
@@ -156,7 +157,7 @@ class TestFloquetPair:
         # cells of unrelated Hamiltonians fail the half-period residual
         u1 = expm_hermitian(random_hermitian(3, rng), 0.4)[None]
         u2 = expm_hermitian(random_hermitian(3, rng), 0.4)[None]
-        assert _floquet_modes(u1, u2, u2, False)[3][0] > engine.PHASE_MATCH_TOL
+        assert kernel_residual(u1, u2, u2)[0] > engine.PHASE_MATCH_TOL
         w_u, w_d = kernel_cells(random_conditional(3, rng), [0.4])
         assert half_period_residual(w_u, w_d)[0] < 1e-12
 
@@ -232,7 +233,7 @@ class TestCoherence:
         delta = np.pi / (2 * n_p)
         t_u2 = np.diag(np.exp(-1j * np.array([-(np.pi - delta), np.pi - delta])))
         w_d = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-        values = _sector_values((t_u2 @ w_d)[None], w_d[None], n_p, engine.QUANTITIES, False)
+        values = kernel_sector_values((t_u2 @ w_d)[None], w_d[None], n_p, engine.QUANTITIES)
         assert values["coherence"][0] / 2 == pytest.approx(-1.0, abs=1e-12)
         assert values["envelope"][0] / 2 - 1 == pytest.approx(-1.0, abs=1e-12)
 
@@ -292,9 +293,9 @@ class TestEnvelope:
         w_d = np.diag(np.exp(-1j * np.array([np.pi - 1e-10, -np.pi + 1e-10])))
         # Diagonal cells are symmetric: both eigensolver paths apply.
         for symmetric in (False, True):
-            assert _floquet_modes(t_u2[None], t_d2[None], w_d[None], symmetric)[3][0] < 1e-9
-            values = _sector_values((t_u2 @ w_d.conj().T)[None], w_d[None], 3,
-                                    engine.QUANTITIES, symmetric)
+            assert kernel_residual(t_u2[None], t_d2[None], w_d[None], symmetric)[0] < 1e-9
+            values = kernel_sector_values((t_u2 @ w_d.conj().T)[None], w_d[None], 3,
+                                          engine.QUANTITIES, symmetric)
             assert values["envelope"][0] / 2 - 1 == pytest.approx(1.0, abs=1e-12)
             assert values["coherence"][0] == pytest.approx(2.0, abs=1e-12)
 

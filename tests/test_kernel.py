@@ -21,8 +21,8 @@ from hypothesis import strategies as st
 
 import floqsens.engine as engine
 import floqsens.linalg as linalg
-from conftest import (circular_gap, matched_gap, oracle_cells, oracle_coherence,
-                      random_hermitian, schur_floor, schur_modes)
+from conftest import (circular_gap, kernel_residual, kernel_sector_values, matched_gap,
+                      oracle_cells, oracle_coherence, random_hermitian, schur_floor, schur_modes)
 from floqsens import (
     ConditionalHamiltonians,
     NumericalConsistencyError,
@@ -39,6 +39,7 @@ from floqsens import (
 )
 from floqsens.config import parse_config
 from floqsens.engine import floquet_rows
+from floqsens.errors import locate
 from floqsens.linalg import eig_unitaries
 from floqsens.scans import (_polarizations, _row_hamiltonians, compute_trace, field_rows,
                             run_map, run_trace)
@@ -166,7 +167,7 @@ def test_floor_does_not_see_rotations_inside_a_cluster(seed, monkeypatch):
     ch = doubled(rng, dim=2 + seed % 3)
     taus = np.array([0.3, 0.9, 1.6])
     w_u, w_d = oracle_cells(ch.h_u, ch.h_d, taus)
-    plain = {n_p: engine._sector_values(w_u, w_d, n_p, engine.QUANTITIES, False)
+    plain = {n_p: kernel_sector_values(w_u, w_d, n_p, engine.QUANTITIES)
              for n_p in (100, 10 ** 4)}
     original = engine.eig_unitaries
 
@@ -175,9 +176,9 @@ def test_floor_does_not_see_rotations_inside_a_cluster(seed, monkeypatch):
         return phases, np.stack([rotate_in_clusters(p, m, rng) for p, m in zip(phases, modes)])
 
     monkeypatch.setattr(engine, "eig_unitaries", rotated)
-    assert engine._floquet_modes(w_u @ w_d, w_d @ w_u, w_d, False)[3].max() < 1e-12
+    assert kernel_residual(w_u @ w_d, w_d @ w_u, w_d).max() < 1e-12
     for n_p, unrotated in plain.items():
-        got = engine._sector_values(w_u, w_d, n_p, engine.QUANTITIES, False)
+        got = kernel_sector_values(w_u, w_d, n_p, engine.QUANTITIES)
         want = oracle_row(ch, taus, n_p)
         np.testing.assert_allclose(got["envelope"] / ch.dim - 1.0, want["envelope"], rtol=0,
                                    atol=1e-12)
@@ -351,6 +352,89 @@ def test_unresolved_eigensolve_names_the_tau_point(monkeypatch, path):
         linalg.eig_unitaries(w_u @ w_d)
 
 
+def coupled_cluster(n, pairs):
+    """n bath spins whose flip-flops are nonzero only on ``pairs``."""
+    c = np.zeros((n, n))
+    for j, k in pairs:
+        c[j, k] = c[k, j] = 1.3e3 * (1 + j + k)
+    return SpinCluster(np.linspace(1e5, 2e5, n) * (np.arange(n) % 2), c)
+
+
+def rows_of_four_sector_structures():
+    """Rows whose sizes and counts of sectors differ: (size, count) of the
+    stacks (1, 2) (3, 2); (1, 4) (2, 2); (1, 2) (4, 2) (6, 1); (1, 2) (2, 1)."""
+    clusters = [coupled_cluster(3, combinations(range(3), 2)), coupled_cluster(3, [(0, 1)]),
+                coupled_cluster(4, combinations(range(4), 2)), coupled_cluster(2, [(0, 1)])]
+    return [conditional_cluster_hamiltonians(cluster, 0.4, -0.3) for cluster in clusters]
+
+
+def spectrum_cells(d_u, y):
+    return d_u[:, :, None] * y * d_u[:, None, :], None
+
+
+def test_solved_cells_continue_their_slot_from_the_previous_tau(monkeypatch):
+    # In each sector size's stream of solved cells, a cell at tau > 0 finds
+    # its (row, sector) at the previous tau k_r cells before it, k_r the
+    # row's number of sectors of that size, across block boundaries; every
+    # cell of a sector above one state is solved once.
+    chs = rows_of_four_sector_structures()
+    monkeypatch.setattr(linalg, "BLOCK_BYTES", 16 * 9 * 5)
+    taus = np.linspace(1e-5, 2e-4, 7)
+    streams, blocks = {}, {}
+
+    def record(slot, tau, phases, modes, kept):
+        size = modes.shape[-1]
+        streams.setdefault(size, []).extend(zip(slot.tolist(), tau.tolist()))
+        blocks[size] = blocks.get(size, 0) + 1
+
+    assert engine._solve_cells([ch.sectors for ch in chs], taus, spectrum_cells, record) is None
+    row_of, size_of, count = [], [], {}
+    for i, ch in enumerate(chs):
+        for stack in ch.sectors:
+            k, s = stack.index.shape
+            row_of += [i] * k
+            size_of += [s] * k
+            count[i, s] = k
+    assert sorted(streams) == [2, 3, 4, 6]
+    assert all(blocks[s] > 1 for s in (2, 3, 4))
+    for size, stream in streams.items():
+        assert stream == sorted(((slot, tau) for slot in range(len(size_of))
+                                 if size_of[slot] == size for tau in range(taus.size)),
+                                key=lambda cell: (row_of[cell[0]], cell[1], cell[0]))
+        for c, (slot, tau) in enumerate(stream):
+            if tau > 0:
+                assert stream[c - count[row_of[slot], size]] == (slot, tau - 1)
+
+
+@pytest.mark.parametrize("forced_block", [1, 2])
+def test_a_failure_in_a_later_block_names_one_tau_for_rows_and_spectra(monkeypatch,
+                                                                       forced_block):
+    # The six-state cells of a 4-spin cluster fail in a later block of their
+    # stream; both kernels order their cells alike and name the same tau.
+    ch = rows_of_four_sector_structures()[2]
+    monkeypatch.setattr(linalg, "BLOCK_BYTES", 16 * 36 * 4)
+    taus = np.linspace(1e-5, 2e-4, 15)
+    solve = engine.eig_unitaries
+    calls = []
+
+    def failing(cells, symmetric=False):
+        if cells.shape[-1] == 6:
+            calls.append(len(cells))
+            if len(calls) == forced_block + 1:
+                raise locate(NumericalConsistencyError("forced failure"), 1)
+        return solve(cells, symmetric)
+
+    monkeypatch.setattr(engine, "eig_unitaries", failing)
+    messages = []
+    for kernel in (lambda: spectrum_scan(ch, taus), lambda: kernel_row(ch, taus, 3)):
+        calls.clear()
+        with pytest.raises(NumericalConsistencyError) as failure:
+            kernel()
+        messages.append(str(failure.value))
+    i = 4 * forced_block + 1  # the second cell of the block; one six-state sector
+    assert messages == [f"tau[{i}] = {taus[i]:g}: forced failure"] * 2
+
+
 HYPERFINE = st.one_of(st.just(0.0), st.floats(-2e5, 2e5))
 FLIP_FLOP = st.one_of(st.just(0.0), st.floats(500.0, 5e3), st.floats(-5e3, -500.0))
 
@@ -471,8 +555,8 @@ def test_real_sector_cells_solve_alike_in_real_and_complex_arithmetic(cells):
     assert np.abs(real_modes.swapaxes(-1, -2) @ real_modes - np.eye(d)).max() <= 1e-13
     for got, want in zip(real_phases, phases):
         assert matched_gap(got, want) <= 1e-12
-    assert engine._floquet_modes(t_u2, t_d2, w_d, True)[3].max() <= 1e-12
-    real, complex_ = (engine._sector_values(w_u, w_d, 1, ("envelope",), symmetric)["envelope"]
+    assert kernel_residual(t_u2, t_d2, w_d, True).max() <= 1e-12
+    real, complex_ = (kernel_sector_values(w_u, w_d, 1, ("envelope",), symmetric)["envelope"]
                       for symmetric in (True, False))
     np.testing.assert_allclose(real / d, complex_ / d, rtol=0, atol=1e-12)  # the floors
 
@@ -504,7 +588,7 @@ def test_sector_coherence_matches_matrix_powers(real, complex_cells, n_p):
     for w_u, w_d, paths in ((real[0], real[1], (True, False)), (*complex_cells, (False,))):
         want = oracle_coherence(w_u, w_d, n_p)
         for symmetric in paths:
-            got = engine._sector_values(w_u, w_d, n_p, ("coherence",), symmetric)["coherence"]
+            got = kernel_sector_values(w_u, w_d, n_p, ("coherence",), symmetric)["coherence"]
             assert np.abs(got / w_u.shape[-1] - want).max() <= (
                 1e-13 + 64 * np.finfo(float).eps * n_p)
 
@@ -693,8 +777,8 @@ def test_one_state_sectors_take_the_general_path_values(cluster, kind, pols, b0,
     j, tt = sector_cells(stack, t)
     for _, d_u, y in engine._cell_blocks(stack.energies_u, stack.energies_d, stack.transfer,
                                          j, tt):
-        values = engine._sector_values(d_u[:, :, None] * y, y * d_u[:, None, :], n_p,
-                                       engine.QUANTITIES, True)
+        values = kernel_sector_values(d_u[:, :, None] * y, y * d_u[:, None, :], n_p,
+                                      engine.QUANTITIES, True)
         for q, v in values.items():
             assert v.tobytes() == np.full(len(v), engine.ONE_STATE_VALUES[q]).tobytes()
 
@@ -705,8 +789,12 @@ def test_one_state_sectors_take_the_general_path_values(cluster, kind, pols, b0,
         linalg.require_unitary(cells)
         phases[block] = eig_unitaries(cells, True)[0][:, 0]
     # A one-state sector has one mode, so tracking keeps it; the offset is
-    # added and the sum folded into (-pi, pi] as for every sector.
+    # added and the sum folded into (-pi, pi] as for every sector.  Each of
+    # its k columns is a column of the spectrum.
     want = -np.angle(np.exp(-1j * (phases.reshape(t.size, k)
                                    + engine._offset_phases(stack.offsets, t))))
     want[want <= -np.pi] += 2 * np.pi
-    assert engine._sector_trajectories(stack, t).tobytes() == want.tobytes()
+    columns = [column.tobytes() for column in spectrum_scan(ch, np.sort(taus), delta).phases.T]
+    for column in want.T:
+        assert column.tobytes() in columns
+        columns.remove(column.tobytes())
