@@ -35,9 +35,11 @@ CSV output is UTF-8 with ``\n`` line endings and full ``%.17g``
 precision.  Float cells are formatted by NumPy array arithmetic
 (``_format_floats``), byte for byte equal to ``'%.17g' % v``; fewer than
 FORMAT_ARRAY_MIN cells at a time, and values outside its exact range,
-take ``'%.17g'`` itself.  ``write_csv`` lays out each slice of lines as
-one byte matrix, and a map formats each field and each tau value once,
-not once per line.  Maps can also be
+take ``'%.17g'`` itself.  ``write_csv`` lays out each slice of lines once,
+as one byte matrix whose columns are as wide as the cells of the slice.
+A map formats each field and each tau value once and hands them over as
+(fields, 1) and (1, tau) columns that broadcast into that matrix, with
+no copy per line.  Maps can also be
 emitted as binary 8-bit PGM (P5) with the documented value mapping
 round(255 (L + 1) / 2).  Every file is written to a temporary file in
 the output directory and renamed into place, so no file is ever
@@ -307,22 +309,25 @@ def _reference_cells(x: np.ndarray) -> np.ndarray:
 
 def _format_floats(values: np.ndarray) -> np.ndarray:
     """``FLOAT_FORMAT % v`` of every value, as an (n, CELL_BYTES) uint8 array
-    of ASCII cells padded with null bytes, which the writer drops.
+    of ASCII cells padded with null bytes, which the writer drops.  On the
+    array path it is the transposed view of the (CELL_BYTES, n) array the
+    arithmetic builds, so the writer copies each cell into its line once.
 
     With k = floor(log10 |x|) the 17 digits are the integer
     N = round-half-even(|x| 10^(16 - k)) in [10^16, 10^17), exact from
-    ``_scaled``: p >= 10^16 > 2^53 is an even integer, so N = p + rint(e).
-    k comes from ``log10`` and is corrected where that is one decade off.
-    The digits are laid out as '%g' does: fixed notation for -4 <= k < 17,
-    'e-0k' otherwise, trailing zeros and a bare point dropped, '-' for a
-    negative sign.  Values with |x| outside [1e-7, 1e17) (0, -0, non-finite,
-    subnormal) and values whose k leaves [-6, 16], where 10^(16 - k) is not
-    exact, are formatted by FLOAT_FORMAT itself, and so is every value of
-    an array shorter than FORMAT_ARRAY_MIN.  No double in the exact range
-    lies within 5e-18 below a power of ten, so none rounds up to
-    N = 10^17; the doubles that do (1e-14, 1e98, ...) lie outside it.  The
-    arithmetic runs on one row per character position, so each step is one
-    long vector.
+    ``_scaled``: p >= 10^16 > 2^53 is an even integer, so N = p + rint(e),
+    whose digits come from N = 10^8 h + l: one int64 division, then int32
+    divisions of h and l.  k comes from ``log10`` and is corrected where
+    that is one decade off.  The digits are laid out as '%g' does: fixed
+    notation for -4 <= k < 17, 'e-0k' otherwise, trailing zeros and a bare
+    point dropped, '-' for a negative sign.  Values with |x| outside
+    [1e-7, 1e17) (0, -0, non-finite, subnormal) and values whose k leaves
+    [-6, 16], where 10^(16 - k) is not exact, are formatted by FLOAT_FORMAT
+    itself, and so is every value of an array shorter than
+    FORMAT_ARRAY_MIN.  No double in the exact range lies within 5e-18 below
+    a power of ten, so none rounds up to N = 10^17; the doubles that do
+    (1e-14, 1e98, ...) lie outside it.  The arithmetic runs on one row per
+    character position, so each step is one long vector.
     """
     x = np.asarray(values, dtype=float).ravel()
     if x.size < FORMAT_ARRAY_MIN:
@@ -342,11 +347,18 @@ def _format_floats(values: np.ndarray) -> np.ndarray:
     exact &= (k >= -6) & (k <= 16)
     k[~exact] = 0
     size = x.size
+    # h < 10^9 and l < 10^8 fit int32: both are divided by ten eight times.
+    h = n // 100_000_000
+    halves = np.empty((2, size), np.int32)
+    halves[0] = h
+    halves[1] = n - 100_000_000 * h
     digits = np.empty((17, size), np.uint8)  # row j: digit j, most significant first
-    for j in range(16, -1, -1):
-        q = n // 10
-        digits[j] = n - 10 * q
-        n = q
+    tails = digits[1:].reshape(2, 8, size)  # digits 1-8 of h, then the 8 of l
+    for j in range(7, -1, -1):
+        q = halves // 10
+        tails[:, j] = halves - 10 * q
+        halves = q
+    digits[0] = halves[0]
     rows = np.arange(22, dtype=np.uint8)[:, None]
     last = ((digits != 0) * rows[:17]).max(axis=0)  # the last nonzero digit
     point = np.where(k >= -4, k, 0)  # the point follows digit `point`
@@ -366,7 +378,7 @@ def _format_floats(values: np.ndarray) -> np.ndarray:
     small = k < -4
     cells[23:26] = np.array([[ord("e")], [ord("-")], [ord("0")]], np.uint8) * small
     cells[26] = (ord("0") - k) * small
-    cells = np.ascontiguousarray(cells.T)
+    cells = cells.T
     rest = np.flatnonzero(~exact)
     if rest.size:
         cells[rest] = _reference_cells(x[rest])
@@ -377,47 +389,86 @@ def _is_float(column) -> bool:
     return isinstance(column, np.ndarray) and column.dtype.kind == "f"
 
 
-def _lines(columns) -> np.ndarray:
-    """The bytes of the CSV lines of equal-length columns (see ``write_csv``):
-    the float columns formatted in one call, then one byte matrix of cells,
-    commas and newlines, null bytes dropped."""
+def _is_cells(column) -> bool:
+    return isinstance(column, np.ndarray) and column.dtype == np.uint8
+
+
+def _lines(columns, shape: tuple) -> np.ndarray:
+    """The bytes of the CSV lines of columns that broadcast to ``shape`` (see
+    ``write_csv``): the float columns formatted in one call, then one byte
+    matrix of cells, commas and newlines, null bytes dropped.  Each column
+    of the matrix is as wide as the byte positions its cells use."""
     cells = list(columns)
     floats = [i for i, c in enumerate(cells) if _is_float(c)]
     if floats:
-        formatted = _format_floats(np.stack([cells[i] for i in floats]))
-        for i, block in zip(floats, np.split(formatted, len(floats))):
+        values = np.empty((len(floats),) + shape)
+        for j, i in enumerate(floats):
+            values[j] = cells[i]
+        for i, block in zip(floats, _format_floats(values).reshape(values.shape + (CELL_BYTES,))):
             cells[i] = block
     for i, c in enumerate(cells):
-        if not (isinstance(c, np.ndarray) and c.dtype == np.uint8):
-            text = np.array([str(v).encode("utf-8") for v in c], dtype=bytes)
-            cells[i] = text.view(np.uint8).reshape(len(text), -1)
-    line = np.zeros((len(cells[0]), sum(c.shape[1] + 1 for c in cells)), np.uint8)
+        if not _is_cells(c):
+            text = (c.astype(bytes) if isinstance(c, np.ndarray)
+                    else np.array([str(v).encode("utf-8") for v in c], dtype=bytes))
+            c = text.view(np.uint8).reshape(text.shape + (-1,))
+        used = c.reshape(-1, c.shape[-1]).max(axis=0, initial=0).tobytes()
+        cells[i] = c[..., len(used) - len(used.lstrip(b"\0")):len(used.rstrip(b"\0"))]
+    line = np.empty(shape + (sum(c.shape[-1] + 1 for c in cells),), np.uint8)
     at = 0
     for c in cells:
-        line[:, at:at + c.shape[1]] = c
-        at += c.shape[1] + 1
-        line[:, at - 1] = ord(",")
-    line[:, -1] = ord("\n")
+        line[..., at:at + c.shape[-1]] = c
+        at += c.shape[-1] + 1
+        line[..., at - 1] = ord(",")
+    line[..., -1] = ord("\n")
     return line[line != 0]
+
+
+def _parts(shape: tuple, line_bytes: int):
+    """Index tuples that cut a block of lines of ``shape`` into C-order parts
+    of at most ``linalg.BLOCK_BYTES`` at ``line_bytes`` per line
+    (``block_slices``): runs of whole rows, and a row that alone exceeds
+    the budget cut the same way along its own axes."""
+    for rows in block_slices(shape[0], max(line_bytes * math.prod(shape[1:]), 1)):
+        if rows.stop - rows.start == 1 and len(shape) > 1:
+            yield from ((rows,) + rest for rest in _parts(shape[1:], line_bytes))
+        else:
+            yield (rows,) + tuple(slice(0, n) for n in shape[1:])
+
+
+def _cut(column, part: tuple):
+    """The cells of ``column`` in ``part``; an array's axis of length 1 is kept whole."""
+    if not isinstance(column, np.ndarray):
+        return column[part[0]]
+    return column[tuple(s if n > 1 else slice(None) for s, n in zip(part, column.shape))]
 
 
 def write_csv(path: Path, header: list[str], blocks) -> None:
     """Write a UTF-8 CSV file with ``\\n`` line endings, atomically.
 
-    ``blocks`` yields the lines as blocks of equal-length columns.  A float
-    array is a column of ``%.17g`` cells (``_format_floats``), a uint8
-    array a column of cells it formatted before, and any other sequence a
-    column of str() cells.  Each block is laid out and written in slices
-    holding at most ``linalg.BLOCK_BYTES`` of float64 cells, so the file is
-    streamed and never held whole.
+    ``blocks`` yields the lines as blocks of columns.  The leading axes of
+    a block's columns (all axes of a value column, all but the last of a
+    cell column) are equal in number and broadcast to the block's shape,
+    whose lines run in C order: in a (fields, tau) block a (fields, 1)
+    column repeats each field along its row and a (1, tau) column the tau
+    values in every row.  A float array is a column of ``%.17g`` cells
+    (``_format_floats``), a uint8 array a column of cells it formatted
+    before (its last axis holds a cell's bytes), any other NumPy array a
+    column of its ``astype(bytes)`` cells and any other sequence a 1-D
+    column of str() cells.  Each block is laid out and written in parts
+    (``_parts``) holding at most ``linalg.BLOCK_BYTES`` of float64 cells,
+    so the file is streamed and never held whole.
     """
     def chunks():
         yield (",".join(header) + "\n").encode("utf-8")
         for columns in blocks:
             columns = list(columns)
-            floats = sum(map(_is_float, columns))
-            for part in block_slices(len(columns[0]), 8 * max(floats, 1)):
-                yield _lines([c[part] for c in columns])
+            shape = np.broadcast_shapes(*(c.shape[:-1] if _is_cells(c) else c.shape
+                                          if isinstance(c, np.ndarray) else (len(c),)
+                                          for c in columns))
+            line_bytes = 8 * max(sum(map(_is_float, columns)), 1)
+            for part in _parts(shape, line_bytes):
+                yield _lines([_cut(c, part) for c in columns],
+                             tuple(s.stop - s.start for s in part))
 
     _write_atomic(path, chunks())
 
@@ -537,9 +588,7 @@ def run_map(cfg: ScanConfig, outdir: Path) -> list[Path]:
         taus, fields = np.split(_format_floats(np.concatenate(
             [cfg.tau_axis.values(), field_values])), [cfg.tau_axis.count])
         write_csv(out_csv, [cfg.field_axis.name, "tau_s", quantity],
-                  ((np.repeat(fields[rows], len(taus), axis=0),
-                    np.tile(taus, (rows.stop - rows.start, 1)), grid[rows].ravel())
-                   for rows in block_slices(len(fields), 8 * len(taus))))
+                  [(fields[:, None], taus[None], grid)])
         files.append(out_csv)
         if overlay is not None:
             out_overlay = outdir / "map_overlay.csv"

@@ -3,13 +3,14 @@ import itertools
 import json
 import math
 import pathlib
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from floqsens import CapacityError, PairSet, ValidationError, floquet_phase
+from floqsens import CapacityError, PairSet, ValidationError, floquet_phase, scans
 from floqsens.config import parse_config
 from floqsens.engine import floquet_rows
 from floqsens.scans import FORMAT_ARRAY_MIN, _format_floats, _json_text, compute_trace, \
@@ -315,6 +316,21 @@ def csv_columns(kinds, rows):
             for kind, c in zip(kinds, columns)]
 
 
+@st.composite
+def map_axes(draw, low, high, max_count):
+    """An axis of 2 to ``max_count`` values inside [low, high]: log-spaced
+    over up to twelve decades, or linear, which may cross zero when
+    ``low`` < 0."""
+    count = draw(st.integers(2, max_count))
+    if draw(st.booleans()):
+        start = draw(st.floats(max(low, 1e-9), high / 10))
+        stop = draw(st.floats(start * 10, min(start * 1e12, high)))
+        return {"start": start, "stop": stop, "count": count, "spacing": "log"}
+    start = draw(st.floats(low, high / 2))
+    stop = draw(st.floats(start + abs(start) / 2 + 1e-9, high))
+    return {"start": start, "stop": stop, "count": count}
+
+
 class TestWriteCsv:
     @settings(max_examples=150, deadline=None)
     @given(table=st.integers(1, 6).flatmap(csv_tables))
@@ -364,6 +380,68 @@ class TestWriteCsv:
         write_csv(tmp_path / "a.csv", ["a", "b", "c"],
                   [csv_columns(["float", "str", "float"], rows)])
         assert (tmp_path / "a.csv").read_text() == reference_csv(["a", "b", "c"], rows)
+
+    def test_numpy_integer_and_bool_columns(self, tmp_path):
+        # NumPy columns other than floats take one astype(bytes) cast: the
+        # cells are the str() of their values.
+        ints = np.array([0, 1, -7, 2 ** 63 - 1, -2 ** 63], np.int64)
+        flags = np.array([True, False, True, True, False])
+        wide = np.array([0, 255, 3, 65535, 128], np.uint16)
+        write_csv(tmp_path / "a.csv", ["i", "b", "u"], [(ints, flags, wide)])
+        rows = list(zip(ints, flags, wide))
+        assert (tmp_path / "a.csv").read_text() == reference_csv(["i", "b", "u"], rows)
+
+    @settings(max_examples=40, deadline=None)
+    @given(fields=map_axes(-1e20, 1e20, 40), taus=map_axes(1e-10, 1e3, 700),
+           specials=st.lists(st.floats(-1.0, 1.0), max_size=8),
+           seed=st.integers(0, 2 ** 32 - 1), budget=st.integers(1, 600))
+    def test_map_matches_per_value_reference(self, tmp_path_factory, fields, taus, specials,
+                                             seed, budget):
+        # Field and tau cells of differing widths (fixed and exponent forms,
+        # negatives) in row blocks of at most `budget` lines, on both sides
+        # of FORMAT_ARRAY_MIN.
+        cfg = pseudospin_cfg(axes={"tau_s": taus, "row_index": fields},
+                             output={"quantity": "coherence", "format": "csv"})
+        shape = (cfg.field_axis.count, cfg.tau_axis.count)
+        rng = np.random.default_rng(seed)
+        grid = rng.uniform(-1.0, 1.0, shape) * 10.0 ** rng.integers(-9, 1, shape)
+        cells = [0.0, -0.0, 1.0, -1.0, 5e-324, -2.5e-5, 1e-7] + specials
+        grid.flat[rng.choice(grid.size, min(len(cells), grid.size), replace=False)] = \
+            cells[:grid.size]
+        out = tmp_path_factory.mktemp("map")
+        with mock.patch("floqsens.scans.field_rows",
+                        lambda *args: ({"coherence": grid}, None, None)), \
+                mock.patch("floqsens.linalg.BLOCK_BYTES", 8 * budget):
+            run_map(cfg, out)
+        rows = [(float(f), float(t), float(grid[i, j]))
+                for i, f in enumerate(cfg.field_axis.values())
+                for j, t in enumerate(cfg.tau_axis.values())]
+        assert (out / "map.csv").read_text() == \
+            reference_csv(["row_index", "tau_s", "coherence"], rows)
+
+    @pytest.mark.parametrize("taus", [3, 10])
+    def test_map_is_written_in_bounded_slices(self, tmp_path, monkeypatch, taus):
+        # With 7 float cells to a slice, 3 tau values take two rows per
+        # chunk and 10 take two chunks per row; map.csv is never one chunk.
+        monkeypatch.setattr("floqsens.linalg.BLOCK_BYTES", 8 * 7)
+        chunks = []
+        write_atomic = scans._write_atomic
+
+        def recording(path, parts):
+            parts = [bytes(part) for part in parts]
+            if path.name == "map.csv":
+                chunks.extend(parts)
+            write_atomic(path, parts)
+
+        monkeypatch.setattr(scans, "_write_atomic", recording)
+        cfg = pseudospin_cfg(axes={"tau_s": {"start": 2e-6, "stop": 2.4e-4, "count": taus},
+                                   "row_index": {"start": -2, "stop": 2, "count": 5}},
+                             output={"quantity": "coherence", "format": "csv"})
+        run_map(cfg, tmp_path)
+        lines = [chunk.count(b"\n") for chunk in chunks[1:]]
+        assert max(lines) <= 7 and sum(lines) == 5 * taus
+        assert len(lines) == (3 if taus == 3 else 10)
+        assert b"".join(chunks) == (tmp_path / "map.csv").read_bytes()
 
 
 def text(cells):
