@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .config import load_config
@@ -54,10 +53,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = load_config(args.config)
         if args.format or args.quantity:
-            output = replace(cfg.output,
-                             **({"format": args.format} if args.format else {}),
-                             **({"quantity": args.quantity} if args.quantity else {}))
-            cfg = replace(cfg, output=output)
+            output = cfg.output._replace(
+                **({"format": args.format} if args.format else {}),
+                **({"quantity": args.quantity} if args.quantity else {}))
+            cfg = cfg._replace(output=output)
         outdir = Path(args.output)
         if args.command == "trace":
             files = run_trace(cfg, outdir)

@@ -30,14 +30,14 @@ index with the flipped bits.  No kron product is formed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
 from .engine import ConditionalHamiltonians
-from .errors import CapacityError, ValidationError
+from .errors import CapacityError, ValidationError, _Validated
 from .linalg import MAX_DIM
 from .pseudospin import TwoStateModel
 from .sensors import DonorModel, PairTarget, donor_levels
@@ -45,8 +45,12 @@ from .sensors import DonorModel, PairTarget, donor_levels
 MAX_BATH_SPINS = 6
 
 
-@dataclass(frozen=True)
-class SpinCluster:
+class _ClusterCouplings(NamedTuple):
+    a: np.ndarray
+    c: np.ndarray
+
+
+class SpinCluster(_Validated, _ClusterCouplings):
     """n spin-1/2 bath spins: hyperfine couplings a[k] and dipolar matrix c[j,k].
 
     ``operators`` builds the cluster's bath operators on first use and keeps
@@ -54,12 +58,10 @@ class SpinCluster:
     shares one build.
     """
 
-    a: np.ndarray
-    c: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.a, dtype=float)
-        c = np.asarray(self.c, dtype=float)
+    # No __slots__: ``operators`` is cached in the instance dict.
+    def __new__(cls, a, c):
+        a = np.asarray(a, dtype=float)
+        c = np.asarray(c, dtype=float)
         if a.ndim != 1 or a.size < 1:
             raise ValidationError("hyperfine couplings must be a 1-d list")
         n = a.size
@@ -69,8 +71,7 @@ class SpinCluster:
             raise ValidationError("cluster couplings must be finite")
         if np.abs(c - c.T).max() > 0 or np.abs(np.diag(c)).max() > 0:
             raise ValidationError("dipolar matrix must be symmetric with zero diagonal")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "c", c)
+        return super().__new__(cls, a, c)
 
     @property
     def n(self) -> int:
@@ -128,8 +129,7 @@ def conditional_cluster_hamiltonians(cluster: SpinCluster, p_u: float,
                                    h_d=0.5 * p_d * h_a + h_c)
 
 
-@dataclass(frozen=True)
-class PairSet:
+class PairSet(NamedTuple):
     """Independent flip-flopping pairs sharing one sensor."""
 
     pairs: tuple[PairTarget, ...]
@@ -187,8 +187,7 @@ def secular_quasienergies(cluster: SpinCluster, p_u: float, p_d: float) -> np.nd
     return np.array(eps)
 
 
-@dataclass(frozen=True)
-class DipEstimate:
+class DipEstimate(NamedTuple):
     """Secular dip estimate: location, quasienergy pair and Iz subspace sign."""
 
     tau: float

@@ -11,15 +11,14 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 
 from .clusters import PairSet, SpinCluster
 from .engine import QUANTITIES
-from .errors import CapacityError, ConfigError
+from .errors import CapacityError, ConfigError, _Validated
 from .pseudospin import PseudoField, TwoStateModel
 from .sensors import DonorModel, NVModel, PairTarget, si_bi
 
@@ -104,26 +103,30 @@ def _angular(obj: dict, stem: str, where: str, default=None) -> float:
     return default
 
 
-@dataclass(frozen=True)
-class AxisSpec:
-    """One scan axis: grid of count values from start to stop."""
-
+class _AxisFields(NamedTuple):
     name: str
     start: float
     stop: float
     count: int
-    spacing: str = "linear"
+    spacing: str
 
-    def __post_init__(self):
-        if self.count < 2:
-            raise ConfigError(f"axis '{self.name}' needs count >= 2, got {self.count}")
-        if not self.start < self.stop:
-            raise ConfigError(f"axis '{self.name}' needs start < stop, "
-                              f"got [{self.start}, {self.stop}]")
-        if self.spacing not in ("linear", "log"):
-            raise ConfigError(f"axis '{self.name}' spacing must be linear or log")
-        if self.spacing == "log" and self.start <= 0:
-            raise ConfigError(f"log-spaced axis '{self.name}' needs start > 0")
+
+class AxisSpec(_Validated, _AxisFields):
+    """One scan axis: grid of count values from start to stop."""
+
+    __slots__ = ()
+
+    def __new__(cls, name: str, start: float, stop: float, count: int,
+                spacing: str = "linear"):
+        if count < 2:
+            raise ConfigError(f"axis '{name}' needs count >= 2, got {count}")
+        if not start < stop:
+            raise ConfigError(f"axis '{name}' needs start < stop, got [{start}, {stop}]")
+        if spacing not in ("linear", "log"):
+            raise ConfigError(f"axis '{name}' spacing must be linear or log")
+        if spacing == "log" and start <= 0:
+            raise ConfigError(f"log-spaced axis '{name}' needs start > 0")
+        return super().__new__(cls, name, start, stop, count, spacing)
 
     def values(self) -> np.ndarray:
         if self.spacing == "log":
@@ -131,22 +134,20 @@ class AxisSpec:
         return np.linspace(self.start, self.stop, self.count)
 
 
-@dataclass(frozen=True)
-class SequenceSpec:
+class SequenceSpec(NamedTuple):
     n_p: int = 10
     pulse_duration: float = 0.0
 
 
-@dataclass(frozen=True)
-class OutputSpec:
+class OutputSpec(NamedTuple):
     quantity: str = "coherence"
     format: str = "csv"
     crossing_gap: float = 1e-2
 
 
-@dataclass(frozen=True)
-class ScanConfig:
-    """Fully validated scan description."""
+class ScanConfig(NamedTuple):
+    """Fully validated scan description; ``resolved`` is the document its
+    manifest records and ``content_hash`` digests."""
 
     system_kind: str
     system: Any
@@ -157,7 +158,7 @@ class ScanConfig:
     tau_axis: AxisSpec
     field_axis: AxisSpec | None
     output: OutputSpec
-    resolved: dict = field(repr=False, default_factory=dict)
+    resolved: dict
 
     def content_hash(self) -> str:
         blob = json.dumps(self.resolved, sort_keys=True).encode()

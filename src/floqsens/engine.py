@@ -67,13 +67,18 @@ built from them; the loop solves such cells as ``symmetric``, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NumericalConsistencyError, SymmetryViolationError, ValidationError, locate
+from .errors import (
+    NumericalConsistencyError,
+    SymmetryViolationError,
+    ValidationError,
+    _Validated,
+    locate,
+)
 from .linalg import (
     block_slices,
     eig_unitaries,
@@ -97,21 +102,22 @@ TWO_PI_LO = 2.4492935982947064e-16
 TRACKING_OVERLAP = 0.75
 
 
-@dataclass(frozen=True)
-class ConditionalHamiltonians:
-    """The pair of bath Hamiltonians selected by the sensor state (rad/s)."""
-
+class _HamiltonianPair(NamedTuple):
     h_u: np.ndarray
     h_d: np.ndarray
 
-    def __post_init__(self):
-        hu = require_hermitian(self.h_u, name="h_u")
-        hd = require_hermitian(self.h_d, name="h_d")
-        if hu.shape != hd.shape:
+
+class ConditionalHamiltonians(_Validated, _HamiltonianPair):
+    """The pair of bath Hamiltonians selected by the sensor state (rad/s)."""
+
+    # No __slots__: ``sectors`` is cached in the instance dict.
+    def __new__(cls, h_u, h_d):
+        h_u = require_hermitian(h_u, name="h_u")
+        h_d = require_hermitian(h_d, name="h_d")
+        if h_u.shape != h_d.shape:
             raise ValidationError(f"conditional Hamiltonians disagree in shape: "
-                                  f"{hu.shape} vs {hd.shape}")
-        object.__setattr__(self, "h_u", hu)
-        object.__setattr__(self, "h_d", hd)
+                                  f"{h_u.shape} vs {h_d.shape}")
+        return super().__new__(cls, h_u, h_d)
 
     @property
     def dim(self) -> int:
@@ -202,17 +208,18 @@ def _cell_blocks(energies_u: np.ndarray, energies_d: np.ndarray, transfer: np.nd
     is Y = X exp(-i E_d t) X^dag, (n, d, d): so W_u = D_u Y and W_d = Y D_u,
     one product per cell.  For a real X, Y is complex symmetric, and its
     real and imaginary parts are two real products (X cos) X^T and
-    (X (-sin)) X^T of the parts of exp(-i E_d t) (``linalg.matmul``).  Each
-    slice holds as many (d, d) complex cells as fit BLOCK_BYTES, so for
-    d > 64 a block of one cell exceeds it.
+    (X (-sin)) X^T of the parts of exp(-i E_d t) (``linalg.matmul``).  X^dag
+    is gathered from one contiguous copy per call: a transposed right
+    operand sends NumPy's stacked product of real cells to a slower loop,
+    about twice the time at d = 3.  Each slice holds as many (d, d) complex
+    cells as fit BLOCK_BYTES, so for d > 64 a block of one cell exceeds it.
     """
+    transfer_dag = np.ascontiguousarray(transfer.conj().swapaxes(-1, -2))
     for block in block_slices(t.size, 16 * transfer.shape[-1] ** 2):
         pair = j[block]
-        x = transfer[pair]
         interval = t[block, None]
         phase = np.exp(-1j * energies_d[pair] * interval)[:, None, :]
-        y = matmul(x * phase, x.conj().swapaxes(-1, -2) if np.iscomplexobj(x)
-                   else x.swapaxes(-1, -2))
+        y = matmul(transfer[pair] * phase, transfer_dag[pair])
         yield block, np.exp(-1j * energies_u[pair] * interval), y
 
 
@@ -450,8 +457,7 @@ def _floquet_modes(phases: np.ndarray, modes: np.ndarray, w_d: np.ndarray,
     return modes.conj() if np.iscomplexobj(modes) else modes, images, residual
 
 
-@dataclass(frozen=True)
-class SpectrumScan:
+class SpectrumScan(NamedTuple):
     """Continuity-ordered eigenphase trajectories over a pulse-interval grid."""
 
     taus: np.ndarray

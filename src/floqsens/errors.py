@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and the one way to name a failing element.
+"""Exception types shared across the package, the one way to name a failing element,
+and the base of the records that check their fields.
 
 The CLI maps these onto exit codes: config/validation problems exit 2,
 numerical-consistency failures exit 3 and capacity overruns exit 4.
@@ -36,3 +37,22 @@ def locate(exc: Exception, index, where: str | None = None) -> Exception:
     if where is not None:
         exc.args = (f"{where}: {exc}",)
     return exc
+
+
+class _Validated:
+    """Base of a ``typing.NamedTuple`` subclass whose ``__new__`` checks its fields.
+
+    A named tuple's ``_make``, which ``_replace`` calls, builds the tuple
+    without ``__new__``, and so does unpickling at protocol 0 or 1.  Here
+    both go through the constructor, so every way of making a record runs
+    its checks.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+    def __reduce__(self):
+        return type(self), tuple(self)

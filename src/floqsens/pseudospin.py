@@ -28,12 +28,12 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import engine
-from .errors import CapacityError, ValidationError, locate
+from .errors import CapacityError, ValidationError, _Validated, locate
 from .linalg import PAULI_X, PAULI_Z
 
 DIP_CONDITION_TOL = 1e-6
@@ -49,16 +49,21 @@ REGIME_THRESHOLD = 10.0
 CROSSING_Q = math.sin(engine.PHASE_MATCH_TOL / 4.0) ** 2
 
 
-@dataclass(frozen=True)
-class PseudoField:
-    """Effective field (x, 0, z) in rad/s seen by the two-state target."""
-
+class _FieldComponents(NamedTuple):
     x: float
     z: float
 
-    def __post_init__(self):
-        if not (np.isfinite(self.x) and np.isfinite(self.z)):
-            raise ValidationError(f"pseudofield components must be finite, got {self}")
+
+class PseudoField(_Validated, _FieldComponents):
+    """Effective field (x, 0, z) in rad/s seen by the two-state target."""
+
+    __slots__ = ()
+
+    def __new__(cls, x: float, z: float):
+        if not (np.isfinite(x) and np.isfinite(z)):
+            raise ValidationError(f"pseudofield components must be finite, "
+                                  f"got PseudoField(x={x!r}, z={z!r})")
+        return super().__new__(cls, x, z)
 
     @property
     def omega(self) -> float:
@@ -74,8 +79,7 @@ class PseudoField:
         return np.array([self.x, 0.0, self.z])
 
 
-@dataclass(frozen=True)
-class TwoStateModel:
+class TwoStateModel(NamedTuple):
     """Conditional two-state target defined by its pair of effective fields."""
 
     h_u: PseudoField
@@ -190,8 +194,7 @@ def envelope(model: TwoStateModel, tau):
     return _one_model(model, tau, "envelope", 1)
 
 
-@dataclass(frozen=True)
-class DipRecord:
+class DipRecord(NamedTuple):
     """One coherence dip: location, harmonic number, level repulsion, depth."""
 
     tau_dip: float

@@ -52,9 +52,9 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
 from functools import reduce
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -91,8 +91,7 @@ CELL_BYTES = 27
 FORMAT_ARRAY_MIN = 512
 
 
-@dataclass(frozen=True)
-class TraceData:
+class TraceData(NamedTuple):
     """One computed trace over the tau grid; a quantity not computed is None."""
 
     taus: np.ndarray

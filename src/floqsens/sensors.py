@@ -19,11 +19,11 @@ coherence envelope collapses to a sharp dip.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CapacityError, ValidationError, locate
+from .errors import CapacityError, ValidationError, _Validated, locate
 from .linalg import MAX_DIM, block_slices
 from .pseudospin import PseudoField, TwoStateModel, bisect_roots
 
@@ -39,20 +39,24 @@ SI_BI_DELTA_GAMMA = 2.488e-4
 OWP_SCAN_POINTS = 64
 
 
-@dataclass(frozen=True)
-class NVModel:
-    """NV-center effective-field parameters, all in rad/s."""
-
+class _NVFields(NamedTuple):
     omega_x: float
     omega_z: float
     a_par: float
 
-    def __post_init__(self):
-        vals = (self.omega_x, self.omega_z, self.a_par)
+
+class NVModel(_Validated, _NVFields):
+    """NV-center effective-field parameters, all in rad/s."""
+
+    __slots__ = ()
+
+    def __new__(cls, omega_x: float, omega_z: float, a_par: float):
+        vals = (omega_x, omega_z, a_par)
         if not all(np.isfinite(v) for v in vals):
             raise ValidationError(f"NV parameters must be finite, got {vals}")
-        if self.a_par < 0:
-            raise ValidationError(f"parallel hyperfine must be >= 0, got {self.a_par}")
+        if a_par < 0:
+            raise ValidationError(f"parallel hyperfine must be >= 0, got {a_par}")
+        return super().__new__(cls, omega_x, omega_z, a_par)
 
 
 def nv_two_state(nv: NVModel) -> TwoStateModel:
@@ -61,8 +65,16 @@ def nv_two_state(nv: NVModel) -> TwoStateModel:
                          h_d=PseudoField(nv.omega_x, nv.omega_z))
 
 
-@dataclass(frozen=True)
-class DonorModel:
+class _DonorFields(NamedTuple):
+    hyperfine_a: float
+    nuclear_spin: float
+    gamma_e: float
+    delta_gamma: float
+    level_u: int
+    level_d: int
+
+
+class DonorModel(_Validated, _DonorFields):
     """Electron-nuclear donor with the sensing transition level_u -> level_d.
 
     Levels are 1-based indices into the eigenstates sorted by ascending
@@ -71,27 +83,25 @@ class DonorModel:
     CapacityError, and A = 0 (no electron-nuclear coupling) ValidationError.
     """
 
-    hyperfine_a: float
-    nuclear_spin: float
-    gamma_e: float
-    delta_gamma: float
-    level_u: int
-    level_d: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        two_i = round(2 * self.nuclear_spin)
-        if two_i < 1 or abs(2 * self.nuclear_spin - two_i) > 1e-12:
-            raise ValidationError(f"nuclear spin must be a half-integer, got {self.nuclear_spin}")
-        dim = self.dim
+    def __new__(cls, hyperfine_a: float, nuclear_spin: float, gamma_e: float,
+                delta_gamma: float, level_u: int, level_d: int):
+        two_i = round(2 * nuclear_spin)
+        if two_i < 1 or abs(2 * nuclear_spin - two_i) > 1e-12:
+            raise ValidationError(f"nuclear spin must be a half-integer, got {nuclear_spin}")
+        dim = 2 * (two_i + 1)
         if dim > MAX_DIM:
             raise CapacityError(f"donor space of dim {dim} exceeds maximum {MAX_DIM}")
-        for name, level in (("level_u", self.level_u), ("level_d", self.level_d)):
+        for name, level in (("level_u", level_u), ("level_d", level_d)):
             if not (1 <= level <= dim):
                 raise ValidationError(f"{name} = {level} outside 1..{dim}")
-        if self.level_u == self.level_d:
+        if level_u == level_d:
             raise ValidationError("transition levels must be distinct")
-        if self.hyperfine_a == 0:
+        if hyperfine_a == 0:
             raise ValidationError("hyperfine coupling A = 0 decouples electron and nucleus")
+        return super().__new__(cls, hyperfine_a, nuclear_spin, gamma_e, delta_gamma,
+                               level_u, level_d)
 
     @property
     def dim(self) -> int:
@@ -157,18 +167,23 @@ def donor_levels(d: DonorModel, b0) -> tuple[np.ndarray, np.ndarray]:
             np.take_along_axis(pols, order, axis=-1).reshape(shape))
 
 
-@dataclass(frozen=True)
-class PairTarget:
-    """Flip-flopping nuclear pair: hyperfine detuning and dipolar coupling (rad/s)."""
-
+class _PairFields(NamedTuple):
     delta_a: float
     c12: float
 
-    def __post_init__(self):
-        if not (np.isfinite(self.delta_a) and np.isfinite(self.c12)):
-            raise ValidationError(f"pair couplings must be finite, got {self}")
-        if self.c12 == 0.0:
+
+class PairTarget(_Validated, _PairFields):
+    """Flip-flopping nuclear pair: hyperfine detuning and dipolar coupling (rad/s)."""
+
+    __slots__ = ()
+
+    def __new__(cls, delta_a: float, c12: float):
+        if not (np.isfinite(delta_a) and np.isfinite(c12)):
+            raise ValidationError(f"pair couplings must be finite, got "
+                                  f"PairTarget(delta_a={delta_a!r}, c12={c12!r})")
+        if c12 == 0.0:
             raise ValidationError("c12 = 0 gives no flip-flop dynamics")
+        return super().__new__(cls, delta_a, c12)
 
     @property
     def ratio(self) -> float:

@@ -217,15 +217,16 @@ class TestFlags:
 CONFIGS = Path(__file__).resolve().parents[1] / "scripts" / "configs"
 
 # Runs floqsens.cli.main on (command, config, output) argument triples, then
-# prints the exit codes and every scipy module the interpreter has loaded.
+# prints the exit codes and every module loaded since before floqsens.cli
+# was imported.
 FRESH_RUN = """
 import json, sys
+before = set(sys.modules)
 import floqsens.cli
 args = iter(sys.argv[1:])
 codes = [floqsens.cli.main([cmd, "--config", cfg, "--output", out])
          for cmd, cfg, out in zip(args, args, args)]
-print(json.dumps({"codes": codes, "scipy": sorted(
-    m for m in sys.modules if m == "scipy" or m.startswith("scipy."))}))
+print(json.dumps({"codes": codes, "added": sorted(set(sys.modules) - before)}))
 """
 
 
@@ -236,15 +237,18 @@ def child_env():
             "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
-def run_fresh(tmp_path, *runs):
-    """FRESH_RUN on (command, shipped config) pairs in a new interpreter."""
+def run_fresh(tmp_path, *runs, package="scipy"):
+    """FRESH_RUN on (command, shipped config) pairs in a new interpreter: the
+    exit codes, and the modules of ``package`` among those that were added."""
     args = []
     for command, config in runs:
         args += [command, str(CONFIGS / config), str(tmp_path / Path(config).stem)]
     proc = subprocess.run([sys.executable, "-c", FRESH_RUN, *args],
                           capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout.splitlines()[-1])
+    result = json.loads(proc.stdout.splitlines()[-1])
+    return {"codes": result["codes"], package: [
+        m for m in result["added"] if m == package or m.startswith(package + ".")]}
 
 
 def test_console_entry_point(tmp_path):
@@ -306,6 +310,16 @@ def test_dips_loads_no_scipy(tmp_path):
     # Dip roots are refined by array bisection, not by SciPy's brentq.
     result = run_fresh(tmp_path, ("dips", "donor_pair_dips.json"))
     assert result == {"codes": [0], "scipy": []}
+
+
+def test_shipped_configs_load_no_dataclasses(tmp_path):
+    # The records are named tuples: a cold start creates no dataclass, and
+    # no command loads the module.
+    runs = [(config.stem.rsplit("_", 1)[1], config.name)
+            for config in sorted(CONFIGS.glob("*.json"))]
+    assert {command for command, _ in runs} == {"map", "trace", "spectrum", "dips"}
+    result = run_fresh(tmp_path, *runs, package="dataclasses")
+    assert result == {"codes": [0] * len(runs), "dataclasses": []}
 
 
 def test_the_library_imports_scipy_in_one_place():

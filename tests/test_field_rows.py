@@ -10,7 +10,6 @@ every batched kernel (row chunks, donor polarizations, engine cells), which
 then takes one item per block.
 """
 
-import dataclasses
 import json
 import math
 
@@ -332,9 +331,8 @@ def test_overflowing_interval_is_a_grid_error_at_its_tau(system):
     # the tau grid, before any row: it names its tau, not a row.
     cfg = parse_config({"system": system,
                         "axes": {"tau_s": {"start": 2e-6, "stop": 3.5e-4, "count": 5}}})
-    cfg = dataclasses.replace(
-        cfg, tau_axis=dataclasses.replace(cfg.tau_axis, start=1e307, stop=1e308),
-        sequence=dataclasses.replace(cfg.sequence, pulse_duration=1e308))
+    cfg = cfg._replace(tau_axis=cfg.tau_axis._replace(start=1e307, stop=1e308),
+                       sequence=cfg.sequence._replace(pulse_duration=1e308))
     with pytest.raises(ValidationError, match=r"^tau\[4\] = 1e\+308: tau \+ pulse_duration "
                                               r"1e\+308 overflows$") as failure:
         compute_trace(cfg)
