@@ -19,7 +19,8 @@ dip sits at tau = 2 pi / |eps_l - eps_m|; with that normalization the
 first doublet lands at tau = 2 pi / |Delta_12 (P_u + P_d) +- 2 (C31 - C23)|.
 
 Independent pairs are two-state targets (``PairSet.two_state_models``);
-their joint 2^k space (``PairSet.conditional``) serves only spectra.
+their joint 2^k space (``PairSet.conditional``, built by
+``pseudospin.two_state_hamiltonians``) serves only spectra.
 
 Every 2^n space is built from the bit patterns of its basis indices, site
 0 the most significant bit (kron order): Iz_k is diagonal with the sign of
@@ -38,8 +39,7 @@ import numpy as np
 
 from .engine import ConditionalHamiltonians
 from .errors import CapacityError, ValidationError, _Validated
-from .linalg import MAX_DIM
-from .pseudospin import TwoStateModel
+from .pseudospin import TwoStateModel, _basis, two_state_hamiltonians
 from .sensors import DonorModel, PairTarget, donor_levels
 
 MAX_BATH_SPINS = 6
@@ -88,14 +88,6 @@ class SpinCluster(_Validated, _ClusterCouplings):
         for m in out:
             m.flags.writeable = False
         return out
-
-
-def _basis(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Basis indices of n spin-1/2 and their (n, 2^n) sigma_z values, site 0 the
-    most significant bit (the order of a kron chain over sites 0..n-1)."""
-    idx = np.arange(2 ** n)
-    shifts = np.arange(n - 1, -1, -1)[:, None]
-    return idx, 1.0 - 2.0 * ((idx >> shifts) & 1)
 
 
 def _bath_operators(cluster: SpinCluster) -> tuple[np.ndarray, np.ndarray]:
@@ -150,22 +142,9 @@ class PairSet(NamedTuple):
         return [t.two_state(p_u, p_d) for t in self.pairs]
 
     def conditional(self, p_u: float, p_d: float) -> ConditionalHamiltonians:
-        """Joint tensor-product conditional Hamiltonians of all pairs, pair 0
-        the most significant bit: sum_k (x_k sigma_x,k + z_k sigma_z,k) / 2."""
-        k = len(self.pairs)
-        dim = 2 ** k
-        if dim > MAX_DIM:
-            raise CapacityError(f"joint pair space of dim {dim} exceeds {MAX_DIM}")
-        idx, sz = _basis(k)
-        models = self.two_state_models(p_u, p_d)
-        out = []
-        for fields in ([m.h_u for m in models], [m.h_d for m in models]):
-            h = np.zeros((dim, dim))
-            for site, f in enumerate(fields):
-                h[idx, idx] += (0.5 * f.z) * sz[site]
-                h[idx ^ (1 << (k - 1 - site)), idx] += 0.5 * f.x
-            out.append(h.astype(complex))
-        return ConditionalHamiltonians(h_u=out[0], h_d=out[1])
+        """Joint conditional Hamiltonians of all pairs (``two_state_hamiltonians``),
+        pair 0 the most significant bit: sum_k (x_k sigma_x,k + z_k sigma_z,k) / 2."""
+        return two_state_hamiltonians(self.two_state_models(p_u, p_d))
 
 
 def secular_quasienergies(cluster: SpinCluster, p_u: float, p_d: float) -> np.ndarray:
@@ -225,20 +204,16 @@ def doublet_dip_estimates(cluster: SpinCluster, p_u: float,
 
 def joint_full_model(donor: DonorModel, cluster: SpinCluster,
                      b0: float) -> ConditionalHamiltonians:
-    """Conditional bath Hamiltonians from the full joint sensor-bath problem.
+    """Conditional bath Hamiltonians of the full joint sensor-bath problem.
 
-    Builds H_total = H_donor x 1 + sum_k A_k (S_z x Iz_k) + 1 x H_bath on
-    the joint space and projects onto the exact donor eigenstates of the
-    transition, H_i = <i|H_total|i>, so the polarizations emerge from the
-    diagonalization instead of being imposed.
+    H_total = H_donor x 1 + sum_k A_k (S_z x Iz_k) + 1 x H_bath projected onto
+    the exact donor eigenstates of the transition is H_i = E_i 1 + <S_z>_i h_a
+    + h_c, with E_i and <S_z>_i from the closed-form ``donor_levels``: the
+    polarizations emerge from the donor, and no joint space is built.
     """
     h_a, h_c = cluster.operators
-    bath_dim = h_a.shape[0]
-    joint_dim = donor.dim * bath_dim
-    if joint_dim > MAX_DIM:
-        raise CapacityError(f"joint dimension {joint_dim} exceeds capacity")
     energies, pols = donor_levels(donor, b0)
-    eye_bath = np.eye(bath_dim, dtype=complex)
+    eye_bath = np.eye(h_a.shape[0], dtype=complex)
     out = []
     for level in (donor.level_u, donor.level_d):
         sz_exp = 0.5 * float(pols[level - 1])

@@ -180,8 +180,7 @@ def _parse_donor(obj, where: str) -> DonorModel:
     if obj.get("preset") == "si_bi":
         allowed = {"preset", "level_u", "level_d"}
         _require_keys(obj, allowed, {"preset"}, where)
-        return si_bi(level_u=_integer(obj, "level_u", where, 12),
-                     level_d=_integer(obj, "level_d", where, 9))
+        return si_bi(**{k: _integer(obj, k, where) for k in ("level_u", "level_d") if k in obj})
     allowed = {"hyperfine_a_hz", "hyperfine_a_rad_s", "nuclear_spin",
                "gamma_e_hz_per_tesla", "gamma_e_rad_s_per_tesla",
                "delta_gamma", "level_u", "level_d"}
@@ -321,7 +320,7 @@ def _parse_axes(cfg: dict) -> tuple[AxisSpec, AxisSpec | None]:
         return AxisSpec(name=name, start=_number(obj, "start", name),
                         stop=_number(obj, "stop", name),
                         count=_integer(obj, "count", f"axes.{name}"),
-                        spacing=obj.get("spacing", "linear"))
+                        **{k: obj[k] for k in ("spacing",) if k in obj})
 
     tau_axis = build("tau_s", axes_obj["tau_s"])
     if tau_axis.start <= 0:
@@ -345,12 +344,13 @@ def parse_config(cfg: dict) -> ScanConfig:
 
     seq_obj = cfg.get("sequence", {})
     _require_keys(seq_obj, {"n_p", "pulse_duration_s"}, set(), "sequence")
-    n_p = _integer(seq_obj, "n_p", "sequence", default=10)
+    seq_default = SequenceSpec()
+    n_p = _integer(seq_obj, "n_p", "sequence", default=seq_default.n_p)
     if n_p < 1:
         raise ConfigError(f"sequence.n_p must be a positive integer, got {n_p!r}")
     sequence = SequenceSpec(n_p=n_p,
-                            pulse_duration=_number(seq_obj, "pulse_duration_s",
-                                                   "sequence", default=0.0))
+                            pulse_duration=_number(seq_obj, "pulse_duration_s", "sequence",
+                                                   default=seq_default.pulse_duration))
     if sequence.pulse_duration < 0:
         raise ConfigError("sequence.pulse_duration_s must be >= 0")
     if not math.isfinite(tau_axis.stop + sequence.pulse_duration):  # the longest interval
@@ -359,15 +359,16 @@ def parse_config(cfg: dict) -> ScanConfig:
 
     out_obj = cfg.get("output", {})
     _require_keys(out_obj, {"quantity", "format", "crossing_gap_rad"}, set(), "output")
-    quantity = out_obj.get("quantity", "coherence")
-    fmt = out_obj.get("format", "csv")
+    out_default = OutputSpec()
+    quantity = out_obj.get("quantity", out_default.quantity)
+    fmt = out_obj.get("format", out_default.format)
     if quantity not in QUANTITIES:
         raise ConfigError(f"output.quantity must be one of {QUANTITIES}")
     if fmt not in FORMATS:
         raise ConfigError(f"output.format must be one of {FORMATS}")
     output = OutputSpec(quantity=quantity, format=fmt,
                         crossing_gap=_number(out_obj, "crossing_gap_rad", "output",
-                                             default=1e-2))
+                                             default=out_default.crossing_gap))
     if output.crossing_gap < 0:
         raise ConfigError("output.crossing_gap_rad must be >= 0")
 

@@ -44,10 +44,6 @@ BLOCK_BYTES = 64 * 1024
 # README).  At d = 1 NumPy skips the BLAS and a @ b is fastest.
 SMALL_PRODUCT_DIM = 7
 
-PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-
-
 def hermiticity_defect(m: np.ndarray) -> float:
     """Max elementwise magnitude of M - M^dagger."""
     return float(np.abs(m - m.conj().T).max())

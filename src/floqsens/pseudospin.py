@@ -34,7 +34,7 @@ import numpy as np
 
 from . import engine
 from .errors import CapacityError, ValidationError, _Validated, locate
-from .linalg import PAULI_X, PAULI_Z
+from .linalg import MAX_DIM
 
 DIP_CONDITION_TOL = 1e-6
 # Largest root-bracketing grid of dip_positions (points).  Memory and the
@@ -111,15 +111,37 @@ class TwoStateModel(NamedTuple):
     def theta_d(self) -> float:
         return self.h_d.theta
 
-    def hamiltonians(self) -> tuple[np.ndarray, np.ndarray]:
-        """The 2x2 conditional Hamiltonians (x sigma_x + z sigma_z) / 2."""
-        h_u = 0.5 * (self.h_u.x * PAULI_X + self.h_u.z * PAULI_Z)
-        h_d = 0.5 * (self.h_d.x * PAULI_X + self.h_d.z * PAULI_Z)
-        return h_u, h_d
-
     def conditional(self) -> engine.ConditionalHamiltonians:
-        h_u, h_d = self.hamiltonians()
-        return engine.ConditionalHamiltonians(h_u=h_u, h_d=h_d)
+        """The 2x2 conditional Hamiltonians (x sigma_x + z sigma_z) / 2."""
+        return two_state_hamiltonians([self])
+
+
+def _basis(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Basis indices of n spin-1/2 and their (n, 2^n) sigma_z values, site 0 the
+    most significant bit (the order of a kron chain over sites 0..n-1)."""
+    idx = np.arange(2 ** n)
+    shifts = np.arange(n - 1, -1, -1)[:, None]
+    return idx, 1.0 - 2.0 * ((idx >> shifts) & 1)
+
+
+def two_state_hamiltonians(models) -> engine.ConditionalHamiltonians:
+    """Conditional Hamiltonians sum_k (x_k sigma_x,k + z_k sigma_z,k) / 2 of the
+    independent two-state targets ``models`` on their joint 2^k space (``_basis``):
+    sigma_z,k is diagonal with the sign of bit k, sigma_x,k one entry per basis
+    state, at the index with bit k flipped.  Above MAX_DIM states: CapacityError."""
+    k = len(models)
+    dim = 2 ** k
+    if dim > MAX_DIM:
+        raise CapacityError(f"joint pair space of dim {dim} exceeds {MAX_DIM}")
+    idx, sz = _basis(k)
+    out = []
+    for fields in ([m.h_u for m in models], [m.h_d for m in models]):
+        h = np.zeros((dim, dim))
+        for site, f in enumerate(fields):
+            h[idx, idx] += (0.5 * f.z) * sz[site]
+            h[idx ^ (1 << (k - 1 - site)), idx] += 0.5 * f.x
+        out.append(h.astype(complex))
+    return engine.ConditionalHamiltonians(h_u=out[0], h_d=out[1])
 
 
 def _half_cell(models, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -67,7 +67,7 @@ from .engine import QUANTITIES, ConditionalHamiltonians, _free_intervals, floque
 from .errors import ConfigError, NumericalConsistencyError, ValidationError, locate
 from .linalg import block_slices, two_product
 from .pseudospin import TwoStateModel, avg_hamiltonian_dip, diamond_boundaries, \
-    dip_positions, level_repulsion, two_state_grid
+    dip_positions, level_repulsion, two_state_grid, two_state_hamiltonians
 from .sensors import NVModel, donor_pair_polarizations, nv_two_state
 
 TWO_PI = 2.0 * math.pi
@@ -112,9 +112,9 @@ def _polarizations(cfg: ScanConfig, fields: list) -> list[tuple[float, float] | 
 
 
 def _two_state_models(cfg: ScanConfig, field_value: float | None,
-                      pols: tuple[float, float] | None) -> list[TwoStateModel] | None:
+                      pols: tuple[float, float] | None) -> list[TwoStateModel]:
     """The independent two-state targets at this field, given the sensor
-    polarizations there, or None for other systems."""
+    polarizations there, of any system but a cluster bath."""
     kind = cfg.system_kind
     if kind == "pseudospin":
         return [cfg.system]
@@ -127,9 +127,7 @@ def _two_state_models(cfg: ScanConfig, field_value: float | None,
         return [nv_two_state(nv)]
     if kind == "donor_pair":
         return [cfg.system.two_state(*pols)]
-    if kind == "independent_pairs":
-        return cfg.system.two_state_models(*pols)
-    return None
+    return cfg.system.two_state_models(*pols)  # independent_pairs
 
 
 def _field_b0(cfg: ScanConfig, field_value: float | None) -> float:
@@ -143,14 +141,11 @@ def _field_b0(cfg: ScanConfig, field_value: float | None) -> float:
 def _row_hamiltonians(cfg: ScanConfig, field_value: float | None,
                       pols: tuple[float, float] | None) -> ConditionalHamiltonians:
     """The conditional Hamiltonians at this field, given the sensor polarizations there."""
-    kind = cfg.system_kind
-    if kind == "cluster3":
+    if cfg.system_kind == "cluster3":
         return conditional_cluster_hamiltonians(cfg.system, *pols)
-    if kind == "independent_pairs":
-        return cfg.system.conditional(*pols)
-    if kind == "joint_full":
+    if cfg.system_kind == "joint_full":
         return joint_full_model(cfg.donor, cfg.system, _field_b0(cfg, field_value))
-    return _two_state_models(cfg, field_value, pols)[0].conditional()
+    return two_state_hamiltonians(_two_state_models(cfg, field_value, pols))
 
 
 def _require_phase(radius: float, tau_max: float, delta: float, cells: int) -> None:
@@ -168,8 +163,8 @@ def _require_phase(radius: float, tau_max: float, delta: float, cells: int) -> N
 
 
 def _closed_form(models: list[list[TwoStateModel]], tau_eff: np.ndarray, n_p: int,
-                 quantity: str, out: np.ndarray) -> None:
-    """Fill ``out`` (rows, tau) with the product over each row's two-state targets.
+                 quantity: str) -> np.ndarray:
+    """The (rows, tau) product of ``quantity`` over each row's two-state targets.
 
     ``two_state_grid`` takes target k of every row of a chunk of rows
     (``block_slices`` of float tau rows); a row's targets combine in their
@@ -178,6 +173,7 @@ def _closed_form(models: list[list[TwoStateModel]], tau_eff: np.ndarray, n_p: in
     """
     combine = (np.multiply if quantity == "coherence"
                else lambda e, f: (1.0 + e) * (1.0 + f) / 2.0 - 1.0)
+    out = np.empty((len(models), tau_eff.size))
     for block in block_slices(len(models), 8 * tau_eff.size):
         chunk = models[block]
         try:
@@ -186,6 +182,7 @@ def _closed_form(models: list[list[TwoStateModel]], tau_eff: np.ndarray, n_p: in
         except (ValidationError, NumericalConsistencyError) as exc:
             raise locate(exc, block.start + exc.index)
         out[block] = reduce(combine, grids)
+    return out
 
 
 def field_rows(cfg: ScanConfig, fields: list,
@@ -208,9 +205,9 @@ def field_rows(cfg: ScanConfig, fields: list,
     of length 4 max(tau + delta) when coherence is asked for, one cell
     otherwise.  An error's ``index`` is its row, and its message starts
     'row i (field f): ' when that row's field is given (not None).  The
-    first failing row is named: on the engine path the rows before one
-    that fails to build or exceeds the phase limit still go through the
-    kernel, which names its first failing row and tau.  A tau + delta that
+    first failing row is named: the rows before one that fails to build or
+    exceeds the phase limit still go through the kernel, which names its
+    first failing row (and tau on the engine path).  A tau + delta that
     overflows is a grid error, raised before any row: its message names the
     tau, and its ``index`` is that tau.
     """
@@ -222,35 +219,31 @@ def field_rows(cfg: ScanConfig, fields: list,
     tau_max = float(taus.max())
     try:
         pols = _polarizations(cfg, fields)
-        if cfg.system_kind in ("cluster3", "joint_full"):
-            chs, failure = [], None
-            for i, field in enumerate(fields):
-                try:
-                    ch = _row_hamiltonians(cfg, field, pols[i])
-                    _require_phase(ch.spectral_radius, tau_max, delta, cells)
-                except (ValidationError, NumericalConsistencyError) as exc:
-                    failure = locate(exc, i)
-                    break
-                chs.append(ch)
-            # The rows before a failing one go through the kernel first: one
-            # of them may fail there, and the first failing row is named.
-            values = floquet_rows(chs, taus, n_p, quantities, pulse_duration=delta)
-            if failure is not None:
-                raise failure
-            return values, None, pols if cfg.system_kind == "cluster3" else None
-        models = []
+        engine_path = cfg.system_kind in ("cluster3", "joint_full")
+        rows, failure = [], None
         for i, field in enumerate(fields):
             try:
-                row_models = _two_state_models(cfg, field, pols[i])
-                _require_phase(max(sum(m.omega_u for m in row_models),
-                                   sum(m.omega_d for m in row_models)), tau_max, delta, cells)
+                if engine_path:
+                    row = _row_hamiltonians(cfg, field, pols[i])
+                    radius = row.spectral_radius
+                else:
+                    row = _two_state_models(cfg, field, pols[i])
+                    radius = max(sum(m.omega_u for m in row), sum(m.omega_d for m in row))
+                _require_phase(radius, tau_max, delta, cells)
             except (ValidationError, NumericalConsistencyError) as exc:
-                raise locate(exc, i)
-            models.append(row_models)
-        values = {q: np.empty((len(fields), taus.size)) for q in quantities}
-        for q in quantities:
-            _closed_form(models, tau_eff, n_p, q, values[q])
-        return values, models, None
+                failure = locate(exc, i)
+                break
+            rows.append(row)
+        # The rows before a failing one go through the kernel first: one of
+        # them may fail there, and the first failing row is named.
+        if engine_path:
+            values = floquet_rows(rows, taus, n_p, quantities, pulse_duration=delta)
+        else:
+            values = {q: _closed_form(rows, tau_eff, n_p, q) for q in quantities}
+        if failure is not None:
+            raise failure
+        return (values, None if engine_path else rows,
+                pols if cfg.system_kind == "cluster3" else None)
     except (ValidationError, NumericalConsistencyError) as exc:
         i = getattr(exc, "index", 0)  # without an index (no field given) every row fails
         raise locate(exc, i, None if fields[i] is None else f"row {i} (field {fields[i]:g})")
@@ -441,33 +434,31 @@ def _cut(column, part: tuple):
     return column[tuple(s if n > 1 else slice(None) for s, n in zip(part, column.shape))]
 
 
-def write_csv(path: Path, header: list[str], blocks) -> None:
+def write_csv(path: Path, header: list[str], columns) -> None:
     """Write a UTF-8 CSV file with ``\\n`` line endings, atomically.
 
-    ``blocks`` yields the lines as blocks of columns.  The leading axes of
-    a block's columns (all axes of a value column, all but the last of a
-    cell column) are equal in number and broadcast to the block's shape,
-    whose lines run in C order: in a (fields, tau) block a (fields, 1)
-    column repeats each field along its row and a (1, tau) column the tau
-    values in every row.  A float array is a column of ``%.17g`` cells
-    (``_format_floats``), a uint8 array a column of cells it formatted
-    before (its last axis holds a cell's bytes), any other NumPy array a
-    column of its ``astype(bytes)`` cells and any other sequence a 1-D
-    column of str() cells.  Each block is laid out and written in parts
-    (``_parts``) holding at most ``linalg.BLOCK_BYTES`` of float64 cells,
-    so the file is streamed and never held whole.
+    The leading axes of ``columns`` (all axes of a value column, all but
+    the last of a cell column) are equal in number and broadcast to one
+    shape, whose lines run in C order: in a (fields, tau) table a
+    (fields, 1) column repeats each field along its row and a (1, tau)
+    column the tau values in every row.  A float array is a column of
+    ``%.17g`` cells (``_format_floats``), a uint8 array a column of cells
+    it formatted before (its last axis holds a cell's bytes), any other
+    NumPy array a column of its ``astype(bytes)`` cells and any other
+    sequence a 1-D column of str() cells.  The lines are laid out and
+    written in parts (``_parts``) holding at most ``linalg.BLOCK_BYTES`` of
+    float64 cells, so the file is streamed and never held whole.
     """
+    columns = list(columns)
+    shape = np.broadcast_shapes(*(c.shape[:-1] if _is_cells(c) else c.shape
+                                  if isinstance(c, np.ndarray) else (len(c),)
+                                  for c in columns))
+    line_bytes = 8 * max(sum(map(_is_float, columns)), 1)
+
     def chunks():
         yield (",".join(header) + "\n").encode("utf-8")
-        for columns in blocks:
-            columns = list(columns)
-            shape = np.broadcast_shapes(*(c.shape[:-1] if _is_cells(c) else c.shape
-                                          if isinstance(c, np.ndarray) else (len(c),)
-                                          for c in columns))
-            line_bytes = 8 * max(sum(map(_is_float, columns)), 1)
-            for part in _parts(shape, line_bytes):
-                yield _lines([_cut(c, part) for c in columns],
-                             tuple(s.stop - s.start for s in part))
+        for part in _parts(shape, line_bytes):
+            yield _lines([_cut(c, part) for c in columns], tuple(s.stop - s.start for s in part))
 
     _write_atomic(path, chunks())
 
@@ -519,7 +510,7 @@ def run_trace(cfg: ScanConfig, outdir: Path) -> list[Path]:
     _check_range(data.envelope, "envelope")
     out = outdir / "trace.csv"
     write_csv(out, ["tau_s", "coherence", "envelope"],
-              [(data.taus, data.coherence, data.envelope)])
+              (data.taus, data.coherence, data.envelope))
     manifest = outdir / "trace_manifest.json"
     write_manifest(manifest, cfg, "trace", [out.name])
     return [out, manifest]
@@ -587,11 +578,11 @@ def run_map(cfg: ScanConfig, outdir: Path) -> list[Path]:
         taus, fields = np.split(_format_floats(np.concatenate(
             [cfg.tau_axis.values(), field_values])), [cfg.tau_axis.count])
         write_csv(out_csv, [cfg.field_axis.name, "tau_s", quantity],
-                  [(fields[:, None], taus[None], grid)])
+                  (fields[:, None], taus[None], grid))
         files.append(out_csv)
         if overlay is not None:
             out_overlay = outdir / "map_overlay.csv"
-            write_csv(out_overlay, header, [overlay.T])
+            write_csv(out_overlay, header, overlay.T)
             files.append(out_overlay)
     if cfg.output.format in ("pgm", "both"):
         out_pgm = outdir / "map.pgm"
@@ -615,7 +606,7 @@ def run_spectrum(cfg: ScanConfig, outdir: Path) -> list[Path]:
     dim = scan.phases.shape[1]
     header = ["tau_s"] + [f"phase_{k + 1}" for k in range(dim)] + ["crossing"]
     out = outdir / "spectrum.csv"
-    write_csv(out, header, [(scan.taus, *scan.phases.T, scan.crossings.astype(int))])
+    write_csv(out, header, (scan.taus, *scan.phases.T, scan.crossings.astype(int)))
     manifest = outdir / "spectrum_manifest.json"
     write_manifest(manifest, cfg, "spectrum", [out.name])
     return [out, manifest]
@@ -671,8 +662,8 @@ def run_dips(cfg: ScanConfig, outdir: Path) -> list[Path]:
     tau, method, delta, depth, harmonic = zip(*rows) if rows else [()] * 5
     out = outdir / "dips.csv"
     write_csv(out, ["tau_dip_s", "method", "delta_rad", "depth", "harmonic"],
-              [(np.array(tau, float), method, np.array(delta, float),
-                np.array(depth, float), harmonic)])
+              (np.array(tau, float), method, np.array(delta, float),
+               np.array(depth, float), harmonic))
     manifest = outdir / "dips_manifest.json"
     write_manifest(manifest, cfg, "dips", [out.name])
     return [out, manifest]

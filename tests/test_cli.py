@@ -86,6 +86,30 @@ class TestExitCodes:
         cfg = write_cfg(tmp_path / "c.json", doc)
         assert main(["trace", "--config", cfg, "--output", str(tmp_path)]) == 4
 
+    def test_joint_full_donor_size_is_no_capacity_limit(self, tmp_path, capsys):
+        # A donor of 2 (2I + 1) = 84 levels over a 6-spin bath: the model
+        # builds only the 64-state bath space, never the 5376-state joint one,
+        # and its trace is the cluster's at the donor's polarizations.
+        rng = np.random.default_rng(7)
+        c = np.triu(rng.uniform(-3e3, 3e3, (6, 6)), 1)
+        cluster = {"a_rad_s": rng.uniform(-2e5, 2e5, 6).tolist(), "c_rad_s": (c + c.T).tolist()}
+        donor = {"hyperfine_a_hz": 1.4754e9, "nuclear_spin": 20.5, "delta_gamma": 0.0,
+                 "gamma_e_hz_per_tesla": 2.8e10, "level_u": 44, "level_d": 41}
+        doc = {"system": {"kind": "joint_full", "donor": donor, "b0_tesla": 0.15,
+                          "cluster": cluster},
+               "axes": {"tau_s": {"start": 2e-6, "stop": 8e-5, "count": 6}}}
+        outdir = tmp_path / "joint"
+        cfg = write_cfg(tmp_path / "c.json", doc)
+        assert main(["trace", "--config", cfg, "--output", str(outdir)]) == 0
+        assert capsys.readouterr().err == ""
+        p_u, p_d = floqsens.donor_pair_polarizations(floqsens.config.load_config(cfg).donor, 0.15)
+        doc["system"] = {"kind": "cluster3", "cluster": cluster, "p_u": p_u, "p_d": p_d}
+        assert main(["trace", "--config", write_cfg(tmp_path / "c3.json", doc),
+                     "--output", str(tmp_path / "cluster")]) == 0
+        joint, cond = (np.loadtxt(tmp_path / name / "trace.csv", delimiter=",", skiprows=1)
+                       for name in ("joint", "cluster"))
+        assert np.abs(joint - cond).max() <= 1e-9
+
     @pytest.mark.parametrize("blocked", ["directory", "file"])
     def test_unwritable_output(self, tmp_path, capsys, blocked):
         doc = pseudospin_doc()

@@ -481,7 +481,8 @@ class TestBasisBuild:
         for site, model in enumerate(ps.two_state_models(p_u, p_d)):
             left = np.eye(2 ** site, dtype=complex)
             right = np.eye(2 ** (k - site - 1), dtype=complex)
-            mu, md = model.hamiltonians()
+            mu, md = (np.array([[f.z / 2, f.x / 2], [f.x / 2, -f.z / 2]], dtype=complex)
+                      for f in (model.h_u, model.h_d))
             ref_u += np.kron(np.kron(left, mu), right)
             ref_d += np.kron(np.kron(left, md), right)
         ch = ps.conditional(p_u, p_d)

@@ -3,8 +3,9 @@ import math
 
 import pytest
 
-from floqsens import CapacityError, ConfigError
-from floqsens.config import MAX_GRID_POINTS, load_config, parse_config
+from floqsens import CapacityError, ConfigError, si_bi
+from floqsens.config import MAX_GRID_POINTS, AxisSpec, OutputSpec, SequenceSpec, load_config, \
+    parse_config
 
 
 def minimal_pseudospin():
@@ -23,6 +24,17 @@ class TestDefaults:
         assert cfg.sequence.pulse_duration == 0.0
         assert cfg.output.quantity == "coherence"
         assert cfg.output.format == "csv"
+        # Every omitted key takes the default its record declares.
+        assert cfg.sequence == SequenceSpec()
+        assert cfg.output == OutputSpec()
+        assert cfg.tau_axis == AxisSpec("tau_s", 1e-6, 1e-4, 50)
+        raw = {"system": {"kind": "donor_pair", "donor": {"preset": "si_bi"},
+                          "pair": {"delta_a_rad_s": 180e3, "c12_rad_s": 1.8e3}},
+               "axes": {"tau_s": {"start": 1e-6, "stop": 1e-4, "count": 50},
+                        "b0_tesla": {"start": 0.1, "stop": 0.2, "count": 3}}}
+        cfg = parse_config(raw)
+        assert cfg.donor == si_bi()
+        assert cfg.field_axis == AxisSpec("b0_tesla", 0.1, 0.2, 3)
 
     def test_hz_conversion(self):
         raw = minimal_pseudospin()

@@ -6,10 +6,12 @@ from hypothesis import strategies as st
 
 import floqsens.linalg as linalg
 from floqsens import NumericalConsistencyError, ValidationError, expm_hermitian
-from floqsens.linalg import PAULI_X, PAULI_Z, eig_unitaries, hermiticity_defect, \
-    unitarity_defect
+from floqsens.linalg import eig_unitaries, hermiticity_defect, unitarity_defect
 
 from conftest import matched_gap, random_hermitian, schur_modes, spin_operators
+
+PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
 class TestExpmHermitian:

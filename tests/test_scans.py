@@ -10,12 +10,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from floqsens import CapacityError, PairSet, ValidationError, floquet_phase, scans
+from floqsens import CapacityError, ValidationError, clusters, floquet_phase, pseudospin, scans
 from floqsens.config import parse_config
 from floqsens.engine import floquet_rows
 from floqsens.scans import FORMAT_ARRAY_MIN, _format_floats, _json_text, compute_trace, \
     field_rows, run_dips, run_map, run_spectrum, run_trace, write_csv, write_pgm
-from conftest import near_crossing, oracle_cells, oracle_coherence
+from conftest import matched_gap, near_crossing, oracle_cells, oracle_coherence, schur_modes
 
 
 def pseudospin_cfg(**over):
@@ -197,10 +197,11 @@ def test_coincident_pair_levels_give_the_product_floor(tau):
 
 
 def test_pair_traces_and_maps_never_build_the_joint_space(tmp_path, monkeypatch):
-    def no_joint_space(self, p_u, p_d):
+    def no_joint_space(models):
         raise CapacityError("joint pair space built")
 
-    monkeypatch.setattr(PairSet, "conditional", no_joint_space)
+    for module in (pseudospin, clusters, scans):  # every module that calls the builder
+        monkeypatch.setattr(module, "two_state_hamiltonians", no_joint_space)
     doc = {"system": {"kind": "independent_pairs", "donor": "si_bi", "b0_tesla": 0.15,
                       "pairs": [{"delta_a_rad_s": 180e3, "c12_rad_s": 1.05e3},
                                 {"delta_a_rad_s": -100e3, "c12_rad_s": 2.2e3}]},
@@ -309,7 +310,7 @@ def csv_tables(draw, n_kinds):
 
 
 def csv_columns(kinds, rows):
-    """The rows of a csv_tables table as one block of columns: float cells
+    """The rows of a csv_tables table as write_csv columns: float cells
     as a float array, any other cells as they are."""
     columns = list(zip(*rows)) or [()] * len(kinds)
     return [np.array(c, dtype=float) if kind in ("float", "numpy") else c
@@ -338,26 +339,8 @@ class TestWriteCsv:
         kinds, rows = table
         header = [f"c{k}" for k in range(len(kinds))]
         path = tmp_path_factory.mktemp("csv") / "out.csv"
-        write_csv(path, header, [csv_columns(kinds, rows)])
+        write_csv(path, header, csv_columns(kinds, rows))
         assert path.read_bytes() == reference_csv(header, rows).encode("utf-8")
-
-    @settings(max_examples=100, deadline=None)
-    @given(keys=st.integers(1, 3).flatmap(csv_tables), body=st.integers(1, 4).flatmap(csv_tables),
-           data=st.data())
-    def test_keyed_blocks_match_flat_rows(self, tmp_path_factory, keys, body, data):
-        # Each block starts with the cells of its key, float keys formatted once.
-        (key_kinds, key_rows), (kinds, rows) = keys, body
-        blocks = [data.draw(st.lists(st.sampled_from(rows), max_size=5)) if rows else []
-                  for _ in key_rows]
-        header = ["k"] * len(keys[0]) + ["v"] * len(body[0])
-        path = tmp_path_factory.mktemp("csv") / "out.csv"
-        write_csv(path, header, [
-            [np.repeat(_format_floats(np.array([cell])), len(block), axis=0)
-             if kind in ("float", "numpy") else [cell] * len(block)
-             for kind, cell in zip(key_kinds, key)] + csv_columns(kinds, block)
-            for key, block in zip(key_rows, blocks)])
-        flat = [key + row for key, block in zip(key_rows, blocks) for row in block]
-        assert path.read_bytes() == reference_csv(header, flat).encode("utf-8")
 
     def test_map_layout(self, tmp_path):
         # run_map passes the field and tau cells formatted once per map.
@@ -367,8 +350,8 @@ class TestWriteCsv:
         rows = [(float(f), float(t), float(grid[i, j]))
                 for i, f in enumerate(fields) for j, t in enumerate(taus)]
         write_csv(tmp_path / "a.csv", ["f", "t", "v"],
-                  [(np.repeat(_format_floats(fields), len(taus), axis=0),
-                    np.tile(_format_floats(taus), (len(fields), 1)), grid.ravel())])
+                  (np.repeat(_format_floats(fields), len(taus), axis=0),
+                   np.tile(_format_floats(taus), (len(fields), 1)), grid.ravel()))
         assert (tmp_path / "a.csv").read_text() == reference_csv(["f", "t", "v"], rows)
 
     def test_blocks_are_written_in_bounded_slices(self, tmp_path, monkeypatch):
@@ -378,7 +361,7 @@ class TestWriteCsv:
                                                  for i in range(0, count, 3)))
         rows = [(0.1 * i, str(i), -1.0 / (i + 1)) for i in range(10)]
         write_csv(tmp_path / "a.csv", ["a", "b", "c"],
-                  [csv_columns(["float", "str", "float"], rows)])
+                  csv_columns(["float", "str", "float"], rows))
         assert (tmp_path / "a.csv").read_text() == reference_csv(["a", "b", "c"], rows)
 
     def test_numpy_integer_and_bool_columns(self, tmp_path):
@@ -387,7 +370,7 @@ class TestWriteCsv:
         ints = np.array([0, 1, -7, 2 ** 63 - 1, -2 ** 63], np.int64)
         flags = np.array([True, False, True, True, False])
         wide = np.array([0, 255, 3, 65535, 128], np.uint16)
-        write_csv(tmp_path / "a.csv", ["i", "b", "u"], [(ints, flags, wide)])
+        write_csv(tmp_path / "a.csv", ["i", "b", "u"], (ints, flags, wide))
         rows = list(zip(ints, flags, wide))
         assert (tmp_path / "a.csv").read_text() == reference_csv(["i", "b", "u"], rows)
 
@@ -647,6 +630,41 @@ class TestSpectrum:
             want = np.angle(np.exp(1j * line))
             got = sorted(float(v) for v in row[1:3])
             assert got == pytest.approx(sorted([want, -want]), abs=1e-9)
+
+    @pytest.mark.parametrize("system", [
+        {"kind": "pseudospin", "h_u": {"x_rad_s": 1.4e4, "z_rad_s": 4.2e4},
+         "h_d": {"x_rad_s": 1.4e4, "z_rad_s": -2.2e4}},
+        # h_d has z = 0 and x < 0: the sign of its diagonal zeros depends on
+        # the order in which its terms are summed
+        {"kind": "nv", "omega_x_hz": -2.5e3, "omega_z_hz": 0.0, "a_par_hz": 3e4},
+        {"kind": "donor_pair", "donor": "si_bi", "b0_tesla": 0.15,
+         "pair": {"delta_a_rad_s": 180e3, "c12_rad_s": 1.8e3}},
+        {"kind": "independent_pairs", "donor": "si_bi", "b0_tesla": 0.15,
+         "pairs": [{"delta_a_rad_s": 180e3, "c12_rad_s": 1.05e3},
+                   {"delta_a_rad_s": 0.0, "c12_rad_s": 2.2e3},
+                   {"delta_a_rad_s": -100e3, "c12_rad_s": 1.5e3}]},
+    ], ids=["pseudospin", "nv", "donor_pair", "independent_pairs"])
+    def test_two_state_phases_match_schur(self, tmp_path, system):
+        # The written phases against the Schur phases of T_u2 = W_u W_d from
+        # kron chains of the 2x2 Hamiltonians [[z, x], [x, -z]] / 2, which the
+        # builder reproduces exactly for one target.
+        cfg = parse_config({"system": system,
+                            "axes": {"tau_s": {"start": 1e-6, "stop": 2.4e-4, "count": 40}}})
+        models = scans._two_state_models(cfg, None, *scans._polarizations(cfg, [None]))
+        h = [0, 0]  # h_u, h_d
+        for site, model in enumerate(models):
+            ch = pseudospin.two_state_hamiltonians([model])
+            left, right = np.eye(2 ** site), np.eye(2 ** (len(models) - site - 1))
+            for b, (built, f) in enumerate(((ch.h_u, model.h_u), (ch.h_d, model.h_d))):
+                single = np.array([[f.z / 2, f.x / 2], [f.x / 2, -f.z / 2]])
+                assert (built == single).all()
+                h[b] = h[b] + np.kron(np.kron(left, single), right)
+        run_spectrum(cfg, tmp_path)
+        _, rows = read_csv(tmp_path / "spectrum.csv")
+        phases = np.array([[float(v) for v in row[1:-1]] for row in rows])
+        w_u, w_d = oracle_cells(*h, cfg.tau_axis.values())
+        want = schur_modes(w_u @ w_d)[0]
+        assert max(matched_gap(got, ref) for got, ref in zip(phases, want)) <= 1e-12
 
     def test_gap_at_dip_equals_twice_delta(self, tmp_path):
         from floqsens import dip_positions
