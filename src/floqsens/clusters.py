@@ -18,9 +18,8 @@ returned here are normalized as twice the diagonal of H_u + H_d so that a
 dip sits at tau = 2 pi / |eps_l - eps_m|; with that normalization the
 first doublet lands at tau = 2 pi / |Delta_12 (P_u + P_d) +- 2 (C31 - C23)|.
 
-Independent pairs are two-state targets (``PairSet.two_state_models``);
-their joint 2^k space (``PairSet.conditional``, built by
-``pseudospin.two_state_hamiltonians``) serves only spectra.
+Independent pairs are two-state targets (``PairSet.two_state_models``),
+computed in closed form by ``pseudospin``; no joint 2^k space is built.
 
 Every 2^n space is built from the bit patterns of its basis indices, site
 0 the most significant bit (kron order): Iz_k is diagonal with the sign of
@@ -39,7 +38,7 @@ import numpy as np
 
 from .engine import ConditionalHamiltonians
 from .errors import CapacityError, ValidationError, _Validated
-from .pseudospin import TwoStateModel, _basis, two_state_hamiltonians
+from .pseudospin import TwoStateModel, _basis
 from .sensors import DonorModel, PairTarget, donor_levels
 
 MAX_BATH_SPINS = 6
@@ -140,11 +139,6 @@ class PairSet(NamedTuple):
 
     def two_state_models(self, p_u: float, p_d: float) -> list[TwoStateModel]:
         return [t.two_state(p_u, p_d) for t in self.pairs]
-
-    def conditional(self, p_u: float, p_d: float) -> ConditionalHamiltonians:
-        """Joint conditional Hamiltonians of all pairs (``two_state_hamiltonians``),
-        pair 0 the most significant bit: sum_k (x_k sigma_x,k + z_k sigma_z,k) / 2."""
-        return two_state_hamiltonians(self.two_state_models(p_u, p_d))
 
 
 def secular_quasienergies(cluster: SpinCluster, p_u: float, p_d: float) -> np.ndarray:

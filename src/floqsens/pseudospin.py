@@ -21,7 +21,9 @@ and F full precision up to a true level crossing (q -> 0).  There F is
 0/0 and taken as 0, as in the engine, which puts the eigenphases +-E of
 a cell into one cluster once q <= CROSSING_Q.  ``two_state_grid`` gives
 coherence or envelope for many models on one (models, tau) grid;
-``coherence_analytic`` and ``envelope`` are its one-model calls.
+``coherence_analytic`` and ``envelope`` are its one-model calls.  The
+tracked cell phases of spectra (``two_state_phases``) also take the x-z
+part of the half cell; ``floquet_phase`` is their unsigned one-model call.
 """
 
 from __future__ import annotations
@@ -111,10 +113,6 @@ class TwoStateModel(NamedTuple):
     def theta_d(self) -> float:
         return self.h_d.theta
 
-    def conditional(self) -> engine.ConditionalHamiltonians:
-        """The 2x2 conditional Hamiltonians (x sigma_x + z sigma_z) / 2."""
-        return two_state_hamiltonians([self])
-
 
 def _basis(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Basis indices of n spin-1/2 and their (n, 2^n) sigma_z values, site 0 the
@@ -122,26 +120,6 @@ def _basis(n: int) -> tuple[np.ndarray, np.ndarray]:
     idx = np.arange(2 ** n)
     shifts = np.arange(n - 1, -1, -1)[:, None]
     return idx, 1.0 - 2.0 * ((idx >> shifts) & 1)
-
-
-def two_state_hamiltonians(models) -> engine.ConditionalHamiltonians:
-    """Conditional Hamiltonians sum_k (x_k sigma_x,k + z_k sigma_z,k) / 2 of the
-    independent two-state targets ``models`` on their joint 2^k space (``_basis``):
-    sigma_z,k is diagonal with the sign of bit k, sigma_x,k one entry per basis
-    state, at the index with bit k flipped.  Above MAX_DIM states: CapacityError."""
-    k = len(models)
-    dim = 2 ** k
-    if dim > MAX_DIM:
-        raise CapacityError(f"joint pair space of dim {dim} exceeds {MAX_DIM}")
-    idx, sz = _basis(k)
-    out = []
-    for fields in ([m.h_u for m in models], [m.h_d for m in models]):
-        h = np.zeros((dim, dim))
-        for site, f in enumerate(fields):
-            h[idx, idx] += (0.5 * f.z) * sz[site]
-            h[idx ^ (1 << (k - 1 - site)), idx] += 0.5 * f.x
-        out.append(h.astype(complex))
-    return engine.ConditionalHamiltonians(h_u=out[0], h_d=out[1])
 
 
 def _half_cell(models, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -154,13 +132,41 @@ def _half_cell(models, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.cos(au) * np.cos(ad) - sin_sin * np.cos(turn), sin_sin * np.sin(turn)
 
 
-def _cell(model: TwoStateModel, s) -> tuple[np.ndarray, np.ndarray]:
-    """``_half_cell`` of one model, shaped like ``s``; an s that is not finite
-    and >= 0 raises ValidationError."""
+def two_state_phases(models, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Tracked cell phase and own gap of each model over the ascending 1-d ``s``,
+    as two (len(models), s.size) arrays.  Besides a0 and y (``_half_cell``)
+    the half cell has the x-z part v = c_u s_d n_d + s_u c_d n_u, c_i =
+    cos(w_i s), s_i = sin(w_i s), n_i = (sin theta_i, cos theta_i).  The cell
+    is exp(-i E m.sigma / |m|), E = 2 atan2(|v|, sqrt(a0^2 + y^2)) in [0, pi]
+    (no subtraction), m = (a0 v_x - y v_z, a0 v_z + y v_x).  A row starts on
+    the mode of +E and flips sign where m turns by more than pi/2 from one s
+    to the next: the engine's largest overlap (cos or sin of half the turn),
+    one choice per target of a product.  The own gap min(2E, 2 pi - 2E) is
+    inf where x_u = x_d = 0 (two conserved sectors).  Above MAX_DIM joint
+    states: CapacityError."""
+    if 2 ** len(models) > MAX_DIM:
+        raise CapacityError(f"joint pair space of dim {2 ** len(models)} exceeds {MAX_DIM}")
+    a0, y = _half_cell(models, s)
+    au, ad, th_u, th_d = (np.array([[getattr(m, name)] for m in models]) for name in
+                          ("omega_u", "omega_d", "theta_u", "theta_d"))
+    cu_sd, su_cd = np.cos(au * s) * np.sin(ad * s), np.sin(au * s) * np.cos(ad * s)
+    v_x, v_z = (cu_sd * f(th_d) + su_cd * f(th_u) for f in (np.sin, np.cos))
+    phase = 2.0 * np.arctan2(np.hypot(v_x, v_z), np.sqrt(a0 * a0 + y * y))
+    gap = np.minimum(2.0 * phase, 2.0 * math.pi - 2.0 * phase)
+    gap[[m.h_u.x == 0 and m.h_d.x == 0 for m in models]] = math.inf
+    m_x, m_z = a0 * v_x - y * v_z, a0 * v_z + y * v_x
+    flips = m_x[:, 1:] * m_x[:, :-1] + m_z[:, 1:] * m_z[:, :-1] < 0
+    phase[:, 1:] *= np.cumprod(np.where(flips, -1.0, 1.0), axis=1)
+    return phase, gap
+
+
+def _cell(model: TwoStateModel, s, kernel=_half_cell) -> tuple[np.ndarray, np.ndarray]:
+    """``kernel`` (``_half_cell`` or ``two_state_phases``) of one model, shaped
+    like ``s``; an s that is not finite and >= 0 raises ValidationError."""
     s = np.asarray(s, dtype=float)
     if not np.all(np.isfinite(s) & (s >= 0)):
         raise ValidationError("pulse interval must be finite and >= 0")
-    return tuple(x.reshape(s.shape) for x in _half_cell([model], s.ravel()))
+    return tuple(x.reshape(s.shape) for x in kernel([model], s.ravel()))
 
 
 def _like(s, x):
@@ -174,9 +180,9 @@ def cos_floquet_phase(model: TwoStateModel, s) -> np.ndarray | float:
 
 
 def floquet_phase(model: TwoStateModel, s) -> np.ndarray | float:
-    """Principal cell eigenphase E(s) = 2 arccos(sqrt(q)) in [0, pi]; vectorized over s."""
-    a0, y = _cell(model, s)
-    return _like(s, 2.0 * np.arccos(np.minimum(np.sqrt(a0 * a0 + y * y), 1.0)))
+    """Principal cell eigenphase E(s) in [0, pi], the unsigned one-model call of
+    ``two_state_phases``; vectorized over s."""
+    return _like(s, np.abs(_cell(model, s, two_state_phases)[0]))
 
 
 def two_state_grid(models, tau: np.ndarray, quantity: str, n_p: int = 1) -> np.ndarray:

@@ -2,20 +2,21 @@
 
 A map computes its rows in one ``field_rows`` call and ``compute_trace``
 is the one-field call, so a map row and the trace at its field are
-bitwise identical.  The donor polarizations of all fields come from
-the closed-form levels of ``sensors.donor_levels``.  Products of
-independent two-state targets (the two-state systems and
-``independent_pairs``) are evaluated in closed form on (rows, tau)
-grids, in chunks of rows of at most ``linalg.BLOCK_BYTES`` per array,
-with no joint 2^k space.  Every other system (``cluster3``,
-``joint_full``) goes through one call of the engine's row kernel
+bitwise identical.  The donor polarizations of all fields come from the
+closed-form levels of ``sensors.donor_levels``.  Products of independent
+two-state targets (the two-state systems and ``independent_pairs``) are
+evaluated in closed form on (rows, tau) grids, in chunks of rows of at
+most ``linalg.BLOCK_BYTES`` per array, and their spectra from
+``pseudospin.two_state_phases``, with no joint 2^k space.  Every other
+system (``ENGINE_KINDS``) goes through the engine, spectra through
+``spectrum_scan`` and rows through one call of its row kernel
 ``floquet_rows`` for all fields: it splits each field's cells into the
 sectors that H_u and H_d conserve (total Iz for cluster baths), stacks
 the (field, sector, tau) cells of equal sector size across fields, and
-adds the sector contributions up per field (coherence
-sum_b Re tr_b(P_u^dag P_d) / D, floor (2/D) sum_b w_b - 1).  A map asks
-only for the quantity it emits and a trace asks for both; each value is
-the same either way.  The overlay curves of a map reuse the models and
+adds the sector contributions up per field (coherence sum_b Re
+tr_b(P_u^dag P_d) / D, floor (2/D) sum_b w_b - 1).  A map asks only for
+the quantity it emits and a trace asks for both; each value is the same
+either way.  The overlay curves of a map reuse the models and
 polarizations of its rows.  The engine diagonalizes every dense cell
 once, with one batched eigensolver (``linalg.eig_unitaries``), and takes
 both quantities from that solve: the coherence from the Floquet
@@ -62,12 +63,12 @@ from . import __version__
 from .clusters import conditional_cluster_hamiltonians, doublet_dip_estimates, \
     joint_full_model
 from .config import ScanConfig
-from .engine import QUANTITIES, ConditionalHamiltonians, _free_intervals, floquet_rows, \
-    spectrum_scan
+from .engine import QUANTITIES, ConditionalHamiltonians, _fold, _free_intervals, \
+    floquet_rows, spectrum_scan
 from .errors import ConfigError, NumericalConsistencyError, ValidationError, locate
 from .linalg import block_slices, two_product
-from .pseudospin import TwoStateModel, avg_hamiltonian_dip, diamond_boundaries, \
-    dip_positions, level_repulsion, two_state_grid, two_state_hamiltonians
+from .pseudospin import TwoStateModel, _basis, avg_hamiltonian_dip, diamond_boundaries, \
+    dip_positions, level_repulsion, two_state_grid, two_state_phases
 from .sensors import NVModel, donor_pair_polarizations, nv_two_state
 
 TWO_PI = 2.0 * math.pi
@@ -89,6 +90,7 @@ CELL_BYTES = 27
 # array path costs a fixed ~150 NumPy calls, more than Python's own
 # formatting of a few hundred values.  Either way the bytes are the same.
 FORMAT_ARRAY_MIN = 512
+ENGINE_KINDS = ("cluster3", "joint_full")  # every other system is closed-form
 
 
 class TraceData(NamedTuple):
@@ -140,26 +142,41 @@ def _field_b0(cfg: ScanConfig, field_value: float | None) -> float:
 
 def _row_hamiltonians(cfg: ScanConfig, field_value: float | None,
                       pols: tuple[float, float] | None) -> ConditionalHamiltonians:
-    """The conditional Hamiltonians at this field, given the sensor polarizations there."""
+    """The cluster3 or joint_full Hamiltonians at a field, given the polarizations there."""
     if cfg.system_kind == "cluster3":
         return conditional_cluster_hamiltonians(cfg.system, *pols)
-    if cfg.system_kind == "joint_full":
-        return joint_full_model(cfg.donor, cfg.system, _field_b0(cfg, field_value))
-    return two_state_hamiltonians(_two_state_models(cfg, field_value, pols))
+    return joint_full_model(cfg.donor, cfg.system, _field_b0(cfg, field_value))
 
 
-def _require_phase(radius: float, tau_max: float, delta: float, cells: int) -> None:
-    """Reject a run whose largest accumulated phase exceeds MAX_PHASE_RAD.
-
-    The phase is radius 4 cells (tau_max + delta): the spectral radius of
-    the conditional Hamiltonians times ``cells`` cells of length
-    4 (tau + delta).
-    """
-    phase = radius * 4.0 * cells * (tau_max + delta)
-    if not phase <= MAX_PHASE_RAD:
-        raise ValidationError(
-            f"largest accumulated phase {phase:.3e} rad exceeds {MAX_PHASE_RAD:.0e} rad, "
-            f"beyond which double precision cannot represent it")
+def _rows(cfg: ScanConfig, fields: list, cells: int) -> tuple[list, list, Exception | None]:
+    """(rows, polarizations, failure) of the fields: the Hamiltonians of an
+    ``ENGINE_KINDS`` system or the two-state targets of any other, up to the
+    first row that fails to build or whose phase, its spectral radius
+    (max(sum_k w_u,k, sum_k w_d,k) for targets) times ``cells`` cells of
+    length 4 (tau_stop + delta), exceeds MAX_PHASE_RAD.  That failure, with
+    ``index`` its row, is raised at row 0 and returned later, so that the
+    rows before it can go through the kernel first."""
+    pols = _polarizations(cfg, fields)
+    rows = []
+    for i, field in enumerate(fields):
+        try:
+            if cfg.system_kind in ENGINE_KINDS:
+                row = _row_hamiltonians(cfg, field, pols[i])
+                radius = row.spectral_radius
+            else:
+                row = _two_state_models(cfg, field, pols[i])
+                radius = max(sum(m.omega_u for m in row), sum(m.omega_d for m in row))
+            phase = radius * 4.0 * cells * (cfg.tau_axis.stop + cfg.sequence.pulse_duration)
+            if not phase <= MAX_PHASE_RAD:
+                raise ValidationError(f"largest accumulated phase {phase:.3e} rad exceeds "
+                                      f"{MAX_PHASE_RAD:.0e} rad, beyond which double "
+                                      f"precision cannot represent it")
+        except (ValidationError, NumericalConsistencyError) as exc:
+            if not rows:
+                raise locate(exc, i)
+            return rows, pols, locate(exc, i)
+        rows.append(row)
+    return rows, pols, None
 
 
 def _closed_form(models: list[list[TwoStateModel]], tau_eff: np.ndarray, n_p: int,
@@ -200,10 +217,9 @@ def field_rows(cfg: ScanConfig, fields: list,
     ``_closed_form`` at the interval tau + delta (delta the pulse
     duration, as in the engine's cells), other systems through one
     ``floquet_rows`` call for all fields.  A row whose largest accumulated
-    phase exceeds MAX_PHASE_RAD raises ValidationError: the spectral radius
-    (max(sum_k w_u,k, sum_k w_d,k) for two-state targets) times n_p cells
-    of length 4 max(tau + delta) when coherence is asked for, one cell
-    otherwise.  An error's ``index`` is its row, and its message starts
+    phase exceeds MAX_PHASE_RAD raises ValidationError (``_rows``), with
+    n_p cells when coherence is asked for and one cell otherwise.  An
+    error's ``index`` is its row, and its message starts
     'row i (field f): ' when that row's field is given (not None).  The
     first failing row is named: the rows before one that fails to build or
     exceeds the phase limit still go through the kernel, which names its
@@ -215,25 +231,9 @@ def field_rows(cfg: ScanConfig, fields: list,
     n_p = cfg.sequence.n_p
     delta = cfg.sequence.pulse_duration
     tau_eff = _free_intervals(taus, delta)
-    cells = n_p if "coherence" in quantities else 1
-    tau_max = float(taus.max())
     try:
-        pols = _polarizations(cfg, fields)
-        engine_path = cfg.system_kind in ("cluster3", "joint_full")
-        rows, failure = [], None
-        for i, field in enumerate(fields):
-            try:
-                if engine_path:
-                    row = _row_hamiltonians(cfg, field, pols[i])
-                    radius = row.spectral_radius
-                else:
-                    row = _two_state_models(cfg, field, pols[i])
-                    radius = max(sum(m.omega_u for m in row), sum(m.omega_d for m in row))
-                _require_phase(radius, tau_max, delta, cells)
-            except (ValidationError, NumericalConsistencyError) as exc:
-                failure = locate(exc, i)
-                break
-            rows.append(row)
+        rows, pols, failure = _rows(cfg, fields, n_p if "coherence" in quantities else 1)
+        engine_path = cfg.system_kind in ENGINE_KINDS
         # The rows before a failing one go through the kernel first: one of
         # them may fail there, and the first failing row is named.
         if engine_path:
@@ -489,15 +489,17 @@ def _json_text(value, indent: str = "") -> str:
     return json.dumps(value)
 
 
-def write_manifest(path: Path, cfg: ScanConfig, command: str, files: list[str]) -> None:
+def write_manifest(path: Path, cfg: ScanConfig, command: str, files: list[Path]) -> list[Path]:
+    """Write the manifest of a run after its ``files``; returns them and ``path``."""
     doc = {
         "version": __version__,
         "command": command,
         "config_sha1": cfg.content_hash(),
         "config": cfg.resolved,
-        "files": files,
+        "files": [p.name for p in files],
     }
     _write_atomic(path, [(_json_text(doc) + "\n").encode("utf-8")])
+    return files + [path]
 
 
 def run_trace(cfg: ScanConfig, outdir: Path) -> list[Path]:
@@ -511,9 +513,7 @@ def run_trace(cfg: ScanConfig, outdir: Path) -> list[Path]:
     out = outdir / "trace.csv"
     write_csv(out, ["tau_s", "coherence", "envelope"],
               (data.taus, data.coherence, data.envelope))
-    manifest = outdir / "trace_manifest.json"
-    write_manifest(manifest, cfg, "trace", [out.name])
-    return [out, manifest]
+    return write_manifest(outdir / "trace_manifest.json", cfg, "trace", [out])
 
 
 def _overlay_rows(cfg: ScanConfig, field_values: list[float], models, pols):
@@ -588,28 +588,31 @@ def run_map(cfg: ScanConfig, outdir: Path) -> list[Path]:
         out_pgm = outdir / "map.pgm"
         write_pgm(out_pgm, grid)
         files.append(out_pgm)
-    manifest = outdir / "map_manifest.json"
-    write_manifest(manifest, cfg, "map", [p.name for p in files])
-    return files + [manifest]
+    return write_manifest(outdir / "map_manifest.json", cfg, "map", files)
 
 
 def run_spectrum(cfg: ScanConfig, outdir: Path) -> list[Path]:
-    """Emit eigenphase trajectories over the tau axis with crossing flags."""
+    """Emit eigenphase trajectories over the tau axis with crossing flags, from
+    ``spectrum_scan`` or, for k two-state targets, as fold(sum_k s_k E_k) of
+    their tracked phases (``two_state_phases``) per sign vector s, stably
+    sorted at the first tau; independent targets cross without repelling, so
+    ``crossing`` compares each target's own gap with ``crossing_gap``."""
     outdir.mkdir(parents=True, exist_ok=True)
     if cfg.field_axis is not None:
         raise ConfigError("spectrum takes a single tau axis; drop the field axis")
-    ch = _row_hamiltonians(cfg, None, *_polarizations(cfg, [None]))
-    _require_phase(ch.spectral_radius, cfg.tau_axis.stop, cfg.sequence.pulse_duration, 1)
-    scan = spectrum_scan(ch, cfg.tau_axis.values(),
-                         pulse_duration=cfg.sequence.pulse_duration,
-                         gap_threshold=cfg.output.crossing_gap)
-    dim = scan.phases.shape[1]
-    header = ["tau_s"] + [f"phase_{k + 1}" for k in range(dim)] + ["crossing"]
+    (row,), _, _ = _rows(cfg, [None], 1)
+    taus, delta, gap = cfg.tau_axis.values(), cfg.sequence.pulse_duration, cfg.output.crossing_gap
+    if cfg.system_kind in ENGINE_KINDS:
+        _, phases, crossings, _ = spectrum_scan(row, taus, delta, gap)
+    else:
+        target_phases, own_gaps = two_state_phases(row, _free_intervals(taus, delta))
+        phases = _fold(target_phases.T @ _basis(len(row))[1])  # one sign vector per column
+        phases = phases[:, np.argsort(phases[0], kind="stable")]
+        crossings = own_gaps.min(axis=0) < gap
+    header = ["tau_s"] + [f"phase_{k + 1}" for k in range(phases.shape[1])] + ["crossing"]
     out = outdir / "spectrum.csv"
-    write_csv(out, header, (scan.taus, *scan.phases.T, scan.crossings.astype(int)))
-    manifest = outdir / "spectrum_manifest.json"
-    write_manifest(manifest, cfg, "spectrum", [out.name])
-    return [out, manifest]
+    write_csv(out, header, (taus, *phases.T, crossings.astype(int)))
+    return write_manifest(outdir / "spectrum_manifest.json", cfg, "spectrum", [out])
 
 
 def run_dips(cfg: ScanConfig, outdir: Path) -> list[Path]:
@@ -634,8 +637,7 @@ def run_dips(cfg: ScanConfig, outdir: Path) -> list[Path]:
     s_stop = cfg.tau_axis.stop + pulse
     rows = []
     if cfg.system_kind in ("pseudospin", "nv", "donor_pair"):
-        model, = _two_state_models(cfg, None, *_polarizations(cfg, [None]))
-        _require_phase(max(model.omega_u, model.omega_d), cfg.tau_axis.stop, pulse, n_p)
+        ((model,),), _, _ = _rows(cfg, [None], n_p)
         for rec in dip_positions(model, s_stop, n_p=n_p):
             if rec.delta < MIN_REPORTED_DELTA:
                 continue
@@ -664,6 +666,4 @@ def run_dips(cfg: ScanConfig, outdir: Path) -> list[Path]:
     write_csv(out, ["tau_dip_s", "method", "delta_rad", "depth", "harmonic"],
               (np.array(tau, float), method, np.array(delta, float),
                np.array(depth, float), harmonic))
-    manifest = outdir / "dips_manifest.json"
-    write_manifest(manifest, cfg, "dips", [out.name])
-    return [out, manifest]
+    return write_manifest(outdir / "dips_manifest.json", cfg, "dips", [out])

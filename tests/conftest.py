@@ -71,6 +71,26 @@ def level_gaps(w: np.ndarray) -> np.ndarray:
     return np.minimum(np.concatenate([far, gaps], axis=-1), np.concatenate([gaps, far], axis=-1))
 
 
+def two_state_hamiltonians(models):
+    """Conditional Hamiltonians sum_k (x_k sigma_x,k + z_k sigma_z,k) / 2 of the
+    independent two-state targets ``models`` on their joint 2^k space, target 0
+    the most significant bit (the order of a kron chain): sigma_z,k is diagonal
+    with the sign of bit k, sigma_x,k one entry per basis state, at the index
+    with bit k flipped.  The library computes these systems in closed form; the
+    engine runs on this space only in tests."""
+    from floqsens import ConditionalHamiltonians
+    k = len(models)
+    idx = np.arange(2 ** k)
+    out = []
+    for fields in ([m.h_u for m in models], [m.h_d for m in models]):
+        h = np.zeros((idx.size, idx.size))
+        for site, f in enumerate(fields):
+            h[idx, idx] += (0.5 * f.z) * (1.0 - 2.0 * ((idx >> (k - 1 - site)) & 1))
+            h[idx ^ (1 << (k - 1 - site)), idx] += 0.5 * f.x
+        out.append(h.astype(complex))
+    return ConditionalHamiltonians(h_u=out[0], h_d=out[1])
+
+
 # The Floquet oracle of the differential tests.  It imports nothing from
 # floqsens: cells come from scipy.linalg.expm on the full space, coherence
 # from np.linalg.matrix_power and phases, modes and the envelope floor from

@@ -18,7 +18,7 @@ from floqsens.sensors import donor_pair_polarizations
 
 from conftest import (floquet_sum, kernel_residual, matched_gap, oracle_basis_coherences,
                       oracle_cells, oracle_powers, random_hermitian, schur_floor,
-                      schur_floquet, schur_modes)
+                      schur_floquet, schur_modes, two_state_hamiltonians)
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:
@@ -47,7 +47,7 @@ def test_criterion_1_analytic_numeric_equivalence():
     pulse_counts = (1, 10, 40)
     for _ in range(200):
         model = random_model(rng)
-        ch = model.conditional()
+        ch = two_state_hamiltonians([model])
         scale = max(model.omega_u + model.omega_d, 0.2)
         taus = np.linspace(0.3, 6.0, 50) / scale
         w_u, w_d = oracle_cells(ch.h_u, ch.h_d, taus)
@@ -315,7 +315,7 @@ def test_criterion_8_envelope_pulse_number_independence():
     rng = np.random.default_rng(808)
     worst_floor = worst_sum = 0.0
     checked = 0
-    chs = [random_model(rng).conditional() for _ in range(25)]  # D = 2
+    chs = [two_state_hamiltonians([random_model(rng)]) for _ in range(25)]  # D = 2
     chs += [fs.ConditionalHamiltonians(random_hermitian(8, rng), random_hermitian(8, rng))
             for _ in range(25)]  # D = 8
     for ch in chs:

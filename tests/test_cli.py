@@ -86,6 +86,30 @@ class TestExitCodes:
         cfg = write_cfg(tmp_path / "c.json", doc)
         assert main(["trace", "--config", cfg, "--output", str(tmp_path)]) == 4
 
+    @pytest.mark.parametrize("k", [12, 13])
+    def test_pair_spectrum_capacity(self, tmp_path, capsys, k):
+        # k pairs have 2^k phase columns, the signed sums of their closed-form
+        # phases: 4096 (linalg.MAX_DIM) of them at 12 pairs are written, 8192
+        # at 13 are refused before any file.
+        doc = {"system": {"kind": "independent_pairs", "p_u": 0.6, "p_d": -0.4,
+                          "pairs": [{"delta_a_rad_s": 2e4 * (j + 1), "c12_rad_s": 1e3 * (j + 1)}
+                                    for j in range(k)]},
+               "axes": {"tau_s": {"start": 1e-6, "stop": 1e-4, "count": 5}}}
+        cfg = write_cfg(tmp_path / "c.json", doc)
+        out = tmp_path / "out"
+        code = main(["spectrum", "--config", cfg, "--output", str(out)])
+        err = capsys.readouterr().err
+        if k == 13:
+            assert code == 4
+            assert err == "capacity error: joint pair space of dim 8192 exceeds 4096\n"
+            assert not list(out.iterdir())
+            return
+        assert code == 0 and err == ""
+        lines = (out / "spectrum.csv").read_text().splitlines()
+        assert lines[0].split(",") == (["tau_s"] + [f"phase_{j + 1}" for j in range(4096)]
+                                       + ["crossing"])
+        assert len(lines) == 6 and all(len(line.split(",")) == 4098 for line in lines[1:])
+
     def test_joint_full_donor_size_is_no_capacity_limit(self, tmp_path, capsys):
         # A donor of 2 (2I + 1) = 84 levels over a 6-spin bath: the model
         # builds only the 64-state bath space, never the 5376-state joint one,

@@ -27,7 +27,8 @@ from floqsens.engine import floquet_rows
 from floqsens.scans import compute_trace
 from floqsens.sensors import PairTarget, donor_levels, donor_pair_polarizations
 
-from conftest import floquet_sum, oracle_basis_coherences, oracle_cells, schur_floquet
+from conftest import (floquet_sum, oracle_basis_coherences, oracle_cells, schur_floquet,
+                      two_state_hamiltonians)
 
 
 def kernel_row(ch, taus, n_p, quantity="coherence"):
@@ -184,7 +185,8 @@ class TestThermalCoherence:
         ps = PairSet.from_cluster(paper_like_cluster())
         p_u, p_d = 0.45, -0.2
         tau = 2.7e-5
-        got = np.sort(spectrum_scan(ps.conditional(p_u, p_d), [tau]).phases[0])
+        ch = two_state_hamiltonians(ps.two_state_models(p_u, p_d))
+        got = np.sort(spectrum_scan(ch, [tau]).phases[0])
         single = [float(floquet_phase(m, tau)) for m in ps.two_state_models(p_u, p_d)]
         sums = []
         for s1 in (+1, -1):
@@ -313,7 +315,7 @@ class TestIndependentPairs:
         ps = PairSet.from_cluster(paper_like_cluster())
         p_u, p_d = 0.45, -0.3
         product = pairs_trace(ps, p_u, p_d, (3.1e-5, 5e-5, 2), 20).coherence[0]
-        joint = kernel_row(ps.conditional(p_u, p_d), 3.1e-5, 20)[0]
+        joint = kernel_row(two_state_hamiltonians(ps.two_state_models(p_u, p_d)), 3.1e-5, 20)[0]
         assert product == pytest.approx(joint, abs=1e-9)
 
     def test_no_doublets_in_pair_decomposition(self):
@@ -485,6 +487,6 @@ class TestBasisBuild:
                       for f in (model.h_u, model.h_d))
             ref_u += np.kron(np.kron(left, mu), right)
             ref_d += np.kron(np.kron(left, md), right)
-        ch = ps.conditional(p_u, p_d)
+        ch = two_state_hamiltonians(ps.two_state_models(p_u, p_d))
         assert ch.h_u.tobytes() == ref_u.tobytes()
         assert ch.h_d.tobytes() == ref_d.tobytes()

@@ -21,7 +21,7 @@ from floqsens.linalg import eig_unitaries
 
 from conftest import (floquet_sum, kernel_residual, kernel_sector_values, matched_gap,
                       oracle_cells, oracle_coherence, oracle_powers, random_hermitian,
-                      schur_floor, schur_floquet, schur_modes)
+                      schur_floor, schur_floquet, schur_modes, two_state_hamiltonians)
 
 
 def random_conditional(dim, rng, real=False):
@@ -331,7 +331,7 @@ class TestSpectrumScan:
     def test_collinear_linear_trajectories(self):
         from floqsens import TwoStateModel
         model = TwoStateModel.from_components(0.0, 2.0, 0.0, 1.2)
-        ch = model.conditional()
+        ch = two_state_hamiltonians([model])
         taus = np.linspace(0.01, 2.5, 120)
         scan = spectrum_scan(ch, taus)
         lines = 2 * (model.omega_u + model.omega_d) * taus
@@ -349,20 +349,20 @@ class TestSpectrumScan:
         from floqsens import TwoStateModel
         taus = np.linspace(0.01, 2.5, 400)
         model = TwoStateModel.from_components(0.0, 2.0, 0.0, 1.2)
-        scan = spectrum_scan(model.conditional(), taus, gap_threshold=0.05)
+        scan = spectrum_scan(two_state_hamiltonians([model]), taus, gap_threshold=0.05)
         lines = 2 * (model.omega_u + model.omega_d) * taus
         near = np.abs(np.angle(np.exp(1j * (lines - np.pi)))) < 0.02
         assert near.any() and not scan.crossings.any()
         assert np.isinf(scan.min_gaps).all()
         tilted = TwoStateModel.from_components(1e-3, 2.0, 1e-3, 1.2)
-        scan = spectrum_scan(tilted.conditional(), taus, gap_threshold=0.05)
+        scan = spectrum_scan(two_state_hamiltonians([tilted]), taus, gap_threshold=0.05)
         assert np.all(scan.crossings[near]) and not scan.crossings.all()
         assert scan.min_gaps.min() > 0  # the phases repel
 
     @pytest.mark.parametrize("threshold", [-1e-2, float("nan")])
     def test_gap_threshold_must_be_non_negative(self, threshold):
         from floqsens import TwoStateModel
-        ch = TwoStateModel.from_components(0.0, 2.0, 0.0, 1.2).conditional()
+        ch = two_state_hamiltonians([TwoStateModel.from_components(0.0, 2.0, 0.0, 1.2)])
         with pytest.raises(ValidationError, match="gap_threshold must be >= 0"):
             spectrum_scan(ch, np.linspace(0.01, 2.5, 10), gap_threshold=threshold)
 

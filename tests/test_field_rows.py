@@ -27,7 +27,7 @@ from floqsens.errors import NumericalConsistencyError, locate
 from floqsens.pseudospin import two_state_grid
 from floqsens.sensors import donor_pair_polarizations
 from floqsens.scans import compute_trace, field_rows
-from conftest import donor_eigh, level_gaps, near_crossing
+from conftest import donor_eigh, level_gaps, near_crossing, two_state_hamiltonians
 
 TOL = 1e-9
 
@@ -38,7 +38,7 @@ def reference_rows(row_models, cfg, quantity):
     n_p = cfg.sequence.n_p
     out = []
     for models in row_models:
-        parts = [floquet_rows([m.conditional()], tau_eff, n_p, (quantity,))[quantity][0]
+        parts = [floquet_rows([two_state_hamiltonians([m])], tau_eff, n_p, (quantity,))[quantity][0]
                  for m in models]
         if quantity == "coherence":
             out.append(np.prod(parts, axis=0))
@@ -210,7 +210,8 @@ def test_grid_rows_are_their_one_model_calls(models, quantity, n_p):
         assert one.tobytes() == row.tobytes()
         if model.h_u == model.h_d:
             assert np.all(row == 1.0)
-        ref = floquet_rows([model.conditional()], CROSSING_TAUS, n_p, (quantity,))[quantity][0]
+        ref = floquet_rows([two_state_hamiltonians([model])], CROSSING_TAUS, n_p,
+                           (quantity,))[quantity][0]
         assert np.abs(row - ref).max() <= TOL
 
 

@@ -22,7 +22,8 @@ from hypothesis import strategies as st
 import floqsens.engine as engine
 import floqsens.linalg as linalg
 from conftest import (circular_gap, kernel_residual, kernel_sector_values, matched_gap,
-                      oracle_cells, oracle_coherence, random_hermitian, schur_floor, schur_modes)
+                      oracle_cells, oracle_coherence, random_hermitian, schur_floor, schur_modes,
+                      two_state_hamiltonians)
 from floqsens import (
     ConditionalHamiltonians,
     NumericalConsistencyError,
@@ -667,7 +668,7 @@ def offset_free(ch):
 def test_joint_pair_space_is_one_sector():
     pairs = PairSet((PairTarget(1.8e5, 1.05e3), PairTarget(-1e5, 1.05e3),
                      PairTarget(-8e4, 2.2e3)))
-    ch = pairs.conditional(0.3, -0.5)
+    ch = two_state_hamiltonians(pairs.two_state_models(0.3, -0.5))
     assert [stack.index.tolist() for stack in ch.sectors] == [[list(range(8))]]
 
 

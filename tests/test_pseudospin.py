@@ -27,12 +27,12 @@ from floqsens import pseudospin
 from floqsens.engine import floquet_rows
 from floqsens.pseudospin import MAX_DIP_GRID, bisect_roots, level_repulsion, two_state_grid
 from conftest import (near_crossing, oracle_cells, oracle_coherence, random_two_state,
-                      schur_floor, schur_modes)
+                      schur_floor, schur_modes, two_state_hamiltonians)
 
 
 def oracle_cell(model, taus, pulse_duration=0.0):
     """Half periods (W_u, W_d) of the full-space oracle for a two-state model."""
-    ch = model.conditional()
+    ch = two_state_hamiltonians([model])
     return oracle_cells(ch.h_u, ch.h_d, np.atleast_1d(taus), pulse_duration)
 
 
@@ -92,6 +92,16 @@ class TestFloquetPhase:
             tau = 1e-6 / eps0
             slope = floquet_phase(model, tau) / tau
             assert slope == pytest.approx(4 * eps0, rel=1e-4)
+
+    @pytest.mark.parametrize("s", [1e-9, 1e-7, 1e-3])
+    def test_short_interval_matches_mpmath(self, s):
+        # E = 2 atan2(|v|, sqrt(a0^2 + y^2)) subtracts nothing, so E keeps its
+        # relative precision as s -> 0; 2 arccos(sqrt(a0^2 + y^2)) read 0.0
+        # at s = 1e-9 and was 8.3e-4 relative off at 1e-7.
+        model = TwoStateModel.from_angles(1.0, 0.7, 0.6, -0.2)
+        with mpmath.workdps(50):
+            ref = mpmath.pi - delta_mpmath(model, s)
+            assert abs(floquet_phase(model, s) - ref) <= 2 * np.finfo(float).eps * ref
 
     def test_rejects_negative_interval(self, rng):
         with pytest.raises(ValidationError):
@@ -159,7 +169,7 @@ class TestCoherence:
             model = random_two_state(rng)
             tau = rng.uniform(0.2, 1.5)
             delta = rng.uniform(0.01, 0.2)
-            ref = floquet_rows([model.conditional()], [tau], 8, ("coherence",),
+            ref = floquet_rows([two_state_hamiltonians([model])], [tau], 8, ("coherence",),
                                pulse_duration=delta)["coherence"][0, 0]
             assert float(coherence_analytic(model, tau + delta, 8)) == \
                 pytest.approx(ref, abs=1e-9)
@@ -548,6 +558,6 @@ def test_near_crossing_matches_the_2x2_kernel(m_u, m_d, theta_u, theta_d, scale,
     taus = math.pi / (2.0 * scale) * (1.0 + np.concatenate([-offsets, offsets]))
     taus = taus[near_crossing(model, taus, 1e-2) & ~near_crossing(model, taus, 1e-3)]
     assume(taus.size)
-    ref = {q: v[0] for q, v in floquet_rows([model.conditional()], taus, n_p).items()}
+    ref = {q: v[0] for q, v in floquet_rows([two_state_hamiltonians([model])], taus, n_p).items()}
     assert np.abs(coherence_analytic(model, taus, n_p) - ref["coherence"]).max() <= 2e-11
     assert np.abs(envelope(model, taus) - ref["envelope"]).max() <= 2e-11

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import pathlib
+import tempfile
 from unittest import mock
 
 import numpy as np
@@ -10,12 +11,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from floqsens import CapacityError, ValidationError, clusters, floquet_phase, pseudospin, scans
+from floqsens import ValidationError, floquet_phase, scans
 from floqsens.config import parse_config
-from floqsens.engine import floquet_rows
+from floqsens.engine import floquet_rows, spectrum_scan
 from floqsens.scans import FORMAT_ARRAY_MIN, _format_floats, _json_text, compute_trace, \
     field_rows, run_dips, run_map, run_spectrum, run_trace, write_csv, write_pgm
-from conftest import matched_gap, near_crossing, oracle_cells, oracle_coherence, schur_modes
+from conftest import (circular_gap, matched_gap, near_crossing, oracle_cells, oracle_coherence,
+                      schur_modes, two_state_hamiltonians)
 
 
 def pseudospin_cfg(**over):
@@ -52,7 +54,7 @@ class TestTrace:
         cfg = pseudospin_cfg()
         data = compute_trace(cfg)
         model = cfg.system
-        ch = model.conditional()
+        ch = two_state_hamiltonians([model])
         ref = oracle_coherence(*oracle_cells(ch.h_u, ch.h_d, data.taus[::7]), 10)
         np.testing.assert_allclose(data.coherence[::7], ref, rtol=0, atol=1e-9)
 
@@ -172,8 +174,8 @@ def test_pair_product_matches_joint_kernel(case, n_p):
     assume(joint_spectrum_is_simple(models, data.taus, index))
     near = near_crossing(models[index], data.taus)
     assert near.any() and not near.all()
-    joint = {q: v[0] for q, v in floquet_rows([cfg.system.conditional(p_u, p_d)], data.taus,
-                                               n_p).items()}
+    ch = two_state_hamiltonians(cfg.system.two_state_models(p_u, p_d))
+    joint = {q: v[0] for q, v in floquet_rows([ch], data.taus, n_p).items()}
     assert np.abs(data.coherence - joint["coherence"]).max() <= 1e-9
     assert np.abs(data.envelope - joint["envelope"]).max() <= 1e-9
 
@@ -191,24 +193,74 @@ def test_coincident_pair_levels_give_the_product_floor(tau):
         "sequence": {"n_p": 1}, "axes": {"tau_s": {"start": tau, "stop": 1.001 * tau,
                                                    "count": 2}}})
     data = compute_trace(cfg)
-    joint = {q: v[0] for q, v in floquet_rows([cfg.system.conditional(p_u, p_d)], data.taus,
-                                               1).items()}
+    ch = two_state_hamiltonians(cfg.system.two_state_models(p_u, p_d))
+    joint = {q: v[0] for q, v in floquet_rows([ch], data.taus, 1).items()}
     assert np.abs(data.envelope - joint["envelope"]).max() <= 1e-12
 
 
-def test_pair_traces_and_maps_never_build_the_joint_space(tmp_path, monkeypatch):
-    def no_joint_space(models):
-        raise CapacityError("joint pair space built")
+@st.composite
+def pair_spectra(draw):
+    """A config of 1-4 independent pairs with fixed polarizations, a linear or
+    log tau axis and a pulse duration, and its crossing gap."""
+    pair = st.fixed_dictionaries({"delta_a_rad_s": st.floats(-2e5, 2e5),
+                                  "c12_rad_s": st.floats(1e2, 5e3) | st.floats(-5e3, -1e2)})
+    start = draw(st.floats(1e-7, 1e-4))
+    doc = {"system": {"kind": "independent_pairs",
+                      "pairs": draw(st.lists(pair, min_size=1, max_size=4)),
+                      "p_u": draw(st.floats(-1.0, 1.0)), "p_d": draw(st.floats(-1.0, 1.0))},
+           "sequence": {"pulse_duration_s": draw(st.sampled_from([0.0, 2e-7, 3e-6]))},
+           "axes": {"tau_s": {"start": start, "stop": start * draw(st.floats(1.5, 100.0)),
+                              "count": draw(st.integers(2, 60)),
+                              "spacing": draw(st.sampled_from(["linear", "log"]))}},
+           "output": {"crossing_gap_rad": draw(st.floats(0.0, 0.5))}}
+    return parse_config(doc)
 
-    for module in (pseudospin, clusters, scans):  # every module that calls the builder
-        monkeypatch.setattr(module, "two_state_hamiltonians", no_joint_space)
+
+@settings(max_examples=60, deadline=None)
+@given(cfg=pair_spectra())
+def test_closed_form_spectrum_matches_the_engine(cfg):
+    # The written phases against those of the engine's spectrum_scan on the
+    # joint 2^k space, per tau as sets and, where no two joint phases of a
+    # tau are within 1e-6, column by column as tracked.  Equal pairs make
+    # joint phases coincide at every tau; the engine's joint modes there are
+    # any basis of the degenerate space, and its tracking picks among them.
+    # Both sides carry an absolute error of a few eps times the accumulated
+    # phase phi (at most 5.8 eps (1 + phi) over 600 draws, 1.05e-12 at
+    # phi = 1100).  A one-pair crossing flag, the gap of its two phases, is
+    # the engine's.
+    with tempfile.TemporaryDirectory() as out:
+        run_spectrum(cfg, pathlib.Path(out))
+        _, rows = read_csv(pathlib.Path(out) / "spectrum.csv")
+    got = np.array([[float(v) for v in row[1:-1]] for row in rows])
+    models = scans._two_state_models(cfg, None, cfg.polarizations)
+    scan = spectrum_scan(two_state_hamiltonians(models), cfg.tau_axis.values(),
+                         cfg.sequence.pulse_duration, cfg.output.crossing_gap)
+    phi = 4 * (cfg.tau_axis.stop + cfg.sequence.pulse_duration) * max(
+        sum(m.omega_u for m in models), sum(m.omega_d for m in models))
+    tol = 32 * np.finfo(float).eps * (1 + phi)
+    assert got.shape == scan.phases.shape
+    assert max(matched_gap(g, ref) for g, ref in zip(got, scan.phases)) <= tol
+    apart = circular_gap(got, got) + np.diag(np.full(got.shape[1], np.inf))
+    if apart.min() > 1e-6:
+        assert circular_gap(got, scan.phases).diagonal(axis1=1, axis2=2).max() <= tol
+    if len(models) == 1:
+        assert [int(row[-1]) for row in rows] == scan.crossings.astype(int).tolist()
+
+
+def test_pair_traces_and_maps_never_build_the_joint_space(tmp_path, monkeypatch):
+    # The engine's two kernels are the only consumers of a joint space; pair
+    # traces, maps and spectra are closed-form and never reach them.
+    def no_engine(*args, **kwargs):
+        raise AssertionError("the Floquet engine was called")
+
+    for kernel in ("floquet_rows", "spectrum_scan"):
+        monkeypatch.setattr(scans, kernel, no_engine)
     doc = {"system": {"kind": "independent_pairs", "donor": "si_bi", "b0_tesla": 0.15,
                       "pairs": [{"delta_a_rad_s": 180e3, "c12_rad_s": 1.05e3},
                                 {"delta_a_rad_s": -100e3, "c12_rad_s": 2.2e3}]},
            "axes": {"tau_s": {"start": 2e-5, "stop": 3.2e-4, "count": 20}}}
     run_trace(parse_config(doc), tmp_path / "t")
-    with pytest.raises(CapacityError, match="joint pair space built"):
-        run_spectrum(parse_config(doc), tmp_path / "s")
+    run_spectrum(parse_config(doc), tmp_path / "s")
     del doc["system"]["b0_tesla"]
     doc["axes"]["b0_tesla"] = {"start": 0.10, "stop": 0.26, "count": 3}
     for quantity in ("coherence", "envelope"):
@@ -653,7 +705,7 @@ class TestSpectrum:
         models = scans._two_state_models(cfg, None, *scans._polarizations(cfg, [None]))
         h = [0, 0]  # h_u, h_d
         for site, model in enumerate(models):
-            ch = pseudospin.two_state_hamiltonians([model])
+            ch = two_state_hamiltonians([model])
             left, right = np.eye(2 ** site), np.eye(2 ** (len(models) - site - 1))
             for b, (built, f) in enumerate(((ch.h_u, model.h_u), (ch.h_d, model.h_d))):
                 single = np.array([[f.z / 2, f.x / 2], [f.x / 2, -f.z / 2]])
@@ -666,6 +718,27 @@ class TestSpectrum:
         want = schur_modes(w_u @ w_d)[0]
         assert max(matched_gap(got, ref) for got, ref in zip(phases, want)) <= 1e-12
 
+    def test_pair_crossings_are_each_pairs_own(self, tmp_path):
+        # Pairs are independent tensor factors: signed sums of different pairs
+        # cross without repelling, so only the gap between a pair's own +-E
+        # marks an avoided crossing.  Flagging every near-meet of two sums, the
+        # joint-space engine marked 176 of these 400 taus.
+        cfg = parse_config({
+            "system": {"kind": "independent_pairs", "donor": "si_bi", "b0_tesla": 0.15,
+                       "pairs": [{"delta_a_rad_s": 180e3, "c12_rad_s": 1.05e3},
+                                 {"delta_a_rad_s": -100e3, "c12_rad_s": 2.2e3},
+                                 {"delta_a_rad_s": 60e3, "c12_rad_s": 1.5e3},
+                                 {"delta_a_rad_s": 0.0, "c12_rad_s": 3.0e3}]},
+            "axes": {"tau_s": {"start": 1e-6, "stop": 3e-4, "count": 400}}})
+        run_spectrum(cfg, tmp_path)
+        _, rows = read_csv(tmp_path / "spectrum.csv")
+        flags = np.array([int(row[-1]) for row in rows])
+        models = scans._two_state_models(cfg, None, *scans._polarizations(cfg, [None]))
+        phases = np.array([floquet_phase(m, cfg.tau_axis.values()) for m in models])
+        own_gap = np.minimum(2 * phases, 2 * np.pi - 2 * phases).min(axis=0)
+        assert flags.any()
+        assert (flags == (own_gap < cfg.output.crossing_gap)).all()
+
     def test_gap_at_dip_equals_twice_delta(self, tmp_path):
         from floqsens import dip_positions
         cfg = pseudospin_cfg()
@@ -676,7 +749,7 @@ class TestSpectrum:
         cfg2 = pseudospin_cfg(axes=raw_axes)
         from floqsens.scans import compute_trace  # noqa: F401  (same module path)
         from floqsens import spectrum_scan
-        scan = spectrum_scan(model.conditional(),
+        scan = spectrum_scan(two_state_hamiltonians([model]),
                              np.array([rec.tau_dip]))
         phases = scan.phases[0]
         gap = 2 * np.pi - abs(phases[1] - phases[0])
